@@ -91,7 +91,7 @@ def timing_payload(config) -> list:
 
 def session_payload(config, report: str = "BENCH_4") -> dict:
     """The full session report: tables, timings, cache and intern stats."""
-    from repro.core.caching import all_cache_stats
+    from repro.foundations.stats import all_cache_stats
     from repro.foundations.interning import (
         intern_table_sizes,
         interning_enabled,

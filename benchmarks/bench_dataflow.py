@@ -9,8 +9,9 @@ Three experiments, recorded as rows in the session table (and hence in
 * **emptiness + narrowing (Example 2/3, violated constraint)**: the
   inequality constraint is violated inside every candidate word, so the
   :class:`~repro.core.pruning.ConstraintNarrowing` filter prunes whole
-  enumeration subtrees.  A/B over ``REPRO_PRUNE``; the verdict (empty)
-  and every reported bound must match the baseline exactly while
+  enumeration subtrees.  A/B against the unpruned search
+  (``tests.helpers.without_pruning``); the verdict (empty) and every
+  reported bound must match the baseline exactly while
   ``candidates_checked`` shrinks.
 * **emptiness + junk pruning (funnel)**: a funnel automaton whose split
   transition is *pairwise* guard-consistent with its neighbours but
@@ -30,9 +31,10 @@ are read at call time (ENV001).
 """
 
 import gc
-import os
 import statistics
+import sys
 import time
+from pathlib import Path
 
 from repro import (
     ExtendedAutomaton,
@@ -49,26 +51,26 @@ from repro import (
 from repro.analysis.dataflow import analyze_reachable_types
 from repro.logic import types as types_module
 from repro.automata.regex import concat, literal, plus
-from repro.core.caching import clear_value_caches
+from repro.foundations import knobs
+from repro.foundations.memo import clear_value_caches
 from repro.foundations.interning import clear_intern_tables
 
 from _tables import register_table
 
-
-def _quick():
-    return os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
+sys.path.insert(0, str(Path(__file__).parent.parent))
+from tests.helpers import without_pruning  # noqa: E402
 
 
 def _repeats():
-    return 3 if _quick() else 5
+    return 3 if knobs.value("REPRO_BENCH_QUICK") else 5
 
 
 def _junk_size():
-    return 4 if _quick() else 8
+    return 4 if knobs.value("REPRO_BENCH_QUICK") else 8
 
 
 def _chain_length():
-    return 20 if _quick() else 60
+    return 20 if knobs.value("REPRO_BENCH_QUICK") else 60
 
 
 ROWS = []
@@ -103,7 +105,7 @@ def _fingerprint(result):
 
 
 def _prune_ablation(label, make_extended, max_prefix, max_cycle):
-    """Median emptiness seconds with REPRO_PRUNE on and off, plus the
+    """Median emptiness seconds with and without pruning, plus the
     in-bench soundness assertions (identical verdict/witness, fewer
     candidates)."""
 
@@ -112,22 +114,14 @@ def _prune_ablation(label, make_extended, max_prefix, max_cycle):
             make_extended(), max_prefix=max_prefix, max_cycle=max_cycle
         )
 
-    previous = os.environ.get("REPRO_PRUNE")
-    try:
-        os.environ["REPRO_PRUNE"] = "1"
-        _fresh_caches()
-        pruned_result = decide()  # also warms within-mode caches
-        pruned_time = _median_seconds(decide)
+    _fresh_caches()
+    pruned_result = decide()  # also warms within-mode caches
+    pruned_time = _median_seconds(decide)
 
-        os.environ["REPRO_PRUNE"] = "0"
+    with without_pruning():
         _fresh_caches()
         baseline_result = decide()
         baseline_time = _median_seconds(decide)
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_PRUNE", None)
-        else:
-            os.environ["REPRO_PRUNE"] = previous
     _fresh_caches()
 
     # Soundness is part of the experiment, not just the test suite.
@@ -258,7 +252,7 @@ def test_narrowing_collapses_violated_search():
     # Bounds chosen so candidate checking dominates: the baseline must
     # reject ~2k candidates one by one while the narrowing filter prunes
     # the shared prefixes once.
-    max_prefix = 2 if _quick() else 3
+    max_prefix = 2 if knobs.value("REPRO_BENCH_QUICK") else 3
     pruned, baseline = _prune_ablation(
         "emptiness + narrowing (Example 2/3)",
         _example23_extended,

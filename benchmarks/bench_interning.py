@@ -48,31 +48,27 @@ from repro import (
     rel,
 )
 from repro.automata.regex import concat, literal, plus, star
-from repro.core.caching import clear_value_caches
+from repro.foundations.memo import clear_value_caches
 from repro.core.parallel import shutdown_executor
 from repro.foundations.interning import clear_intern_tables, set_interning
+from repro.foundations import knobs
 
 from _tables import register_table
 
-def _quick():
-    """Quick mode (CI smoke) -- read per call, never cached (ENV001)."""
-    return os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
-
-
 def _prefix_length():
-    return 200 if _quick() else 1000
+    return 200 if knobs.value("REPRO_BENCH_QUICK") else 1000
 
 
 def _emptiness_batch():
-    return 4 if _quick() else 12
+    return 4 if knobs.value("REPRO_BENCH_QUICK") else 12
 
 
 def _grid_cycles():
-    return (5,) if _quick() else (6, 7)
+    return (5,) if knobs.value("REPRO_BENCH_QUICK") else (6, 7)
 
 
 def _repeats():
-    return 3 if _quick() else 5
+    return 3 if knobs.value("REPRO_BENCH_QUICK") else 5
 
 
 ROWS = []

@@ -11,7 +11,8 @@ of register automata bounded with cover <= k (Proposition 20).
 import pytest
 
 from repro import is_lr_bounded, lr_bound_estimate, project_register_automaton
-from repro.core.lr import _normalize_keep_constraints, lr_cover_profile
+from repro.core.extended import normalize_control
+from repro.core.lr import lr_cover_profile
 from repro.core.symbolic import scontrol_buchi
 
 from _tables import register_table
@@ -20,7 +21,7 @@ ROWS = []
 
 
 def _max_cover(extended, loops):
-    normalised = _normalize_keep_constraints(extended)
+    normalised = normalize_control(extended)
     buchi = scontrol_buchi(normalised.automaton)
     lasso = buchi.find_accepted_lasso()
     profile = lr_cover_profile(normalised, lasso, loops=loops)

@@ -15,7 +15,6 @@ Timings use ``time.perf_counter`` (never ``time.time`` -- lint rule
 TIME001); medians over several repeats to shrug off scheduler noise.
 """
 
-import os
 import statistics
 import time
 
@@ -32,6 +31,7 @@ from repro.automata.regex import concat, literal, plus
 from repro.core.parallel import shutdown_executor
 from repro.foundations.faults import reset_faults
 from repro.foundations.resilience import drain_events
+from repro.foundations import knobs
 
 from _tables import register_table
 
@@ -39,19 +39,14 @@ THROUGHPUT_ROWS = []
 RECOVERY_ROWS = []
 
 
-def _quick() -> bool:
-    """Read at call time (ENV001) so CI flips it without reimports."""
-    return os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
-
-
 def _scales():
     """Live-session population sizes for the throughput sweep."""
-    return [100, 1000] if _quick() else [1000, 10000]
+    return [100, 1000] if knobs.value("REPRO_BENCH_QUICK") else [1000, 10000]
 
 
 def _batch_count():
     """Ingest batches per sweep (one event per session per batch)."""
-    return 6 if _quick() else 12
+    return 6 if knobs.value("REPRO_BENCH_QUICK") else 12
 
 
 def _spec() -> ExtendedAutomaton:
@@ -137,7 +132,7 @@ def test_throughput(benchmark, monkeypatch):
 
 def test_crash_recovery_identity(benchmark, monkeypatch):
     """Recovery is invisible in the fingerprints, and affordable in time."""
-    n_sessions = 64 if _quick() else 256
+    n_sessions = 64 if knobs.value("REPRO_BENCH_QUICK") else 256
     batches = 6
     extended = _spec()
     database = Database(Signature.empty())

@@ -6,8 +6,9 @@ Two A/B experiments, recorded as rows in the session table (and hence in
 * **trim ablation in constrained emptiness**: the full pipeline on an
   automaton whose accepting lasso lives in a two-state core while most of
   the graph is a reachable junk region (cyclic chains that never reach an
-  accepting cycle).  Under ``REPRO_REDUCE=1`` the trim drops the junk
-  before normalisation; under ``=0`` every downstream stage walks it.
+  accepting cycle).  By default the trim drops the junk before
+  normalisation; without it (``tests.helpers.without_trim``) every
+  downstream stage walks it.
   Byte-identity is part of the experiment, not just the test suite: the
   verdict, the winning witness, *and* ``candidates_checked`` are asserted
   equal between the modes -- trim is candidate-preserving, strictly
@@ -26,9 +27,10 @@ time (ENV001).
 """
 
 import gc
-import os
 import statistics
+import sys
 import time
+from pathlib import Path
 
 from repro import (
     ExtendedAutomaton,
@@ -43,19 +45,19 @@ from repro import (
     neq,
 )
 from repro.automata.regex import concat, literal, plus
-from repro.core.caching import clear_value_caches
+from repro.foundations.memo import clear_value_caches
 from repro.core.reduction import project_dead_registers, trim_extended
+from repro.foundations import knobs
 from repro.foundations.interning import clear_intern_tables
 
 from _tables import register_table
 
-
-def _quick():
-    return os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
+sys.path.insert(0, str(Path(__file__).parent.parent))
+from tests.helpers import without_trim  # noqa: E402
 
 
 def _repeats():
-    return 3 if _quick() else 5
+    return 3 if knobs.value("REPRO_BENCH_QUICK") else 5
 
 
 ROWS_TRIM = []
@@ -77,23 +79,6 @@ def _fresh_caches():
     clear_value_caches()
     clear_intern_tables()
     gc.collect()
-
-
-class _reduce_mode:
-    """Pin ``REPRO_REDUCE`` for one A/B leg (restores on exit)."""
-
-    def __init__(self, enabled):
-        self.value = "1" if enabled else "0"
-
-    def __enter__(self):
-        self.previous = os.environ.get("REPRO_REDUCE")
-        os.environ["REPRO_REDUCE"] = self.value
-
-    def __exit__(self, *exc_info):
-        if self.previous is None:
-            os.environ.pop("REPRO_REDUCE", None)
-        else:
-            os.environ["REPRO_REDUCE"] = self.previous
 
 
 def _fingerprint(result):
@@ -181,19 +166,18 @@ def _constrained(automaton):
 
 
 def test_trim_ablation_in_constrained_emptiness():
-    chains, depth = (5, 6) if _quick() else (12, 10)
+    chains, depth = (5, 6) if knobs.value("REPRO_BENCH_QUICK") else (12, 10)
     extended = _junky_extended(chains, depth)
     total_states = len(extended.automaton.states)
 
     def decide():
         return check_emptiness(extended, max_prefix=2, max_cycle=4)
 
-    with _reduce_mode(True):
-        _fresh_caches()
-        trimmed = trim_extended(extended)
-        reduced_result = decide()  # also warms within-mode caches
-        reduced_time = _median_seconds(decide)
-    with _reduce_mode(False):
+    _fresh_caches()
+    trimmed = trim_extended(extended)
+    reduced_result = decide()  # also warms within-mode caches
+    reduced_time = _median_seconds(decide)
+    with without_trim():
         _fresh_caches()
         baseline_result = decide()
         baseline_time = _median_seconds(decide)
@@ -227,7 +211,7 @@ def test_dead_register_projection():
     # k = 4 already sends the original past a minute (the eq-saturated
     # entry guard is the expensive completion shape); k = 3 is the
     # largest point where the A/B stays honest on both sides.
-    k = 2 if _quick() else 3
+    k = 2 if knobs.value("REPRO_BENCH_QUICK") else 3
     original = _write_only_extended(k)
     projected, dropped = project_dead_registers(original)
     assert dropped == tuple(range(2, k + 1))

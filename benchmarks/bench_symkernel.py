@@ -56,10 +56,12 @@ from repro import (
     neq,
 )
 from repro.automata.regex import any_of, concat, plus
-from repro.core.caching import cache_stats, clear_value_caches
+from repro.foundations.memo import clear_value_caches
+from repro.foundations.stats import cache_stats
 from repro.foundations.interning import clear_intern_tables, interning_enabled
 from repro.logic.terms import x_vars, y_vars
 from repro.logic.types import enumerate_completion_codes
+from repro.foundations import knobs
 
 from _tables import register_table
 
@@ -70,17 +72,13 @@ ROWS_GRID = []
 ROWS_CONSTRAINED = []
 
 
-def _quick():
-    return os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
-
-
 def _repeats():
-    return 2 if _quick() else 3
+    return 2 if knobs.value("REPRO_BENCH_QUICK") else 3
 
 
 def _grid():
     """(k, settled chain length) pairs; both modes finish in seconds."""
-    return ((4, 1),) if _quick() else ((4, 1), (5, 2))
+    return ((4, 1),) if knobs.value("REPRO_BENCH_QUICK") else ((4, 1), (5, 2))
 
 
 def _median_seconds(fn, repeats=None):

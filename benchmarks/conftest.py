@@ -93,7 +93,7 @@ def pytest_sessionfinish(session, exitstatus):
 
 def _print_cache_effectiveness():
     """The E11 observability companion: one row per cache that saw traffic."""
-    from repro.core.caching import all_cache_stats
+    from repro.foundations.stats import all_cache_stats
     from _tables import print_table
 
     rows = []

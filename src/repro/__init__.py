@@ -38,7 +38,7 @@ from repro.core.projection import (
     project_extended,
     project_register_automaton,
 )
-from repro.core.pruning import prune_extended, prune_infeasible, pruning_enabled
+from repro.core.pruning import prune_extended, prune_infeasible
 from repro.core.register_automaton import RegisterAutomaton, Transition
 from repro.core.runs import FiniteRun, LassoRun, find_lasso_run, generate_finite_runs
 from repro.core.monitor import IngestReport, MonitorMultiplexer, SessionSnapshot
@@ -96,7 +96,7 @@ __all__ = [
     "Deadline", "DeadlineExceeded", "Budget", "CancellationToken",
     "Outcome", "OutcomeStatus",
     # dataflow-proved pruning
-    "prune_infeasible", "prune_extended", "pruning_enabled",
+    "prune_infeasible", "prune_extended",
     # projections
     "project_register_automaton", "project_extended", "project_with_database",
     "equality_tracker_dfa", "inequality_tracker_dfa",

@@ -25,12 +25,9 @@ from repro.analysis.dataflow.framework import (
 )
 from repro.analysis.dataflow.equality_domain import (
     DEFAULT_EDGE_BUDGET,
-    EXPLICIT_MAX_REGISTERS,
     MAX_REGISTERS,
     ReachableTypes,
-    SymbolicReachableTypes,
     analyze_reachable_types,
-    antichain_enabled,
     reachable_types_outcome,
 )
 from repro.analysis.dataflow.liveness_domain import (
@@ -53,9 +50,7 @@ __all__ = [
     "solve_forward",
     "solve_backward",
     "ReachableTypes",
-    "SymbolicReachableTypes",
     "analyze_reachable_types",
-    "antichain_enabled",
     "reachable_types_outcome",
     "RegisterLiveness",
     "CoReachability",
@@ -65,6 +60,5 @@ __all__ = [
     "analyze_co_reachability",
     "co_reachability_outcome",
     "MAX_REGISTERS",
-    "EXPLICIT_MAX_REGISTERS",
     "DEFAULT_EDGE_BUDGET",
 ]

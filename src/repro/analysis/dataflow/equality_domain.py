@@ -8,20 +8,26 @@ Abstract domain
 For a ``k``-register automaton the domain element at a control state is a
 *set of complete equality x-types* over ``x1..xk``
 (:func:`repro.logic.types.complete_equality_x_types` -- the Bell(k) set
-partitions of the registers, hash-consed so sets compare fast).  The
-concretisation of a set ``S`` at state ``q`` is::
+partitions of the registers).  The concretisation of a set ``S`` at
+state ``q`` is::
 
     { register valuations d  |  the complete equality type of d is in S }
 
-Soundness invariant (checked by the tests via brute-force bounded runs):
-after solving, ``per_state[q]`` contains the equality type of **every**
-register valuation ``d`` such that some valid run prefix from an initial
-state reaches ``(q, d)``.  Initial states start at top (all types):
-initial register contents are arbitrary.
+Soundness invariant (checked by the tests against brute-force bounded
+runs): after solving, ``types_at(q)`` contains the equality type of
+**every** register valuation ``d`` such that some valid run prefix from
+an initial state reaches ``(q, d)``.  Initial states start at top (all
+types): initial register contents are arbitrary.
 
-The transfer function is :func:`repro.logic.types.abstract_successor_types`
--- exact on the equality skeleton of the guard, dropping relational and
-constant facts (an over-approximation, hence sound).
+The set is never stored explicitly.  Each state carries an antichain of
+partition-code *intervals* (every partition containing all pairs of one
+bitmask and none of another) under containment, and the transfer
+function is :func:`repro.logic.types.successor_atoms`, whose downward
+closure is :func:`repro.logic.types.abstract_successor_types` -- exact
+on the equality skeleton of the guard, dropping relational and constant
+facts (an over-approximation, hence sound).  This is a finite exact
+representation of register configurations in the sense of
+Chen--Wang--Yen, with antichain subsumption in the style of VATA.
 
 Budgets
 -------
@@ -41,12 +47,9 @@ about the value.
 from collections import deque
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from repro.foundations import knobs
 from repro.foundations.diagnostics import Severity
 from repro.foundations.resilience import Budget, Outcome, record_event
 from repro.core.register_automaton import RegisterAutomaton, State, Transition
-from repro.logic.literals import eq
-from repro.logic.terms import X
 from repro.logic.types import (
     SigmaType,
     abstract_successor_types,
@@ -60,80 +63,29 @@ from repro.logic.types import (
 )
 from repro.analysis.dataflow.framework import (
     ForwardProblem,
-    PowersetLattice,
     SubsumptionLattice,
     solve_forward,
 )
 
 __all__ = [
     "MAX_REGISTERS",
-    "EXPLICIT_MAX_REGISTERS",
     "DEFAULT_EDGE_BUDGET",
-    "antichain_enabled",
     "ReachableTypes",
-    "SymbolicReachableTypes",
     "analyze_reachable_types",
     "reachable_types_outcome",
 ]
 
 #: Refuse the analysis above this register count.  The antichain domain
 #: (partition-code intervals with subsumption pruning) never materialises
-#: the Bell(k) lattice, so the cap is far above the old explicit limit;
-#: the edge budget below remains the real guard for huge automata.
+#: the Bell(k) lattice, so the edge budget below remains the real guard
+#: for huge automata.
 MAX_REGISTERS = 12
-
-#: The historical cap for the explicit powerset domain, still enforced when
-#: the antichain is ablated away (``REPRO_ANTICHAIN=0``): the explicit
-#: domain enumerates Bell(k) types per state, which is only tolerable up to
-#: B(6) = 203 (EXPERIMENTS.md E1/E7).
-EXPLICIT_MAX_REGISTERS = 6
-
-
-def antichain_enabled() -> bool:
-    """Whether the antichain (interval) domain is active.
-
-    On by default; ``REPRO_ANTICHAIN=0`` falls back to the explicit
-    Bell(k) powerset domain (A/B ablations, and the CI leg that keeps the
-    old path green).  Read at call time, like every behaviour knob.
-    """
-    return knobs.value("REPRO_ANTICHAIN")
 
 #: Default cap on transfer-function applications in the fixpoint solver.
 #: Each state is re-queued at most Bell(k) times (its value strictly grows),
 #: so ordinary workloads stay far below this; hitting it means the
 #: automaton is too large to analyse cheaply and the caller gets ``None``.
 DEFAULT_EDGE_BUDGET = 60_000
-
-
-class _ReachableTypesProblem(ForwardProblem[FrozenSet[SigmaType]]):
-    """The forward problem: nodes are control states, labels transitions."""
-
-    def __init__(self, automaton: RegisterAutomaton) -> None:
-        self.lattice = PowersetLattice()
-        self._automaton = automaton
-        self._k = automaton.k
-        self._top = frozenset(complete_equality_x_types(automaton.k))
-
-    def nodes(self) -> Iterable[State]:
-        return self._automaton.states
-
-    def entry(self, node: State) -> FrozenSet[SigmaType]:
-        if node in self._automaton.initial:
-            return self._top
-        return frozenset()
-
-    def out_edges(self, node: State) -> Iterable[Tuple[Transition, State]]:
-        return ((t, t.target) for t in self._automaton.transitions_from(node))
-
-    def transfer(
-        self, transition: Transition, value: FrozenSet[SigmaType]
-    ) -> FrozenSet[SigmaType]:
-        guard = transition.guard
-        k = self._k
-        successors = set()
-        for phi in value:
-            successors.update(abstract_successor_types(phi, guard, k))
-        return frozenset(successors)
 
 
 #: An interval (atom) of partition codes: ``(e, d)`` denotes every
@@ -145,16 +97,17 @@ TOP_INTERVAL: Interval = (0, 0)
 
 
 class _ReachableIntervalsProblem(ForwardProblem[FrozenSet[Interval]]):
-    """The antichain formulation: per-state sets of code intervals.
+    """The forward problem: per-state antichains of code intervals.
 
-    Same graph and boundary condition as :class:`_ReachableTypesProblem`,
-    but the value at a state is an antichain of intervals under
-    containment (:func:`repro.logic.types.interval_contains`) and the
-    transfer function is the sigma-reduced
+    Nodes are control states and labels transitions; initial states start
+    at the top interval.  The value at a state is an antichain of
+    intervals under containment (:func:`repro.logic.types.interval_contains`)
+    and the transfer function is the sigma-reduced
     :func:`repro.logic.types.successor_atoms` -- Bell(|guard registers|)
     work per interval instead of Bell(k) per state.  The downward closure
-    of the fixpoint equals the explicit domain's fixpoint set for set,
-    which is what keeps the two modes' verdicts byte-identical.
+    of the fixpoint is the set of complete equality types the explicit
+    powerset iteration over :func:`abstract_successor_types` computes
+    (``tests.helpers.explicit_reachable_types`` is that oracle).
     """
 
     def __init__(self, automaton: RegisterAutomaton) -> None:
@@ -187,56 +140,80 @@ class _ReachableIntervalsProblem(ForwardProblem[FrozenSet[Interval]]):
 class ReachableTypes:
     """The solved analysis: reachable equality types per control state.
 
-    ``per_state[q]`` is empty exactly when no valid run prefix can reach
-    ``q`` (abstract unreachability -- a proof, since the domain
+    Each state carries an antichain of partition-code intervals
+    (:meth:`intervals_at`); the state's type set is their downward
+    closure.  ``types_at`` materialises (and caches) that set on demand,
+    while the predicates answer directly on the intervals:
+
+    * reachability / feasibility without decoding any type at all,
+    * ``forced_equalities`` as a bitwise AND over the interval lower
+      bounds (the minimal member of ``(e, d)`` is exactly ``e``, so a pair
+      is forced on every member of every interval iff its bit survives
+      the AND).
+
+    A state has no intervals exactly when no valid run prefix can reach
+    it (abstract unreachability -- a proof, since the domain
     over-approximates).  All query methods are deterministic functions of
     the automaton structure: no iteration order leaks from set hashing.
     """
 
-    __slots__ = ("automaton", "per_state", "iterations", "edge_evaluations")
+    __slots__ = (
+        "automaton",
+        "per_state_intervals",
+        "iterations",
+        "edge_evaluations",
+        "_materialised",
+    )
 
     def __init__(
         self,
         automaton: RegisterAutomaton,
-        per_state: Dict[State, FrozenSet[SigmaType]],
+        per_state_intervals: Dict[State, FrozenSet[Interval]],
         iterations: int,
         edge_evaluations: int,
     ) -> None:
         self.automaton = automaton
-        self.per_state = per_state
+        self.per_state_intervals = per_state_intervals
         self.iterations = iterations
         self.edge_evaluations = edge_evaluations
+        self._materialised: Dict[State, FrozenSet[SigmaType]] = {}
 
     # ------------------------------------------------------------------ #
     # feasibility queries
     # ------------------------------------------------------------------ #
 
+    def intervals_at(self, state: State) -> FrozenSet[Interval]:
+        return self.per_state_intervals.get(state, frozenset())
+
     def types_at(self, state: State) -> FrozenSet[SigmaType]:
-        return self.per_state.get(state, frozenset())
+        found = self._materialised.get(state)
+        if found is None:
+            k = self.automaton.k
+            types = set()
+            for e_mask, d_mask in self.intervals_at(state):
+                for code in enumerate_interval_codes(e_mask, d_mask, k):
+                    types.add(decode_partition_code(code, k))
+            found = self._materialised[state] = frozenset(types)
+        return found
 
     def is_reachable(self, state: State) -> bool:
         """Whether some valid run prefix can reach *state*.
 
-        Equivalent to ``bool(types_at(state))`` but overridable by the
-        symbolic representation, which answers from the interval frontier
-        without materialising the Bell-sized type sets.
+        Intervals are built from satisfiable types only, so every stored
+        interval is non-empty.
         """
-        return bool(self.types_at(state))
+        return bool(self.intervals_at(state))
 
     def feasible(self, transition: Transition) -> bool:
         """Whether *transition* can fire from some reachable configuration."""
-        k = self.automaton.k
-        guard = transition.guard
-        return any(
-            abstract_successor_types(phi, guard, k)
-            for phi in self.types_at(transition.source)
-        )
+        return self.feasible_from(transition.source, transition.guard)
 
     def feasible_from(self, state: State, guard: SigmaType) -> bool:
         """Whether *guard* is satisfiable under some reachable type at *state*."""
         k = self.automaton.k
         return any(
-            abstract_successor_types(phi, guard, k) for phi in self.types_at(state)
+            successor_atoms(e_mask, d_mask, guard, k)
+            for e_mask, d_mask in sorted(self.intervals_at(state))
         )
 
     def unreachable_states(self) -> Tuple[State, ...]:
@@ -301,86 +278,10 @@ class ReachableTypes:
         """Register pairs ``(i, j)`` provably equal at *state* on every run.
 
         Empty when the state is unreachable (no types to force anything) --
-        callers should check :meth:`types_at` first.  This is the
+        callers should check :meth:`is_reachable` first.  This is the
         register-constancy fact consumed by the ``DF004`` refinement
         diagnostics.
         """
-        types = self.types_at(state)
-        if not types:
-            return ()
-        k = self.automaton.k
-        pairs = []
-        for i in range(1, k + 1):
-            for j in range(i + 1, k + 1):
-                literal = eq(X(i), X(j))
-                if all(phi.entails(literal) for phi in types):
-                    pairs.append((i, j))
-        return tuple(pairs)
-
-
-class SymbolicReachableTypes(ReachableTypes):
-    """:class:`ReachableTypes` backed by interval antichains.
-
-    Query results are byte-identical to the explicit representation --
-    ``types_at`` materialises (and caches) the downward closure of a
-    state's antichain on demand, and the overridden predicates answer the
-    same questions directly on the intervals:
-
-    * reachability / feasibility without decoding any type at all,
-    * ``forced_equalities`` as a bitwise AND over the interval lower
-      bounds (the minimal member of ``(e, d)`` is exactly ``e``, so a pair
-      is forced on every member of every interval iff its bit survives
-      the AND).
-
-    ``witness_path`` is deliberately *not* overridden: it searches the
-    pair graph from scratch either way, so both modes return the same
-    witness, byte for byte.
-    """
-
-    __slots__ = ("per_state_intervals", "_materialised")
-
-    def __init__(
-        self,
-        automaton: RegisterAutomaton,
-        per_state_intervals: Dict[State, FrozenSet[Interval]],
-        iterations: int,
-        edge_evaluations: int,
-    ) -> None:
-        super().__init__(automaton, {}, iterations, edge_evaluations)
-        self.per_state_intervals = per_state_intervals
-        self._materialised: Dict[State, FrozenSet[SigmaType]] = {}
-
-    def intervals_at(self, state: State) -> FrozenSet[Interval]:
-        return self.per_state_intervals.get(state, frozenset())
-
-    def types_at(self, state: State) -> FrozenSet[SigmaType]:
-        found = self._materialised.get(state)
-        if found is None:
-            k = self.automaton.k
-            types = set()
-            for e_mask, d_mask in self.intervals_at(state):
-                for code in enumerate_interval_codes(e_mask, d_mask, k):
-                    types.add(decode_partition_code(code, k))
-            found = self._materialised[state] = frozenset(types)
-            self.per_state[state] = found
-        return found
-
-    def is_reachable(self, state: State) -> bool:
-        # Intervals are built from satisfiable types only, so every stored
-        # interval is non-empty.
-        return bool(self.intervals_at(state))
-
-    def feasible(self, transition: Transition) -> bool:
-        return self.feasible_from(transition.source, transition.guard)
-
-    def feasible_from(self, state: State, guard: SigmaType) -> bool:
-        k = self.automaton.k
-        return any(
-            successor_atoms(e_mask, d_mask, guard, k)
-            for e_mask, d_mask in sorted(self.intervals_at(state))
-        )
-
-    def forced_equalities(self, state: State) -> Tuple[Tuple[int, int], ...]:
         intervals = self.intervals_at(state)
         if not intervals:
             return ()
@@ -401,22 +302,17 @@ def reachable_types_outcome(
 ) -> "Outcome[ReachableTypes]":
     """The reachable-equality-types analysis as a budgeted outcome.
 
-    ``COMPLETE`` carries the solved :class:`ReachableTypes` (a
-    :class:`SymbolicReachableTypes` under the default antichain domain, the
-    explicit powerset under ``REPRO_ANTICHAIN=0``); ``DEGRADED`` carries no
-    value and a ``reason`` of ``"register-cap"`` (more than
-    :data:`MAX_REGISTERS` registers -- :data:`EXPLICIT_MAX_REGISTERS` in
-    the ablated mode) or ``"edge-budget"`` (the fixpoint solver exhausted
-    *max_edge_evaluations* transfer applications).  Either way the stats
-    include the full budget snapshot, which is what the ``DF005``
-    diagnostic and the ``RS004`` resilience event expose to CI.  The
-    snapshot is deterministic: the solver stops on exactly the same edge
-    evaluation the historical integer cap stopped on.
+    ``COMPLETE`` carries the solved :class:`ReachableTypes`; ``DEGRADED``
+    carries no value and a ``reason`` of ``"register-cap"`` (more than
+    :data:`MAX_REGISTERS` registers) or ``"edge-budget"`` (the fixpoint
+    solver exhausted *max_edge_evaluations* transfer applications).
+    Either way the stats include the full budget snapshot, which is what
+    the ``DF005`` diagnostic and the ``RS004`` resilience event expose to
+    CI.  The snapshot is deterministic: the solver stops on exactly the
+    same edge evaluation the historical integer cap stopped on.
     """
-    symbolic = antichain_enabled()
-    register_cap = MAX_REGISTERS if symbolic else EXPLICIT_MAX_REGISTERS
     budget = Budget("dataflow")
-    registers = budget.scope("registers", register_cap)
+    registers = budget.scope("registers", MAX_REGISTERS)
     edges = budget.scope("edges", max_edge_evaluations)
 
     def declined(reason: str) -> "Outcome[ReachableTypes]":
@@ -433,19 +329,7 @@ def reachable_types_outcome(
 
     if not registers.charge(automaton.k):
         return declined("register-cap")
-    if symbolic:
-        interval_problem = _ReachableIntervalsProblem(automaton)
-        result = solve_forward(interval_problem, edges)
-        if result is None:
-            return declined("edge-budget")
-        return Outcome.complete(
-            SymbolicReachableTypes(
-                automaton, result.values, result.iterations, result.edge_evaluations
-            ),
-            budget=budget.snapshot(),
-        )
-    problem = _ReachableTypesProblem(automaton)
-    result = solve_forward(problem, edges)
+    result = solve_forward(_ReachableIntervalsProblem(automaton), edges)
     if result is None:
         return declined("edge-budget")
     return Outcome.complete(

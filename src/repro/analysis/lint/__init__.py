@@ -14,8 +14,7 @@ and three cross-file rule families:
 * ``RSL00x`` -- deadline-poll discipline in long-running loops
   (:mod:`.deadlines`).
 
-``tools/lint_repro.py`` remains as a thin shim re-exporting this public
-surface, so existing invocations and imports keep working unchanged.
+``python -m repro.analysis.lint`` is the command-line entry point.
 """
 
 from repro.analysis.lint.cli import main

@@ -156,6 +156,10 @@ class Nfa:
         from repro.automata.dfa import Dfa
 
         symbols = set(alphabet) if alphabet is not None else set(self.symbols())
+        # Subsets are numbered in discovery order, and minimize() keeps that
+        # numbering: a repr-sorted symbol order keeps it independent of the
+        # hash seed.
+        ordered = sorted(symbols, key=repr)
         start = self.epsilon_closure(self._initial)
         index: Dict[FrozenSet[int], int] = {start: 0}
         worklist = [start]
@@ -166,7 +170,7 @@ class Nfa:
         while worklist:
             subset = worklist.pop()
             source = index[subset]
-            for symbol in symbols:
+            for symbol in ordered:
                 target_subset = self.step(subset, symbol)
                 if target_subset not in index:
                     index[target_subset] = len(index)

@@ -32,29 +32,18 @@ and compares structurally and hits the same entries.
 
 Stats live in :mod:`repro.foundations.stats` and :class:`ValueCache` /
 :func:`clear_value_caches` in :mod:`repro.foundations.memo` (so the logic
-kernel below ``repro.core`` can use both without an import cycle); this
-module re-exports them all for backwards compatibility.
+kernel below ``repro.core`` can use both without an import cycle); import
+them from there.
 """
 
 import weakref
 from functools import wraps
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
-from repro.foundations.memo import ValueCache, clear_value_caches
-from repro.foundations.stats import (
-    CacheStats,
-    all_cache_stats,
-    cache_stats,
-    reset_cache_stats,
-)
+from repro.foundations.memo import ValueCache
+from repro.foundations.stats import cache_stats
 
 __all__ = [
-    "CacheStats",
-    "cache_stats",
-    "all_cache_stats",
-    "reset_cache_stats",
-    "ValueCache",
-    "clear_value_caches",
     "cached_method",
     "AutomatonIndex",
     "dead_states",

@@ -56,7 +56,12 @@ from repro.foundations.resilience import (
 )
 from repro.core.caching import dead_states
 from repro.core.parallel import imap_chunked
-from repro.core.extended import ExtendedAutomaton, GlobalConstraint, eliminate_equality_constraints
+from repro.core.extended import (
+    ExtendedAutomaton,
+    GlobalConstraint,
+    eliminate_equality_constraints,
+    normalize_control,
+)
 from repro.core.pruning import build_narrowing, prune_extended
 from repro.core.reduction import trim_extended
 from repro.core.register_automaton import RegisterAutomaton
@@ -69,29 +74,7 @@ from repro.core.tracewindow import TraceWindow
 def _normalize_for_analysis(extended: ExtendedAutomaton) -> ExtendedAutomaton:
     """Eliminate equality constraints, complete, and make state-driven."""
     without_eq, _k = eliminate_equality_constraints(extended)
-    return _normalize_without_eq(without_eq)
-
-
-def _normalize_without_eq(without_eq: ExtendedAutomaton) -> ExtendedAutomaton:
-    """Complete and make state-driven an equality-free extended automaton."""
-    from repro.core.projection import _normalisation_projection
-    from repro.core.extended import lift_constraints_to_states
-
-    automaton = without_eq.automaton
-    normalised = automaton
-    if not normalised.is_complete():
-        normalised = normalised.completed()
-    if not normalised.is_state_driven():
-        normalised = normalised.state_driven()
-    if normalised is automaton:
-        return without_eq
-    constraints = lift_constraints_to_states(
-        without_eq.inequality_constraints(),
-        automaton.states,
-        normalised.states,
-        _normalisation_projection(automaton, normalised),
-    )
-    return ExtendedAutomaton(normalised, constraints)
+    return normalize_control(without_eq)
 
 
 def trace_is_consistent(extended: ExtendedAutomaton, trace: Lasso) -> bool:
@@ -399,21 +382,19 @@ def check_emptiness(
     returned result -- verdict, witness trace and ``candidates_checked``
     -- is identical to the serial one.
 
-    With ``REPRO_PRUNE`` unset or on (the default), proved-dead control is
-    dropped before normalisation (:func:`repro.core.pruning.prune_extended`)
-    and the candidate enumeration is narrowed by the incremental
-    constraint-consistency filter
-    (:func:`repro.core.pruning.build_narrowing`).  Both are sound: the
-    verdict and the winning witness trace are identical to the
-    ``REPRO_PRUNE=0`` run, while ``candidates_checked`` can only shrink.
+    Proved-dead control is dropped before normalisation
+    (:func:`repro.core.pruning.prune_extended`) and the candidate
+    enumeration is narrowed by the incremental constraint-consistency
+    filter (:func:`repro.core.pruning.build_narrowing`).  Both are sound:
+    the verdict and the winning witness trace are those of the unpruned
+    search, while ``candidates_checked`` can only shrink.
 
-    With ``REPRO_REDUCE`` unset or on (the default), the automaton is
-    additionally *trimmed* before normalisation
+    The automaton is additionally *trimmed* before normalisation
     (:func:`repro.core.reduction.trim_extended`): states through which no
     accepting lasso can pass are dropped.  Trim is candidate-preserving,
     a strictly stronger guarantee than pruning's -- verdict, witness,
-    *and* ``candidates_checked`` are byte-identical to the
-    ``REPRO_REDUCE=0`` run; only the work per candidate shrinks.
+    *and* ``candidates_checked`` are byte-identical to the untrimmed
+    search; only the work per candidate shrinks.
     """
     deadline = Deadline.resolve(deadline)
     with deadline_scope(deadline):
@@ -490,7 +471,7 @@ def _check_emptiness_bounded(
     if cancel is not None:
         cancel.check("emptiness.start")
     extended = prune_extended(extended)
-    # Sound trim (REPRO_REDUCE): drop states no accepting lasso can visit.
+    # Sound trim: drop states no accepting lasso can visit.
     # Unlike pruning this is candidate-preserving -- verdict, witness, and
     # candidates_checked are byte-identical (see repro.core.reduction).
     extended = trim_extended(extended)
@@ -509,10 +490,10 @@ def _check_emptiness_bounded(
         # The normalised automaton is only needed if someone asks the
         # witness for a concrete realisation; build it lazily then.
         normalised = None
-        witness_normalised = lambda: _normalize_without_eq(without_eq)  # noqa: E731
+        witness_normalised = lambda: normalize_control(without_eq)  # noqa: E731
         has_constraints = bool(without_eq.inequality_constraints())
     else:
-        normalised = _normalize_without_eq(without_eq)
+        normalised = normalize_control(without_eq)
         buchi = scontrol_buchi(normalised.automaton)
         decode = None
         witness_normalised = normalised

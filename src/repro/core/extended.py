@@ -263,6 +263,84 @@ def lift_constraints_to_states(
     return lifted
 
 
+def restrict_extended(
+    extended: ExtendedAutomaton, restricted: RegisterAutomaton
+) -> ExtendedAutomaton:
+    """*extended* re-targeted at *restricted*, a sub-automaton of its own.
+
+    Returns *extended* itself when *restricted* is its automaton (so
+    identity-keyed caches downstream stay warm).  Otherwise the constraint
+    DFAs are remapped onto the surviving state alphabet with their state
+    sets untouched: runs of *restricted* visit only surviving states, so
+    every constraint accepts/rejects exactly the factors it did before,
+    and downstream product constructions (Proposition 6, normalisation
+    lifting) see identical DFA state names.
+    """
+    if restricted is extended.automaton:
+        return extended
+    constraints = [
+        GlobalConstraint(
+            constraint.kind,
+            constraint.i,
+            constraint.j,
+            _map_dfa_alphabet(
+                extended.constraint_dfa(constraint),
+                restricted.states,
+                lambda state: state,
+            ),
+        )
+        for constraint in extended.constraints
+    ]
+    return ExtendedAutomaton(restricted, constraints)
+
+
+def _normalisation_projection(original: RegisterAutomaton, normalised: RegisterAutomaton):
+    """Map normalised states back to original states.
+
+    Completion keeps states; the state-driven construction produces
+    ``(state, guard)`` pairs (possibly nested if applied twice).  We peel
+    pairs until we land in the original state set.
+    """
+    original_states = set(original.states)
+
+    def back(state):
+        while state not in original_states and isinstance(state, tuple) and len(state) == 2:
+            state = state[0]
+        if state not in original_states:
+            raise SpecificationError(
+                "cannot relate normalised state %r to an original state" % (state,)
+            )
+        return state
+
+    return back
+
+
+def normalize_control(extended: ExtendedAutomaton) -> ExtendedAutomaton:
+    """Complete + state-driven control, with every constraint lifted.
+
+    Returns *extended* itself when the control is already complete and
+    state-driven.  Equality constraints are lifted like the inequality
+    ones: the emptiness pipeline calls this after Proposition 6 has
+    removed them, while the LR window analyses honour them directly and
+    so avoid the register blow-up of the elimination.
+    """
+    automaton = extended.automaton
+    normalised = automaton
+    if not normalised.is_complete():
+        normalised = normalised.completed()
+    if not normalised.is_state_driven():
+        normalised = normalised.state_driven()
+    if normalised is automaton:
+        return extended
+    constraints = lift_constraints_to_states(
+        extended.constraints,
+        automaton.states,
+        normalised.states,
+        _normalisation_projection(automaton, normalised),
+    )
+    return ExtendedAutomaton(normalised, constraints)
+
+
 def eliminate_equality_constraints(extended: ExtendedAutomaton) -> Tuple["ExtendedAutomaton", int]:
     """**Proposition 6**: compile global equality constraints into registers.
 

@@ -38,7 +38,7 @@ from repro.logic.literals import eq as lit_eq
 from repro.logic.literals import neq as lit_neq
 from repro.logic.terms import X, Y
 from repro.logic.types import SigmaType
-from repro.core.extended import ExtendedAutomaton, GlobalConstraint
+from repro.core.extended import ExtendedAutomaton, GlobalConstraint, normalize_control
 from repro.core.register_automaton import RegisterAutomaton, Transition
 from repro.core.symbolic import scontrol_buchi
 from repro.core.tracewindow import TraceWindow
@@ -129,7 +129,7 @@ def is_lr_bounded(
     enumeration bounds; ``DESIGN.md`` records this substitution for the
     paper's MSO+bounding-quantifier argument.
     """
-    normalised = _normalize_keep_constraints(extended)
+    normalised = normalize_control(extended)
     buchi = scontrol_buchi(normalised.automaton)
     checked = 0
     seen: Set[Lasso] = set()
@@ -186,7 +186,7 @@ def lr_bound_estimate(
     loops: int = 5,
 ) -> int:
     """The largest cut-graph vertex cover observed over sampled lassos."""
-    normalised = _normalize_keep_constraints(extended)
+    normalised = normalize_control(extended)
     buchi = scontrol_buchi(normalised.automaton)
     best = 0
     checked = 0
@@ -204,33 +204,6 @@ def lr_bound_estimate(
         if profile:
             best = max(best, max(profile))
     return best
-
-
-def _normalize_keep_constraints(extended: ExtendedAutomaton) -> ExtendedAutomaton:
-    """Complete + state-driven control, with all constraints lifted.
-
-    Unlike the emptiness pipeline, equality constraints are *kept* (the
-    window analyses honour them directly), avoiding the register blow-up of
-    Proposition 6 for analysis-only purposes.
-    """
-    from repro.core.extended import lift_constraints_to_states
-    from repro.core.projection import _normalisation_projection
-
-    automaton = extended.automaton
-    normalised = automaton
-    if not normalised.is_complete():
-        normalised = normalised.completed()
-    if not normalised.is_state_driven():
-        normalised = normalised.state_driven()
-    if normalised is automaton:
-        return extended
-    constraints = lift_constraints_to_states(
-        extended.constraints,
-        automaton.states,
-        normalised.states,
-        _normalisation_projection(automaton, normalised),
-    )
-    return ExtendedAutomaton(normalised, constraints)
 
 
 # ---------------------------------------------------------------------- #

@@ -61,6 +61,7 @@ from repro.core.extended import (
     NEQ,
     ExtendedAutomaton,
     GlobalConstraint,
+    _normalisation_projection,
     eliminate_equality_constraints,
     lift_constraints_to_states,
 )
@@ -509,27 +510,6 @@ def _agreeing_projected_transitions(normalised: RegisterAutomaton, m: int):
             Transition(transition.source, project_type(transition.guard, m, k), transition.target)
         )
     return transitions
-
-
-def _normalisation_projection(original: RegisterAutomaton, normalised: RegisterAutomaton):
-    """Map normalised states back to original states.
-
-    Completion keeps states; the state-driven construction produces
-    ``(state, guard)`` pairs (possibly nested if applied twice).  We peel
-    pairs until we land in the original state set.
-    """
-    original_states = set(original.states)
-
-    def back(state):
-        while state not in original_states and isinstance(state, tuple) and len(state) == 2:
-            state = state[0]
-        if state not in original_states:
-            raise SpecificationError(
-                "cannot relate normalised state %r to an original state" % (state,)
-            )
-        return state
-
-    return back
 
 
 def _bridge_constraints(

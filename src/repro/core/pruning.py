@@ -26,52 +26,32 @@ Consumers of the reachable-equality-types fixpoint
   verdict and the winning witness trace are identical to the unpruned
   run while ``candidates_checked`` can only shrink.
 
-Everything is gated by the ``REPRO_PRUNE`` environment knob -- read at
-call time like ``REPRO_WORKERS`` (never at import), default on,
-``REPRO_PRUNE=0`` is the ablation switch used by CI and the benchmarks.
-
 Layering note: this module lives in ``core`` but the analysis lives above
 it, so the dataflow import happens lazily inside the functions.
 """
 
 from typing import Iterable, List, Optional, Tuple
 
-from repro.foundations import knobs
 from repro.core.caching import dead_states
-from repro.core.extended import ExtendedAutomaton, GlobalConstraint, _map_dfa_alphabet
+from repro.core.extended import ExtendedAutomaton, restrict_extended
 from repro.core.register_automaton import RegisterAutomaton
 from repro.logic.types import advance_registers, x_equality_classes
 
 __all__ = [
-    "pruning_enabled",
     "prune_infeasible",
     "prune_extended",
     "ConstraintNarrowing",
     "build_narrowing",
 ]
 
-def pruning_enabled() -> bool:
-    """The ``REPRO_PRUNE`` knob, read at call time (default on).
-
-    Mirrors :func:`repro.core.parallel.worker_count`: never cached, so
-    tests and the ablation CI job can flip it per call.
-    """
-    return knobs.value("REPRO_PRUNE")
-
-
-def prune_infeasible(
-    automaton: RegisterAutomaton,
-    enabled: Optional[bool] = None,
-) -> RegisterAutomaton:
+def prune_infeasible(automaton: RegisterAutomaton) -> RegisterAutomaton:
     """Drop abstractly-unreachable states and infeasible transitions.
 
-    Returns the *same object* when nothing is pruned (or pruning is
-    disabled, or the analysis declines the automaton), so identity-keyed
-    caches downstream stay warm on the common path.
+    Returns the *same object* when nothing is pruned (or the analysis
+    declines the automaton), so identity-keyed caches downstream stay
+    warm on the common path.
     """
-    if enabled is None:
-        enabled = pruning_enabled()
-    if not enabled or automaton.k == 0:
+    if automaton.k == 0:
         return automaton
     from repro.analysis.dataflow import analyze_reachable_types
 
@@ -88,36 +68,16 @@ def prune_infeasible(
     )
 
 
-def prune_extended(
-    extended: ExtendedAutomaton,
-    enabled: Optional[bool] = None,
-) -> ExtendedAutomaton:
+def prune_extended(extended: ExtendedAutomaton) -> ExtendedAutomaton:
     """:func:`prune_infeasible` lifted to an extended automaton.
 
     The surviving automaton has a smaller state alphabet, so constraint
     DFAs (whose alphabet must match the states exactly) are remapped onto
-    it; runs of the pruned automaton visit only surviving states, hence
-    every constraint accepts/rejects exactly the factors it did before.
+    it (:func:`repro.core.extended.restrict_extended`); runs of the pruned
+    automaton visit only surviving states, hence every constraint
+    accepts/rejects exactly the factors it did before.
     """
-    if enabled is None:
-        enabled = pruning_enabled()
-    pruned = prune_infeasible(extended.automaton, enabled=enabled)
-    if pruned is extended.automaton:
-        return extended
-    constraints = [
-        GlobalConstraint(
-            constraint.kind,
-            constraint.i,
-            constraint.j,
-            _map_dfa_alphabet(
-                extended.constraint_dfa(constraint),
-                pruned.states,
-                lambda state: state,
-            ),
-        )
-        for constraint in extended.constraints
-    ]
-    return ExtendedAutomaton(pruned, constraints)
+    return restrict_extended(extended, prune_infeasible(extended.automaton))
 
 
 class ConstraintNarrowing:
@@ -191,23 +151,18 @@ class ConstraintNarrowing:
         return (guard, tuple(new_threads))
 
 
-def build_narrowing(
-    normalised: ExtendedAutomaton,
-    enabled: Optional[bool] = None,
-) -> Optional[ConstraintNarrowing]:
+def build_narrowing(normalised: ExtendedAutomaton) -> Optional[ConstraintNarrowing]:
     """A :class:`ConstraintNarrowing` for the normalised automaton, or ``None``.
 
-    ``None`` when pruning is disabled or the automaton carries no
-    inequality constraints (the emptiness check then has nothing to
-    narrow on).  The per-state abstract configurations are attached when
-    the dataflow analysis fits its budget; they make the filter also
-    refuse symbols whose guard cannot fire from any reachable
-    configuration (a no-op on completed automata, where the symbolic
-    control graph is already exact, but sound and cheap everywhere).
+    ``None`` when the automaton carries no inequality constraints (the
+    emptiness check then has nothing to narrow on).  The per-state
+    abstract configurations are attached when the dataflow analysis fits
+    its budget; they make the filter also refuse symbols whose guard
+    cannot fire from any reachable configuration (a no-op on completed
+    automata, where the symbolic control graph is already exact, but
+    sound and cheap everywhere).
     """
-    if enabled is None:
-        enabled = pruning_enabled()
-    if not enabled or not normalised.inequality_constraints():
+    if not normalised.inequality_constraints():
         return None
     from repro.analysis.dataflow import analyze_reachable_types
 

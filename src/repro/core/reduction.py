@@ -40,20 +40,15 @@ the *forward* analysis):
   emptiness *verdict* (asserted by the E18 benchmark and the test
   suite) rather than the byte-exact witness.
 
-Everything is gated by the ``REPRO_REDUCE`` environment knob -- read at
-call time like ``REPRO_PRUNE`` (never at import), default on,
-``REPRO_REDUCE=0`` is the ablation switch used by CI and the benchmarks.
-
 Layering note: this module lives in ``core`` but the analysis lives
 above it, so the dataflow import happens lazily inside the functions.
 """
 
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.foundations import knobs
 from repro.foundations.diagnostics import Severity
 from repro.foundations.resilience import Budget, record_event
-from repro.core.extended import ExtendedAutomaton, GlobalConstraint, _map_dfa_alphabet
+from repro.core.extended import ExtendedAutomaton, restrict_extended
 from repro.core.register_automaton import RegisterAutomaton, State, Transition
 from repro.logic.literals import eq as lit_eq
 from repro.logic.literals import neq as lit_neq
@@ -61,7 +56,6 @@ from repro.logic.terms import X, Y
 from repro.logic.types import SigmaType
 
 __all__ = [
-    "reduction_enabled",
     "DEFAULT_TRIM_BUDGET",
     "trim",
     "trim_extended",
@@ -73,15 +67,6 @@ __all__ = [
 #: workloads stay far below this; hitting it means the automaton is too
 #: large to trim cheaply and the caller keeps the original.
 DEFAULT_TRIM_BUDGET = 200_000
-
-
-def reduction_enabled() -> bool:
-    """The ``REPRO_REDUCE`` knob, read at call time (default on).
-
-    Mirrors :func:`repro.core.pruning.pruning_enabled`: never cached, so
-    tests and the ablation CI job can flip it per call.
-    """
-    return knobs.value("REPRO_REDUCE")
 
 
 def _declined(automaton: RegisterAutomaton, budget: Budget) -> None:
@@ -155,20 +140,15 @@ def _lasso_keep_set(
 
 def trim(
     automaton: RegisterAutomaton,
-    enabled: Optional[bool] = None,
     max_steps: Optional[int] = DEFAULT_TRIM_BUDGET,
 ) -> RegisterAutomaton:
     """Drop states through which no accepting lasso can pass.
 
-    Returns the *same object* when nothing is trimmed (or reduction is
-    disabled, the budget trips, or the trim would change the
-    normalisation shape -- see the module docstring), so identity-keyed
-    caches downstream stay warm on the common path.
+    Returns the *same object* when nothing is trimmed (or the budget
+    trips, or the trim would change the normalisation shape -- see the
+    module docstring), so identity-keyed caches downstream stay warm on
+    the common path.
     """
-    if enabled is None:
-        enabled = reduction_enabled()
-    if not enabled:
-        return automaton
     budget = Budget("reduction")
     steps = budget.scope("steps", max_steps)
     keep = _lasso_keep_set(automaton, steps)
@@ -196,38 +176,19 @@ def trim(
 
 def trim_extended(
     extended: ExtendedAutomaton,
-    enabled: Optional[bool] = None,
     max_steps: Optional[int] = DEFAULT_TRIM_BUDGET,
 ) -> ExtendedAutomaton:
     """:func:`trim` lifted to an extended automaton.
 
     Constraint DFAs are remapped onto the surviving state alphabet with
-    their state sets untouched (exactly as
-    :func:`repro.core.pruning.prune_extended` does): runs and candidate
-    lassos of the trimmed automaton visit only surviving states, so
-    every constraint accepts/rejects exactly the factors it did before,
-    and downstream product constructions (Proposition 6, normalisation
-    lifting) see identical DFA state names.
+    their state sets untouched (:func:`repro.core.extended.restrict_extended`,
+    exactly as :func:`repro.core.pruning.prune_extended` does): runs and
+    candidate lassos of the trimmed automaton visit only surviving
+    states, so every constraint accepts/rejects exactly the factors it
+    did before, and downstream product constructions (Proposition 6,
+    normalisation lifting) see identical DFA state names.
     """
-    if enabled is None:
-        enabled = reduction_enabled()
-    trimmed = trim(extended.automaton, enabled=enabled, max_steps=max_steps)
-    if trimmed is extended.automaton:
-        return extended
-    constraints = [
-        GlobalConstraint(
-            constraint.kind,
-            constraint.i,
-            constraint.j,
-            _map_dfa_alphabet(
-                extended.constraint_dfa(constraint),
-                trimmed.states,
-                lambda state: state,
-            ),
-        )
-        for constraint in extended.constraints
-    ]
-    return ExtendedAutomaton(trimmed, constraints)
+    return restrict_extended(extended, trim(extended.automaton, max_steps=max_steps))
 
 
 def _saturated_projection(

@@ -29,7 +29,7 @@ from repro.db.evaluation import evaluate_type, transition_valuation
 from repro.foundations.domain import DataValue, FreshSupply
 from repro.foundations.errors import SpecificationError
 from repro.foundations.interning import register_mode_listener
-from repro.core.caching import ValueCache
+from repro.foundations.memo import ValueCache
 from repro.core.register_automaton import RegisterAutomaton, State, Transition
 
 

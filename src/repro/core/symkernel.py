@@ -80,7 +80,6 @@ from repro.automata.buchi import BuchiAutomaton
 from repro.automata.words import Lasso
 from repro.core.caching import dead_states
 from repro.core.extended import ExtendedAutomaton
-from repro.core.pruning import pruning_enabled
 from repro.foundations.resilience import current_deadline
 from repro.logic.literals import eq, neq
 from repro.logic.terms import x_vars, y_vars
@@ -96,8 +95,7 @@ __all__ = ["symkernel_enabled", "build_kernel", "SymbolicKernel"]
 def symkernel_enabled() -> bool:
     """The ``REPRO_SYMKERNEL`` knob, read at call time (default on).
 
-    Mirrors :func:`repro.core.pruning.pruning_enabled`: never cached, so
-    tests and the ablation CI leg can flip it per call.
+    Never cached, so tests and the ablation CI leg can flip it per call.
     """
     return knobs.value("REPRO_SYMKERNEL")
 
@@ -407,13 +405,12 @@ class SymbolicKernel:
         )
 
     def build_narrowing(self) -> Optional[CodedNarrowing]:
-        """The coded enumeration filter, honouring ``REPRO_PRUNE``.
+        """The coded enumeration filter.
 
         ``None`` exactly when :func:`repro.core.pruning.build_narrowing`
-        would return ``None``: pruning disabled or no inequality
-        constraints.
+        would return ``None``: no inequality constraints.
         """
-        if not pruning_enabled() or not self._without_eq.inequality_constraints():
+        if not self._without_eq.inequality_constraints():
             return None
         tables = self._constraint_tables()
         return CodedNarrowing(

@@ -41,7 +41,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from repro.automata.dfa import Dfa
 from repro.foundations.errors import SpecificationError
 from repro.foundations.resilience import current_deadline
-from repro.core.caching import ValueCache, agreement
+from repro.core.caching import agreement
+from repro.foundations.memo import ValueCache
 from repro.logic.terms import Const, X, Y, register_index
 from repro.logic.types import SigmaType, project_type_dataless
 from repro.core.enhanced import (

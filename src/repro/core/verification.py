@@ -41,7 +41,7 @@ from repro.logic.types import SigmaType
 from repro.ltl.ltlfo import LtlFoSentence, proposition_assignment
 from repro.ltl.syntax import Not_, satisfies
 from repro.ltl.translation import ltl_to_buchi
-from repro.core.caching import ValueCache
+from repro.foundations.memo import ValueCache
 from repro.core.emptiness import (
     EmptinessWitness,
     _normalize_for_analysis,
@@ -156,9 +156,8 @@ def verify(
     """
     augmented, mapping = add_global_registers(extended, sentence.global_vars)
     grounded = _rewrite_sentence(sentence, mapping)
-    # Sound under REPRO_PRUNE (default on): pruning preserves the valid-run
-    # set exactly, hence the set of genuine counterexamples; REPRO_PRUNE=0
-    # reproduces the unpruned product byte for byte.
+    # Sound: pruning preserves the valid-run set exactly, hence the set of
+    # genuine counterexamples.
     augmented = prune_extended(augmented)
     normalised = _normalize_for_analysis(augmented)
     automaton = normalised.automaton

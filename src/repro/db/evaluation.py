@@ -70,7 +70,7 @@ _EVAL_STATS = None
 def _eval_stats():
     global _EVAL_STATS
     if _EVAL_STATS is None:
-        from repro.core.caching import cache_stats
+        from repro.foundations.stats import cache_stats
 
         _EVAL_STATS = cache_stats("db.evaluate_type")
     return _EVAL_STATS

@@ -51,9 +51,9 @@ __all__ = [
     "pin_for_worker",
 ]
 
-#: The spellings that turn an on-by-default flag knob off.  Shared by
-#: every flag parser so ``REPRO_PRUNE=off`` and ``REPRO_INTERN=No`` keep
-#: behaving identically across knobs.
+#: The spellings that turn a flag knob off.  Shared by every flag parser
+#: so ``REPRO_SYMKERNEL=off`` and ``REPRO_INTERN=No`` keep behaving
+#: identically across knobs.
 OFF_VALUES = ("0", "false", "off", "no")
 
 
@@ -92,6 +92,12 @@ class Knob:
 def flag_default_on(raw: Optional[str]) -> bool:
     """On unless the value spells "off" (the ``REPRO_INTERN`` family)."""
     return ((raw or "").strip().lower()) not in OFF_VALUES
+
+
+def flag_default_off(raw: Optional[str]) -> bool:
+    """Off when unset, empty or spelled "off"; on for any other value."""
+    text = (raw or "").strip().lower()
+    return bool(text) and text not in OFF_VALUES
 
 
 def parse_worker_count(raw: Optional[str]) -> int:
@@ -371,46 +377,6 @@ register_knob(
 
 register_knob(
     Knob(
-        name="REPRO_PRUNE",
-        default="`1` (on)",
-        parse=flag_default_on,
-        doc=(
-            "Dataflow-based transition pruning and candidate narrowing "
-            "inside `check_emptiness` (`repro.core.pruning`).  Sound: "
-            "verdict and witness are identical with it off."
-        ),
-    )
-)
-
-register_knob(
-    Knob(
-        name="REPRO_ANTICHAIN",
-        default="`1` (on)",
-        parse=flag_default_on,
-        doc=(
-            "Antichain partition-code dataflow domain "
-            "(`repro.analysis.dataflow`).  `0` falls back to the explicit "
-            "Bell(k) powerset domain (capped at 6 registers); diagnostics "
-            "are byte-identical where both play."
-        ),
-    )
-)
-
-register_knob(
-    Knob(
-        name="REPRO_REDUCE",
-        default="`1` (on)",
-        parse=flag_default_on,
-        doc=(
-            "Candidate-preserving trim and dead-register projection "
-            "(`repro.core.reduction`).  Verdict, witness *and* "
-            "`candidates_checked` are byte-identical with it off."
-        ),
-    )
-)
-
-register_knob(
-    Knob(
         name="REPRO_SYMKERNEL",
         default="`1` (on)",
         parse=flag_default_on,
@@ -479,7 +445,7 @@ register_knob(
     Knob(
         name="REPRO_BENCH_QUICK",
         default="unset (full benchmarks)",
-        parse=flag_default_on,
+        parse=flag_default_off,
         doc=(
             "Benchmark quick mode (the CI smoke job): shrinks workload "
             "sizes so `benchmarks/` finish in seconds."

@@ -1,7 +1,7 @@
 """Value-keyed memo tables, below the ``repro.core`` layer.
 
-:class:`ValueCache` started life in :mod:`repro.core.caching` (which still
-re-exports it).  It moved down here so the logic kernel -- which
+:class:`ValueCache` started life in :mod:`repro.core.caching`.  It moved
+down here so the logic kernel -- which
 ``repro.core`` imports at module load -- can bound its own memo tables with
 the same instrumented cache class without creating an import cycle.
 

@@ -8,8 +8,8 @@ regardless of which layer a cache lives in.
 
 This module deliberately has **no** intra-package imports: it sits below
 ``repro.logic`` (whose interned constructors count their hits here) and
-below ``repro.core`` (whose :mod:`~repro.core.caching` re-exports these
-names for backwards compatibility), so it must not pull either in.
+below ``repro.core`` (whose :mod:`~repro.core.caching` counts through
+it), so it must not pull either in.
 """
 
 from typing import Dict

@@ -1,4 +1,4 @@
-"""Tests for the static-analysis layer (repro.analysis + tools/lint_repro)."""
+"""Tests for the static-analysis layer (repro.analysis + repro.analysis.lint)."""
 
 import random
 import subprocess
@@ -15,6 +15,7 @@ from repro.analysis import (
     Severity,
     analyze,
     is_clean,
+    lint,
     passes_for,
     registered_passes,
 )
@@ -26,10 +27,6 @@ from repro.generators import random_register_automaton
 from repro.workflows import Stage, WorkflowSpec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-TOOLS = REPO_ROOT / "tools"
-sys.path.insert(0, str(TOOLS))
-
-import lint_repro  # noqa: E402  (path injected above)
 
 
 EMPTY = Signature.empty()
@@ -606,7 +603,7 @@ ID_CACHE_FIXTURE = textwrap.dedent(
 
 class TestLintRepro:
     def test_reproduces_the_id_cache_finding(self):
-        findings = list(lint_repro.iter_findings(ID_CACHE_FIXTURE, "fixture.py"))
+        findings = list(lint.iter_findings(ID_CACHE_FIXTURE, "fixture.py"))
         assert [f.code for f in findings] == ["ID001"]
         assert findings[0].line == 5
 
@@ -621,51 +618,51 @@ class TestLintRepro:
                 return id(3)  # calls the parameter, not the builtin
             """
         )
-        assert list(lint_repro.iter_findings(source, "ok.py")) == []
+        assert list(lint.iter_findings(source, "ok.py")) == []
 
     def test_mutable_default_argument(self):
         source = "def f(pool=[], table={}, items=set(), ok=None):\n    pass\n"
-        codes = [f.code for f in lint_repro.iter_findings(source, "x.py")]
+        codes = [f.code for f in lint.iter_findings(source, "x.py")]
         assert codes == ["DEF001", "DEF001", "DEF001"]
 
     def test_keyword_only_mutable_default(self):
         source = "def f(*, pool=[]):\n    pass\n"
-        codes = [f.code for f in lint_repro.iter_findings(source, "x.py")]
+        codes = [f.code for f in lint.iter_findings(source, "x.py")]
         assert codes == ["DEF001"]
 
     def test_naked_except(self):
         source = "try:\n    pass\nexcept:\n    pass\n"
-        codes = [f.code for f in lint_repro.iter_findings(source, "x.py")]
+        codes = [f.code for f in lint.iter_findings(source, "x.py")]
         assert codes == ["EXC001"]
 
     def test_typed_except_ok(self):
         source = "try:\n    pass\nexcept ValueError:\n    pass\n"
-        assert list(lint_repro.iter_findings(source, "x.py")) == []
+        assert list(lint.iter_findings(source, "x.py")) == []
 
     def test_syntax_error_is_a_finding(self):
-        codes = [f.code for f in lint_repro.iter_findings("def broken(:\n", "x.py")]
+        codes = [f.code for f in lint.iter_findings("def broken(:\n", "x.py")]
         assert codes == ["SYN001"]
 
     def test_hot_construction_flagged_in_core(self):
         source = "def f(x):\n    return SigmaType([Literal(x)])\n"
         codes = [
             f.code
-            for f in lint_repro.iter_findings(source, "src/repro/core/hot.py")
+            for f in lint.iter_findings(source, "src/repro/core/hot.py")
         ]
         assert codes == ["HC001", "HC001"]
 
     def test_hot_construction_ignored_outside_core(self):
         source = "def f(x):\n    return SigmaType([Literal(x)])\n"
         for path in ("src/repro/logic/types.py", "tests/test_logic.py"):
-            assert list(lint_repro.iter_findings(source, path)) == []
+            assert list(lint.iter_findings(source, path)) == []
 
     def test_src_tree_is_clean(self):
-        findings = lint_repro.lint_paths([str(REPO_ROOT / "src")])
+        findings = lint.lint_paths([str(REPO_ROOT / "src")])
         assert findings == [], "\n".join(f.format() for f in findings)
 
     def test_tools_examples_benchmarks_clean(self):
-        findings = lint_repro.lint_paths(
-            [str(REPO_ROOT / d) for d in ("tools", "examples", "benchmarks")]
+        findings = lint.lint_paths(
+            [str(REPO_ROOT / d) for d in ("examples", "benchmarks")]
         )
         assert findings == [], "\n".join(f.format() for f in findings)
 
@@ -674,15 +671,15 @@ class TestLintRepro:
         dirty.write_text(ID_CACHE_FIXTURE)
         clean = tmp_path / "clean.py"
         clean.write_text("x = 1\n")
-        assert lint_repro.main([str(clean)]) == 0
-        assert lint_repro.main([str(dirty)]) == 1
+        assert lint.main([str(clean)]) == 0
+        assert lint.main([str(dirty)]) == 1
 
 
 class TestEnv001:
     """ENV001: environment reads at import time."""
 
     def _codes(self, source):
-        return [f.code for f in lint_repro.iter_findings(source, "x.py")]
+        return [f.code for f in lint.iter_findings(source, "x.py")]
 
     def test_module_level_environ_get(self):
         source = 'import os\nQUICK = os.environ.get("REPRO_BENCH_QUICK", "")\n'
@@ -762,7 +759,7 @@ class TestTime001:
     """TIME001: wall-clock time.time() for durations/deadlines."""
 
     def _codes(self, source):
-        return [f.code for f in lint_repro.iter_findings(source, "x.py")]
+        return [f.code for f in lint.iter_findings(source, "x.py")]
 
     def test_time_time_flagged(self):
         source = "import time\ndef f():\n    return time.time()\n"
@@ -801,7 +798,7 @@ class TestMc001:
     """MC001: module-level dict caches that ignore the interning mode."""
 
     def _codes(self, source, path="src/repro/logic/example.py"):
-        return [f.code for f in lint_repro.iter_findings(source, path)]
+        return [f.code for f in lint.iter_findings(source, path)]
 
     MUTATING_CACHE = textwrap.dedent(
         """
@@ -816,7 +813,7 @@ class TestMc001:
 
     def test_unregistered_cache_flagged(self):
         findings = list(
-            lint_repro.iter_findings(self.MUTATING_CACHE, "src/repro/logic/x.py")
+            lint.iter_findings(self.MUTATING_CACHE, "src/repro/logic/x.py")
         )
         assert [f.code for f in findings] == ["MC001"]
         assert "_CACHE" in findings[0].message

@@ -9,18 +9,17 @@ Five layers, tested bottom-up:
 * the cache-correctness regressions: mode listeners drop the
   ``_COMPLETE_X_TYPES`` table (and the decode cache) on an interning flip;
 * antichain == explicit -- every query of :class:`ReachableTypes` agrees
-  between ``REPRO_ANTICHAIN=1`` and ``=0`` on random automata (k <= 5,
-  where the explicit Bell domain still runs);
-* end-to-end above the old cap: DF001/DF002/DF004 fire on 7..12-register
-  automata, and ``check_emptiness`` at k = 8 is invariant under
-  ``REPRO_PRUNE`` and ``REPRO_WORKERS``.
+  with the explicit Bell(k) oracle ``tests.helpers.explicit_reachable_types``
+  on random automata (k <= 5, where the explicit domain is tolerable);
+* end-to-end at high k: DF001/DF002/DF004 fire on 7..12-register
+  automata, and ``check_emptiness`` at k = 8 is invariant under pruning
+  (``tests.helpers.without_pruning``) and ``REPRO_WORKERS``.
 """
 
 import os
 import random
 from contextlib import contextmanager
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -38,18 +37,15 @@ from repro import (
 )
 from repro.analysis import analyze
 from repro.analysis.dataflow import (
-    EXPLICIT_MAX_REGISTERS,
     MAX_REGISTERS,
     SubsumptionLattice,
-    SymbolicReachableTypes,
     analyze_reachable_types,
-    antichain_enabled,
     reachable_types_outcome,
 )
 from repro.automata.regex import concat, literal
-from repro.core.caching import clear_value_caches
 from repro.core.parallel import shutdown_executor
 from repro.foundations.interning import clear_intern_tables, interning
+from repro.foundations.memo import clear_value_caches
 from repro.foundations.resilience import OutcomeStatus
 from repro.generators import random_register_automaton
 from repro.logic.terms import x_vars
@@ -66,6 +62,7 @@ from repro.logic.types import (
     partition_code,
     successor_atoms,
 )
+from tests.helpers import explicit_reachable_types, without_pruning
 
 EMPTY = Signature.empty()
 
@@ -273,14 +270,12 @@ def _fingerprint(types):
     automaton = types.automaton
     rows = []
     for state in sorted(automaton.states, key=repr):
-        witness = types.witness_path(state)
         rows.append(
             (
                 state,
                 sorted(phi.pretty() for phi in types.types_at(state)),
                 types.forced_equalities(state),
                 types.is_reachable(state),
-                None if witness is None else [repr(t) for t in witness],
             )
         )
     return (
@@ -291,24 +286,22 @@ def _fingerprint(types):
     )
 
 
-class TestAntichainMatchesExplicit:
-    def test_knob_defaults_on(self):
-        with _env(REPRO_ANTICHAIN=None):  # unset = the default
-            assert antichain_enabled()
-        with _env(REPRO_ANTICHAIN="0"):
-            assert not antichain_enabled()
-        with _env(REPRO_ANTICHAIN="off"):
-            assert not antichain_enabled()
+def _assert_matches_oracle(automaton):
+    """Fingerprints agree, and each witness path is certified by the oracle."""
+    types = analyze_reachable_types(automaton)
+    oracle = explicit_reachable_types(automaton)
+    assert _fingerprint(types) == _fingerprint(oracle)
+    for state in sorted(automaton.states, key=repr):
+        witness = types.witness_path(state)
+        if witness is None:
+            assert not oracle.is_reachable(state)
+        else:
+            assert oracle.certifies(witness, state)
 
+
+class TestAntichainMatchesExplicit:
     def test_funnel_fingerprints_agree(self):
-        automaton = _funnel(4)
-        with _env(REPRO_ANTICHAIN="1"):
-            symbolic = analyze_reachable_types(automaton)
-        with _env(REPRO_ANTICHAIN="0"):
-            explicit = analyze_reachable_types(automaton)
-        assert isinstance(symbolic, SymbolicReachableTypes)
-        assert not isinstance(explicit, SymbolicReachableTypes)
-        assert _fingerprint(symbolic) == _fingerprint(explicit)
+        _assert_matches_oracle(_funnel(4))
 
     @settings(
         deadline=None,
@@ -324,43 +317,24 @@ class TestAntichainMatchesExplicit:
     def test_random_automata_fingerprints_agree(
         self, seed, k, n_states, n_transitions
     ):
-        automaton = random_register_automaton(
-            random.Random(seed),
-            k=k,
-            n_states=n_states,
-            n_transitions=n_transitions,
+        _assert_matches_oracle(
+            random_register_automaton(
+                random.Random(seed),
+                k=k,
+                n_states=n_states,
+                n_transitions=n_transitions,
+            )
         )
-        with _env(REPRO_ANTICHAIN="1"):
-            symbolic = analyze_reachable_types(automaton)
-        with _env(REPRO_ANTICHAIN="0"):
-            explicit = analyze_reachable_types(automaton)
-        assert _fingerprint(symbolic) == _fingerprint(explicit)
-
-    def test_explicit_mode_keeps_the_old_register_cap(self):
-        with _env(REPRO_ANTICHAIN="0"):
-            outcome = reachable_types_outcome(_funnel(EXPLICIT_MAX_REGISTERS + 1))
-            assert outcome.status is OutcomeStatus.DEGRADED
-            assert outcome.stats["reason"] == "register-cap"
-        with _env(REPRO_ANTICHAIN="1"):
-            assert reachable_types_outcome(_funnel(EXPLICIT_MAX_REGISTERS + 1)).ok
 
 
 # --------------------------------------------------------------------- #
-# end-to-end above the old cap
+# end-to-end at high register counts
 # --------------------------------------------------------------------- #
 
 
 class TestHighRegisterEndToEnd:
-    @pytest.fixture(autouse=True)
-    def _antichain_on(self):
-        # Everything here lives above EXPLICIT_MAX_REGISTERS, so the
-        # antichain domain must be pinned on even when the surrounding
-        # suite runs the REPRO_ANTICHAIN=0 ablation pass.
-        with _env(REPRO_ANTICHAIN="1"):
-            yield
-
     def test_df_passes_fire_at_seven_registers(self):
-        k = EXPLICIT_MAX_REGISTERS + 1
+        k = 7
         report = analyze(
             _funnel(k), only=["dataflow-feasibility", "dataflow-constancy"]
         )
@@ -397,7 +371,6 @@ class TestHighRegisterEndToEnd:
         outcome = reachable_types_outcome(_funnel(k))
         assert outcome.ok
         types = outcome.value
-        assert isinstance(types, SymbolicReachableTypes)
         assert types.is_reachable("narrow")
         assert not types.is_reachable("dead")
         assert types.unreachable_states() == ("dead",)
@@ -422,7 +395,7 @@ class TestHighRegisterEndToEnd:
 
 
 # --------------------------------------------------------------------- #
-# knob parity at k = 8
+# pruning and worker parity at k = 8
 # --------------------------------------------------------------------- #
 
 
@@ -435,9 +408,8 @@ def _complete_k8_extended():
     identity whether or not the pruner ran, and the two modes' witnesses
     can be compared byte for byte.  ``mid``'s only guard requires
     ``x1 != x2`` where all registers are provably equal, so ``mid`` is a
-    reachable dead end and ``junk`` is dead -- pruned under
-    ``REPRO_PRUNE=1``, walked under ``=0``; verdict and witness must not
-    move.
+    reachable dead end and ``junk`` is dead -- pruned by default, walked
+    without pruning; verdict and witness must not move.
     """
     k = 8
     chain = lambda terms: [eq(a, b) for a, b in zip(terms, terms[1:])]
@@ -487,13 +459,14 @@ def _decide_k8(**overrides):
 
 class TestKnobParityAtEightRegisters:
     def test_prune_parity(self):
-        pruned = _decide_k8(REPRO_ANTICHAIN="1", REPRO_PRUNE="1")
-        baseline = _decide_k8(REPRO_ANTICHAIN="1", REPRO_PRUNE="0")
+        pruned = _decide_k8()
+        with without_pruning():
+            baseline = _decide_k8()
         assert not pruned.empty
         assert _emptiness_fingerprint(pruned) == _emptiness_fingerprint(baseline)
         assert pruned.candidates_checked <= baseline.candidates_checked
 
     def test_worker_parity(self):
-        serial = _decide_k8(REPRO_ANTICHAIN="1", REPRO_WORKERS="1")
-        parallel = _decide_k8(REPRO_ANTICHAIN="1", REPRO_WORKERS="2")
+        serial = _decide_k8(REPRO_WORKERS="1")
+        parallel = _decide_k8(REPRO_WORKERS="2")
         assert _emptiness_fingerprint(serial) == _emptiness_fingerprint(parallel)

@@ -1,5 +1,10 @@
 """Unit tests for the automata substrate: lassos, regexes, NFA/DFA, Buchi."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.automata import BuchiAutomaton, Dfa, Lasso, Nfa, parse_regex
@@ -150,6 +155,29 @@ class TestNfaDfa:
         dfa = parse_regex("a").to_dfa()
         with pytest.raises(SpecificationError):
             dfa.accepts("z")
+
+    def test_state_numbering_independent_of_hash_seed(self):
+        # Subset numbering used to follow set iteration order, which leaked
+        # into every state name built from DFA states.
+        script = (
+            "from repro.automata.regex import concat, literal, star\n"
+            "dfa = concat(literal('p'), star(literal('q')), literal('p'))"
+            ".to_dfa({'p', 'q', 'r'})\n"
+            "print(dfa.initial, sorted(dfa.accepting), sorted("
+            "(s, a, dfa.delta(s, a)) for s in dfa.states for a in dfa.alphabet))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        tables = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert tables[0] == tables[1]
 
 
 class TestBuchi:

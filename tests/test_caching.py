@@ -28,17 +28,15 @@ from repro.automata.dfa import Dfa
 from repro.automata.regex import concat, literal, plus
 from repro.core.caching import (
     AutomatonIndex,
-    CacheStats,
-    ValueCache,
     agreement,
-    all_cache_stats,
-    cache_stats,
     cached_method,
     dead_states,
 )
 from repro.core.streaming import StreamingChecker, StreamingViolation
 from repro.db.evaluation import evaluate_type, transition_valuation
 from repro.foundations.errors import EvaluationError
+from repro.foundations.memo import ValueCache
+from repro.foundations.stats import CacheStats, all_cache_stats, cache_stats
 
 EMPTY = SigmaType()
 
@@ -262,18 +260,13 @@ class TestNoIdKeyedCaches:
     def test_src_contains_no_id_calls(self):
         """The CI lint, executed as a test: object ids must never be used
         (in cache keys or anywhere else) in the library source.  Runs the
-        AST linter (``tools/lint_repro.py``) rather than a grep, so
+        AST linter (``repro.analysis.lint``) rather than a grep, so
         comments, strings and identifiers ending in ``id`` don't trip it."""
-        import sys
+        from repro.analysis.lint import lint_paths
 
-        sys.path.insert(0, str(SRC_ROOT.parent / "tools"))
-        try:
-            import lint_repro
-        finally:
-            sys.path.pop(0)
         offenders = [
             finding.format()
-            for finding in lint_repro.lint_paths([str(SRC_ROOT)])
+            for finding in lint_paths([str(SRC_ROOT)])
             if finding.code == "ID001"
         ]
         assert not offenders, "id()-keyed code found:\n" + "\n".join(offenders)

@@ -4,13 +4,15 @@ Four layers, tested bottom-up:
 
 * the generic worklist solver (``repro.analysis.dataflow.framework``);
 * the reachable-equality-types domain -- exact per-state type sets,
-  witness paths and forced equalities on hand-built automata;
+  witness paths and forced equalities on hand-built automata, and on
+  random ones the type of every valuation a bounded valid run reaches;
 * the sound pruner ``prune_infeasible`` / ``prune_extended`` -- the
   valid-run set is preserved *exactly* (brute-forced over all data words
-  from a small pool), and the ``REPRO_PRUNE`` knob flips it per call;
+  from a small pool);
 * the end-to-end contract: ``check_emptiness`` returns the same verdict
-  and witness with pruning on and off while never checking *more*
-  candidates -- across interning modes and under ``REPRO_WORKERS=2``.
+  and witness as the unpruned search (``tests.helpers.without_pruning``)
+  while never checking *more* candidates -- across interning modes and
+  under ``REPRO_WORKERS=2``.
 """
 
 import random
@@ -35,7 +37,6 @@ from repro import (
     neq,
     prune_extended,
     prune_infeasible,
-    pruning_enabled,
 )
 from repro.analysis.dataflow import (
     MAX_REGISTERS,
@@ -51,6 +52,7 @@ from repro.core.pruning import build_narrowing
 from repro.foundations.interning import interning
 from repro.generators import random_extended_automaton, random_register_automaton
 from repro.logic.types import complete_equality_x_types
+from tests.helpers import without_pruning
 
 EMPTY = Signature.empty()
 
@@ -222,7 +224,7 @@ def _run_set(automaton, length, pool=("a", "b", "c")):
 
 class TestPruneInfeasible:
     def test_drops_proved_dead_control(self):
-        pruned = prune_infeasible(funnel(), enabled=True)
+        pruned = prune_infeasible(funnel())
         assert pruned.states == frozenset({"q0", "q1", "q2"})
         assert SPLIT not in [t.guard for t in pruned.transitions]
         assert pruned.initial == frozenset({"q0"})
@@ -230,24 +232,11 @@ class TestPruneInfeasible:
 
     def test_identity_when_nothing_to_prune(self):
         automaton = ra(1, {"a"}, {"a"}, {"a"}, [("a", SigmaType([eq(X(1), Y(1))]), "a")])
-        assert prune_infeasible(automaton, enabled=True) is automaton
-
-    def test_identity_when_disabled(self):
-        automaton = funnel()
-        assert prune_infeasible(automaton, enabled=False) is automaton
-
-    def test_knob_read_at_call_time(self, monkeypatch):
-        automaton = funnel()
-        monkeypatch.setenv("REPRO_PRUNE", "0")
-        assert not pruning_enabled()
         assert prune_infeasible(automaton) is automaton
-        monkeypatch.setenv("REPRO_PRUNE", "1")
-        assert pruning_enabled()
-        assert prune_infeasible(automaton) is not automaton
 
     def test_valid_run_set_preserved_exactly(self):
         automaton = funnel()
-        pruned = prune_infeasible(automaton, enabled=True)
+        pruned = prune_infeasible(automaton)
         for length in range(5):
             assert _run_set(automaton, length) == _run_set(pruned, length)
 
@@ -267,10 +256,33 @@ def test_prune_preserves_runs_on_random_automata(seed, k):
     automaton = random_register_automaton(
         random.Random(seed), k=k, n_states=3, n_transitions=5
     )
-    pruned = prune_infeasible(automaton, enabled=True)
+    pruned = prune_infeasible(automaton)
     assert _run_set(automaton, 3, pool=("a", "b")) == _run_set(
         pruned, 3, pool=("a", "b")
     )
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=2))
+def test_reachable_types_contain_every_concrete_configuration(seed, k):
+    """Ground truth for the domain: every register valuation a valid run
+    prefix reaches has its complete equality type in ``types_at``."""
+    automaton = random_register_automaton(
+        random.Random(seed), k=k, n_states=3, n_transitions=5
+    )
+    types = analyze_reachable_types(automaton)
+    pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+    pool = tuple(range(k + 1))
+    for length in range(1, 5):
+        for run in generate_finite_runs(automaton, Database(EMPTY), length, pool=pool):
+            values = run.data[-1]
+            assert any(
+                all(
+                    phi.entails(eq(X(i), X(j))) == (values[i - 1] == values[j - 1])
+                    for i, j in pairs
+                )
+                for phi in types.types_at(run.states[-1])
+            ), (run.states, run.data)
 
 
 def _example23(constrained):
@@ -300,7 +312,7 @@ class TestPruneExtended:
 
     def test_constraint_dfas_remapped_to_surviving_states(self):
         extended = self._constrained_funnel()
-        pruned = prune_extended(extended, enabled=True)
+        pruned = prune_extended(extended)
         assert pruned.automaton.states == frozenset({"q0", "q1", "q2"})
         (constraint,) = pruned.constraints
         dfa = pruned.constraint_dfa(constraint)  # alphabet check passes
@@ -308,12 +320,12 @@ class TestPruneExtended:
 
     def test_identity_when_automaton_untouched(self):
         extended, *_ = _example23(True)
-        assert prune_extended(extended, enabled=True) is extended
+        assert prune_extended(extended) is extended
 
     def test_emptiness_verdict_survives_pruning(self):
         extended = self._constrained_funnel()
         on = check_emptiness(extended, max_prefix=2, max_cycle=4)
-        pruned = prune_extended(extended, enabled=True)
+        pruned = prune_extended(extended)
         off = check_emptiness(pruned, max_prefix=2, max_cycle=4)
         assert on.empty == off.empty
 
@@ -368,7 +380,7 @@ class TestNarrowedEnumeration:
 
     def test_narrowing_mirrors_the_consistency_walk(self):
         extended, d1, d2, d3 = _example23(True)
-        narrow = build_narrowing(extended, enabled=True)
+        narrow = build_narrowing(extended)
         assert narrow is not None
         fstate = narrow.empty()
         for symbol in [("q1", d1), ("q2", d2), ("q2", d3)]:
@@ -382,9 +394,7 @@ class TestNarrowedEnumeration:
 
     def test_narrowing_none_without_inequality_constraints(self):
         extended, *_ = _example23(False)
-        assert build_narrowing(extended, enabled=True) is None
-        constrained, *_ = _example23(True)
-        assert build_narrowing(constrained, enabled=False) is None
+        assert build_narrowing(extended) is None
 
 
 # --------------------------------------------------------------------- #
@@ -404,24 +414,12 @@ def _fingerprint(result):
 
 
 def _compare_modes(extended, max_prefix=2, max_cycle=4):
-    """check_emptiness under REPRO_PRUNE=1 then =0; assert the contract."""
-    import os
-
-    previous = os.environ.get("REPRO_PRUNE")
-    try:
-        os.environ["REPRO_PRUNE"] = "1"
-        pruned = check_emptiness(
-            extended, max_prefix=max_prefix, max_cycle=max_cycle
-        )
-        os.environ["REPRO_PRUNE"] = "0"
+    """check_emptiness with and without pruning; assert the contract."""
+    pruned = check_emptiness(extended, max_prefix=max_prefix, max_cycle=max_cycle)
+    with without_pruning():
         baseline = check_emptiness(
             extended, max_prefix=max_prefix, max_cycle=max_cycle
         )
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_PRUNE", None)
-        else:
-            os.environ["REPRO_PRUNE"] = previous
     assert _fingerprint(pruned) == _fingerprint(baseline)
     assert pruned.candidates_checked <= baseline.candidates_checked
     return pruned, baseline
@@ -464,7 +462,7 @@ class TestPruningSoundEndToEnd:
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.integers(min_value=0, max_value=10_000))
 def test_pruning_sound_on_random_extended_automata(seed):
-    """The headline property: REPRO_PRUNE never changes the answer.
+    """The headline property: pruning never changes the answer.
 
     Verdict, exactness, bounds and the winning witness trace are identical
     with pruning on and off, and the pruned run never checks more

@@ -154,22 +154,6 @@ class TestGoldens:
         reported = {line.split()[1] for line in out.splitlines()}
         assert reported and not (reported & set(LEGACY_CODES))
 
-    def test_tools_shim_still_runs_standalone(self, tmp_path):
-        """``python tools/lint_repro.py`` keeps working (CI invokes it)."""
-        materialise(tmp_path)
-        result = subprocess.run(
-            [
-                sys.executable,
-                str(REPO_ROOT / "tools" / "lint_repro.py"),
-                "fixtures/plain/bad_id.py",
-            ],
-            cwd=tmp_path,
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 1
-        assert "ID001" in result.stdout
-
 
 # --------------------------------------------------------------------- #
 # the program model
@@ -407,11 +391,11 @@ class TestAblationCoverage:
         ]
 
     def test_covered_ci_knob_is_clean(self):
-        assert self._codes([self._knob("REPRO_PRUNE")], "REPRO_PRUNE: 0") == []
+        assert self._codes([self._knob("REPRO_INTERN")], "REPRO_INTERN: 0") == []
 
     def test_uncovered_ci_knob_is_flagged(self):
-        (message,) = self._codes([self._knob("REPRO_PRUNE")], "jobs: {}")
-        assert "REPRO_PRUNE" in message and "no leg" in message
+        (message,) = self._codes([self._knob("REPRO_INTERN")], "jobs: {}")
+        assert "REPRO_INTERN" in message and "no leg" in message
 
     def test_opt_out_requires_a_reason(self):
         knob = self._knob("REPRO_X", ablation="none")
@@ -458,16 +442,25 @@ class TestKnobRegistry:
         assert knobs.value("REPRO_POOL_BACKOFF_MS") == 0.05
         monkeypatch.setenv("REPRO_DEADLINE_MS", "nope")
         assert knobs.value("REPRO_DEADLINE_MS") is None
-        monkeypatch.setenv("REPRO_PRUNE", "Off")
-        assert knobs.value("REPRO_PRUNE") is False
-        monkeypatch.delenv("REPRO_PRUNE")
-        assert knobs.value("REPRO_PRUNE") is True
+        monkeypatch.setenv("REPRO_INTERN", "Off")
+        assert knobs.value("REPRO_INTERN") is False
+        monkeypatch.delenv("REPRO_INTERN")
+        assert knobs.value("REPRO_INTERN") is True
+
+    def test_bench_quick_is_off_unless_set(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BENCH_QUICK", raising=False)
+        assert knobs.value("REPRO_BENCH_QUICK") is False
+        for spelling in ("", "0", "off"):
+            monkeypatch.setenv("REPRO_BENCH_QUICK", spelling)
+            assert knobs.value("REPRO_BENCH_QUICK") is False
+        monkeypatch.setenv("REPRO_BENCH_QUICK", "1")
+        assert knobs.value("REPRO_BENCH_QUICK") is True
 
     def test_redeclaring_identically_returns_the_original(self):
-        existing = knobs.get_knob("REPRO_PRUNE")
+        existing = knobs.get_knob("REPRO_INTERN")
         again = knobs.register_knob(
             knobs.Knob(
-                name="REPRO_PRUNE",
+                name="REPRO_INTERN",
                 default=existing.default,
                 parse=existing.parse,
                 doc=existing.doc,
@@ -479,7 +472,7 @@ class TestKnobRegistry:
         with pytest.raises(ValueError):
             knobs.register_knob(
                 knobs.Knob(
-                    name="REPRO_PRUNE",
+                    name="REPRO_INTERN",
                     default="something else",
                     parse=knobs.flag_default_on,
                     doc="a conflicting meaning",
@@ -659,7 +652,7 @@ class TestSelfClean:
         """The engine runs self-clean over everything CI lints."""
         monkeypatch.chdir(REPO_ROOT)
         findings = lint_paths(
-            ["src", "tools", "benchmarks", "examples", "tests"],
+            ["src", "benchmarks", "examples", "tests"],
             LintContext(root=REPO_ROOT),
         )
         assert findings == []

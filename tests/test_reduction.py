@@ -9,17 +9,16 @@ Four layers, tested bottom-up:
   read directly but flows into a read register must stay);
 * ``trim`` / ``trim_extended`` -- the accepting-lasso-relevant behaviour
   is preserved exactly (brute-forced over all accepted lasso candidates
-  on small automata), identity fallbacks fire on knob-off / budget-trip /
+  on small automata), identity fallbacks fire on budget-trip /
   normalisation-shape flips, and ``project_dead_registers`` keeps the
   verdict while shrinking ``k``;
-* the end-to-end contract: ``check_emptiness`` under ``REPRO_REDUCE=1``
-  is **byte-identical** -- verdict, witness, *and* ``candidates_checked``
-  -- to ``REPRO_REDUCE=0``, across interning modes, the antichain knob,
-  and ``REPRO_WORKERS=2`` (a strictly stronger bar than pruning's
-  "never checks more").
+* the end-to-end contract: ``check_emptiness`` with the trim is
+  **byte-identical** -- verdict, witness, *and* ``candidates_checked``
+  -- to the untrimmed search (``tests.helpers.without_trim``), across
+  interning modes and ``REPRO_WORKERS=2`` (a strictly stronger bar than
+  pruning's "never checks more").
 """
 
-import os
 import random
 
 import pytest
@@ -55,7 +54,6 @@ from repro.core.parallel import shutdown_executor, worker_count
 from repro.core.reduction import (
     DEFAULT_TRIM_BUDGET,
     project_dead_registers,
-    reduction_enabled,
     trim,
     trim_extended,
 )
@@ -63,6 +61,7 @@ from repro.core.symbolic import scontrol_buchi
 from repro.foundations.interning import interning
 from repro.foundations.resilience import OutcomeStatus
 from repro.generators import random_extended_automaton
+from tests.helpers import without_trim
 
 EMPTY = Signature.empty()
 
@@ -376,36 +375,23 @@ def _accepted_lassos(automaton, max_cycle=4, max_prefix=4):
 
 class TestTrim:
     def test_drops_the_junk_tail(self):
-        trimmed = trim(junky(), enabled=True)
+        trimmed = trim(junky())
         assert trimmed.states == frozenset({"s", "acc"})
         assert trimmed.initial == frozenset({"s"})
         assert trimmed.accepting == frozenset({"acc"})
 
     def test_candidate_sequence_preserved_exactly(self):
         automaton = junky()
-        trimmed = trim(automaton, enabled=True)
+        trimmed = trim(automaton)
         assert _accepted_lassos(automaton) == _accepted_lassos(trimmed)
 
     def test_identity_when_nothing_to_trim(self):
-        trimmed = trim(junky(), enabled=True)
-        assert trim(trimmed, enabled=True) is trimmed
-
-    def test_identity_when_disabled(self):
-        automaton = junky()
-        assert trim(automaton, enabled=False) is automaton
-
-    def test_knob_read_at_call_time(self, monkeypatch):
-        automaton = junky()
-        monkeypatch.setenv("REPRO_REDUCE", "0")
-        assert not reduction_enabled()
-        assert trim(automaton) is automaton
-        monkeypatch.setenv("REPRO_REDUCE", "1")
-        assert reduction_enabled()
-        assert trim(automaton) is not automaton
+        trimmed = trim(junky())
+        assert trim(trimmed) is trimmed
 
     def test_budget_trip_returns_identity(self):
         automaton = junky()
-        assert trim(automaton, enabled=True, max_steps=1) is automaton
+        assert trim(automaton, max_steps=1) is automaton
 
     def test_default_budget_is_generous(self):
         assert DEFAULT_TRIM_BUDGET >= 100_000
@@ -425,12 +411,12 @@ class TestTrim:
             ],
         )
         assert not automaton.is_state_driven()
-        assert trim(automaton, enabled=True) is automaton
+        assert trim(automaton) is automaton
 
     def test_empty_language_left_untouched(self):
         # No accepting cycle at all: keep-set misses the initial states.
         automaton = ra(1, {"s", "acc"}, {"s"}, {"acc"}, [("s", KEEP1, "acc")])
-        assert trim(automaton, enabled=True) is automaton
+        assert trim(automaton) is automaton
 
     def test_trim_extended_remaps_constraint_dfas(self):
         automaton = junky()
@@ -438,15 +424,15 @@ class TestTrim:
         extended = ExtendedAutomaton(
             automaton, [GlobalConstraint("neq", 1, 1, factor)]
         )
-        trimmed = trim_extended(extended, enabled=True)
+        trimmed = trim_extended(extended)
         assert trimmed.automaton.states == frozenset({"s", "acc"})
         for constraint in trimmed.constraints:
             dfa = trimmed.constraint_dfa(constraint)
             assert dfa.alphabet == trimmed.automaton.states
 
     def test_trim_extended_identity_passthrough(self):
-        extended = ExtendedAutomaton(trim(junky(), enabled=True), [])
-        assert trim_extended(extended, enabled=True) is extended
+        extended = ExtendedAutomaton(trim(junky()), [])
+        assert trim_extended(extended) is extended
 
 
 # --------------------------------------------------------------------- #
@@ -603,7 +589,7 @@ class TestBackwardPasses:
 
 
 # --------------------------------------------------------------------- #
-# end-to-end: REPRO_REDUCE is byte-identical
+# end-to-end: the trim is byte-identical
 # --------------------------------------------------------------------- #
 
 
@@ -620,22 +606,12 @@ def _fingerprint(result):
 
 
 def _compare_reduce_modes(extended, max_prefix=2, max_cycle=4):
-    """check_emptiness under REPRO_REDUCE=1 then =0; byte-identity bar."""
-    previous = os.environ.get("REPRO_REDUCE")
-    try:
-        os.environ["REPRO_REDUCE"] = "1"
-        reduced = check_emptiness(
-            extended, max_prefix=max_prefix, max_cycle=max_cycle
-        )
-        os.environ["REPRO_REDUCE"] = "0"
+    """check_emptiness with and without the trim; byte-identity bar."""
+    reduced = check_emptiness(extended, max_prefix=max_prefix, max_cycle=max_cycle)
+    with without_trim():
         baseline = check_emptiness(
             extended, max_prefix=max_prefix, max_cycle=max_cycle
         )
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_REDUCE", None)
-        else:
-            os.environ["REPRO_REDUCE"] = previous
     assert _fingerprint(reduced) == _fingerprint(baseline)
     return reduced, baseline
 
@@ -665,10 +641,6 @@ class TestReduceSoundEndToEnd:
         with interning(False):
             _compare_reduce_modes(junky_constrained())
 
-    def test_sound_with_antichain_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ANTICHAIN", "0")
-        _compare_reduce_modes(junky_constrained())
-
     def test_sound_under_two_workers(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")
         assert worker_count() == 2
@@ -681,7 +653,7 @@ class TestReduceSoundEndToEnd:
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.integers(min_value=0, max_value=10_000))
 def test_reduce_byte_identical_on_random_extended_automata(seed):
-    """The headline property: REPRO_REDUCE never changes a single byte.
+    """The headline property: the trim never changes a single byte.
 
     Verdict, exactness, bounds, candidates_checked and the winning
     witness trace are identical with the reduction on and off -- trim is
