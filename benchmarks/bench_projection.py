@@ -3,10 +3,10 @@
 Sweeps the register count of random automata, projects onto one register
 and reports the sizes of the Lemma 21 tracker DFAs plus construction time;
 also validates the projection against brute-force prefix enumeration on the
-smaller instances.
+smaller instances.  Quick mode (``REPRO_BENCH_QUICK=1``) sweeps k <= 3.
 
-Expected shape: tracker sizes grow with ``2^k`` (the subset construction
-over registers) times the control size; exactness holds on every validated
+Expected shape: tracker sizes grow with ``2^k`` (the register bitmasks of
+the corridors) times the control size; exactness holds on every validated
 instance.
 """
 
@@ -15,6 +15,7 @@ import random
 import pytest
 
 from repro import project_register_automaton
+from repro.foundations import knobs
 from repro.generators import random_register_automaton
 
 from _tables import register_table
@@ -22,13 +23,10 @@ from _tables import register_table
 ROWS = []
 
 
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_projection_sizes(benchmark, k):
-    # The sweep stops at k = 2: completion of a loose 3-register guard
-    # already yields Bell(6) = 203 complete types, i.e. a ~170-state
-    # normalised control whose tracker construction takes minutes -- the
-    # paper's exponential made tangible.  E1 quantifies that growth; here
-    # we measure the tractable regime.
+    if k > 3 and knobs.value("REPRO_BENCH_QUICK"):
+        pytest.skip("quick mode sweeps k <= 3")
     rng = random.Random(300 + k)
     automaton = random_register_automaton(rng, k=k, n_states=2, n_transitions=3)
     projected = benchmark.pedantic(

@@ -6,7 +6,7 @@ language equivalence.  The projection machinery of Sections 4-6 manipulates
 the constraint regexes through these operations.
 """
 
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.foundations.errors import SpecificationError
 
@@ -169,12 +169,13 @@ class Dfa:
 
     def reachable_states(self) -> FrozenSet[State]:
         """States reachable from the initial state."""
+        transitions = self._transitions
         seen = {self._initial}
         frontier = [self._initial]
         while frontier:
             state = frontier.pop()
             for symbol in self._alphabet:
-                target = self.delta(state, symbol)
+                target = transitions[(state, symbol)]
                 if target not in seen:
                     seen.add(target)
                     frontier.append(target)
@@ -222,50 +223,71 @@ class Dfa:
     def minimize(self) -> "Dfa":
         """Moore's partition-refinement minimisation over reachable states.
 
-        Returns a DFA with integer states; state 0 is initial.
+        Returns a DFA with integer states; state 0 is initial, and the
+        other blocks are numbered in ``repr`` order of their first
+        reachable state.  The reachable states are indexed once, in
+        ``repr`` order, and refined as integer rows by
+        :meth:`minimal_from_rows`.
         """
+        transitions = self._transitions
         reachable = sorted(self.reachable_states(), key=repr)
         symbols = sorted(self._alphabet, key=repr)
-        block: Dict[State, int] = {
-            state: (1 if state in self._accepting else 0) for state in reachable
-        }
+        index = {state: position for position, state in enumerate(reachable)}
+        return Dfa.minimal_from_rows(
+            self._alphabet,
+            [[index[transitions[(state, symbol)]] for symbol in symbols] for state in reachable],
+            index[self._initial],
+            [state in self._accepting for state in reachable],
+        )
+
+    @staticmethod
+    def minimal_from_rows(
+        alphabet: Collection, rows: Sequence[Sequence[int]], initial: int, accepting: Sequence[bool]
+    ) -> "Dfa":
+        """The minimal DFA of an integer transition table.
+
+        ``rows[s][a]`` is the row reached from row ``s`` on the ``a``-th
+        symbol of *alphabet* in ``repr`` order, ``accepting[s]`` flags
+        acceptance, and every row must be reachable from row *initial*.
+        Moore refinement runs on block numbers until the number of blocks
+        stops growing.  States are integers: the initial block is 0, the
+        others are numbered by their first row.
+        """
+        symbols = sorted(alphabet, key=repr)
+        block = [1 if flag else 0 for flag in accepting]
+        count = len(set(block))
         while True:
             signatures: Dict[Tuple, int] = {}
-            next_block: Dict[State, int] = {}
-            for state in reachable:
-                signature = (block[state],) + tuple(
-                    block[self.delta(state, symbol)] for symbol in symbols
-                )
-                if signature not in signatures:
-                    signatures[signature] = len(signatures)
-                next_block[state] = signatures[signature]
-            if next_block == block:
+            lookup = block.__getitem__
+            block = [
+                signatures.setdefault((own,) + tuple(map(lookup, row)), len(signatures))
+                for own, row in zip(block, rows)
+            ]
+            # Each round refines the last, so an unchanged count is a fixpoint.
+            if len(signatures) == count:
                 break
-            block = next_block
-        # Renumber blocks so the initial state's block is 0 (cosmetic).
-        order: Dict[int, int] = {}
-
-        def number(b: int) -> int:
-            if b not in order:
-                order[b] = len(order)
-            return order[b]
-
-        number(block[self._initial])
-        for state in reachable:
-            number(block[state])
-        transitions = {}
-        for state in reachable:
-            for symbol in symbols:
-                transitions[(number(block[state]), symbol)] = number(
-                    block[self.delta(state, symbol)]
-                )
-        accepting = frozenset(number(block[s]) for s in reachable if s in self._accepting)
+            count = len(signatures)
+        number: Dict[int, int] = {block[initial]: 0}
+        for own in block:
+            if own not in number:
+                number[own] = len(number)
+        transitions: Dict[Tuple[int, object], int] = {}
+        emitted: Set[int] = set()
+        for own, row in zip(block, rows):
+            if own in emitted:
+                continue
+            emitted.add(own)
+            source = number[own]
+            for symbol, target in zip(symbols, row):
+                transitions[(source, symbol)] = number[block[target]]
         return Dfa(
-            states=frozenset(range(len(order))),
-            alphabet=self._alphabet,
+            states=frozenset(range(len(number))),
+            alphabet=alphabet,
             transitions=transitions,
             initial=0,
-            accepting=accepting,
+            accepting=frozenset(
+                number[own] for own, flag in zip(block, accepting) if flag
+            ),
         )
 
     # ------------------------------------------------------------------ #

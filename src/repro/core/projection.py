@@ -23,6 +23,11 @@ the induced disequality.  Both are recognised by small tracking automata:
   such a local witness inside the factor (the corridors of the two classes
   overlap, and a complete type settles every pair it sees).
 
+Register sets are bitmasks, and every tracker is built directly as a
+deterministic automaton: the inequality tracker's nondeterministic switch
+needs no subset construction, because corridor steps distribute over union
+(see :func:`inequality_tracker_dfa`).
+
 :func:`project_register_automaton` assembles Theorem 13 / Proposition 20:
 restrict the guards to the kept registers and attach the Lemma 21
 constraints for the kept register pairs.  The resulting extended automaton
@@ -36,9 +41,8 @@ registers ``(a,i) != (b,j)`` may be witnessed by a constraint match
 ``(n, n')`` connected to ``a`` and ``b`` through equality corridors.  The
 implementation captures exactly the matches lying inside the factor
 (``a <= n <= n' <= b``); matches whose corridors extend outside the factor
-are covered up to an optional ``lookahead`` horizon past the factor's end
-(0 by default, i.e. disabled).  With the default, the result is therefore
-*complete but possibly under-constrained*: ``Reg(result)`` always contains
+are not captured.  The result is therefore *complete but possibly
+under-constrained*: ``Reg(result)`` always contains
 ``Pi_m(Reg(input))``, with equality whenever witnessing matches stay inside
 their factors -- which holds for every constraint produced by this
 library's own constructions and for the paper's worked examples.  The
@@ -47,15 +51,12 @@ Lemma 14 and is not effective in any practical sense; ``DESIGN.md``
 documents this substitution.
 """
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from repro.automata.dfa import Dfa
-from repro.automata.nfa import EPSILON, Nfa
 from repro.foundations.errors import SpecificationError
-from repro.logic.literals import eq as lit_eq
-from repro.logic.literals import neq as lit_neq
-from repro.logic.terms import X, Y
-from repro.logic.types import SigmaType, project_type
+from repro.logic.terms import Y
+from repro.logic.types import advance_mask, corridor_masks, project_type
 from repro.core.extended import (
     EQ,
     NEQ,
@@ -80,28 +81,93 @@ def _normalize(automaton: RegisterAutomaton) -> RegisterAutomaton:
     return result
 
 
-def _guard_map(automaton: RegisterAutomaton) -> Dict[State, SigmaType]:
-    """State -> its unique guard (state-driven automata)."""
-    guards: Dict[State, SigmaType] = {}
-    for state in automaton.states:
-        guard = automaton.guard_of_state(state)
-        if guard is not None:
-            guards[state] = guard
-    return guards
+# ---------------------------------------------------------------------- #
+# the Lemma 21 trackers, over register bitmasks
+# ---------------------------------------------------------------------- #
+#
+# A *corridor* is the set of registers holding one data value as a factor
+# advances: register ``m`` is bit ``m - 1`` of an integer, and one step
+# under a guard is the union of the per-register images
+# (:func:`repro.logic.types.advance_mask` over the guard's
+# :func:`~repro.logic.types.corridor_masks`).  Every tracker is built by
+# :func:`_explore` directly as a DFA: states are small integer tuples whose
+# last entry is the index of the last symbol read.
 
 
-def _x_class(guard: SigmaType, register: int, k: int) -> FrozenSet[int]:
-    """Registers whose x-value the guard forces equal to ``x_register``."""
-    from repro.logic.types import x_equality_classes
+def _symbol_masks(automaton: RegisterAutomaton) -> Tuple[List[State], List]:
+    """The control states in ``repr`` order, and each one's corridor masks.
 
-    return x_equality_classes(guard, k)[register]
+    The mask entry is ``None`` for a state without a guard (it fires
+    nothing, so no infinite run visits it); every tracker goes dead there.
+    """
+    k = automaton.k
+    symbols = sorted(automaton.states, key=repr)
+    masks = []
+    for symbol in symbols:
+        guard = automaton.guard_of_state(symbol)
+        masks.append(None if guard is None else corridor_masks(guard, k))
+    return symbols, masks
 
 
-def _advance_set(guard: SigmaType, members: FrozenSet[int], k: int) -> FrozenSet[int]:
-    """One corridor step: registers at the next position equal to the class."""
-    from repro.logic.types import advance_registers
+def _explore(
+    symbols: Sequence[State],
+    masks: Sequence,
+    start: Callable[[int], Tuple],
+    step: Callable[[Tuple], Callable[[int], Tuple]],
+    accepts: Callable[[Tuple], int],
+) -> Dfa:
+    """Build one tracker breadth-first, as integer rows, and minimise it.
 
-    return advance_registers(guard, members, k)
+    *start(q)* is the tracker state after the one-symbol factor ``q`` (a
+    symbol index).  *step(state)* returns the successor function of
+    *state*, mapping the next symbol's index to the next state; it is
+    split this way because a corridor advances under the guard of the
+    symbol already read, so only the hand-over at the new position depends
+    on the next symbol.  Row 0 has read nothing; symbols without a guard
+    lead to the dead row 1, present only when such a symbol exists, so
+    every row is reachable.  Symbols are visited in ``repr`` order and
+    rows numbered in discovery order, so the result does not depend on
+    the hash seed.
+    """
+    width = len(symbols)
+    guarded = [q for q, found in enumerate(masks) if found is not None]
+    dead = 1
+    rows: List[List[int]] = [[dead] * width]
+    accepting = [False]
+    if len(guarded) < width:
+        rows.append([dead] * width)
+        accepting.append(False)
+    offset = len(rows)
+    ids: Dict[Tuple, int] = {}
+    order: List[Tuple] = []
+
+    def number(state: Tuple) -> int:
+        found = ids.get(state)
+        if found is None:
+            found = ids[state] = offset + len(order)
+            order.append(state)
+        return found
+
+    for q in guarded:
+        rows[0][q] = number(start(q))
+    position = 0
+    while position < len(order):
+        state = order[position]
+        successor = step(state)
+        row = [dead] * width
+        for q in guarded:
+            row[q] = number(successor(q))
+        rows.append(row)
+        accepting.append(bool(accepts(state)))
+        position += 1
+    return Dfa.minimal_from_rows(symbols, rows, 0, accepting)
+
+
+def _check_register(automaton: RegisterAutomaton, register: int) -> None:
+    if not isinstance(register, int) or not 1 <= register <= automaton.k:
+        raise SpecificationError(
+            "register %r outside 1..%d" % (register, automaton.k)
+        )
 
 
 def equality_tracker_dfa(automaton: RegisterAutomaton, i: int, j: int) -> Dfa:
@@ -110,54 +176,26 @@ def equality_tracker_dfa(automaton: RegisterAutomaton, i: int, j: int) -> Dfa:
     Accepts exactly the factors ``q_a .. q_b`` (over the normalised
     automaton's states) along which the value of register *i* at the start
     is carried into register *j* at the end.  *automaton* must be complete
-    and state-driven.
+    and state-driven.  The tracker state is ``(S, q)``: the corridor ``S``
+    of the start value at the last symbol read, ``q``.
     """
-    guards = _guard_map(automaton)
-    k = automaton.k
-    alphabet = frozenset(automaton.states)
-    initial = "init"
-    dead = "dead"
-    transitions: Dict[Tuple, object] = {}
-    states: Set = {initial, dead}
-    accepting: Set = set()
-    worklist: List = []
+    _check_register(automaton, i)
+    _check_register(automaton, j)
+    symbols, masks = _symbol_masks(automaton)
+    j_bit = 1 << (j - 1)
 
-    for symbol in alphabet:
-        transitions[(dead, symbol)] = dead
-        guard = guards.get(symbol)
-        if guard is None:
-            transitions[(initial, symbol)] = dead
-            continue
-        start_set = _x_class(guard, i, k)
-        target = (start_set, symbol)
-        transitions[(initial, symbol)] = target
-        if target not in states:
-            states.add(target)
-            worklist.append(target)
-
-    while worklist:
-        state = worklist.pop()
+    def step(state: Tuple) -> Callable[[int], Tuple]:
         members, previous = state
-        if j in members:
-            accepting.add(state)
-        guard = guards[previous]
-        for symbol in alphabet:
-            next_guard = guards.get(symbol)
-            if next_guard is None:
-                transitions[(state, symbol)] = dead
-                continue
-            advanced = _advance_set(guard, members, k)
-            target = (advanced, symbol)
-            transitions[(state, symbol)] = target
-            if target not in states:
-                states.add(target)
-                worklist.append(target)
+        advanced = advance_mask(masks[previous][1], members)
+        return lambda q: (advanced, q)
 
-    # accepting membership for states discovered before the loop ran
-    for state in states:
-        if isinstance(state, tuple) and j in state[0]:
-            accepting.add(state)
-    return Dfa(states, alphabet, transitions, initial, accepting).minimize()
+    return _explore(
+        symbols,
+        masks,
+        lambda q: (masks[q][0][i - 1], q),
+        step,
+        lambda state: state[0] & j_bit,
+    )
 
 
 def corridor_dfa(
@@ -173,81 +211,53 @@ def corridor_dfa(
     anchor position itself) or ``("y", r)`` (register ``r`` at the position
     *after* the anchor) -- the shapes relational-literal arguments take in
     guards, needed by the Theorem 24 construction.
-    *automaton* must be (equality-)complete and state-driven.
+    *automaton* must be (equality-)complete and state-driven.  The tracker
+    state is ``(S, q, direct)``, with ``direct`` marking a length-1 factor
+    whose two y endpoints the first guard itself connects.
     """
-    guards = _guard_map(automaton)
-    k = automaton.k
-    alphabet = frozenset(automaton.states)
+    for kind, register in (start, end):
+        if kind not in ("x", "y"):
+            raise SpecificationError("corridor endpoint kind %r is not 'x' or 'y'" % (kind,))
+        _check_register(automaton, register)
+    symbols, masks = _symbol_masks(automaton)
     start_kind, start_register = start
     end_kind, end_register = end
-    initial = "init"
-    dead = "dead"
-    transitions: Dict[Tuple, object] = {}
-    states: Set = {initial, dead}
-    accepting: Set = set()
-    worklist: List = []
+    start_bit = 1 << (start_register - 1)
+    end_bit = 1 << (end_register - 1)
+    both_y = start_kind == "y" and end_kind == "y"
 
-    from repro.logic.types import y_successor_images
-
-    def start_set(guard: SigmaType) -> FrozenSet[int]:
+    def first(q: int) -> Tuple:
+        x_class, y_image = masks[q][0], masks[q][1]
         if start_kind == "x":
-            return _x_class(guard, start_register, k)
-        images = y_successor_images(guard, k)
-        return frozenset(
-            m for m in range(1, k + 1) if start_register in images[m]
+            members = x_class[start_register - 1]
+        else:
+            members = sum(
+                1 << l for l, image in enumerate(y_image) if image & start_bit
+            )
+        # A length-1 factor with both endpoints on the y side is connected
+        # directly inside the first guard; the corridor sets cannot see it.
+        direct = both_y and (
+            start_register == end_register
+            or automaton.guard_of_state(symbols[q]).closure.same(
+                Y(start_register), Y(end_register)
+            )
         )
+        return (members, q, direct)
 
-    def accepts_here(state) -> bool:
+    def step(state: Tuple) -> Callable[[int], Tuple]:
+        members, previous, _direct = state
+        advanced = advance_mask(masks[previous][1], members)
+        return lambda q: (advanced, q, False)
+
+    def accepts(state: Tuple) -> int:
         members, previous, direct = state
         if direct:
             return True
-        guard = guards[previous]
-        if end_kind == "x":
-            return end_register in members
-        images = y_successor_images(guard, k)
-        return any(end_register in images[l] for l in members)
+        if end_kind == "y":
+            members = advance_mask(masks[previous][1], members)
+        return members & end_bit
 
-    for symbol in alphabet:
-        transitions[(dead, symbol)] = dead
-        guard = guards.get(symbol)
-        if guard is None:
-            transitions[(initial, symbol)] = dead
-            continue
-        # A length-1 factor with both endpoints on the y side is connected
-        # directly inside the first guard; the corridor sets cannot see it.
-        direct = (
-            start_kind == "y"
-            and end_kind == "y"
-            and (
-                start_register == end_register
-                or guard.closure.same(Y(start_register), Y(end_register))
-            )
-        )
-        target = (start_set(guard), symbol, direct)
-        transitions[(initial, symbol)] = target
-        if target not in states:
-            states.add(target)
-            worklist.append(target)
-
-    while worklist:
-        state = worklist.pop()
-        members, previous, _direct = state
-        if accepts_here(state):
-            accepting.add(state)
-        guard = guards[previous]
-        for symbol in alphabet:
-            if symbol not in guards:
-                transitions[(state, symbol)] = dead
-                continue
-            target = (_advance_set(guard, members, k), symbol, False)
-            transitions[(state, symbol)] = target
-            if target not in states:
-                states.add(target)
-                worklist.append(target)
-    for state in states:
-        if isinstance(state, tuple) and accepts_here(state):
-            accepting.add(state)
-    return Dfa(states, alphabet, transitions, initial, accepting).minimize()
+    return _explore(symbols, masks, first, step, accepts)
 
 
 def inequality_tracker_dfa(automaton: RegisterAutomaton, i: int, j: int) -> Dfa:
@@ -263,83 +273,43 @@ def inequality_tracker_dfa(automaton: RegisterAutomaton, i: int, j: int) -> Dfa:
     * ``(a,i) ~ (c,l)`` and the type at ``c`` contains ``x_l != y_m`` and
       ``(c+1,m) ~ (b,j)``.
 
-    Built as an NFA (phase one tracks the left corridor, a nondeterministic
-    switch consumes the disequality literal, phase two tracks the right
-    corridor) and determinised.
+    As a nondeterministic automaton: phase one tracks the left corridor
+    ``S`` of ``(a, i)``, a switch consumes one such literal and opens a
+    right corridor, phase two tracks it and accepts when ``j`` is in it.
+    **No subset construction is needed.**  Phase one is deterministic, so
+    after any factor the subset holds one left corridor ``S`` and some
+    right corridors ``T_1 .. T_n``, all at the last symbol ``q``.  A
+    corridor step is the union of per-register images, so it distributes
+    over union: advancing every ``T_i`` and taking the union equals
+    advancing the union ``U``; and the subset accepts iff ``j`` lies in
+    some ``T_i``, i.e. in ``U``.  The map from subsets to ``(S, U, q)``
+    therefore commutes with the steps and preserves acceptance, and the
+    DFA over ``(S, U, q)`` recognises the determinised language.  The
+    switches enter ``U`` through the guard's
+    :func:`~repro.logic.types.corridor_masks`: ``x_switch`` at the
+    position itself, ``y_switch`` at the next one.
     """
-    guards = _guard_map(automaton)
-    k = automaton.k
-    alphabet = frozenset(automaton.states)
+    _check_register(automaton, i)
+    _check_register(automaton, j)
+    symbols, masks = _symbol_masks(automaton)
+    j_bit = 1 << (j - 1)
 
-    transitions: Dict[object, Dict[object, Set[object]]] = {}
+    def first(q: int) -> Tuple:
+        left = masks[q][0][i - 1]
+        return (left, advance_mask(masks[q][2], left), q)
 
-    def add(source, symbol, target) -> None:
-        transitions.setdefault(source, {}).setdefault(symbol, set()).add(target)
+    def step(state: Tuple) -> Callable[[int], Tuple]:
+        left, right, previous = state
+        _x_class, y_image, _x_switch, y_switch = masks[previous]
+        advanced = advance_mask(y_image, left)
+        carried = advance_mask(y_image, right) | advance_mask(y_switch, left)
+        return lambda q: (
+            advanced,
+            carried | advance_mask(masks[q][2], advanced),
+            q,
+        )
 
-    initial = "init"
-    nfa_states: Set = {initial}
-    worklist: List = []
-
-    def note(state) -> None:
-        if state not in nfa_states:
-            nfa_states.add(state)
-            worklist.append(state)
-
-    for symbol in alphabet:
-        guard = guards.get(symbol)
-        if guard is None:
-            continue
-        start = ("one", _x_class(guard, i, k), symbol)
-        add(initial, symbol, start)
-        note(start)
-
-    accepting: Set = set()
-    while worklist:
-        state = worklist.pop()
-        phase, members, previous = state
-        guard = guards[previous]
-        closure = guard.closure
-        if phase == "one":
-            # switch case (ii): x_l != x_m at this position
-            for l in members:
-                for m in range(1, k + 1):
-                    if closure.entails_neq(X(l), X(m)):
-                        target = ("two", _x_class(guard, m, k), previous)
-                        add(state, EPSILON, target)
-                        note(target)
-            for symbol in alphabet:
-                if symbol not in guards:
-                    continue
-                # ordinary phase-one advance
-                advanced = _advance_set(guard, members, k)
-                target = ("one", advanced, symbol)
-                add(state, symbol, target)
-                note(target)
-                # switch case (i): x_l != y_m; phase two starts at c+1
-                for l in members:
-                    for m in range(1, k + 1):
-                        if closure.entails_neq(X(l), Y(m)):
-                            landing = frozenset(
-                                m2
-                                for m2 in range(1, k + 1)
-                                if closure.same(Y(m), Y(m2)) or m2 == m
-                            )
-                            switch_target = ("two", landing, symbol)
-                            add(state, symbol, switch_target)
-                            note(switch_target)
-        else:
-            if j in members:
-                accepting.add(state)
-            for symbol in alphabet:
-                if symbol not in guards:
-                    continue
-                advanced = _advance_set(guard, members, k)
-                target = ("two", advanced, symbol)
-                add(state, symbol, target)
-                note(target)
-
-    nfa = Nfa(transitions, {initial}, accepting)
-    return nfa.determinize(alphabet).minimize()
+    return _explore(symbols, masks, first, step, lambda state: state[1] & j_bit)
 
 
 class _TrackerPair:
@@ -432,9 +402,7 @@ def project_register_automaton(
 # ---------------------------------------------------------------------- #
 
 
-def project_extended(
-    extended: ExtendedAutomaton, m: int, lookahead: int = 0
-) -> ExtendedAutomaton:
+def project_extended(extended: ExtendedAutomaton, m: int) -> ExtendedAutomaton:
     """Project an extended automaton onto its first *m* registers.
 
     Pipeline (following the paper's reductions):
@@ -447,9 +415,8 @@ def project_extended(
     4. Remaining *global inequality* constraints induce additional
        disequalities between kept registers whenever an equality corridor
        links a kept register to a constraint endpoint; matches inside the
-       factor are captured exactly, right-overhanging matches up to
-       *lookahead* extra steps (0 = disabled; see the module docstring for
-       the precise exactness guarantee).
+       factor are captured exactly (see the module docstring for the
+       precise exactness guarantee).
     """
     if extended.automaton.signature.relations or extended.automaton.signature.constants:
         raise SpecificationError("projection of extended automata requires no database")
@@ -475,9 +442,7 @@ def project_extended(
         _agreeing_projected_transitions(base, m),
     )
     constraints = lemma21_constraints(base, range(1, m + 1))
-    constraints.extend(
-        _bridge_constraints(base, inequality, m, lookahead)
-    )
+    constraints.extend(_bridge_constraints(base, inequality, m))
     return ExtendedAutomaton(projected_automaton, constraints)
 
 
@@ -516,149 +481,81 @@ def _bridge_constraints(
     base: RegisterAutomaton,
     inequality_constraints: Sequence[GlobalConstraint],
     m: int,
-    lookahead: int,
 ) -> List[GlobalConstraint]:
     """Disequalities between kept registers induced by global constraints.
 
     For a global constraint ``e!=_{i0 j0}`` and kept registers ``i, j``,
     the factor ``q_a .. q_b`` must force ``(a,i) != (b,j)`` whenever there
-    are positions ``n <= n'`` with ``(n,i0) ~ (a,i)``, ``(n',j0) ~ (b,j)``
-    and ``w_n .. w_{n'}`` matching ``e``.  We build an NFA over factors
-    for the in-factor cases (``a <= n``, ``n' <= b``) and for bounded
-    right overhang (``n' <= b + lookahead``); the left cases (``n < a``)
-    are covered by a deterministic left-profile refinement folded into the
-    same NFA via its start states.
+    are positions ``a <= n <= n' <= b`` with ``(n,i0) ~ (a,i)``,
+    ``(n',j0) ~ (b,j)`` and ``w_n .. w_{n'}`` matching ``e``; see
+    :func:`_bridge_dfa`.
     """
-    guards = _guard_map(base)
-    k = base.k
-    alphabet = frozenset(base.states)
+    symbols, masks = _symbol_masks(base)
     results: List[GlobalConstraint] = []
     for constraint in inequality_constraints:
         dfa = constraint.compiled(base.states)
         for i in range(1, m + 1):
             for j in range(1, m + 1):
-                nfa = _bridge_nfa(base, guards, dfa, constraint.i, constraint.j, i, j, k, lookahead)
-                compiled = nfa.determinize(alphabet).minimize()
+                compiled = _bridge_dfa(
+                    symbols, masks, dfa, constraint.i, constraint.j, i, j
+                )
                 if not compiled.is_empty():
                     results.append(GlobalConstraint(NEQ, i, j, compiled))
     return results
 
 
-def _bridge_nfa(
-    base: RegisterAutomaton,
-    guards: Dict[State, SigmaType],
+def _bridge_dfa(
+    symbols: Sequence[State],
+    masks: Sequence,
     constraint_dfa: Dfa,
     i0: int,
     j0: int,
     i: int,
     j: int,
-    k: int,
-    lookahead: int,
-) -> Nfa:
-    """The factor NFA for one (constraint, i, j) combination.
+) -> Dfa:
+    """The factor DFA for one (constraint ``e!=_{i0 j0}``, ``i``, ``j``).
 
-    Phases: ``("left", S, prev)`` tracks the corridor of the factor-start
-    register ``i``; when ``i0`` enters the corridor the constraint DFA is
-    started (``("mid", s, prev)``); when the DFA accepts at a position
-    whose corridor reaches ``j0``, phase ``("right", T, prev)`` tracks the
-    corridor onwards and accepts when ``j`` is in it.  Right overhang
-    (constraint match completing after the factor) is approximated by
-    closing acceptance under up to *lookahead* further steps at the end,
-    which we realise by also accepting ``mid``/``right`` states from which
-    an accepting continuation of length <= lookahead exists along *some*
-    guard-consistent extension.
+    As a nondeterministic automaton it has three phases: ``left`` tracks
+    the corridor of the factor-start register ``i``; where ``i0`` is in it
+    the constraint DFA starts (``mid``, one thread per start position);
+    where a thread accepts, ``right`` tracks the corridor of ``j0`` onwards
+    and accepts when ``j`` is in it.  As in
+    :func:`inequality_tracker_dfa`, the left phase is deterministic and
+    corridor steps distribute over union, so the subset after a factor
+    collapses exactly to ``(S, M, U, q)``: the left corridor, the set of
+    live constraint-DFA states, the union of the right corridors and the
+    last symbol.
     """
-    alphabet = frozenset(base.states)
-    transitions: Dict[object, Dict[object, Set[object]]] = {}
+    delta = constraint_dfa.delta
+    dfa_initial = constraint_dfa.initial
+    dfa_accepting = constraint_dfa.accepting
+    i0_bit = 1 << (i0 - 1)
+    j_bit = 1 << (j - 1)
 
-    def add(source, symbol, target) -> None:
-        transitions.setdefault(source, {}).setdefault(symbol, set()).add(target)
+    def close(left: int, threads: FrozenSet, right: int, q: int) -> Tuple:
+        """The switches at position ``q``: start a thread, complete a match."""
+        if left & i0_bit:
+            threads = threads | {delta(dfa_initial, symbols[q])}
+        if not dfa_accepting.isdisjoint(threads):
+            right |= masks[q][0][j0 - 1]
+        return (left, threads, right, q)
 
-    initial = "init"
-    worklist: List = []
-    seen: Set = {initial}
+    def step(state: Tuple) -> Callable[[int], Tuple]:
+        left, threads, right, previous = state
+        y_image = masks[previous][1]
+        advanced = advance_mask(y_image, left)
+        carried = advance_mask(y_image, right)
+        return lambda q: close(
+            advanced,
+            frozenset(delta(thread, symbols[q]) for thread in threads),
+            carried,
+            q,
+        )
 
-    def note(state) -> None:
-        if state not in seen:
-            seen.add(state)
-            worklist.append(state)
-
-    for symbol in alphabet:
-        guard = guards.get(symbol)
-        if guard is None:
-            continue
-        start = ("left", _x_class(guard, i, k), symbol)
-        add(initial, symbol, start)
-        note(start)
-
-    accepting: Set = set()
-    while worklist:
-        state = worklist.pop()
-        phase = state[0]
-        if phase == "left":
-            _phase, members, previous = state
-            guard = guards[previous]
-            # start the constraint DFA when i0 joins the corridor (n = here)
-            if i0 in members:
-                mid = ("mid", constraint_dfa.delta(constraint_dfa.initial, previous), previous)
-                add(state, EPSILON, mid)
-                note(mid)
-            for symbol in alphabet:
-                if symbol not in guards:
-                    continue
-                target = ("left", _advance_set(guard, members, k), symbol)
-                add(state, symbol, target)
-                note(target)
-        elif phase == "mid":
-            _phase, dfa_state, previous = state
-            guard = guards[previous]
-            # the DFA accepting here: n' = here, corridor of j0 starts
-            if dfa_state in constraint_dfa.accepting:
-                right = ("right", _x_class(guard, j0, k), previous)
-                add(state, EPSILON, right)
-                note(right)
-            for symbol in alphabet:
-                if symbol not in guards:
-                    continue
-                target = ("mid", constraint_dfa.delta(dfa_state, symbol), symbol)
-                add(state, symbol, target)
-                note(target)
-        else:  # "right"
-            _phase, members, previous = state
-            guard = guards[previous]
-            if j in members:
-                accepting.add(state)
-            for symbol in alphabet:
-                if symbol not in guards:
-                    continue
-                target = ("right", _advance_set(guard, members, k), symbol)
-                add(state, symbol, target)
-                note(target)
-
-    # Right overhang: also accept states that can reach acceptance within
-    # `lookahead` symbol steps along transitions consistent with the
-    # control graph (any continuation the automaton could take).
-    if lookahead > 0:
-        succ_states: Dict[State, List[State]] = {}
-        for transition in base.transitions:
-            succ_states.setdefault(transition.source, []).append(transition.target)
-        can_accept: Set = set(accepting)
-        frontier = set(accepting)
-        for _ in range(lookahead):
-            new_frontier: Set = set()
-            for state in list(seen):
-                if state in can_accept or state == "init":
-                    continue
-                previous = state[2]
-                for symbol in succ_states.get(previous, ()):
-                    for target in transitions.get(state, {}).get(symbol, ()):
-                        if target in frontier or target in can_accept:
-                            new_frontier.add(state)
-                            break
-            if not new_frontier:
-                break
-            can_accept |= new_frontier
-            frontier = new_frontier
-        accepting = can_accept
-
-    return Nfa(transitions, {initial}, accepting)
+    return _explore(
+        symbols,
+        masks,
+        lambda q: close(masks[q][0][i - 1], frozenset(), 0, q),
+        step,
+        lambda state: state[2] & j_bit,
+    )

@@ -84,6 +84,7 @@ from repro.foundations.resilience import current_deadline
 from repro.logic.literals import eq, neq
 from repro.logic.terms import x_vars, y_vars
 from repro.logic.types import (
+    advance_mask,
     decode_completion,
     guard_completion_search,
     pair_bit,
@@ -179,17 +180,6 @@ def _code_masks(code: int, k: int) -> Tuple[int, int, Tuple[int, ...], Tuple[int
     return x_code, y_code, tuple(x_class), tuple(y_image)
 
 
-def _advance_mask(y_image: Tuple[int, ...], members: int) -> int:
-    """One corridor step: the union of images of the registers in *members*."""
-    result = 0
-    remaining = members
-    while remaining:
-        low = remaining & -remaining
-        result |= y_image[low.bit_length() - 1]
-        remaining ^= low
-    return result
-
-
 class _Node:
     """One control pair of the normalised automaton, in coded form."""
 
@@ -262,7 +252,7 @@ class CodedCandidateCheck:
                     if key in seen:
                         break
                     seen.add(key)
-                    members = _advance_mask(node_yimage[ranks[stored(position)]], members)
+                    members = advance_mask(node_yimage[ranks[stored(position)]], members)
                     position += 1
                     dfa_state = delta[(dfa_state, node_orig[ranks[stored(position)]])]
         return True
@@ -306,7 +296,7 @@ class CodedNarrowing:
                 next_state = delta[(dfa_state, orig)]
                 if next_state in dead:
                     continue
-                next_members = _advance_mask(previous_image, members)
+                next_members = advance_mask(previous_image, members)
                 if next_state in accepting and next_members >> j_bit & 1:
                     self.paths_pruned += 1
                     return None

@@ -44,7 +44,7 @@ from repro.foundations.resilience import current_deadline
 from repro.core.caching import agreement
 from repro.foundations.memo import ValueCache
 from repro.logic.terms import Const, X, Y, register_index
-from repro.logic.types import SigmaType, project_type_dataless
+from repro.logic.types import SigmaType, advance_registers, project_type_dataless
 from repro.core.enhanced import (
     EnhancedAutomaton,
     FinitenessConstraint,
@@ -53,8 +53,6 @@ from repro.core.enhanced import (
 )
 from repro.core.extended import EQ, GlobalConstraint
 from repro.core.projection import (
-    _advance_set,
-    _guard_map,
     corridor_dfa,
     equality_tracker_dfa,
     inequality_tracker_dfa,
@@ -71,6 +69,16 @@ def _normalize_db(automaton: RegisterAutomaton) -> RegisterAutomaton:
     if not result.is_state_driven():
         result = result.state_driven()
     return result
+
+
+def _guard_map(automaton: RegisterAutomaton) -> Dict[State, SigmaType]:
+    """State -> its unique guard (state-driven automata)."""
+    guards: Dict[State, SigmaType] = {}
+    for state in automaton.states:
+        guard = automaton.guard_of_state(state)
+        if guard is not None:
+            guards[state] = guard
+    return guards
 
 
 def adom_position_dfa(automaton: RegisterAutomaton, register: int) -> Dfa:
@@ -136,7 +144,7 @@ def adom_position_dfa(automaton: RegisterAutomaton, register: int) -> Dfa:
             if next_guard is None:
                 transitions[(state, symbol)] = dead
                 continue
-            carried = _advance_set(guard, touched, k) | carried_y
+            carried = advance_registers(guard, touched, k) | carried_y
             new_touched = carried | positive_registers(next_guard, "x")
             target = (frozenset(new_touched), symbol)
             transitions[(state, symbol)] = target

@@ -459,6 +459,82 @@ def advance_registers(
     return frozenset(result)
 
 
+def corridor_masks(
+    delta: SigmaType, k: int
+) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
+    """``(x_class, y_image, x_switch, y_switch)``: the guard's corridor bitmasks.
+
+    Each entry is a *k*-tuple indexed by ``register - 1``, and register
+    ``m`` is bit ``m - 1`` -- the layout of the symkernel's completion-code
+    masks.  For register ``l``:
+
+    * ``x_class[l-1]``: the registers forced equal to ``x_l`` now (the mask
+      form of :func:`x_equality_classes`);
+    * ``y_image[l-1]``: the registers ``m`` with ``x_l = y_m`` (the mask
+      form of :func:`y_successor_images`; :func:`advance_mask` walks it);
+    * ``x_switch[l-1]``: the union of the x-classes of the registers ``m``
+      with ``x_l != x_m`` entailed;
+    * ``y_switch[l-1]``: the union of the y-landing classes
+      ``{m} | {m2 : y_m = y_m2}`` of the registers ``m`` with ``x_l != y_m``
+      entailed.
+
+    The two switch masks are where a Lemma 21 inequality corridor can hand
+    over from the left side of a disequality to the right.  Cached on the
+    type instance per *k*, like :func:`x_equality_classes`.
+    """
+    cache = delta.__dict__.get("_corridor_masks")
+    if cache is None:
+        cache = delta.__dict__["_corridor_masks"] = {}
+    found = cache.get(k)
+    if found is None:
+        closure = delta.closure
+        registers = range(1, k + 1)
+
+        def mask(members: Iterable[int]) -> int:
+            return sum(1 << (m - 1) for m in members)
+
+        classes = x_equality_classes(delta, k)
+        images = y_successor_images(delta, k)
+        x_class = tuple(mask(classes[l]) for l in registers)
+        landing = tuple(
+            mask(m2 for m2 in registers if m2 == m or closure.same(Y(m), Y(m2)))
+            for m in registers
+        )
+        x_switch = []
+        y_switch = []
+        for l in registers:
+            x_union = y_union = 0
+            for m in registers:
+                if closure.entails_neq(X(l), X(m)):
+                    x_union |= x_class[m - 1]
+                if closure.entails_neq(X(l), Y(m)):
+                    y_union |= landing[m - 1]
+            x_switch.append(x_union)
+            y_switch.append(y_union)
+        found = cache[k] = (
+            x_class,
+            tuple(mask(images[l]) for l in registers),
+            tuple(x_switch),
+            tuple(y_switch),
+        )
+    return found
+
+
+def advance_mask(table: Tuple[int, ...], members: int) -> int:
+    """The union of ``table[l-1]`` over the registers ``l`` in *members*.
+
+    With a ``y_image`` table this is one corridor step; with a switch
+    table of :func:`corridor_masks`, the corridors the members hand over to.
+    """
+    result = 0
+    remaining = members
+    while remaining:
+        low = remaining & -remaining
+        result |= table[low.bit_length() - 1]
+        remaining ^= low
+    return result
+
+
 # ---------------------------------------------------------------------- #
 # partition codes: complete equality x-types as integers
 # ---------------------------------------------------------------------- #

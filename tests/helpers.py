@@ -180,3 +180,289 @@ def without_trim():
 
     with mock.patch.object(emptiness, "trim_extended", lambda extended: extended):
         yield
+
+
+# ---------------------------------------------------------------------- #
+# literal Lemma 21 trackers and minimisation: the oracle for the coded ones
+# ---------------------------------------------------------------------- #
+#
+# The trackers as the lemma states them: phases of a nondeterministic
+# automaton over register *sets*, determinised by the subset construction
+# and minimised by Moore refinement over DFA ``delta`` calls.  The coded
+# constructions in ``repro.core.projection`` and ``Dfa.minimize`` must
+# agree with these (language and size; minimisation byte for byte).
+
+
+def literal_minimize(dfa):
+    """Moore's partition refinement over reachable states, via ``delta``.
+
+    Integer states, state 0 initial, the other blocks numbered by their
+    first state in ``repr`` order.
+    """
+    from repro.automata.dfa import Dfa
+
+    reachable = sorted(dfa.reachable_states(), key=repr)
+    symbols = sorted(dfa.alphabet, key=repr)
+    block = {state: (1 if state in dfa.accepting else 0) for state in reachable}
+    while True:
+        signatures = {}
+        next_block = {}
+        for state in reachable:
+            signature = (block[state],) + tuple(
+                block[dfa.delta(state, symbol)] for symbol in symbols
+            )
+            if signature not in signatures:
+                signatures[signature] = len(signatures)
+            next_block[state] = signatures[signature]
+        if next_block == block:
+            break
+        block = next_block
+    order = {}
+
+    def number(b):
+        if b not in order:
+            order[b] = len(order)
+        return order[b]
+
+    number(block[dfa.initial])
+    for state in reachable:
+        number(block[state])
+    transitions = {}
+    for state in reachable:
+        for symbol in symbols:
+            transitions[(number(block[state]), symbol)] = number(
+                block[dfa.delta(state, symbol)]
+            )
+    accepting = frozenset(number(block[s]) for s in reachable if s in dfa.accepting)
+    return Dfa(
+        states=frozenset(range(len(order))),
+        alphabet=dfa.alphabet,
+        transitions=transitions,
+        initial=0,
+        accepting=accepting,
+    )
+
+
+def _literal_guards(automaton):
+    """State -> its unique guard (state-driven automata)."""
+    guards = {}
+    for state in automaton.states:
+        guard = automaton.guard_of_state(state)
+        if guard is not None:
+            guards[state] = guard
+    return guards
+
+
+def _literal_subset_dfa(transitions, initial, accepting, alphabet):
+    from repro.automata.nfa import Nfa
+
+    return literal_minimize(Nfa(transitions, {initial}, accepting).determinize(alphabet))
+
+
+def _deterministic_tracker(automaton, start, advance, accepts):
+    """A one-phase corridor tracker over ``(members, previous, ...)`` states."""
+    from repro.automata.dfa import Dfa
+
+    guards = _literal_guards(automaton)
+    alphabet = frozenset(automaton.states)
+    initial, dead = "init", "dead"
+    transitions = {}
+    states = {initial, dead}
+    worklist = []
+    for symbol in alphabet:
+        transitions[(dead, symbol)] = dead
+        guard = guards.get(symbol)
+        if guard is None:
+            transitions[(initial, symbol)] = dead
+            continue
+        target = start(guard, symbol)
+        transitions[(initial, symbol)] = target
+        if target not in states:
+            states.add(target)
+            worklist.append(target)
+    while worklist:
+        state = worklist.pop()
+        guard = guards[state[1]]
+        for symbol in alphabet:
+            if symbol not in guards:
+                transitions[(state, symbol)] = dead
+                continue
+            target = advance(guard, state, symbol)
+            transitions[(state, symbol)] = target
+            if target not in states:
+                states.add(target)
+                worklist.append(target)
+    accepting = {
+        state for state in states
+        if isinstance(state, tuple) and accepts(guards[state[1]], state)
+    }
+    return literal_minimize(Dfa(states, alphabet, transitions, initial, accepting))
+
+
+def literal_equality_tracker_dfa(automaton, i, j):
+    """``e=_{ij}``: the set of registers carrying the start value of ``i``."""
+    from repro.logic.types import advance_registers, x_equality_classes
+
+    k = automaton.k
+    return _deterministic_tracker(
+        automaton,
+        lambda guard, symbol: (x_equality_classes(guard, k)[i], symbol),
+        lambda guard, state, symbol: (advance_registers(guard, state[0], k), symbol),
+        lambda guard, state: j in state[0],
+    )
+
+
+def literal_corridor_dfa(automaton, start, end):
+    """The x/y-endpoint corridor tracker, one register set per position."""
+    from repro.logic.terms import Y
+    from repro.logic.types import (
+        advance_registers,
+        x_equality_classes,
+        y_successor_images,
+    )
+
+    k = automaton.k
+    start_kind, start_register = start
+    end_kind, end_register = end
+
+    def first(guard, symbol):
+        if start_kind == "x":
+            members = x_equality_classes(guard, k)[start_register]
+        else:
+            images = y_successor_images(guard, k)
+            members = frozenset(
+                m for m in range(1, k + 1) if start_register in images[m]
+            )
+        direct = (
+            start_kind == "y"
+            and end_kind == "y"
+            and (
+                start_register == end_register
+                or guard.closure.same(Y(start_register), Y(end_register))
+            )
+        )
+        return (members, symbol, direct)
+
+    def accepts(guard, state):
+        members, _previous, direct = state
+        if direct:
+            return True
+        if end_kind == "x":
+            return end_register in members
+        images = y_successor_images(guard, k)
+        return any(end_register in images[l] for l in members)
+
+    return _deterministic_tracker(
+        automaton,
+        first,
+        lambda guard, state, symbol: (advance_registers(guard, state[0], k), symbol, False),
+        accepts,
+    )
+
+
+def literal_inequality_tracker_dfa(automaton, i, j):
+    """``e!=_{ij}`` as the lemma's two-phase NFA, determinised.
+
+    Phase one tracks the left corridor; a nondeterministic switch consumes
+    a disequality literal ``x_l != x_m`` (at this position) or
+    ``x_l != y_m`` (landing at the next); phase two tracks the right
+    corridor and accepts when ``j`` is in it.
+    """
+    from repro.automata.nfa import EPSILON
+    from repro.logic.terms import X, Y
+    from repro.logic.types import advance_registers, x_equality_classes
+
+    guards = _literal_guards(automaton)
+    k = automaton.k
+    alphabet = frozenset(automaton.states)
+    transitions = {}
+    initial = "init"
+    seen = {initial}
+    worklist = []
+
+    def add(source, symbol, target):
+        transitions.setdefault(source, {}).setdefault(symbol, set()).add(target)
+        if target not in seen:
+            seen.add(target)
+            worklist.append(target)
+
+    for symbol, guard in guards.items():
+        add(initial, symbol, ("one", x_equality_classes(guard, k)[i], symbol))
+    accepting = set()
+    while worklist:
+        state = worklist.pop()
+        phase, members, previous = state
+        guard = guards[previous]
+        closure = guard.closure
+        if phase == "two":
+            if j in members:
+                accepting.add(state)
+            for symbol in guards:
+                add(state, symbol, ("two", advance_registers(guard, members, k), symbol))
+            continue
+        for l in members:
+            for m in range(1, k + 1):
+                if closure.entails_neq(X(l), X(m)):
+                    add(state, EPSILON, ("two", x_equality_classes(guard, k)[m], previous))
+        for symbol in guards:
+            add(state, symbol, ("one", advance_registers(guard, members, k), symbol))
+            for l in members:
+                for m in range(1, k + 1):
+                    if closure.entails_neq(X(l), Y(m)):
+                        landing = frozenset(
+                            m2
+                            for m2 in range(1, k + 1)
+                            if closure.same(Y(m), Y(m2)) or m2 == m
+                        )
+                        add(state, symbol, ("two", landing, symbol))
+    return _literal_subset_dfa(transitions, initial, accepting, alphabet)
+
+
+def literal_bridge_dfa(base, constraint_dfa, i0, j0, i, j):
+    """The factor NFA for one (constraint ``e!=_{i0 j0}``, ``i``, ``j``), determinised.
+
+    ``left`` tracks the corridor of ``i``; when ``i0`` joins it the
+    constraint DFA starts (``mid``); where the DFA accepts, ``right``
+    tracks the corridor of ``j0`` and accepts when ``j`` is in it.
+    """
+    from repro.automata.nfa import EPSILON
+    from repro.logic.types import advance_registers, x_equality_classes
+
+    guards = _literal_guards(base)
+    k = base.k
+    alphabet = frozenset(base.states)
+    transitions = {}
+    initial = "init"
+    seen = {initial}
+    worklist = []
+
+    def add(source, symbol, target):
+        transitions.setdefault(source, {}).setdefault(symbol, set()).add(target)
+        if target not in seen:
+            seen.add(target)
+            worklist.append(target)
+
+    for symbol, guard in guards.items():
+        add(initial, symbol, ("left", x_equality_classes(guard, k)[i], symbol))
+    accepting = set()
+    while worklist:
+        state = worklist.pop()
+        phase, payload, previous = state
+        guard = guards[previous]
+        if phase == "left":
+            if i0 in payload:
+                start = constraint_dfa.delta(constraint_dfa.initial, previous)
+                add(state, EPSILON, ("mid", start, previous))
+            for symbol in guards:
+                add(state, symbol, ("left", advance_registers(guard, payload, k), symbol))
+        elif phase == "mid":
+            if payload in constraint_dfa.accepting:
+                add(state, EPSILON, ("right", x_equality_classes(guard, k)[j0], previous))
+            for symbol in guards:
+                add(state, symbol, ("mid", constraint_dfa.delta(payload, symbol), symbol))
+        else:
+            if j in payload:
+                accepting.add(state)
+            for symbol in guards:
+                add(state, symbol, ("right", advance_registers(guard, payload, k), symbol))
+    return _literal_subset_dfa(transitions, initial, accepting, alphabet)
