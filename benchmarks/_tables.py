@@ -2,11 +2,11 @@
 
 Each benchmark prints the data series of its experiment (DESIGN.md E1-E12)
 so the run log doubles as the reproduction record in EXPERIMENTS.md.  The
-same registry is serialised to a machine-readable JSON report (named by
-``REPRO_BENCH_JSON``, default ``BENCH_4.json``) at session end, together
-with the pytest-benchmark timing statistics and the cache/intern-table
-counters, so CI can archive one artifact per run instead of scraping the
-log.
+same registry is serialised to a machine-readable JSON report at session
+end when ``REPRO_BENCH_JSON`` names a path (unset, empty or ``0`` write
+nothing), together with the pytest-benchmark timing statistics and the
+cache/intern-table counters, so CI can archive one artifact per run
+instead of scraping the log.
 """
 
 import json
@@ -92,15 +92,11 @@ def timing_payload(config) -> list:
 def session_payload(config, report: str = "BENCH_4") -> dict:
     """The full session report: tables, timings, cache and intern stats."""
     from repro.foundations.stats import all_cache_stats
-    from repro.foundations.interning import (
-        intern_table_sizes,
-        interning_enabled,
-    )
+    from repro.foundations.interning import intern_table_sizes
     from repro.core.parallel import worker_count
 
     return {
         "report": report,
-        "interning_enabled": interning_enabled(),
         "workers": worker_count(),
         "cpu_count": os.cpu_count(),
         "tables": registry_payload(),

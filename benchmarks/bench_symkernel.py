@@ -3,10 +3,11 @@
 The emptiness pipeline's normalisation step (``completed()`` +
 ``state_driven()``) materialises one :class:`~repro.logic.types.SigmaType`
 per guard completion -- Bell(2k) of them per incomplete guard -- before the
-Buchi product is even built.  The symbolic kernel (``REPRO_SYMKERNEL``,
-``repro.core.symkernel``) enumerates the same completions as partition
+Buchi product is even built.  The symbolic kernel
+(``repro.core.symkernel``) enumerates the same completions as partition
 *codes* and runs the product over integer ids, decoding literals only for
-the winning witness.
+the winning witness.  The literal leg is forced with the test helper
+``tests.helpers.without_symkernel()``.
 
 Rows recorded in the session table (and hence ``BENCH_8.json``):
 
@@ -28,9 +29,7 @@ intern-table miss delta (``cache_stats("intern.SigmaType")``) across each
 leg counts distinct guard/completion objects actually constructed.  The
 in-bench assertion requires the kernel leg to construct at least 5x fewer
 than the legacy leg -- the point of the representation, asserted, not
-implied.  (The counter only ticks while interning is on, so the assertion
-is gated on ``interning_enabled()``; the ``REPRO_INTERN=0`` ablation still
-runs the timing rows.)
+implied.
 
 Between A/B modes every shared cache is cleared, so neither mode serves
 entries computed by the other.  Quick mode (``REPRO_BENCH_QUICK=1``)
@@ -39,9 +38,11 @@ call time (ENV001).
 """
 
 import gc
-import os
 import statistics
+import sys
 import time
+from contextlib import nullcontext
+from pathlib import Path
 
 from repro import (
     ExtendedAutomaton,
@@ -58,12 +59,15 @@ from repro import (
 from repro.automata.regex import any_of, concat, plus
 from repro.foundations.memo import clear_value_caches
 from repro.foundations.stats import cache_stats
-from repro.foundations.interning import clear_intern_tables, interning_enabled
+from repro.foundations.interning import clear_intern_tables
 from repro.logic.terms import x_vars, y_vars
 from repro.logic.types import enumerate_completion_codes
 from repro.foundations import knobs
 
 from _tables import register_table
+
+sys.path.insert(0, str(Path(__file__).parent.parent))
+from tests.helpers import without_symkernel  # noqa: E402
 
 SPEEDUP_BAR = 5.0
 MATERIALISATION_BAR = 5.0
@@ -96,23 +100,6 @@ def _fresh_caches():
     clear_value_caches()
     clear_intern_tables()
     gc.collect()
-
-
-class _kernel_mode:
-    """Pin ``REPRO_SYMKERNEL`` for one A/B leg (restores on exit)."""
-
-    def __init__(self, enabled):
-        self.value = "1" if enabled else "0"
-
-    def __enter__(self):
-        self.previous = os.environ.get("REPRO_SYMKERNEL")
-        os.environ["REPRO_SYMKERNEL"] = self.value
-
-    def __exit__(self, *exc_info):
-        if self.previous is None:
-            os.environ.pop("REPRO_SYMKERNEL", None)
-        else:
-            os.environ["REPRO_SYMKERNEL"] = self.previous
 
 
 # ---------------------------------------------------------------------- #
@@ -165,7 +152,7 @@ def _all_distinct_constraint():
 
 def _run_leg(extended, enabled, **bounds):
     """One cold-cache leg: (result, median seconds, SigmaTypes built)."""
-    with _kernel_mode(enabled):
+    with nullcontext() if enabled else without_symkernel():
         _fresh_caches()
         stats = cache_stats("intern.SigmaType")
         before = stats.misses
@@ -192,8 +179,7 @@ def _ab(extended, **bounds):
     legacy = _run_leg(extended, False, **bounds)
     # Byte-identity is part of the experiment, not just the test suite.
     assert _fingerprint(kernel[0]) == _fingerprint(legacy[0])
-    if interning_enabled():
-        assert legacy[2] >= MATERIALISATION_BAR * max(kernel[2], 1)
+    assert legacy[2] >= MATERIALISATION_BAR * max(kernel[2], 1)
     return kernel, legacy
 
 

@@ -5,7 +5,6 @@ Run with ``PYTHONPATH=src`` (the repo convention -- see README.md); the
 directory, so no ``sys.path`` surgery happens here.
 """
 
-import os
 import random
 
 import pytest
@@ -23,6 +22,7 @@ from repro import (
     rel,
 )
 from repro.automata.regex import concat, literal, plus, star
+from repro.foundations import knobs
 
 
 @pytest.fixture
@@ -72,12 +72,12 @@ def rng():
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Print the experiment tables, then write the BENCH_4.json report.
+    """Print the experiment tables, then write the JSON report if asked.
 
-    The report path defaults to ``BENCH_4.json`` in the invocation
-    directory and can be redirected with ``REPRO_BENCH_JSON`` (CI points
-    it at the artifact staging directory); setting it to the empty string
-    or ``0`` suppresses the file.
+    The report is written only when ``REPRO_BENCH_JSON`` names a path
+    (CI sets it on every step whose report it uploads); unset, empty or
+    ``0`` writes nothing, so a plain local run never overwrites a
+    committed ``BENCH_*.json``.
     """
     from _tables import REGISTRY, print_table, write_session_json
 
@@ -85,7 +85,7 @@ def pytest_sessionfinish(session, exitstatus):
         if rows:
             print_table(title, headers, rows)
     _print_cache_effectiveness()
-    target = os.environ.get("REPRO_BENCH_JSON", "BENCH_4.json")
+    target = knobs.value("REPRO_BENCH_JSON")
     if target and target != "0":
         write_session_json(target, session.config)
         print("\nbenchmark report written to %s" % target)

@@ -26,9 +26,9 @@ interned (:mod:`repro.foundations.interning`) and carry their hash from
 construction.  A ``ValueCache`` probe on such keys therefore costs an O(1)
 cached-hash mix plus (on the usual path) a pointer-identity comparison:
 value keying and identity keying have converged, without ever touching
-``id()``.  Correctness never depends on interning: a non-interned key
-(built under ``REPRO_INTERN=0`` or unpickled by other means) still hashes
-and compares structurally and hits the same entries.
+``id()``.  Correctness never depends on identity: a key that is no longer
+canonical (built before :func:`~repro.foundations.interning.clear_intern_tables`)
+still hashes and compares structurally and hits the same entries.
 
 Stats live in :mod:`repro.foundations.stats` and :class:`ValueCache` /
 :func:`clear_value_caches` in :mod:`repro.foundations.memo` (so the logic
@@ -232,8 +232,9 @@ def agreement(delta_now, delta_next, k: int) -> bool:
     transition filters of Theorem 13 and Theorem 24.  With the interning
     kernel the probe is effectively identity-keyed: both guards carry a
     cached hash and equal guards are normally the same object, so the key
-    tuple hashes in O(1) and compares by pointer; non-interned guards fall
-    back to structural comparison and still hit the same entries.
+    tuple hashes in O(1) and compares by pointer; guards built before an
+    intern-table clear fall back to structural comparison and still hit
+    the same entries.
     """
     from repro.logic.types import agree
 

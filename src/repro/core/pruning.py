@@ -14,6 +14,9 @@ Consumers of the reachable-equality-types fixpoint
 * :func:`prune_extended` -- the same on an extended automaton; constraint
   DFAs are remapped onto the surviving state alphabet (runs only visit
   surviving states, so the constraint semantics is unchanged).
+
+The module also hosts the search-side pruning, which needs no fixpoint:
+
 * :class:`ConstraintNarrowing` -- an incremental prefix filter threaded
   through the candidate-lasso enumeration of
   :meth:`repro.automata.buchi.BuchiAutomaton.iter_accepted_lassos`.  It
@@ -27,7 +30,7 @@ Consumers of the reachable-equality-types fixpoint
   run while ``candidates_checked`` can only shrink.
 
 Layering note: this module lives in ``core`` but the analysis lives above
-it, so the dataflow import happens lazily inside the functions.
+it, so the dataflow import happens lazily inside :func:`prune_infeasible`.
 """
 
 from typing import Iterable, List, Optional, Tuple
@@ -91,23 +94,20 @@ class ConstraintNarrowing:
     over the appended ``(state, guard)`` symbol, spawns the thread for the
     new start position, and returns ``None`` -- pruning the enumeration
     subtree -- when some accepting thread carries the constrained register
-    in its corridor (the violation the full consistency check would find)
-    or when the optional per-state abstract-configuration filter refutes
-    the symbol outright.
+    in its corridor (the violation the full consistency check would find).
 
     All thread bookkeeping uses frozensets queried with order-independent
-    predicates, so decisions are identical across hash seeds, interning
-    modes and worker counts.
+    predicates, so decisions are identical across hash seeds and worker
+    counts.
     """
 
-    __slots__ = ("_k", "_constraints", "_dfas", "_dead", "_types", "paths_pruned")
+    __slots__ = ("_k", "_constraints", "_dfas", "_dead", "paths_pruned")
 
-    def __init__(self, extended: ExtendedAutomaton, types=None) -> None:
+    def __init__(self, extended: ExtendedAutomaton) -> None:
         self._k = extended.automaton.k
         self._constraints = extended.inequality_constraints()
         self._dfas = [extended.constraint_dfa(c) for c in self._constraints]
         self._dead = [dead_states(dfa) for dfa in self._dfas]
-        self._types = types
         self.paths_pruned = 0
 
     def empty(self) -> Tuple:
@@ -117,9 +117,6 @@ class ConstraintNarrowing:
     def step(self, fstate: Tuple, symbol) -> Optional[Tuple]:
         """The filter state after appending *symbol*, or ``None`` to prune."""
         state, guard = symbol
-        if self._types is not None and not self._types.feasible_from(state, guard):
-            self.paths_pruned += 1
-            return None
         previous_guard, all_threads = fstate
         k = self._k
         new_threads: List[frozenset] = []
@@ -155,16 +152,8 @@ def build_narrowing(normalised: ExtendedAutomaton) -> Optional[ConstraintNarrowi
     """A :class:`ConstraintNarrowing` for the normalised automaton, or ``None``.
 
     ``None`` when the automaton carries no inequality constraints (the
-    emptiness check then has nothing to narrow on).  The per-state
-    abstract configurations are attached when the dataflow analysis fits
-    its budget; they make the filter also refuse symbols whose guard
-    cannot fire from any reachable configuration (a no-op on completed
-    automata, where the symbolic control graph is already exact, but
-    sound and cheap everywhere).
+    emptiness check then has nothing to narrow on).
     """
     if not normalised.inequality_constraints():
         return None
-    from repro.analysis.dataflow import analyze_reachable_types
-
-    types = analyze_reachable_types(normalised.automaton)
-    return ConstraintNarrowing(normalised, types)
+    return ConstraintNarrowing(normalised)

@@ -237,8 +237,8 @@ class RegisterAutomaton:
         completion loops below ask for it once per guard, and rebuilding
         ``2k`` interned variables plus the constant tuple each time showed
         up in normalisation profiles.  The memo holds interned terms but is
-        keyed by the automaton instance and dies with it, so an interning
-        mode flip cannot serve stale values to new automata (MC001).
+        keyed by the automaton instance and dies with it, so an intern-table
+        clear cannot serve stale values to new automata (MC001).
         """
         variables = tuple(x_vars(self._k)) + tuple(y_vars(self._k))
         return variables, self._signature.const_terms()

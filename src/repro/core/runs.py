@@ -353,7 +353,7 @@ def initial_tuples(
                     yield state, first, transition
 
 
-# Cached interned ``Var`` values: cleared on interning-mode flips, like
+# Cached interned ``Var`` values: cleared with the intern tables, like
 # the register_vars memos it is built from.
 _X_TO_Y: Dict[int, Dict] = {}
 

@@ -53,10 +53,6 @@ legacy path.  The anchors:
   symbols, so keeping it alive changes no verdict and no prune decision;
   accepting states are never dead on either side, so every violation
   fires identically.
-* The narrowing skips the optional abstract-configuration filter the
-  legacy path attaches: on completed automata the symbolic control graph
-  is already exact and the filter is a no-op (see
-  :func:`repro.core.pruning.build_narrowing`).
 
 **Eligibility.**  :func:`build_kernel` returns ``None`` -- and the caller
 falls back to the legacy path -- when the signature has relations or
@@ -68,14 +64,15 @@ completions from one source state, so the completed automaton is never
 state-driven and the normalised control pairs are uniformly the nested
 ``((state, completion), completion)`` shape.
 
-Everything is gated by the call-time ``REPRO_SYMKERNEL`` knob (default
-on); ``REPRO_SYMKERNEL=0`` is the ablation switch used by CI and the E19
-benchmark (``benchmarks/bench_symkernel.py``, BENCH_8.json).
+``check_emptiness`` always asks for the kernel first.  The literal path
+stays for the inputs the kernel declines; forcing it on eligible inputs
+is the test helper ``tests.helpers.without_symkernel()``, the baseline of
+the byte-identity tests and of the E19 benchmark
+(``benchmarks/bench_symkernel.py``, BENCH_8.json).
 """
 
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.foundations import knobs
 from repro.automata.buchi import BuchiAutomaton
 from repro.automata.words import Lasso
 from repro.core.caching import dead_states
@@ -91,14 +88,7 @@ from repro.logic.types import (
     pair_bits,
 )
 
-__all__ = ["symkernel_enabled", "build_kernel", "SymbolicKernel"]
-
-def symkernel_enabled() -> bool:
-    """The ``REPRO_SYMKERNEL`` knob, read at call time (default on).
-
-    Never cached, so tests and the ablation CI leg can flip it per call.
-    """
-    return knobs.value("REPRO_SYMKERNEL")
+__all__ = ["build_kernel", "SymbolicKernel"]
 
 
 # ---------------------------------------------------------------------- #

@@ -138,8 +138,9 @@ def evaluate_formula(formula: Formula, database: Database, valuation: Valuation)
 # per streamed/searched position; building ``Var("x%d" % i)`` there cost a
 # string format plus an intern probe per register.  The tuples are tiny and
 # the set of arities tinier, so a plain dict memo is the right shape.  The
-# cached ``Var`` instances are interned values, so a mode flip clears the
-# memos (identity-is-equality would otherwise break across the flip).
+# cached ``Var`` instances are interned values, so clearing the intern
+# tables clears the memos (identity-is-equality would otherwise break
+# across the clear).
 _X_VARS: Dict[int, tuple] = {}
 _Y_VARS: Dict[int, tuple] = {}
 

@@ -20,9 +20,6 @@ from repro.foundations.interning import (
     Interned,
     clear_intern_tables,
     intern_table_sizes,
-    interning,
-    interning_enabled,
-    set_interning,
 )
 from repro.foundations.resilience import (
     Budget,
@@ -58,9 +55,6 @@ __all__ = [
     "Report",
     "merge_reports",
     "Interned",
-    "interning",
-    "interning_enabled",
-    "set_interning",
     "intern_table_sizes",
     "clear_intern_tables",
     "CacheStats",

@@ -19,14 +19,13 @@ per-class :class:`weakref.WeakValueDictionary` before running
 an interned value the program no longer references is collected normally
 and its table entry disappears with it.
 
-Interning is on by default and can be disabled -- for A/B benchmarks and
-to reproduce the pre-interning baseline -- with ``REPRO_INTERN=0`` in the
-environment or :func:`set_interning` / :func:`interning` at runtime.  All
-consumers must therefore keep *structural* equality correct for
-non-interned values; identity is an optimisation, never a requirement.
-Likewise unpickled values (e.g. results shipped back from
-``REPRO_WORKERS`` subprocesses) re-enter the tables on load via each
-class's ``__reduce__``, which routes through the interning constructor.
+Interning is always on.  Consumers still keep *structural* equality
+correct, because two equal values need not be the same object after
+:func:`clear_intern_tables` (a value built before the clear is no longer
+in any table); identity is an optimisation, never a requirement.
+Unpickled values (e.g. results shipped back from ``REPRO_WORKERS``
+subprocesses) re-enter the tables on load via each class's
+``__reduce__``, which routes through the interning constructor.
 
 Thread note: table probes are dict operations protected by the GIL.  A
 race between two threads constructing the same new value can at worst
@@ -35,17 +34,12 @@ single winner and equality remains correct either way.
 """
 
 import weakref
-from contextlib import contextmanager
-from typing import Dict, Iterator, List
+from typing import Dict, List
 
-from repro.foundations import knobs
 from repro.foundations.stats import cache_stats
 
 __all__ = [
     "Interned",
-    "interning_enabled",
-    "set_interning",
-    "interning",
     "register_intern_table",
     "register_mode_listener",
     "intern_table_sizes",
@@ -53,52 +47,8 @@ __all__ = [
 ]
 
 
-def _env_enabled() -> bool:
-    return bool(knobs.value("REPRO_INTERN"))
-
-
-#: Single-cell mutable flag: read on every construction, so keep it cheap.
-#: ``None`` means "not resolved yet" -- the environment is consulted on
-#: first use, not at import (ENV001: knobs are call-time, so a test runner
-#: that sets ``REPRO_INTERN`` after importing the package is honoured).
-_ENABLED: List = [None]
-
 #: Every class created through the metaclass, for table diagnostics.
 _INTERNED_CLASSES: List[type] = []
-
-
-def interning_enabled() -> bool:
-    """Whether constructors currently intern (see ``REPRO_INTERN``)."""
-    enabled = _ENABLED[0]
-    if enabled is None:
-        enabled = _ENABLED[0] = _env_enabled()
-    return enabled
-
-
-def set_interning(enabled: bool) -> bool:
-    """Turn interning on/off; returns the previous setting.
-
-    Safe at any time: values created while disabled simply bypass the
-    tables and compare structurally.  On an actual mode *change* the
-    registered mode listeners fire (see :func:`register_mode_listener`):
-    caches of interned values built under the other mode must be dropped
-    so identity-is-equality stays true for everything they hand out.
-    """
-    previous = interning_enabled()
-    _ENABLED[0] = bool(enabled)
-    if bool(enabled) != previous:
-        _fire_mode_listeners()
-    return previous
-
-
-@contextmanager
-def interning(enabled: bool) -> Iterator[None]:
-    """Context manager pinning the interning switch (used by ablations)."""
-    previous = set_interning(enabled)
-    try:
-        yield
-    finally:
-        set_interning(previous)
 
 
 class Interned(type):
@@ -119,11 +69,6 @@ class Interned(type):
         return cls
 
     def __call__(cls, *args, **kwargs):
-        enabled = _ENABLED[0]
-        if enabled is None:
-            enabled = _ENABLED[0] = _env_enabled()
-        if not enabled:
-            return super().__call__(*args, **kwargs)
         key = cls.__intern_key__(*args, **kwargs)
         table = cls.__intern_table__
         obj = table.get(key)
@@ -142,10 +87,10 @@ class Interned(type):
 #: e.g. ``SigmaType``) registered so diagnostics and tests see them too.
 _EXTRA_TABLES: Dict[str, "weakref.WeakValueDictionary"] = {}  # mode-ok: weak tables of canonical values, cleared below
 
-#: Callbacks to run whenever the interning mode flips (or the tables are
-#: force-cleared).  Modules holding caches of *interned values* register a
-#: clearing callback here -- a cache entry built under one mode must never
-#: be served under the other, or identity-is-equality breaks.
+#: Callbacks to run whenever the tables are force-cleared.  Modules holding
+#: caches of *interned values* register a clearing callback here -- a cache
+#: entry built before a clear must never be served after it, or
+#: identity-is-equality breaks.
 _MODE_LISTENERS: List = []
 
 
@@ -155,18 +100,13 @@ def register_intern_table(name: str, table: "weakref.WeakValueDictionary") -> No
 
 
 def register_mode_listener(listener) -> None:
-    """Run *listener()* on every interning-mode change.
+    """Run *listener()* whenever :func:`clear_intern_tables` runs.
 
-    Listeners also fire from :func:`clear_intern_tables`, which tests and
-    ablation harnesses use as the "reset all canonical values" hammer.
+    That is the only place listeners fire: the cold-start benchmarks and
+    the tests use it as the "reset all canonical values" hammer.
     Listeners must be idempotent and must not raise.
     """
     _MODE_LISTENERS.append(listener)
-
-
-def _fire_mode_listeners() -> None:
-    for listener in _MODE_LISTENERS:
-        listener()
 
 
 def intern_table_sizes() -> Dict[str, int]:
@@ -178,13 +118,17 @@ def intern_table_sizes() -> Dict[str, int]:
 
 
 def clear_intern_tables() -> None:
-    """Drop every table entry (tests only; live values stay valid).
+    """Drop every table entry (tests and cold-start benchmarks only).
 
-    Mode listeners fire too: caches holding previously-canonical values
-    would otherwise keep handing them out after the reset.
+    Live values stay valid, but they are no longer canonical: a value
+    rebuilt after the clear is equal to the old one without being the same
+    object.  The registered listeners fire too, because caches holding
+    previously-canonical values would otherwise keep handing them out
+    after the reset.
     """
     for cls in _INTERNED_CLASSES:
         cls.__intern_table__.clear()
     for table in _EXTRA_TABLES.values():
         table.clear()
-    _fire_mode_listeners()
+    for listener in _MODE_LISTENERS:
+        listener()

@@ -51,9 +51,8 @@ __all__ = [
     "pin_for_worker",
 ]
 
-#: The spellings that turn a flag knob off.  Shared by every flag parser
-#: so ``REPRO_SYMKERNEL=off`` and ``REPRO_INTERN=No`` keep behaving
-#: identically across knobs.
+#: The spellings that turn a flag knob off, so ``REPRO_BENCH_QUICK=off``
+#: and ``REPRO_BENCH_QUICK=No`` mean the same as leaving it unset.
 OFF_VALUES = ("0", "false", "off", "no")
 
 
@@ -87,11 +86,6 @@ class Knob:
 # ---------------------------------------------------------------------- #
 # parser helpers
 # ---------------------------------------------------------------------- #
-
-
-def flag_default_on(raw: Optional[str]) -> bool:
-    """On unless the value spells "off" (the ``REPRO_INTERN`` family)."""
-    return ((raw or "").strip().lower()) not in OFF_VALUES
 
 
 def flag_default_off(raw: Optional[str]) -> bool:
@@ -363,34 +357,6 @@ register_knob(
 
 register_knob(
     Knob(
-        name="REPRO_INTERN",
-        default="`1` (on)",
-        parse=flag_default_on,
-        doc=(
-            "Hash-consing of the logic kernel "
-            "(`repro.foundations.interning`).  `0` restores the "
-            "pre-interning structural-equality baseline; verdicts are "
-            "identical by value."
-        ),
-    )
-)
-
-register_knob(
-    Knob(
-        name="REPRO_SYMKERNEL",
-        default="`1` (on)",
-        parse=flag_default_on,
-        doc=(
-            "Code-based normalisation kernel in `check_emptiness` "
-            "(`docs/PERFORMANCE.md`, \"Symbolic normalisation kernel\").  "
-            "`0` takes the legacy literal path -- the ablation baseline; "
-            "answers are byte-identical either way."
-        ),
-    )
-)
-
-register_knob(
-    Knob(
         name="REPRO_MONITOR_SHARDS",
         default="`0` (auto: one shard per worker)",
         parse=parse_shard_count,
@@ -458,11 +424,12 @@ register_knob(
 register_knob(
     Knob(
         name="REPRO_BENCH_JSON",
-        default="`BENCH_4.json`",
+        default="unset (no report)",
         parse=parse_stripped,
         doc=(
             "Where the benchmark session writes its machine-readable "
-            "report (`benchmarks/_tables.py`)."
+            "report (`benchmarks/_tables.py`).  Unset, empty or `0` write "
+            "nothing."
         ),
         ablation="none",
         ablation_reason=_HARNESS_REASON,

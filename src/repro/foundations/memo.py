@@ -27,8 +27,8 @@ class ValueCache:
     for the streaming workloads where old guard shapes stop recurring.
 
     Every instance is tracked (weakly) so :func:`clear_value_caches` can
-    reset the lot -- the ablation benchmarks flip interning on and off and
-    must not let entries computed in one mode serve lookups in the other.
+    reset the lot -- the cold-start benchmarks and A/B legs must not let
+    entries computed by one leg serve lookups in the next.
     """
 
     __slots__ = ("_data", "_maxsize", "stats", "__weakref__")

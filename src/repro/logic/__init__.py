@@ -18,7 +18,6 @@ signature.  This subpackage provides:
 
 from repro.logic.closure import EqualityClosure, UnionFind
 from repro.logic.formulas import And, AtomFormula, FalseFormula, Formula, Not, Or, TrueFormula
-from repro.logic.intern import intern
 from repro.logic.literals import Atom, EqAtom, Literal, RelAtom, eq, neq, rel, nrel
 from repro.logic.terms import Const, Term, Var, X, Y, register_index, x_vars, y_vars
 from repro.logic.types import SigmaType, agree, equality_type
@@ -45,7 +44,6 @@ __all__ = [
     "SigmaType",
     "equality_type",
     "agree",
-    "intern",
     "Formula",
     "AtomFormula",
     "And",

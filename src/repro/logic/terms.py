@@ -10,7 +10,7 @@ Terms are **hash-consed** (see :mod:`repro.foundations.interning`): the
 constructors return one canonical instance per name, carrying a
 precomputed hash and sort key, so the millions of ``Var("x1")`` lookups
 the run searches perform hash in O(1) and compare by identity.  Equality
-stays structural for values built while interning is disabled.
+stays structural for values built before an intern-table clear.
 """
 
 import re

@@ -28,11 +28,7 @@ from itertools import product as cartesian_product
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.foundations.errors import InconsistentTypeError, SpecificationError
-from repro.foundations.interning import (
-    interning_enabled,
-    register_intern_table,
-    register_mode_listener,
-)
+from repro.foundations.interning import register_intern_table, register_mode_listener
 from repro.foundations.memo import ValueCache
 from repro.foundations.resilience import current_deadline
 from repro.foundations.stats import cache_stats
@@ -81,9 +77,10 @@ class SigmaType:
     iteration order) yields one canonical instance, so structural equality
     is usually pointer identity and the cached properties below (closure,
     terms, canonical form) are computed once per *value*.  The table is
-    weak -- unreferenced types are collected normally -- and interning can
-    be disabled wholesale (``REPRO_INTERN=0``), in which case everything
-    still works by structural equality.
+    weak -- unreferenced types are collected normally -- and equality
+    stays structural, so a type built before
+    :func:`~repro.foundations.interning.clear_intern_tables` still equals
+    its rebuilt canonical twin.  Subclasses bypass the table.
     """
 
     __slots__ = ("_literals", "_hash", "__weakref__", "__dict__")
@@ -100,7 +97,7 @@ class SigmaType:
                 raise InconsistentTypeError("literal %r is trivially false" % (literal,))
             cleaned.add(literal)
         frozen: FrozenSet[Literal] = frozenset(cleaned)
-        interning = interning_enabled() and cls is SigmaType
+        interning = cls is SigmaType
         if interning:
             stats = _SIGMA_STATS
             existing = cls._intern_table.get(frozen)
@@ -815,7 +812,7 @@ def guard_completion_search(
     ``completions()`` order, and for each code the ``(pair_bit, positive)``
     decisions the backtracking search made to reach it -- exactly the
     literals the legacy enumeration would have accumulated.  Memoised on
-    the type instance per vocabulary (pure integers: interning-mode safe).
+    the type instance per vocabulary (pure integers: safe across table clears).
     """
     if not delta.is_equality_type():
         raise SpecificationError(
@@ -936,15 +933,15 @@ def _completion_code_search(
 
 #: Complete equality x-types per register count (the Bell(k) partitions of
 #: {x1..xk}).  Module-level so the tuples stay stable -- and shared --
-#: within one interning mode; a mode flip clears the table (the listener
-#: below), because handing out types built under the other mode would break
-#: the identity-is-equality invariant interned code relies on.
+#: between intern-table clears; a clear drops the table too (the listener
+#: below), because handing out types that are no longer canonical would
+#: break the identity-is-equality invariant interned code relies on.
 _COMPLETE_X_TYPES: Dict[int, Tuple["SigmaType", ...]] = {}
 
-#: Canonical decode of partition codes (SigmaType values: mode-dependent).
+#: Canonical decode of partition codes (SigmaType values: dropped on a clear).
 _DECODE_CACHE = ValueCache("logic.decode_partition")
 
-#: Interval membership lists (pure integers: mode-independent, but cheap to
+#: Interval membership lists (pure integers: clear-independent, but cheap to
 #: rebuild, so the blanket clear below does no harm).
 _INTERVAL_CACHE = ValueCache("logic.interval_codes")
 

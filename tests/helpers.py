@@ -182,6 +182,20 @@ def without_trim():
         yield
 
 
+@contextmanager
+def without_symkernel():
+    """Run ``check_emptiness`` on the literal normalisation path.
+
+    The kernel declines every input, so ``completed()`` /
+    ``state_driven()`` answer even where the coded kernel would: the
+    baseline of the symkernel byte-identity tests and of E19.
+    """
+    from repro.core import emptiness
+
+    with mock.patch.object(emptiness, "build_kernel", lambda without_eq: None):
+        yield
+
+
 # ---------------------------------------------------------------------- #
 # literal Lemma 21 trackers and minimisation: the oracle for the coded ones
 # ---------------------------------------------------------------------- #

@@ -6,8 +6,8 @@ Five layers, tested bottom-up:
   encode/decode roundtrips, and literal-for-literal agreement with the
   legacy ``completions`` enumeration (the byte-identity anchor);
 * the generic :class:`~repro.analysis.dataflow.framework.SubsumptionLattice`;
-* the cache-correctness regressions: mode listeners drop the
-  ``_COMPLETE_X_TYPES`` table (and the decode cache) on an interning flip;
+* the cache-correctness regression: the intern-table listeners drop the
+  ``_COMPLETE_X_TYPES`` table on :func:`clear_intern_tables`;
 * antichain == explicit -- every query of :class:`ReachableTypes` agrees
   with the explicit Bell(k) oracle ``tests.helpers.explicit_reachable_types``
   on random automata (k <= 5, where the explicit domain is tolerable);
@@ -44,7 +44,7 @@ from repro.analysis.dataflow import (
 )
 from repro.automata.regex import concat, literal
 from repro.core.parallel import shutdown_executor
-from repro.foundations.interning import clear_intern_tables, interning
+from repro.foundations.interning import clear_intern_tables
 from repro.foundations.memo import clear_value_caches
 from repro.foundations.resilience import OutcomeStatus
 from repro.generators import random_register_automaton
@@ -220,44 +220,17 @@ class TestSubsumptionLattice:
 
 
 # --------------------------------------------------------------------- #
-# cache correctness across interning flips
+# cache correctness across intern-table clears
 # --------------------------------------------------------------------- #
 
 
 class TestModeFlipRegression:
-    def test_complete_types_table_dropped_on_interning_flip(self):
-        # The historical bug: ``_COMPLETE_X_TYPES`` was keyed only by k, so
-        # a flip of REPRO_INTERN kept handing out types built under the
-        # other mode, breaking identity-is-equality for everything
-        # downstream.  The mode listener must drop the table on the flip.
-        with interning(True):
-            interned = complete_equality_x_types(4)
-            assert complete_equality_x_types(4) is interned  # memo hit
-            with interning(False):
-                plain = complete_equality_x_types(4)
-                assert plain is not interned
-                assert [phi.pretty() for phi in plain] == [
-                    phi.pretty() for phi in interned
-                ]
-            rebuilt = complete_equality_x_types(4)
-            assert rebuilt is not plain  # ablated tuple dropped on exit
-
-    def test_decode_cache_dropped_on_interning_flip(self):
-        with interning(True):
-            first = decode_partition_code(0, 3)
-            assert decode_partition_code(0, 3) is first
-            with interning(False):
-                ablated = decode_partition_code(0, 3)
-                assert ablated == first
-                assert ablated is not first
-
     def test_clear_intern_tables_also_fires_the_listeners(self):
-        with interning(True):
-            before = complete_equality_x_types(3)
-            clear_intern_tables()
-            after = complete_equality_x_types(3)
-            assert after is not before
-            assert after == before
+        before = complete_equality_x_types(3)
+        clear_intern_tables()
+        after = complete_equality_x_types(3)
+        assert after is not before
+        assert after == before
 
 
 # --------------------------------------------------------------------- #

@@ -11,8 +11,8 @@ Four layers, tested bottom-up:
   from a small pool);
 * the end-to-end contract: ``check_emptiness`` returns the same verdict
   and witness as the unpruned search (``tests.helpers.without_pruning``)
-  while never checking *more* candidates -- across interning modes and
-  under ``REPRO_WORKERS=2``.
+  while never checking *more* candidates -- serially and under
+  ``REPRO_WORKERS=2``.
 """
 
 import random
@@ -49,7 +49,6 @@ from repro.automata.buchi import BuchiAutomaton
 from repro.automata.regex import concat, literal, plus
 from repro.core.parallel import shutdown_executor, worker_count
 from repro.core.pruning import build_narrowing
-from repro.foundations.interning import interning
 from repro.generators import random_extended_automaton, random_register_automaton
 from repro.logic.types import complete_equality_x_types
 from tests.helpers import without_pruning
@@ -443,11 +442,6 @@ class TestPruningSoundEndToEnd:
             funnel(), [GlobalConstraint("neq", 1, 2, factor)]
         )
         _compare_modes(extended)
-
-    def test_sound_with_interning_off(self):
-        extended, *_ = _example23(True)
-        with interning(False):
-            _compare_modes(extended)
 
     def test_sound_under_two_workers(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")

@@ -6,11 +6,13 @@ promise down:
 
 * permutation identity -- a sigma-type built from any ordering of the
   same literal bag is the same object;
-* hash stability -- hashes agree across construction orders and across
-  the ``intern()`` escape hatch;
+* hash stability -- hashes agree across construction orders;
 * pickle safety -- values re-intern on unpickle, so a round trip yields
   the canonical instance (this is what lets values cross the
   ``ProcessPoolExecutor`` boundary);
+* structural equality -- after ``clear_intern_tables()`` a rebuilt value
+  is a new object that still compares, hashes and prints like the old
+  one, and emptiness answers do not change;
 * parallel determinism -- ``check_emptiness`` under ``REPRO_WORKERS=2``
   returns byte-identical results to the serial run on the Example 2/3
   automaton and its completed / state-driven normal forms.
@@ -40,9 +42,8 @@ from repro import (
 from repro.automata.regex import concat, literal, plus
 from repro.core.parallel import shutdown_executor, worker_count
 from repro.foundations.errors import InconsistentTypeError
-from repro.foundations.interning import interning_enabled
+from repro.foundations.interning import clear_intern_tables
 from repro.generators import random_equality_type
-from repro.logic.intern import intern
 from repro.logic.literals import EqAtom, Literal, RelAtom
 from repro.logic.terms import Const, Var
 
@@ -82,16 +83,6 @@ def _sigma(literals):
         return None
 
 
-def _assert_canonical(left, right):
-    """Identity under interning, plain structural equality under the
-    ``REPRO_INTERN=0`` ablation (where hash-consing is off by design)."""
-    if interning_enabled():
-        assert left is right
-    else:
-        assert left == right
-        assert type(left) is type(right)
-
-
 # --------------------------------------------------------------------- #
 # identity and hashing
 # --------------------------------------------------------------------- #
@@ -107,7 +98,7 @@ def test_permutation_identity(literals, rng):
     shuffled = list(literals)
     rng.shuffle(shuffled)
     second = _sigma(shuffled)
-    _assert_canonical(second, first)
+    assert second is first
     assert hash(second) == hash(first)
     assert repr(second) == repr(first)
 
@@ -119,15 +110,15 @@ def test_duplicate_literals_collapse(literals):
     first = _sigma(literals)
     if first is None:
         return
-    _assert_canonical(_sigma(literals + literals), first)
+    assert _sigma(literals + literals) is first
 
 
 @given(equality_literals)
 def test_literal_identity(lit):
     """Reconstructing a literal field by field yields the same object."""
     rebuilt = Literal(EqAtom(lit.atom.left, lit.atom.right), lit.positive)
-    _assert_canonical(rebuilt, lit)
-    _assert_canonical(lit.negate().negate(), lit)
+    assert rebuilt is lit
+    assert lit.negate().negate() is lit
 
 
 @given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2**32))
@@ -136,9 +127,8 @@ def test_random_equality_type_hash_stable(k, seed):
     """Generator output re-interns to itself with a stable hash."""
     delta = random_equality_type(random.Random(seed), k)
     again = random_equality_type(random.Random(seed), k)
-    _assert_canonical(again, delta)
+    assert again is delta
     assert hash(again) == hash(delta)
-    _assert_canonical(intern(delta), delta)
 
 
 # --------------------------------------------------------------------- #
@@ -154,14 +144,66 @@ def test_pickle_reinterns(literals):
     if value is None:
         return
     clone = pickle.loads(pickle.dumps(value))
-    _assert_canonical(clone, value)
+    assert clone is value
     for lit in value.literals:
-        _assert_canonical(pickle.loads(pickle.dumps(lit)), lit)
+        assert pickle.loads(pickle.dumps(lit)) is lit
 
 
 def test_pickle_reinterns_terms():
     for term in (X(1), Y(2), Const("a")):
-        _assert_canonical(pickle.loads(pickle.dumps(term)), term)
+        assert pickle.loads(pickle.dumps(term)) is term
+
+
+# --------------------------------------------------------------------- #
+# structural equality once the tables are cleared
+# --------------------------------------------------------------------- #
+
+
+def _rebuild(value):
+    """A structural copy of *value*, built bottom-up through the constructors."""
+    if isinstance(value, (Var, Const)):
+        return type(value)(value.name)
+    if isinstance(value, EqAtom):
+        return EqAtom(_rebuild(value.left), _rebuild(value.right))
+    if isinstance(value, RelAtom):
+        return RelAtom(value.relation, tuple(_rebuild(t) for t in value.args))
+    if isinstance(value, Literal):
+        return Literal(_rebuild(value.atom), value.positive)
+    return SigmaType([_rebuild(lit) for lit in value.literals])
+
+
+@given(literal_bags)
+@settings(suppress_health_check=[HealthCheck.too_slow], deadline=None)
+def test_equality_stays_structural_across_a_table_clear(literals):
+    """A value rebuilt after ``clear_intern_tables()`` equals the old one.
+
+    The old instances stay alive but are no longer canonical, so this is
+    how two equal values end up as different objects: ``==``, ``hash``
+    and ``repr`` must not depend on identity, and a pickle round trip of
+    the old value lands on the new canonical instance.
+    """
+    old = _sigma(literals)
+    if old is None:
+        return
+    values = [old]
+    values += sorted(old.literals, key=repr)
+    values += sorted(old.terms, key=repr)
+    clear_intern_tables()
+    for before in values:
+        after = _rebuild(before)
+        assert after is not before
+        assert after == before and before == after
+        assert hash(after) == hash(before)
+        assert repr(after) == repr(before)
+        assert pickle.loads(pickle.dumps(before)) is after
+
+
+def test_emptiness_unchanged_across_a_table_clear(example7_extended):
+    before = check_emptiness(example7_extended)
+    clear_intern_tables()
+    after = check_emptiness(example7_extended)
+    assert _fingerprint(after) == _fingerprint(before)
+    assert repr(after.witness.trace) == repr(before.witness.trace)
 
 
 # --------------------------------------------------------------------- #

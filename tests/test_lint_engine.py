@@ -391,11 +391,11 @@ class TestAblationCoverage:
         ]
 
     def test_covered_ci_knob_is_clean(self):
-        assert self._codes([self._knob("REPRO_INTERN")], "REPRO_INTERN: 0") == []
+        assert self._codes([self._knob("REPRO_WORKERS")], "REPRO_WORKERS: 2") == []
 
     def test_uncovered_ci_knob_is_flagged(self):
-        (message,) = self._codes([self._knob("REPRO_INTERN")], "jobs: {}")
-        assert "REPRO_INTERN" in message and "no leg" in message
+        (message,) = self._codes([self._knob("REPRO_WORKERS")], "jobs: {}")
+        assert "REPRO_WORKERS" in message and "no leg" in message
 
     def test_opt_out_requires_a_reason(self):
         knob = self._knob("REPRO_X", ablation="none")
@@ -442,10 +442,6 @@ class TestKnobRegistry:
         assert knobs.value("REPRO_POOL_BACKOFF_MS") == 0.05
         monkeypatch.setenv("REPRO_DEADLINE_MS", "nope")
         assert knobs.value("REPRO_DEADLINE_MS") is None
-        monkeypatch.setenv("REPRO_INTERN", "Off")
-        assert knobs.value("REPRO_INTERN") is False
-        monkeypatch.delenv("REPRO_INTERN")
-        assert knobs.value("REPRO_INTERN") is True
 
     def test_bench_quick_is_off_unless_set(self, monkeypatch):
         monkeypatch.delenv("REPRO_BENCH_QUICK", raising=False)
@@ -457,10 +453,10 @@ class TestKnobRegistry:
         assert knobs.value("REPRO_BENCH_QUICK") is True
 
     def test_redeclaring_identically_returns_the_original(self):
-        existing = knobs.get_knob("REPRO_INTERN")
+        existing = knobs.get_knob("REPRO_WORKERS")
         again = knobs.register_knob(
             knobs.Knob(
-                name="REPRO_INTERN",
+                name="REPRO_WORKERS",
                 default=existing.default,
                 parse=existing.parse,
                 doc=existing.doc,
@@ -472,9 +468,9 @@ class TestKnobRegistry:
         with pytest.raises(ValueError):
             knobs.register_knob(
                 knobs.Knob(
-                    name="REPRO_INTERN",
+                    name="REPRO_WORKERS",
                     default="something else",
-                    parse=knobs.flag_default_on,
+                    parse=knobs.parse_worker_count,
                     doc="a conflicting meaning",
                 )
             )

@@ -14,9 +14,9 @@ Four layers, tested bottom-up:
   verdict while shrinking ``k``;
 * the end-to-end contract: ``check_emptiness`` with the trim is
   **byte-identical** -- verdict, witness, *and* ``candidates_checked``
-  -- to the untrimmed search (``tests.helpers.without_trim``), across
-  interning modes and ``REPRO_WORKERS=2`` (a strictly stronger bar than
-  pruning's "never checks more").
+  -- to the untrimmed search (``tests.helpers.without_trim``), serially
+  and under ``REPRO_WORKERS=2`` (a strictly stronger bar than pruning's
+  "never checks more").
 """
 
 import random
@@ -58,7 +58,6 @@ from repro.core.reduction import (
     trim_extended,
 )
 from repro.core.symbolic import scontrol_buchi
-from repro.foundations.interning import interning
 from repro.foundations.resilience import OutcomeStatus
 from repro.generators import random_extended_automaton
 from tests.helpers import without_trim
@@ -636,10 +635,6 @@ class TestReduceSoundEndToEnd:
         )
         reduced, _ = _compare_reduce_modes(ExtendedAutomaton(automaton, []))
         assert reduced.empty
-
-    def test_sound_with_interning_off(self):
-        with interning(False):
-            _compare_reduce_modes(junky_constrained())
 
     def test_sound_under_two_workers(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")

@@ -1,4 +1,4 @@
-"""Tests for the code-based normalisation kernel (``REPRO_SYMKERNEL``).
+"""Tests for the code-based normalisation kernel (``repro.core.symkernel``).
 
 Three layers:
 
@@ -9,9 +9,10 @@ Three layers:
   id Buchi automaton is isomorphic -- via ``decode_node`` -- to the legacy
   ``scontrol_buchi`` of the normalised automaton;
 * the routed pipeline (``repro.core.emptiness``): verdict, witness trace
-  and ``candidates_checked`` byte-identical between ``REPRO_SYMKERNEL=1``
-  and ``=0`` on the paper fixtures, random automata, and automata with
-  equality constraints (Proposition 6 elimination feeds the kernel).
+  and ``candidates_checked`` byte-identical between the kernel and the
+  literal path forced by ``tests.helpers.without_symkernel()`` on the
+  paper fixtures, random automata, and automata with equality
+  constraints (Proposition 6 elimination feeds the kernel).
 """
 
 import random
@@ -34,10 +35,11 @@ from repro.automata.regex import any_of, concat, literal, plus, star
 from repro.core.emptiness import _normalize_for_analysis
 from repro.core.extended import eliminate_equality_constraints
 from repro.core.symbolic import scontrol_buchi
-from repro.core.symkernel import build_kernel, symkernel_enabled
+from repro.core.symkernel import build_kernel
 from repro.generators import random_extended_automaton, random_register_automaton
 from repro.logic.terms import x_vars, y_vars
 from repro.logic.types import decode_completion, enumerate_completion_codes
+from tests.helpers import without_symkernel
 
 EMPTY = SigmaType()
 
@@ -102,13 +104,6 @@ def test_completion_codes_reject_relational_guards():
 # --------------------------------------------------------------------- #
 # kernel eligibility
 # --------------------------------------------------------------------- #
-
-
-def test_knob_default_on(monkeypatch):
-    monkeypatch.delenv("REPRO_SYMKERNEL", raising=False)
-    assert symkernel_enabled()
-    monkeypatch.setenv("REPRO_SYMKERNEL", "0")
-    assert not symkernel_enabled()
 
 
 def test_declines_relational_signature(example8_extended):
@@ -186,15 +181,14 @@ def test_kernel_buchi_matches_scontrol_random(seed):
 
 
 # --------------------------------------------------------------------- #
-# routed pipeline: byte-identity between REPRO_SYMKERNEL=1 and =0
+# routed pipeline: byte-identity between the kernel and the literal path
 # --------------------------------------------------------------------- #
 
 
-def _run_both(monkeypatch, extended, **bounds):
-    monkeypatch.setenv("REPRO_SYMKERNEL", "1")
+def _run_both(extended, **bounds):
     on = check_emptiness(extended, **bounds)
-    monkeypatch.setenv("REPRO_SYMKERNEL", "0")
-    off = check_emptiness(extended, **bounds)
+    with without_symkernel():
+        off = check_emptiness(extended, **bounds)
     return on, off
 
 
@@ -210,14 +204,14 @@ def _assert_identical(on, off):
         assert repr(on.witness.trace) == repr(off.witness.trace)
 
 
-def test_ab_no_constraints(example1_automaton, monkeypatch):
-    on, off = _run_both(monkeypatch, ExtendedAutomaton(example1_automaton, []))
+def test_ab_no_constraints(example1_automaton):
+    on, off = _run_both(ExtendedAutomaton(example1_automaton, []))
     _assert_identical(on, off)
     assert not on.empty and on.candidates_checked == 1
 
 
-def test_ab_example7(example7_extended, monkeypatch):
-    on, off = _run_both(monkeypatch, example7_extended)
+def test_ab_example7(example7_extended):
+    on, off = _run_both(example7_extended)
     _assert_identical(on, off)
     assert not on.empty
 
@@ -240,23 +234,23 @@ def test_prop6_elimination_feeds_eligible_automaton(example5_extended):
     assert not without_eq.equality_constraints()
 
 
-def test_ab_relational_fallback(example8_extended, monkeypatch):
+def test_ab_relational_fallback(example8_extended):
     """Ineligible automata route through the unchanged legacy path."""
-    on, off = _run_both(monkeypatch, example8_extended, max_prefix=1, max_cycle=4)
+    on, off = _run_both(example8_extended, max_prefix=1, max_cycle=4)
     _assert_identical(on, off)
     assert not on.empty
 
 
-def test_ab_empty_verdict(monkeypatch):
+def test_ab_empty_verdict():
     automaton = RegisterAutomaton(
         1, Signature.empty(), {"a", "b"}, {"a"}, {"b"}, [("a", EMPTY, "a")]
     )
-    on, off = _run_both(monkeypatch, ExtendedAutomaton(automaton, []))
+    on, off = _run_both(ExtendedAutomaton(automaton, []))
     _assert_identical(on, off)
     assert on.empty and on.exact
 
 
-def test_ab_contradictory_constraints(monkeypatch):
+def test_ab_contradictory_constraints():
     # Every cycle crosses the eq(x1, y1) edge, repeating the register value,
     # while the neq constraint demands all positions pairwise distinct.
     automaton = RegisterAutomaton(
@@ -272,13 +266,13 @@ def test_ab_contradictory_constraints(monkeypatch):
     contradictory = ExtendedAutomaton(
         automaton, [GlobalConstraint("neq", 1, 1, all_distinct)]
     )
-    on, off = _run_both(monkeypatch, contradictory, max_prefix=1, max_cycle=3)
+    on, off = _run_both(contradictory, max_prefix=1, max_cycle=3)
     _assert_identical(on, off)
     assert on.empty
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_ab_random_extended(seed, monkeypatch):
+def test_ab_random_extended(seed):
     rng = random.Random(1000 + seed)
     # equality_fraction=0: equality constraints route through Proposition 6,
     # which raises k beyond what a unit test can enumerate in either mode.
@@ -291,12 +285,12 @@ def test_ab_random_extended(seed, monkeypatch):
         equality_fraction=0.0,
     )
     on, off = _run_both(
-        monkeypatch, extended, max_prefix=1, max_cycle=3, max_candidates=200
+        extended, max_prefix=1, max_cycle=3, max_candidates=200
     )
     _assert_identical(on, off)
 
 
-def test_ab_k3_workload(monkeypatch):
+def test_ab_k3_workload():
     """A k=3 witness-bearing workload: the Bell(6)=203-way completion."""
     guard = SigmaType([eq(X(1), Y(2))])
     automaton = RegisterAutomaton(
@@ -309,7 +303,7 @@ def test_ab_k3_workload(monkeypatch):
     )
     pattern = concat(literal("a"), star(literal("b")), literal("a"))
     extended = ExtendedAutomaton(automaton, [GlobalConstraint("neq", 1, 2, pattern)])
-    on, off = _run_both(monkeypatch, extended, max_prefix=1, max_cycle=2, max_candidates=50)
+    on, off = _run_both(extended, max_prefix=1, max_cycle=2, max_candidates=50)
     _assert_identical(on, off)
 
 
@@ -318,8 +312,7 @@ def test_ab_k3_workload(monkeypatch):
 # --------------------------------------------------------------------- #
 
 
-def test_kernel_witness_materialises_lazily(example7_extended, monkeypatch):
-    monkeypatch.setenv("REPRO_SYMKERNEL", "1")
+def test_kernel_witness_materialises_lazily(example7_extended):
     result = check_emptiness(example7_extended)
     witness = result.witness
     assert witness is not None
@@ -331,3 +324,8 @@ def test_kernel_witness_materialises_lazily(example7_extended, monkeypatch):
     # Now it is materialised (and cached) on the witness.
     assert not callable(witness._normalised)
     assert witness.normalised.automaton.is_state_driven()
+    # The literal baseline builds it eagerly: the helper really bypasses
+    # the kernel.
+    with without_symkernel():
+        literal = check_emptiness(example7_extended)
+    assert not callable(literal.witness._normalised)
