@@ -8,13 +8,18 @@ degeneralisation of generalized Buchi acceptance (needed by the LTL
 translation).
 """
 
-from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.automata.words import Lasso
 from repro.foundations.errors import SpecificationError
 from repro.foundations.resilience import current_deadline
 
 State = Hashable
+
+#: Edge expansions (a walk and one symbol of its last state) between two
+#: deadline polls inside one round of
+#: :meth:`BuchiAutomaton.iter_accepted_lassos`.
+EXTEND_POLL_EVERY = 256
 
 
 class BuchiAutomaton:
@@ -36,6 +41,7 @@ class BuchiAutomaton:
         }
         self._initial = frozenset(initial)
         self._accepting = frozenset(accepting)
+        self._search_tables: Optional[_SearchTables] = None
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -126,69 +132,70 @@ class BuchiAutomaton:
     # emptiness with witness
     # ------------------------------------------------------------------ #
 
+    def _tables(self) -> "_SearchTables":
+        """The integer tables every search walks, built once, on first use."""
+        if self._search_tables is None:
+            self._search_tables = _SearchTables(self)
+        return self._search_tables
+
     def find_accepted_lasso(self) -> Optional[Lasso]:
         """A lasso accepted by the automaton, or ``None`` if the language is empty.
 
-        Finds a reachable accepting state lying on a cycle, returning the
-        access path as the prefix and the cycle as the period.
+        The witness anchor is the first accepting state, in breadth-first
+        order from the initial states, that lies on a cycle.  The prefix
+        is its breadth-first access path and the period the first cycle
+        :meth:`_cycle_through` finds through it.
         """
-        # BFS forward from initial states, remembering parents for paths.
-        # Seeds are sorted by repr, matching the edge ordering below: the
-        # witness lasso is then independent of the hash order of the
-        # initial frozenset (ORD001), which the code-based emptiness kernel
-        # relies on to replay this search over renamed states.
-        seeds = sorted(self._initial, key=repr)
-        parent: Dict[State, Tuple[Optional[State], object]] = {
-            state: (None, None) for state in seeds
-        }
-        order: List[State] = list(seeds)
-        queue = list(seeds)
-        while queue:
-            state = queue.pop(0)
-            for symbol, targets in sorted(
-                self._transitions.get(state, {}).items(), key=lambda kv: repr(kv[0])
-            ):
-                for target in sorted(targets, key=repr):
-                    if target not in parent:
-                        parent[target] = (state, symbol)
-                        order.append(target)
-                        queue.append(target)
+        tables = self._tables()
+        anchors = tables.anchors()
+        if not anchors:
+            return None
+        # Seeds, symbols and targets are walked in repr order: the witness
+        # lasso is then independent of the hash order of any set (ORD001),
+        # which the code-based emptiness kernel relies on to replay this
+        # search over renamed states.
+        seeds = tables.seeds()
+        parent: List[Optional[Tuple[int, object]]] = [None] * len(tables.states)
+        for seed in seeds:
+            parent[seed] = (-1, None)
 
-        def path_to(state: State) -> Tuple:
-            word: List = []
-            node = state
-            while parent[node][0] is not None:
-                node, symbol = parent[node]
-                word.append(symbol)
-            return tuple(reversed(word))
+        def discovery_order() -> Iterator[int]:
+            yield from seeds
+            queue = list(seeds)
+            head = 0
+            while head < len(queue):
+                number = queue[head]
+                head += 1
+                for symbol, targets in tables.edges(number):
+                    for target in targets:
+                        if parent[target] is None:
+                            parent[target] = (number, symbol)
+                            queue.append(target)
+                            yield target
 
-        for anchor in order:
-            if anchor not in self._accepting:
-                continue
-            cycle = self._cycle_through(anchor)
-            if cycle is not None:
-                return Lasso(path_to(anchor), cycle)
-        return None
+        # Every anchor is reachable, so the search meets one.
+        anchor = next(number for number in discovery_order() if number in anchors)
+        word: List = []
+        node, symbol = parent[anchor]
+        while node >= 0:
+            word.append(symbol)
+            node, symbol = parent[node]
+        return Lasso(tuple(reversed(word)), self._cycle_through(anchor))
 
-    def _cycle_through(self, anchor: State) -> Optional[Tuple]:
-        """A non-empty symbol word labelling a cycle anchor -> anchor."""
-        local_parent: Dict[State, Tuple[State, object]] = {}
-        queue: List[State] = []
-        for symbol, targets in sorted(
-            self._transitions.get(anchor, {}).items(), key=lambda kv: repr(kv[0])
-        ):
-            for target in sorted(targets, key=repr):
-                if target == anchor:
-                    return (symbol,)
-                if target not in local_parent:
-                    local_parent[target] = (anchor, symbol)
-                    queue.append(target)
-        while queue:
-            state = queue.pop(0)
-            for symbol, targets in sorted(
-                self._transitions.get(state, {}).items(), key=lambda kv: repr(kv[0])
-            ):
-                for target in sorted(targets, key=repr):
+    def _cycle_through(self, anchor: int) -> Optional[Tuple]:
+        """A non-empty symbol word labelling a cycle anchor -> anchor.
+
+        *anchor* is a state number of :meth:`_tables`.
+        """
+        tables = self._tables()
+        local_parent: Dict[int, Tuple[int, object]] = {}
+        queue = [anchor]
+        head = 0
+        while head < len(queue):
+            state = queue[head]
+            head += 1
+            for symbol, targets in tables.edges(state):
+                for target in targets:
                     if target == anchor:
                         word: List = [symbol]
                         node = state
@@ -227,76 +234,75 @@ class BuchiAutomaton:
         *deadline* is an optional
         :class:`~repro.foundations.resilience.Deadline`; when omitted the
         thread's ambient deadline (if any) applies.  The enumeration
-        checks it at round and anchor boundaries -- the exponential
-        fan-out happens between those points, so the checks add nothing
-        measurable -- and expiry raises
+        checks it at round and anchor boundaries and, inside a round, at
+        least every :data:`EXTEND_POLL_EVERY` edge expansions, so no
+        single round runs unchecked; expiry raises
         :class:`~repro.foundations.resilience.DeadlineExceeded` for the
         public entry point to convert into an honest outcome.
         """
-        # Enumerate simple paths from initial states up to the prefix bound,
-        # then simple cycles through accepting states up to the cycle bound.
-        # The sorted adjacency of a state is loop-invariant; computing it
-        # once per state (instead of at every path extension touching the
-        # state) keeps the enumeration order identical while removing the
-        # dominant repeated-sort cost.
-        adjacency: Dict[State, Tuple] = {}
-
-        def sorted_edges(state):
-            found = adjacency.get(state)
-            if found is None:
-                found = adjacency[state] = tuple(
-                    (symbol, tuple(sorted(targets, key=repr)))
-                    for symbol, targets in sorted(
-                        self._transitions.get(state, {}).items(),
-                        key=lambda kv: repr(kv[0]),
-                    )
-                )
-            return found
-
-        def extend_paths(paths):
-            for states_path, symbols_path, filter_state in paths:
-                for symbol, targets in sorted_edges(states_path[-1]):
-                    if narrow is None:
-                        next_filter = None
-                    else:
-                        next_filter = narrow.step(filter_state, symbol)
-                        if next_filter is None:
-                            continue
-                    for target in targets:
-                        yield (
-                            states_path + (target,),
-                            symbols_path + (symbol,),
-                            next_filter,
-                        )
+        # Enumerate walks (states may repeat) from the initial states up to
+        # the prefix bound, one edge per round, then closed walks through
+        # each accepting anchor up to the cycle bound.  A walk is kept only
+        # while the backward distances say it can still yield in the rounds
+        # left: in prefix rounds its last state must reach an accepting
+        # state on a cycle, in cycle rounds it must get back to its anchor.
+        # A dropped walk, and every extension of it, could never yield, so
+        # the lassos come out exactly as the unpruned rounds yield them.
+        tables = self._tables()
 
         def checkpoint(site: str) -> None:
             active = deadline if deadline is not None else current_deadline()
             if active is not None:
                 active.check(site)
 
+        def extend(paths, distance: Dict[int, int], rounds_left: int) -> List:
+            extended = []
+            expansions = 0
+            for state, word, filter_state in paths:
+                for symbol, targets in tables.edges(state):
+                    expansions += 1
+                    if expansions == EXTEND_POLL_EVERY:
+                        checkpoint("buchi.extend")
+                        expansions = 0
+                    kept = [t for t in targets if distance.get(t, far) <= rounds_left]
+                    if not kept:
+                        continue
+                    if narrow is None:
+                        next_filter = None
+                    else:
+                        next_filter = narrow.step(filter_state, symbol)
+                        if next_filter is None:
+                            continue
+                    next_word = word + (symbol,)
+                    for target in kept:
+                        extended.append((target, next_word, next_filter))
+            return extended
+
+        far = max(max_cycle_length, max_prefix_length) + 1
+        anchors = tables.anchors()
+        to_anchor = tables.distances_to(anchors, max_prefix_length)
         seed_filter = narrow.empty() if narrow is not None else None
-        prefixes = [
-            ((state,), (), seed_filter)
-            for state in sorted(self._initial, key=repr)
-        ]
+        prefixes = [(seed, (), seed_filter) for seed in tables.seeds() if seed in to_anchor]
         all_prefixes = list(prefixes)
-        for _ in range(max_prefix_length):
+        for rounds_left in range(max_prefix_length - 1, -1, -1):
             checkpoint("buchi.prefix_round")
-            prefixes = list(extend_paths(prefixes))
+            prefixes = extend(prefixes, to_anchor, rounds_left)
             all_prefixes.extend(prefixes)
-        for states_path, symbols_path, filter_state in all_prefixes:
-            anchor = states_path[-1]
-            if anchor not in self._accepting:
+        back_to: Dict[int, Dict[int, int]] = {}
+        for anchor, prefix, filter_state in all_prefixes:
+            if anchor not in anchors:
                 continue
             checkpoint("buchi.anchor")
-            # enumerate cycles anchor -> anchor of bounded length
-            cycles = [((anchor,), (), filter_state)]
-            for _ in range(max_cycle_length):
+            to_self = back_to.get(anchor)
+            if to_self is None:
+                to_self = back_to[anchor] = tables.distances_to((anchor,), max_cycle_length - 1)
+            cycles = [(anchor, (), filter_state)]
+            for rounds_left in range(max_cycle_length - 1, -1, -1):
                 checkpoint("buchi.cycle_round")
-                cycles = list(extend_paths(cycles))
-                for cycle_states, cycle_symbols, _cycle_filter in cycles:
-                    if cycle_states[-1] == anchor and cycle_symbols:
-                        yield Lasso(symbols_path, cycle_symbols)
+                cycles = extend(cycles, to_self, rounds_left)
+                for state, period, _cycle_filter in cycles:
+                    if state == anchor:
+                        yield Lasso(prefix, period)
 
     # ------------------------------------------------------------------ #
     # boolean operations
@@ -314,23 +320,27 @@ class BuchiAutomaton:
         worklist = list(initial)
         seen: Set[State] = set(initial)
         while worklist:
-            q1, q2, phase = worklist.pop()
+            source = worklist.pop()
+            q1, q2, phase = source
             moves1 = self._transitions.get(q1, {})
             moves2 = other._transitions.get(q2, {})
-            for symbol in sorted(set(moves1) & set(moves2), key=repr):
-                for t1 in sorted(moves1[symbol], key=repr):
-                    for t2 in sorted(moves2[symbol], key=repr):
-                        if phase == 1:
-                            nxt_phase = 2 if q1 in self._accepting else 1
-                        else:
-                            nxt_phase = 1 if q2 in other._accepting else 2
-                        target = (t1, t2, nxt_phase)
-                        transitions.setdefault((q1, q2, phase), {}).setdefault(
-                            symbol, set()
-                        ).add(target)
-                        if target not in seen:
-                            seen.add(target)
-                            worklist.append(target)
+            if phase == 1:
+                nxt_phase = 2 if q1 in self._accepting else 1
+            else:
+                nxt_phase = 1 if q2 in other._accepting else 2
+            moves: Dict[object, Set[State]] = {}
+            # Unsorted: the product maps states to sets of targets, and every
+            # search re-sorts them (_SearchTables.edges), so hash order
+            # cannot leak.
+            for symbol in moves1.keys() & moves2.keys():  # order-ok: searches re-sort
+                targets = {(t1, t2, nxt_phase) for t1 in moves1[symbol] for t2 in moves2[symbol]}
+                if targets:
+                    moves[symbol] = targets
+                    fresh = targets - seen
+                    seen |= fresh
+                    worklist.extend(fresh)
+            if moves:
+                transitions[source] = moves
         accepting = {
             (q1, q2, phase)
             for (q1, q2, phase) in seen
@@ -387,6 +397,174 @@ class BuchiAutomaton:
             len(self.states()),
             len(self._accepting),
         )
+
+
+class _SearchTables:
+    """The part of a Buchi automaton reachable from its initial states, as integer tables.
+
+    The lasso searches walk state numbers instead of states: a number
+    hashes for free, while a product state is a tuple that rehashes its
+    parts at every lookup.  This follows the precomputed transition
+    tables of the VATA library.  States are numbered as a breadth-first
+    pass meets them, in hash order, but no search result depends on the
+    numbers: the searches visit seeds, symbols and targets in ``repr``
+    order (:meth:`seeds`, :meth:`edges`), exactly as on the states.
+    """
+
+    __slots__ = (
+        "states",
+        "_number",
+        "_moves",
+        "_successors",
+        "_seed_count",
+        "_accepting",
+        "_edges",
+        "_anchors",
+        "_predecessors",
+    )
+
+    def __init__(self, automaton: BuchiAutomaton):
+        number: Dict[State, int] = {}
+        states: List[State] = []
+        for state in automaton._initial:
+            number[state] = len(states)
+            states.append(state)
+        moves: List[Dict[object, FrozenSet[State]]] = []
+        successors: List[List[int]] = []
+        transitions = automaton._transitions
+        head = 0
+        while head < len(states):
+            row = transitions.get(states[head], {})
+            head += 1
+            following = []
+            for targets in row.values():
+                for target in targets:
+                    # One lookup per edge: a new state gets the next number.
+                    fresh = len(states)
+                    found = number.setdefault(target, fresh)
+                    if found == fresh:
+                        states.append(target)
+                    following.append(found)
+            moves.append(row)
+            successors.append(following)
+        #: The reachable states; a state's number is its index.
+        self.states = states
+        self._number = number
+        self._moves = moves
+        self._successors = successors
+        self._seed_count = len(automaton._initial)
+        self._accepting = automaton._accepting
+        self._edges: List[Optional[Tuple]] = [None] * len(states)
+        self._anchors: Optional[FrozenSet[int]] = None
+        self._predecessors: Optional[List[List[int]]] = None
+
+    def seeds(self) -> List[int]:
+        """The initial states, sorted by ``repr``."""
+        states = self.states
+        return sorted(range(self._seed_count), key=lambda n: repr(states[n]))
+
+    def edges(self, state: int) -> Tuple[Tuple[object, Tuple[int, ...]], ...]:
+        """The ``(symbol, targets)`` of *state*, symbols and targets sorted by ``repr``.
+
+        Every search walks edges in this order, so witnesses and the lasso
+        enumeration do not depend on the hash order of any set (ORD001).
+        Built once per state.
+        """
+        edges = self._edges[state]
+        if edges is None:
+            number = self._number
+            edges = self._edges[state] = tuple(
+                (symbol, tuple(number[target] for target in sorted(targets, key=repr)))
+                for symbol, targets in sorted(
+                    self._moves[state].items(), key=lambda kv: repr(kv[0])
+                )
+            )
+        return edges
+
+    def anchors(self) -> FrozenSet[int]:
+        """The accepting states that lie on a cycle.
+
+        One iterative Tarjan pass, so deep automata cannot hit the
+        recursion limit.  A state lies on a cycle when its strongly
+        connected component has another state or it has a self-loop; the
+        components do not depend on the order edges are walked in.
+        """
+        if self._anchors is not None:
+            return self._anchors
+        successors = self._successors
+        count = len(successors)
+        index = [-1] * count
+        low = [0] * count
+        on_stack = [False] * count
+        stack: List[int] = []
+        on_cycle: List[int] = []
+        visited = 0
+        for root in range(count):
+            if index[root] >= 0:
+                continue
+            index[root] = low[root] = visited
+            visited += 1
+            stack.append(root)
+            on_stack[root] = True
+            work = [(root, iter(successors[root]))]
+            while work:
+                state, pending = work[-1]
+                for target in pending:
+                    if index[target] < 0:
+                        index[target] = low[target] = visited
+                        visited += 1
+                        stack.append(target)
+                        on_stack[target] = True
+                        work.append((target, iter(successors[target])))
+                        break
+                    if on_stack[target] and index[target] < low[state]:
+                        low[state] = index[target]
+                else:
+                    work.pop()
+                    if work and low[state] < low[work[-1][0]]:
+                        low[work[-1][0]] = low[state]
+                    if low[state] != index[state]:
+                        continue
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack[member] = False
+                        component.append(member)
+                        if member == state:
+                            break
+                    if len(component) > 1 or state in successors[state]:
+                        on_cycle.extend(component)
+        accepting = self._accepting
+        states = self.states
+        self._anchors = frozenset(n for n in on_cycle if states[n] in accepting)
+        return self._anchors
+
+    def distances_to(self, goals: Iterable[int], bound: int) -> Dict[int, int]:
+        """The length of a shortest walk from each state into *goals*.
+
+        A backward breadth-first search that stops at depth *bound*: a
+        state missing from the result needs more than *bound* edges.
+        """
+        if self._predecessors is None:
+            predecessors: List[List[int]] = [[] for _ in self._successors]
+            for source, following in enumerate(self._successors):
+                for target in following:
+                    predecessors[target].append(source)
+            self._predecessors = predecessors
+        predecessors = self._predecessors
+        distance = dict.fromkeys(goals, 0)
+        frontier = list(distance)
+        for depth in range(1, bound + 1):
+            reached = []
+            for state in frontier:
+                for source in predecessors[state]:
+                    if source not in distance:
+                        distance[source] = depth
+                        reached.append(source)
+            if not reached:
+                break
+            frontier = reached
+        return distance
 
 
 class GeneralizedBuchiAutomaton:

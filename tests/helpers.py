@@ -480,3 +480,140 @@ def literal_bridge_dfa(base, constraint_dfa, i0, j0, i, j):
             for symbol in guards:
                 add(state, symbol, ("right", advance_registers(guard, payload, k), symbol))
     return _literal_subset_dfa(transitions, initial, accepting, alphabet)
+
+
+# ---------------------------------------------------------------------- #
+# unpruned Buchi lasso search: the oracle for the pruned one
+# ---------------------------------------------------------------------- #
+#
+# The searches before cycle detection and distance pruning: one
+# ``_cycle_through`` BFS per accepting state in BFS order, edges re-sorted
+# at every visit, and every walk of every round kept as a list.
+# ``BuchiAutomaton.find_accepted_lasso`` and ``iter_accepted_lassos`` must
+# return exactly what these return.
+
+
+def literal_find_accepted_lasso(automaton):
+    """A lasso accepted by *automaton*, or ``None`` if the language is empty."""
+    from repro.automata.words import Lasso
+
+    seeds = sorted(automaton._initial, key=repr)
+    parent = {state: (None, None) for state in seeds}
+    order = list(seeds)
+    queue = list(seeds)
+    while queue:
+        state = queue.pop(0)
+        for symbol, targets in sorted(
+            automaton._transitions.get(state, {}).items(), key=lambda kv: repr(kv[0])
+        ):
+            for target in sorted(targets, key=repr):
+                if target not in parent:
+                    parent[target] = (state, symbol)
+                    order.append(target)
+                    queue.append(target)
+
+    def path_to(state):
+        word = []
+        node = state
+        while parent[node][0] is not None:
+            node, symbol = parent[node]
+            word.append(symbol)
+        return tuple(reversed(word))
+
+    for anchor in order:
+        if anchor not in automaton._accepting:
+            continue
+        cycle = literal_cycle_through(automaton, anchor)
+        if cycle is not None:
+            return Lasso(path_to(anchor), cycle)
+    return None
+
+
+def literal_cycle_through(automaton, anchor):
+    """A non-empty symbol word labelling a cycle anchor -> anchor."""
+    local_parent = {}
+    queue = []
+    for symbol, targets in sorted(
+        automaton._transitions.get(anchor, {}).items(), key=lambda kv: repr(kv[0])
+    ):
+        for target in sorted(targets, key=repr):
+            if target == anchor:
+                return (symbol,)
+            if target not in local_parent:
+                local_parent[target] = (anchor, symbol)
+                queue.append(target)
+    while queue:
+        state = queue.pop(0)
+        for symbol, targets in sorted(
+            automaton._transitions.get(state, {}).items(), key=lambda kv: repr(kv[0])
+        ):
+            for target in sorted(targets, key=repr):
+                if target == anchor:
+                    word = [symbol]
+                    node = state
+                    while node != anchor:
+                        node, back_symbol = local_parent[node]
+                        word.append(back_symbol)
+                    return tuple(reversed(word))
+                if target not in local_parent:
+                    local_parent[target] = (state, symbol)
+                    queue.append(target)
+    return None
+
+
+def literal_iter_accepted_lassos(automaton, max_cycle_length, max_prefix_length, narrow=None):
+    """Every accepted lasso within the bounds, in enumeration order.
+
+    Keeps every walk of every prefix and cycle round; polls no deadline.
+    """
+    from repro.automata.words import Lasso
+
+    adjacency = {}
+
+    def sorted_edges(state):
+        found = adjacency.get(state)
+        if found is None:
+            found = adjacency[state] = tuple(
+                (symbol, tuple(sorted(targets, key=repr)))
+                for symbol, targets in sorted(
+                    automaton._transitions.get(state, {}).items(),
+                    key=lambda kv: repr(kv[0]),
+                )
+            )
+        return found
+
+    def extend_paths(paths):
+        for states_path, symbols_path, filter_state in paths:
+            for symbol, targets in sorted_edges(states_path[-1]):
+                if narrow is None:
+                    next_filter = None
+                else:
+                    next_filter = narrow.step(filter_state, symbol)
+                    if next_filter is None:
+                        continue
+                for target in targets:
+                    yield (
+                        states_path + (target,),
+                        symbols_path + (symbol,),
+                        next_filter,
+                    )
+
+    seed_filter = narrow.empty() if narrow is not None else None
+    prefixes = [
+        ((state,), (), seed_filter)
+        for state in sorted(automaton._initial, key=repr)
+    ]
+    all_prefixes = list(prefixes)
+    for _ in range(max_prefix_length):
+        prefixes = list(extend_paths(prefixes))
+        all_prefixes.extend(prefixes)
+    for states_path, symbols_path, filter_state in all_prefixes:
+        anchor = states_path[-1]
+        if anchor not in automaton._accepting:
+            continue
+        cycles = [((anchor,), (), filter_state)]
+        for _ in range(max_cycle_length):
+            cycles = list(extend_paths(cycles))
+            for cycle_states, cycle_symbols, _cycle_filter in cycles:
+                if cycle_states[-1] == anchor and cycle_symbols:
+                    yield Lasso(symbols_path, cycle_symbols)

@@ -24,7 +24,11 @@ from repro.automata.regex import (
 )
 from repro.foundations.errors import SpecificationError
 
-from tests.helpers import literal_minimize
+from tests.helpers import (
+    literal_find_accepted_lasso,
+    literal_iter_accepted_lassos,
+    literal_minimize,
+)
 
 
 class TestLasso:
@@ -256,6 +260,16 @@ class TestBuchi:
         mapped = infinitely_many_p.map_symbols(lambda s: "x")
         assert mapped.accepts(Lasso((), ("x",)))
 
+    def test_long_cycle_search_is_iterative(self):
+        """The cycle detection walks 5,001 states deep without recursing."""
+        length = 5000
+        transitions = {state: {"a": {state + 1}} for state in range(length)}
+        transitions[length] = {"b": {0}}
+        ring = BuchiAutomaton(transitions, {0}, {length})
+        witness = ring.find_accepted_lasso()
+        assert witness == Lasso(("a",) * length, ("b",) + ("a",) * length)
+        assert witness == literal_find_accepted_lasso(ring)
+
     def test_iter_accepted_lassos_sound(self, infinitely_many_p):
         found = list(infinitely_many_p.iter_accepted_lassos(3, 2))
         assert found
@@ -266,3 +280,112 @@ class TestBuchi:
         relabeled = infinitely_many_p.relabel_states()
         assert relabeled.accepts(Lasso((), ("p", "q")))
         assert not relabeled.accepts(Lasso((), ("q",)))
+
+
+class _BanSymbol:
+    """Narrowing stub: prune a walk once it has read *banned* more than *allowed* times.
+
+    The filter state is the count so far, so it threads from the prefix
+    into the cycle like the real constraint filters' thread sets.
+    """
+
+    def __init__(self, banned, allowed):
+        self.banned = banned
+        self.allowed = allowed
+
+    def empty(self):
+        return 0
+
+    def step(self, seen, symbol):
+        if symbol == self.banned:
+            seen += 1
+        return None if seen > self.allowed else seen
+
+
+@st.composite
+def random_buchi(draw):
+    """Buchi automata with 1-7 states and 1-3 symbols.
+
+    Integer labels up to 30 make ``repr`` order differ from numeric order.
+    Each state and symbol has at most two targets, which keeps the
+    unpruned enumeration small at cycle bound 5; the initial and
+    accepting sets may be empty.
+    """
+    labels = draw(
+        st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=7, unique=True)
+    )
+    symbols = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    states = st.sampled_from(labels)
+    transitions = {}
+    for state in labels:
+        for symbol in symbols:
+            targets = draw(st.sets(states, max_size=2))
+            if targets:
+                transitions.setdefault(state, {})[symbol] = targets
+    return BuchiAutomaton(transitions, draw(st.sets(states)), draw(st.sets(states)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    random_buchi(),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=2),
+    st.sampled_from("abc"),
+    st.integers(min_value=0, max_value=2),
+)
+def test_lasso_search_matches_unpruned_search(
+    automaton, max_cycle, max_prefix, banned, allowed
+):
+    """Cycle detection and distance pruning change no witness and no lasso.
+
+    The unpruned searches in ``tests.helpers`` are the oracle: the same
+    witness, and the same lassos in the same order, unfiltered and
+    through a narrowing filter.
+    """
+    assert automaton.find_accepted_lasso() == literal_find_accepted_lasso(automaton)
+    for narrow in (None, _BanSymbol(banned, allowed)):
+        assert list(
+            automaton.iter_accepted_lassos(max_cycle, max_prefix, narrow=narrow)
+        ) == list(literal_iter_accepted_lassos(automaton, max_cycle, max_prefix, narrow))
+
+
+def _built(edges, initial, accepting):
+    transitions = {}
+    for source, symbol, target in edges:
+        transitions.setdefault(source, {}).setdefault(symbol, set()).add(target)
+    return BuchiAutomaton(transitions, initial, accepting)
+
+
+@st.composite
+def insertion_orders(draw):
+    """One automaton's edges in two insertion orders, with its initial and accepting sets."""
+    states = st.sampled_from(["s%d" % index for index in range(6)])
+    symbols = st.sampled_from([("p", 0), ("p", 1), ("q", 0)])
+    edges = draw(st.lists(st.tuples(states, symbols, states), min_size=1, max_size=14, unique=True))
+    return (
+        edges,
+        draw(st.permutations(edges)),
+        draw(st.sets(states, min_size=1)),
+        draw(st.sets(states)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(insertion_orders(), insertion_orders())
+def test_intersect_does_not_leak_insertion_order(left, right):
+    """``intersect`` walks unsorted sets (its ORD001 opt-out); nothing downstream sees it.
+
+    The products of the same automata, built from transition dicts
+    inserted in two different orders, are equal, and so are their
+    witnesses and their lasso enumerations.
+    """
+    products = [
+        _built(left[order], left[2], left[3]).intersect(_built(right[order], right[2], right[3]))
+        for order in (0, 1)
+    ]
+    first, second = products
+    assert first._transitions == second._transitions
+    assert first.initial == second.initial
+    assert first.accepting == second.accepting
+    assert first.find_accepted_lasso() == second.find_accepted_lasso()
+    assert list(first.iter_accepted_lassos(3, 2)) == list(second.iter_accepted_lassos(3, 2))

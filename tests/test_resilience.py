@@ -664,6 +664,38 @@ class TestDeepCheckpoints:
             with pytest.raises(DeadlineExceeded):
                 list(buchi.iter_accepted_lassos(3, 2))
 
+    def test_buchi_enumeration_polls_inside_a_round(self):
+        """No stretch of path extension runs more than 256 edge expansions unpolled."""
+        from repro.automata.buchi import BuchiAutomaton
+
+        class CountingNarrow:
+            steps = 0
+
+            def empty(self):
+                return ()
+
+            def step(self, filter_state, symbol):
+                self.steps += 1
+                return filter_state
+
+        class RecordingDeadline:
+            def __init__(self, narrow):
+                self.narrow = narrow
+                self.polls = []
+
+            def check(self, site=""):
+                self.polls.append(self.narrow.steps)
+
+        states = range(6)
+        complete = BuchiAutomaton({q: {"a": set(states)} for q in states}, states, states)
+        narrow = CountingNarrow()
+        deadline = RecordingDeadline(narrow)
+        lassos = list(complete.iter_accepted_lassos(5, 1, narrow=narrow, deadline=deadline))
+        assert lassos
+        gaps = [after - before for before, after in zip(deadline.polls, deadline.polls[1:])]
+        assert max(gaps) <= 256
+        assert narrow.steps > 256 * 10  # the last cycle round alone runs 1,296 steps
+
     def test_completions_interruptible_and_memo_unpoisoned(self):
         relations = {"R": 1}
         variables = (X(1), X(2))
