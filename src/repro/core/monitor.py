@@ -27,12 +27,12 @@ Three ideas carry the design:
   suffix -- deterministic, so the rebuilt fingerprints are byte-identical
   to an uninterrupted run: zero lost, zero double-applied events.
 
-* **Pure shard workers.**  Sharded ingest fans out over the resilient
-  process pool (:mod:`repro.core.parallel`) with a *stateless* payload:
-  snapshots and events go in, snapshots and verdicts come out, and
-  durable state only advances on the driver.  The pool's crash recovery
-  resubmits whole chunks, which is safe exactly because the payload owns
-  nothing -- a re-run chunk recomputes the same snapshots.
+* **One application path.**  Serial ingest, shard workers and replay
+  all restore a session's snapshot into a checker their caller reuses
+  and feed it (:func:`_apply_session`); snapshots, never live checkers,
+  are the volatile state.  Shard payloads are *stateless* -- durable
+  state only advances on the driver -- so the pool's resubmission of a
+  crashed chunk recomputes the same snapshots.
 
 Per-session quarantine keeps one poison event from taking down its
 neighbours: the offending session is rolled back to its last good
@@ -216,8 +216,7 @@ class _SessionResult(NamedTuple):
 
 
 def _apply_session(
-    extended: ExtendedAutomaton,
-    database: Database,
+    checker: StreamingChecker,
     snapshot: SessionSnapshot,
     events: Tuple[JournalEntry, ...],
 ) -> _SessionResult:
@@ -225,11 +224,13 @@ def _apply_session(
 
     This is the single application path -- serial ingest, sharded workers
     and journal replay all come through here, which is what makes their
-    answers byte-identical by construction.  A poison event (any
-    unexpected exception from ``feed``) rolls the session back to the
-    state just before it, so quarantine freezes a meaningful position.
+    answers byte-identical by construction.  The caller supplies and
+    reuses *checker*: restoring *snapshot* overwrites all its run state.
+    A poison event (any unexpected exception from ``feed``) rolls the
+    session back to the state just before it, so quarantine freezes a
+    meaningful position.
     """
-    checker = StreamingChecker(extended, database, strict=False).restore(snapshot)
+    checker.restore(snapshot)
     applied: List[Tuple[int, Optional[str]]] = []
     poison: Optional[Tuple[int, str]] = None
     interrupted = False
@@ -248,9 +249,7 @@ def _apply_session(
             poison = (entry.seq, "%s: %s" % (type(exc).__name__, exc))
             # Roll back to the last good position: restore the input
             # snapshot and replay the already-validated prefix.
-            checker = StreamingChecker(extended, database, strict=False).restore(
-                snapshot
-            )
+            checker.restore(snapshot)
             for good in events[:offset]:  # deadline-ok: bounded replay of an already-validated prefix
                 checker.feed(good.state, good.registers)
             break
@@ -280,9 +279,9 @@ class _ShardWorker:
         self._database = database
 
     def __call__(self, shard: Tuple[_SessionTask, ...]) -> Tuple[_SessionResult, ...]:
+        checker = StreamingChecker(self._extended, self._database, strict=False)
         return tuple(
-            _apply_session(self._extended, self._database, task.snapshot, task.events)
-            for task in shard
+            _apply_session(checker, task.snapshot, task.events) for task in shard
         )
 
 
@@ -306,6 +305,8 @@ class IngestReport:
 
     ``outcome`` is the batch-level verdict (``COMPLETE``, ``TIMEOUT`` or
     ``CANCELLED`` -- per-session failures never degrade the batch);
+    ``applied`` counts the events this call applied, including events an
+    earlier interrupted ingest left pending and this call drained;
     ``violations`` maps each touched session that is in a failed state to
     its (original) violation message; ``quarantined`` lists sessions
     newly quarantined by this call; ``skipped`` counts events addressed
@@ -320,21 +321,16 @@ class IngestReport:
 
 
 class _Session:
-    """Volatile per-session record: current snapshot plus bookkeeping."""
+    """Volatile record of a live session: current snapshot plus bookkeeping."""
 
-    __slots__ = ("snapshot", "applied_seq", "since_durable", "outcome")
+    __slots__ = ("snapshot", "applied_seq", "since_durable")
 
     def __init__(
-        self,
-        snapshot: SessionSnapshot,
-        applied_seq: int,
-        since_durable: int = 0,
-        outcome: Optional[Outcome] = None,
+        self, snapshot: SessionSnapshot, applied_seq: int, since_durable: int = 0
     ):
         self.snapshot = snapshot
         self.applied_seq = applied_seq
         self.since_durable = since_durable
-        self.outcome = outcome  # terminal sessions only
 
 
 class MonitorMultiplexer:
@@ -344,13 +340,16 @@ class MonitorMultiplexer:
     (``ingest([(session, state, registers), ...])``); sessions are
     sharded by id over the resilient process pool when ``REPRO_WORKERS``
     and ``REPRO_MONITOR_SHARDS`` allow, and applied serially otherwise --
-    byte-identically, because both paths share :func:`_apply_session`.
+    byte-identically, because both paths and replay restore each session
+    into a reused checker through :func:`_apply_session`.
 
     Durability model: the **durable** half (write-ahead journal, periodic
     per-session snapshots, terminal-outcome ledger) survives a crash; the
-    **volatile** half (live session snapshots) is rebuilt from it by
-    :meth:`recover`, which the ``monitor.ingest:crash`` fault kind
-    exercises end to end.  Knobs: ``REPRO_MONITOR_SHARDS``,
+    **volatile** half (the snapshots of *live* sessions) is rebuilt from
+    it by :meth:`recover`, which the ``monitor.ingest:crash`` fault kind
+    exercises end to end; a terminal session keeps only its final
+    durable snapshot.  One :meth:`ingest` costs O(batch + journal), never
+    O(sessions seen).  Knobs: ``REPRO_MONITOR_SHARDS``,
     ``REPRO_MONITOR_SNAPSHOT_EVERY``, ``REPRO_MONITOR_JOURNAL_CAP`` (all
     call-time, all overridable per instance).
     """
@@ -369,7 +368,8 @@ class MonitorMultiplexer:
         self._snapshot_every = snapshot_every
         self._journal_cap = journal_cap
         self._worker = _ShardWorker(extended, database)
-        self._initial = StreamingChecker(extended, database, strict=False).snapshot()
+        self._checker = StreamingChecker(extended, database, strict=False)
+        self._initial = self._checker.snapshot()
         # durable state: survives a (simulated) crash
         self._store: Dict[object, Tuple[SessionSnapshot, int]] = {}
         self._journal: List[JournalEntry] = []
@@ -377,9 +377,11 @@ class MonitorMultiplexer:
         self._seq = 0
         # volatile state: lost on crash, rebuilt by recover()
         self._sessions: Dict[object, _Session] = {}
-        self._has_pending = False
+        # session -> first journaled seq an interrupted ingest left unapplied
+        self._pending: Dict[object, int] = {}
         # counters (diagnostic, not part of the identity contract)
         self._events_applied = 0
+        self._quarantined = 0
         self._recoveries = 0
         self._snapshots_taken = 0
 
@@ -425,10 +427,12 @@ class MonitorMultiplexer:
         return self._terminate(session, "cancelled", reason=reason)
 
     def _terminate(self, session: object, how: str, reason: str = "") -> Outcome:
+        if self._pending:  # the acked events belong to the frozen run
+            self._replay({}, [])
         existing = self._ledger.get(session)
         if existing is not None:
             return existing
-        record = self._sessions.get(session)
+        record = self._sessions.pop(session, None)
         if record is None:
             raise SpecificationError("session %r is not open" % (session,))
         snapshot = record.snapshot
@@ -446,8 +450,6 @@ class MonitorMultiplexer:
             outcome = Outcome.complete(**stats)
         self._ledger[session] = outcome
         self._store[session] = (snapshot, record.applied_seq)
-        record.outcome = outcome
-        record.since_durable = 0
         return outcome
 
     def _quarantine(
@@ -463,8 +465,9 @@ class MonitorMultiplexer:
             peak_threads=snapshot.peak_threads,
         )
         self._ledger[session] = outcome
+        self._quarantined += 1
         self._store[session] = (snapshot, seq)
-        self._sessions[session] = _Session(snapshot, seq, outcome=outcome)
+        self._sessions.pop(session, None)
         record_event(
             "RS008",
             "monitor session %r quarantined at seq %d: %s" % (session, seq, error),
@@ -481,7 +484,7 @@ class MonitorMultiplexer:
 
     def live_sessions(self) -> int:
         """Sessions still accepting events (not terminal)."""
-        return sum(1 for session in self._store if session not in self._ledger)
+        return len(self._store) - len(self._ledger)
 
     def quarantined_sessions(self) -> Tuple[object, ...]:
         """Sessions terminally failed by a poison event or a failed restore."""
@@ -519,7 +522,7 @@ class MonitorMultiplexer:
         return {
             "sessions": len(self._store),
             "live": self.live_sessions(),
-            "quarantined": len(self.quarantined_sessions()),
+            "quarantined": self._quarantined,
             "events_applied": self._events_applied,
             "journal_len": len(self._journal),
             "snapshots_taken": self._snapshots_taken,
@@ -553,12 +556,12 @@ class MonitorMultiplexer:
                 "injected failure at monitor.ingest: batch of %d rejected "
                 "atomically (nothing journaled, nothing applied)" % len(batch)
             )
-        if self._has_pending:
-            # A previous ingest stopped early (deadline or cancellation)
-            # with journaled events unapplied; drain them first so every
-            # session sees its events in journal order, exactly once.
-            self._replay(self._seq + 1, {}, [])
-            self._has_pending = False
+        violations: Dict[object, str] = {}
+        newly_quarantined: List[object] = []
+        # A previous ingest stopped early (deadline or cancellation) with
+        # journaled events unapplied; drain them first so every session
+        # sees its events in journal order, exactly once.
+        drained = self._replay(violations, newly_quarantined) if self._pending else 0
         for session, _state, _registers in batch:
             if session not in self._store and session not in self._ledger:
                 self.open_session(session)
@@ -567,11 +570,7 @@ class MonitorMultiplexer:
             self._seq += 1
             entries.append(JournalEntry(self._seq, session, state, registers))
         self._journal.extend(entries)
-        first_seq = entries[0].seq if entries else self._seq + 1
 
-        applied = 0
-        violations: Dict[object, str] = {}
-        newly_quarantined: List[object] = []
         skipped = 0
         status = "complete"
         try:
@@ -585,12 +584,13 @@ class MonitorMultiplexer:
             # All volatile session state is gone; the journal and the
             # durable snapshots are not.  Recover in-line and account the
             # just-journaled batch through the replay results.
-            applied, skipped = self._crash_recover(
-                first_seq, violations, newly_quarantined
-            )
+            self._mark_pending(entries)
+            applied = self._crash_recover(violations, newly_quarantined)
         if status in ("timeout", "cancelled"):
-            self._has_pending = True
-        self._refresh_durable(entries)
+            self._mark_pending(entries)
+        applied += drained + self._refresh_durable(
+            entries, violations, newly_quarantined
+        )
         stats = self.stats()
         stats["batch"] = len(entries)
         if status == "timeout":
@@ -650,9 +650,7 @@ class MonitorMultiplexer:
                 except OperationCancelled:
                     status = "cancelled"
                     break
-                result = _apply_session(
-                    self._extended, self._database, task.snapshot, task.events
-                )
+                result = _apply_session(self._checker, task.snapshot, task.events)
                 results.append(result)
                 if result.interrupted:
                     status = "timeout"
@@ -734,38 +732,41 @@ class MonitorMultiplexer:
         self._snapshots_taken += 1
         return True
 
-    def _refresh_durable(self, entries: List[JournalEntry]) -> None:
-        """Periodic snapshots, then journal truncation and cap enforcement."""
+    def _refresh_durable(
+        self,
+        entries: List[JournalEntry],
+        violations: Dict[object, str],
+        newly_quarantined: List[object],
+    ) -> int:
+        """Periodic snapshots, then journal truncation and cap enforcement.
+
+        Returns the events a crash recovery in here drained (else 0).
+        """
         snapshot_every = self._effective_snapshot_every()
-        touched: List[object] = []
-        for entry in entries:
-            if entry.session not in touched:
-                touched.append(entry.session)
+        touched = dict.fromkeys(entry.session for entry in entries)
         try:
             for session in touched:
                 record = self._sessions.get(session)
-                if record is None or record.outcome is not None:
-                    continue
-                if record.since_durable >= snapshot_every:
+                if record is not None and record.since_durable >= snapshot_every:
                     self._snapshot_session(session)
             self._truncate_journal()
             cap = self._effective_journal_cap()
             if len(self._journal) > cap:
                 # Cap pressure: snapshot every lagging live session so the
-                # prefix floor advances, then truncate again.  Best-effort
+                # prefix floor advances, then truncate again.  Truncation
+                # keeps every entry past a live session's durable snapshot,
+                # so the journal names every lagging session.  Best-effort
                 # under injected snapshot faults -- the journal simply
                 # stays longer, correctness is unaffected.
-                for session in self.session_ids():
+                lagging = {entry.session for entry in self._journal}
+                for session in sorted(lagging, key=repr):
                     record = self._sessions.get(session)
-                    if (
-                        record is not None
-                        and record.outcome is None
-                        and record.since_durable > 0
-                    ):
+                    if record is not None and record.since_durable > 0:
                         self._snapshot_session(session)
                 self._truncate_journal()
         except _VolatileCrash:
-            self._crash_recover(self._seq + 1, {}, [])
+            return self._crash_recover(violations, newly_quarantined)
+        return 0
 
     def _truncate_journal(self) -> None:
         """Drop every entry already covered by its session's durable state.
@@ -785,56 +786,59 @@ class MonitorMultiplexer:
         if not all(needed(entry) for entry in self._journal):
             self._journal = [entry for entry in self._journal if needed(entry)]
 
+    def _mark_pending(self, entries: List[JournalEntry]) -> None:
+        """Record which of *entries* no live session has applied yet."""
+        for entry in entries:
+            record = self._sessions.get(entry.session)
+            if record is not None and entry.seq > record.applied_seq:
+                self._pending.setdefault(entry.session, entry.seq)
+
     def _crash_recover(
-        self,
-        collect_since: int,
-        violations: Dict[object, str],
-        newly_quarantined: List[object],
-    ) -> Tuple[int, int]:
+        self, violations: Dict[object, str], newly_quarantined: List[object]
+    ) -> int:
         """Drop all volatile state, then rebuild it from the durable half."""
         self._sessions = {}
-        self._has_pending = False  # replay drains every journaled event
-        return self._replay(collect_since, violations, newly_quarantined)
+        return self._replay(violations, newly_quarantined)
 
     def recover(self) -> int:
         """Rebuild volatile session state from snapshots + journal replay.
 
-        Idempotent and safe to call at any time: a no-op when nothing is
-        pending, the crash-recovery path otherwise.  Returns the number
-        of sessions (re)built.  Also drains journaled events a timed-out
-        or cancelled ingest left unapplied.
+        Safe at any time, never a no-op: even with nothing pending it
+        rebuilds every live session from its durable snapshot plus the
+        journal suffix, counts a recovery and records ``RS007``.  It also
+        drains (and counts) journaled events a timed-out or cancelled
+        ingest left unapplied.  Returns ``stats()["sessions"]``.
         """
-        self._replay(self._seq + 1, {}, [])
-        self._has_pending = False
-        return len(self._sessions)
+        self._replay({}, [])
+        return len(self._store)
 
     def _replay(
-        self,
-        collect_since: int,
-        violations: Dict[object, str],
-        newly_quarantined: List[object],
-    ) -> Tuple[int, int]:
-        """Restore every session from durable state; deterministic replay."""
-        applied = 0
+        self, violations: Dict[object, str], newly_quarantined: List[object]
+    ) -> int:
+        """Restore every live session from durable state; deterministic replay.
+
+        Returns and counts the drained events, the ones ``_pending`` marks
+        as never applied; the rest were counted when first applied.
+        """
+        tails: Dict[object, List[JournalEntry]] = {}
+        for entry in self._journal:
+            tails.setdefault(entry.session, []).append(entry)
         restarts = 0
         while True:
             rebuilt: Dict[object, _Session] = {}
             results: List[_SessionResult] = []
             replayed = 0
             restarted = False
-            for session in self.session_ids():
-                outcome = self._ledger.get(session)
+            live = (session for session in self._store if session not in self._ledger)
+            for session in sorted(live, key=repr):
                 snapshot, stored_seq = self._store[session]
-                if outcome is not None:
-                    rebuilt[session] = _Session(snapshot, stored_seq, outcome=outcome)
-                    continue
                 kind = fault("monitor.restore")
                 if kind == "crash" and restarts < 3:
                     restarted = True
                     restarts += 1
                     break
                 if kind in ("raise", "exception"):
-                    failed = Outcome.degraded(
+                    self._ledger[session] = Outcome.degraded(
                         session=repr(session),
                         reason="restore-failed",
                         seq=stored_seq,
@@ -842,8 +846,7 @@ class MonitorMultiplexer:
                         position=snapshot.position,
                         peak_threads=snapshot.peak_threads,
                     )
-                    self._ledger[session] = failed
-                    rebuilt[session] = _Session(snapshot, stored_seq, outcome=failed)
+                    self._quarantined += 1
                     newly_quarantined.append(session)
                     record_event(
                         "RS008",
@@ -853,39 +856,31 @@ class MonitorMultiplexer:
                         data={"session": repr(session), "seq": stored_seq},
                     )
                     continue
-                tail = tuple(
-                    entry
-                    for entry in self._journal
-                    if entry.session == session and entry.seq > stored_seq
-                )
-                result = _apply_session(self._extended, self._database, snapshot, tail)
+                tail = tuple(e for e in tails.get(session, ()) if e.seq > stored_seq)
+                result = _apply_session(self._checker, snapshot, tail)
                 replayed += len(result.results)
-                record = _Session(result.snapshot, stored_seq)
-                if result.results:
-                    record.applied_seq = result.results[-1][0]
-                    record.since_durable = len(result.results)
-                rebuilt[session] = record
+                last = result.results[-1][0] if result.results else stored_seq
+                rebuilt[session] = _Session(result.snapshot, last, len(result.results))
                 results.append(result)
             if restarted:
                 continue
             self._sessions = rebuilt
+            applied = 0
             for result in results:
                 session = result.session
                 if session is None:
                     continue
-                fresh = [
-                    (seq, verdict)
-                    for seq, verdict in result.results
-                    if seq >= collect_since
-                ]
-                applied += len(fresh)
-                self._events_applied += len(fresh)
+                since = self._pending.get(session)
+                fresh = sum(1 for seq, _ in result.results if since and seq >= since)
+                applied += fresh
                 if result.snapshot.failed is not None and fresh:
                     violations[session] = result.snapshot.failed
                 if result.poison is not None:
                     seq, error = result.poison
                     self._quarantine(session, result.snapshot, seq, error)
                     newly_quarantined.append(session)
+            self._pending = {}
+            self._events_applied += applied
             self._recoveries += 1
             record_event(
                 "RS007",
@@ -895,4 +890,4 @@ class MonitorMultiplexer:
                 location="monitor.recover",
                 data={"sessions": len(rebuilt), "replayed": replayed},
             )
-            return applied, 0
+            return applied

@@ -34,7 +34,7 @@ from repro.core.monitor import (
 )
 from repro.core.parallel import shutdown_executor
 from repro.core.runs import FiniteRun
-from repro.core.streaming import StreamingChecker
+from repro.core.streaming import StreamingChecker, StreamingViolation
 from repro.foundations import knobs
 from repro.foundations.errors import SpecificationError
 from repro.foundations.faults import FaultInjected, reset_faults
@@ -189,6 +189,29 @@ class TestSessionSnapshot:
             assert restored.feed("q", ("z",)) == message
         assert restored.failed == message
         assert restored.position == checker.position
+
+    def test_restore_into_a_used_checker_matches_a_fresh_one(self, extended, db):
+        # The multiplexer restores every session into one reused checker:
+        # whatever that checker ran before must leave no trace.
+        runs = [[], ["a"], ["a", "b", "c"], ["a", "b", "a"]]
+
+        def driven(values, strict):
+            checker = StreamingChecker(extended, db, strict=strict)
+            for value in values:
+                try:
+                    checker.feed("q", (value,))
+                except StreamingViolation:
+                    pass
+            return checker
+
+        modes = [(values, strict) for values in runs for strict in (True, False)]
+        for values, strict in modes:
+            snapshot = driven(values, strict).snapshot()
+            fresh = StreamingChecker(extended, db, strict=snapshot.strict)
+            fresh.restore(snapshot)
+            for used_values, used_strict in modes:
+                reused = driven(used_values, used_strict).restore(snapshot)
+                assert vars(reused) == vars(fresh)
 
 
 class TestSnapshotRoundTripProperty:
@@ -462,6 +485,30 @@ class TestQuarantine:
         assert mux.session_fingerprint("b")[1] == 1
         assert [event.code for event in drain_events() if event.code == "RS008"]
 
+    def test_neighbours_of_a_poison_run_on_the_rolled_back_checker(
+        self, extended, db, no_faults
+    ):
+        # Serial ingest reuses one checker: the sessions after the poisoned
+        # one run on the checker its rollback just restored.
+        mux = MonitorMultiplexer(extended, db, shards=1)
+        sessions = ["s%d" % index for index in range(5)]
+        first = [(s, "q", ("v%d" % index,)) for index, s in enumerate(sessions)]
+        # s2 is poisoned mid-task; s3, next, repeats its first value
+        middle = {"s2": (_Unhashable(),), "s3": ("v3",)}
+        second = []
+        for index, s in enumerate(sessions):
+            second.append((s, "q", ("w%d" % index,)))
+            second.append((s, "q", middle.get(s, ("y%d" % index,))))
+            second.append((s, "q", ("x%d" % index,)))
+        mux.ingest(first)
+        report = mux.ingest(second)
+        assert report.quarantined == ("s2",)
+        assert set(report.violations) == {"s3"}
+        fed = [[e for e in batch if e[0] != "s2"] for batch in (first, second)]
+        fed.append([("s2", "q", ("v2",)), ("s2", "q", ("w2",))])
+        expected = oracle_fingerprints(extended, db, fed)
+        assert {s: mux.session_fingerprint(s) for s in sessions} == expected
+
     def test_quarantine_is_durable_across_crashes(
         self, extended, db, monkeypatch
     ):
@@ -550,6 +597,47 @@ class TestDeadlinesAndCancellation:
         mux.recover()
         assert mux.session_fingerprint("a")[1] == 0
 
+    @pytest.mark.parametrize("terminate", ["close_session", "cancel_session"])
+    def test_terminating_drains_events_a_timed_out_ingest_left(
+        self, extended, db, no_faults, terminate
+    ):
+        mux = MonitorMultiplexer(extended, db)
+        mux.ingest([("a", "q", ("v1",))])
+        mux.ingest([("a", "q", ("v2",)), ("a", "q", ("v1",))], deadline=0)
+        outcome = getattr(mux, terminate)("a")
+        assert outcome.stats["position"] == 2
+        assert "inequality" in outcome.stats["failed"]
+        assert mux.stats()["events_applied"] == 3
+
+    def test_drained_events_are_counted_once(self, extended, db, no_faults):
+        mux = MonitorMultiplexer(extended, db)
+        mux.ingest([("a", "q", ("v1",)), ("b", "q", ("v1",))], deadline=0)
+        report = mux.ingest([("a", "q", ("v2",))])
+        assert mux.fingerprints() == {"a": ("q", 1, None, 2), "b": ("q", 0, None, 1)}
+        assert report.applied == 3
+        assert mux.stats()["events_applied"] == 3
+
+    def test_crash_recovery_counts_the_events_it_drains(
+        self, extended, db, monkeypatch
+    ):
+        # Cap pressure snapshots "a" while the timed-out batch is pending;
+        # the crash there recovers in-line and drains that batch.
+        monkeypatch.setenv("REPRO_FAULTS", "monitor.snapshot:crash:1")
+        reset_faults()
+        try:
+            mux = MonitorMultiplexer(extended, db, snapshot_every=1000, journal_cap=1)
+            mux.ingest([("a", "q", ("v1",))])
+            report = mux.ingest(
+                [("a", "q", ("v2",)), ("a", "q", ("v1",)), ("b", "q", ("v1",))],
+                deadline=0,
+            )
+        finally:
+            reset_faults()
+        assert mux.stats()["recoveries"] == 1
+        assert report.applied == 3
+        assert mux.stats()["events_applied"] == 4
+        assert mux.session_fingerprint("a")[:2] == ("q", 2)
+
     def test_expired_deadline_times_out_on_the_sharded_path(
         self, extended, db, no_faults, monkeypatch
     ):
@@ -580,6 +668,91 @@ class TestDeadlinesAndCancellation:
         assert report.outcome.status is OutcomeStatus.CANCELLED
         mux.recover()
         assert mux.session_fingerprint("a")[1] == 0
+
+
+# ---------------------------------------------------------------------- #
+# interrupted ingests against the same program without deadlines
+# ---------------------------------------------------------------------- #
+
+#: Few values, so sessions violate the all-distinct spec; one poison.
+PROGRAM_VALUES = ["v1", "v2", "v3", "v4", _Unhashable()]
+
+
+@st.composite
+def monitor_programs(draw):
+    """2-6 sessions and a mix of ingests, closes, cancels and recovers."""
+    sessions = ["s%d" % index for index in range(draw(st.integers(2, 6)))]
+    event = st.tuples(
+        st.sampled_from(sessions),
+        st.just("q"),
+        st.tuples(st.sampled_from(PROGRAM_VALUES)),
+    )
+    terminate = st.sampled_from(["close_session", "cancel_session"])
+    step = st.one_of(
+        st.tuples(st.just("ingest"), st.lists(event, max_size=8), st.booleans()),
+        st.tuples(terminate, st.sampled_from(sessions)),
+        st.tuples(st.just("recover")),
+    )
+    return draw(st.lists(step, min_size=1, max_size=12))
+
+
+def assert_counters(mux):
+    """The O(1) stats() counters agree with the sessions themselves."""
+    stats = mux.stats()
+    live = [s for s in mux.session_ids() if mux.session_outcome(s) is None]
+    assert stats["live"] == mux.live_sessions() == len(live)
+    assert stats["quarantined"] == len(mux.quarantined_sessions())
+
+
+def run_program(extended, db, program, deadlines):
+    """Run *program* (deadlines kept or dropped); return what must agree."""
+    mux = MonitorMultiplexer(extended, db, snapshot_every=2, journal_cap=4)
+    for step in program:
+        if step[0] == "ingest":
+            mux.ingest(step[1], deadline=0 if deadlines and step[2] else None)
+        elif step[0] == "recover":
+            mux.recover()
+        else:
+            try:
+                getattr(mux, step[0])(step[1])
+            except SpecificationError:
+                pass  # never opened: both runs agree on that
+        assert_counters(mux)
+    mux.recover()
+    assert_counters(mux)
+    outcomes = {}
+    for session in mux.session_ids():
+        outcome = mux.session_outcome(session)
+        if outcome is not None:
+            outcomes[session] = (outcome.status, outcome.stats)
+    return mux.fingerprints(), outcomes, mux.stats()["events_applied"]
+
+
+class TestInterruptedIngestProperty:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(program=monitor_programs(), at=st.integers(1, 4))
+    def test_timeouts_lose_and_double_count_nothing(
+        self, extended, db, monkeypatch, program, at
+    ):
+        # Timed-out ingests leave their events pending; whoever drains them
+        # (the next ingest, a close or cancel, recover) applies and counts
+        # each once, so the run ends exactly where the same program without
+        # deadlines does -- also under driver crashes and skipped snapshots.
+        monkeypatch.setenv("REPRO_FAULTS", "")
+        reset_faults()
+        expected = run_program(extended, db, program, deadlines=False)
+        assert run_program(extended, db, program, deadlines=True) == expected
+        for plan in ("monitor.ingest:crash:%d" % at, "monitor.snapshot:raise:%d" % at):
+            monkeypatch.setenv("REPRO_FAULTS", plan)
+            reset_faults()
+            try:
+                assert run_program(extended, db, program, deadlines=True) == expected
+            finally:
+                reset_faults()
 
 
 # ---------------------------------------------------------------------- #
