@@ -93,11 +93,9 @@ def session_payload(config, report: str = "BENCH_4") -> dict:
     """The full session report: tables, timings, cache and intern stats."""
     from repro.foundations.stats import all_cache_stats
     from repro.foundations.interning import intern_table_sizes
-    from repro.core.parallel import worker_count
 
     return {
         "report": report,
-        "workers": worker_count(),
         "cpu_count": os.cpu_count(),
         "tables": registry_payload(),
         "benchmarks": timing_payload(config),

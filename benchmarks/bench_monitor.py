@@ -7,9 +7,8 @@ latency at two population sizes (1k and 10k live sessions; quick mode
 shrinks both).  Second, what a recovery costs relative to the clean run
 -- and, non-negotiably, that recovery is *invisible* in the verdicts:
 the per-session ``(state, position, failed, peak_threads)`` fingerprints
-under an injected driver crash (``monitor.ingest:crash``) and under a
-real worker crash (``parallel.call_chunk:exit``) are asserted equal to
-the fault-free serial run, in-bench, before any timing is trusted.
+under an injected driver crash (``monitor.ingest:crash``) are asserted
+equal to the fault-free run, in-bench, before any timing is trusted.
 
 Timings use ``time.perf_counter`` (never ``time.time`` -- lint rule
 TIME001); medians over several repeats to shrug off scheduler noise.
@@ -28,7 +27,6 @@ from repro import (
     Signature,
 )
 from repro.automata.regex import concat, literal, plus
-from repro.core.parallel import shutdown_executor
 from repro.foundations.faults import reset_faults
 from repro.foundations.resilience import drain_events
 from repro.foundations import knobs
@@ -105,7 +103,6 @@ def test_throughput(benchmark, monkeypatch):
             mux = MonitorMultiplexer(
                 extended,
                 database,
-                shards=1,
                 snapshot_every=8,
                 journal_cap=4 * n_sessions,
             )
@@ -137,27 +134,25 @@ def test_crash_recovery_identity(benchmark, monkeypatch):
     extended = _spec()
     database = Database(Signature.empty())
 
-    def run(shards):
-        mux = MonitorMultiplexer(
-            extended, database, shards=shards, snapshot_every=4
-        )
+    def run():
+        mux = MonitorMultiplexer(extended, database, snapshot_every=4)
         _drive(mux, n_sessions, batches)
         return mux
 
     monkeypatch.setenv("REPRO_FAULTS", "")
     reset_faults()
-    baseline = run(shards=1)
+    baseline = run()
     expected = baseline.fingerprints()
-    clean_median = _median_seconds(lambda: run(shards=1))
+    clean_median = _median_seconds(run)
 
-    # Leg A: driver volatile-state loss mid-ingest, recovered from the
-    # journal + durable snapshots.  Identity first, then the timing.
+    # Driver volatile-state loss mid-ingest, recovered from the journal +
+    # durable snapshots.  Identity first, then the timing.
     monkeypatch.setenv("REPRO_FAULTS", "monitor.ingest:crash:2")
 
     def crashed():
         reset_faults()
         drain_events()
-        return run(shards=1)
+        return run()
 
     recovered = crashed()
     assert recovered.fingerprints() == expected
@@ -165,6 +160,8 @@ def test_crash_recovery_identity(benchmark, monkeypatch):
     crashed_median = benchmark.pedantic(
         lambda: _median_seconds(crashed), rounds=1, iterations=1
     )
+    monkeypatch.setenv("REPRO_FAULTS", "")
+    reset_faults()
     RECOVERY_ROWS.append(
         (
             "driver crash (monitor.ingest:crash), %d sessions" % n_sessions,
@@ -174,37 +171,8 @@ def test_crash_recovery_identity(benchmark, monkeypatch):
         )
     )
 
-    # Leg B: a real worker process dies mid-batch; the resilient pool
-    # resubmits the chunk and the verdicts still match the serial run.
-    monkeypatch.setenv("REPRO_WORKERS", "2")
-    monkeypatch.setenv("REPRO_POOL_BACKOFF_MS", "0")
-    monkeypatch.setenv("REPRO_FAULTS", "parallel.call_chunk:exit:1")
-    try:
-
-        def pool_crashed():
-            shutdown_executor()
-            reset_faults()
-            drain_events()
-            return run(shards=4)
-
-        sharded = pool_crashed()
-        assert sharded.fingerprints() == expected
-        pool_median = _median_seconds(pool_crashed)
-    finally:
-        monkeypatch.setenv("REPRO_FAULTS", "")
-        reset_faults()
-        shutdown_executor()
-    RECOVERY_ROWS.append(
-        (
-            "worker crash (parallel.call_chunk:exit), %d sessions" % n_sessions,
-            "%.1f ms" % (clean_median * 1e3),
-            "%.1f ms" % (pool_median * 1e3),
-            "fingerprints identical",
-        )
-    )
     # Recovery must stay the same order of magnitude, never hang.
     assert crashed_median < clean_median * 200 + 5.0
-    assert pool_median < clean_median * 500 + 10.0
 
 
 register_table(

@@ -7,10 +7,6 @@ measurably.  Target: < 3% median overhead on the Example 2/3 emptiness
 sweep (the hard assertion is deliberately looser -- CI machines are
 noisy -- but the table reports the honest number).
 
-The second question is what a worker crash costs: the respawn + serial
-fallback must recover in the same order of magnitude as the clean run,
-not hang or thrash.
-
 Timings use ``time.perf_counter`` (never ``time.time`` -- lint rule
 TIME001); medians over several repeats to shrug off scheduler noise.
 """
@@ -19,9 +15,6 @@ import statistics
 import time
 
 from repro import Deadline, ExtendedAutomaton, GlobalConstraint, check_emptiness
-from repro.core.parallel import parallel_map, shutdown_executor
-from repro.foundations.faults import reset_faults
-from repro.foundations.resilience import drain_events
 
 from _tables import register_table
 
@@ -99,50 +92,6 @@ def test_deadline_overhead(benchmark):
     # Lenient hard bound (the target is 3%; CI boxes jitter far above
     # what the checkpoints themselves could ever cost).
     assert overhead < 50.0
-
-
-def test_crash_recovery_cost(benchmark, monkeypatch):
-    """Worker crash -> respawn -> serial fallback, vs the clean serial run."""
-    items = list(range(192))
-
-    def clean():
-        return parallel_map(_work, items, chunk_size=8)
-
-    expected = clean()
-    clean_median = _median_seconds(clean, repeats=3)
-
-    monkeypatch.setenv("REPRO_WORKERS", "2")
-    monkeypatch.setenv("REPRO_POOL_BACKOFF_MS", "0")
-    monkeypatch.setenv("REPRO_FAULTS", "parallel.call_chunk:exit:1")
-    reset_faults()
-
-    def crashed():
-        shutdown_executor()
-        reset_faults()
-        drain_events()
-        return parallel_map(_work, items, chunk_size=8)
-
-    assert crashed() == expected  # bit-identical through the recovery
-    crashed_median = benchmark.pedantic(
-        lambda: _median_seconds(crashed, repeats=3), rounds=1, iterations=1
-    )
-    monkeypatch.delenv("REPRO_FAULTS")
-    reset_faults()
-    shutdown_executor()
-    ROWS.append(
-        (
-            "crash recovery",
-            "%.1f ms" % (clean_median * 1e3),
-            "%.1f ms" % (crashed_median * 1e3),
-            "%+.1fx" % (crashed_median / clean_median),
-        )
-    )
-    # Recovery must stay the same order of magnitude, never hang.
-    assert crashed_median < clean_median * 200 + 5.0
-
-
-def _work(n):
-    return sum(i * i for i in range(200 + (n % 7)))
 
 
 register_table(

@@ -11,9 +11,8 @@ with labelled edges and per-node entry values, and a worklist solver
 Determinism discipline: nodes are seeded in ``repr``-sorted order and the
 worklist is FIFO with membership dedup, so the number of iterations -- and
 every intermediate value -- is a pure function of the problem, independent
-of hash seeds, intern-table state, and worker count.  Consumers (the
-pruner, the reduction) rely on this to keep serial and ``REPRO_WORKERS``
-runs byte-identical.
+of hash seeds and intern-table state.  Consumers (the pruner, the
+reduction) rely on this to keep repeated runs byte-identical.
 
 Instantiations live next door: :mod:`repro.analysis.dataflow.equality_domain`
 runs the reachable-equality-types analysis of registers over this solver.

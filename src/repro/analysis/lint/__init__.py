@@ -5,10 +5,8 @@ an import-graph + call-graph layer over every linted file
 (:mod:`.program`), a pluggable rule registry in the style of the
 :class:`~repro.analysis.engine.AnalysisPass` registry (:mod:`.registry`),
 the eight legacy single-file rules ported byte-for-byte (:mod:`.legacy`),
-and three cross-file rule families:
+and two cross-file rule families:
 
-* ``PAR00x`` -- worker-purity race detection over process-pool payloads
-  (:mod:`.purity`);
 * ``KNB00x`` -- ``REPRO_*`` knob-registry discipline, CI ablation
   coverage and generated-docs drift (:mod:`.knob_rules`);
 * ``RSL00x`` -- deadline-poll discipline in long-running loops

@@ -32,7 +32,6 @@ from repro.analysis.lint.registry import all_rules
 # Importing the rule modules populates the registry (side-effectful by
 # design, exactly like repro.analysis registering its passes).
 from repro.analysis.lint import legacy as _legacy  # noqa: F401
-from repro.analysis.lint import purity as _purity  # noqa: F401
 from repro.analysis.lint import knob_rules as _knob_rules  # noqa: F401
 from repro.analysis.lint import deadlines as _deadlines  # noqa: F401
 

@@ -46,9 +46,8 @@ _KNOB_TOKEN = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
 _KNB001_MESSAGE = (
     "direct environment access to %r bypasses the knob registry: declare "
     "the knob in repro.foundations.knobs and go through knobs.value(...) / "
-    "knobs.raw_value(...) (reads) or knobs.pin_for_worker(...) (worker "
-    "pins), so parsing, ablation coverage and the generated docs stay "
-    "centralised"
+    "knobs.raw_value(...), so parsing, ablation coverage and the generated "
+    "docs stay centralised"
 )
 
 
@@ -243,7 +242,7 @@ register_rule(
         "module",
         "literal `REPRO_*` access through `os.environ`/`os.getenv` outside "
         "`repro.foundations.knobs`: declare the knob and read it via "
-        "`knobs.value(...)` (writes: `knobs.pin_for_worker`)",
+        "`knobs.value(...)`",
         _run_knb001,
     )
 )

@@ -1,15 +1,14 @@
 """The whole-program model behind the cross-file lint rules.
 
-The legacy linter saw one file at a time; the PAR/RSL rule families need
-to follow a callable from the process-pool call site in one module into
-its definition in another.  This module supplies exactly the machinery
-they share:
+The legacy linter saw one file at a time; the RSL rule family needs to
+follow a call from a loop in one module into the callee's definition in
+another.  This module supplies exactly that machinery:
 
 * :class:`ModuleInfo` -- one parsed file: AST, source lines, a
   best-effort dotted module name (derived from the path's ``repro``
-  package root), the import maps, and indexes of top-level functions,
-  classes and module-level containers.  Every file is parsed **once**;
-  per-rule work caches hang off :attr:`ModuleInfo.cache`.
+  package root), the import maps, and indexes of top-level functions
+  and classes.  Every file is parsed **once**; per-rule work caches
+  hang off :attr:`ModuleInfo.cache`.
 * :class:`Program` -- the modules in deterministic load order plus the
   cross-module indexes (dotted name -> module, method name -> defining
   methods) and the resolution helpers.
@@ -18,16 +17,10 @@ Resolution is deliberately *best effort and sound-for-linting*: a callee
 we cannot resolve contributes no edge (rules stay quiet rather than
 guess), and every traversal is bounded and deterministically ordered, so
 a lint run is a pure function of the file contents.  The supported
-chains cover the idioms the repository actually uses for process-pool
-payloads:
+callees:
 
-* a plain ``Name`` -- a local ``def``, a ``from x import f`` alias, or a
-  local variable resolved through its assignment in the enclosing
-  function body;
-* a constructed instance (``Tracker(x)`` as a payload) -- the class's
-  ``__call__`` method;
-* a factory call (``kernel.candidate_check()``) -- one level of
-  return-value resolution inside the factory's body;
+* a plain ``Name`` -- a local ``def`` or a ``from x import f`` alias
+  (calling a class enters its ``__init__``);
 * an ``obj.method`` attribute -- through the import map for module
   attributes, ``self`` for the enclosing class, and a unique-method-name
   fallback across the program otherwise.
@@ -44,29 +37,6 @@ __all__ = [
     "Program",
     "module_name_for",
 ]
-
-#: Constructor names whose module-level result counts as a mutable
-#: container for the purity rules (PAR003) -- the same family the legacy
-#: DEF001 rule treats as mutable.
-CONTAINER_CALLS = (
-    "list",
-    "dict",
-    "set",
-    "defaultdict",
-    "OrderedDict",
-    "Counter",
-    "deque",
-    "WeakValueDictionary",
-)
-
-_CONTAINER_LITERALS = (
-    ast.List,
-    ast.Dict,
-    ast.Set,
-    ast.ListComp,
-    ast.DictComp,
-    ast.SetComp,
-)
 
 
 def module_name_for(path: str) -> str:
@@ -86,18 +56,6 @@ def module_name_for(path: str) -> str:
                 dotted.append(stem)
             return ".".join(dotted)
     return stem
-
-
-def _is_container_expr(node: ast.expr) -> bool:
-    if isinstance(node, _CONTAINER_LITERALS):
-        return True
-    if isinstance(node, ast.Call):
-        callee = node.func
-        if isinstance(callee, ast.Name) and callee.id in CONTAINER_CALLS:
-            return True
-        if isinstance(callee, ast.Attribute) and callee.attr in CONTAINER_CALLS:
-            return True
-    return False
 
 
 class FunctionInfo:
@@ -166,14 +124,6 @@ class ModuleInfo:
         self.import_from: Dict[str, Tuple[str, str]] = {}
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
-        #: module-level mutable containers -- name -> defining statement
-        self.containers: Dict[str, ast.stmt] = {}
-        #: names that appear inside a ``register_*(...)`` call anywhere in
-        #: the module (the MC001 "has a lifecycle hook" convention)
-        self.registered_names: set = set()
-        #: names bound at module level to a ``ValueCache(...)`` -- those
-        #: self-register a mode listener (repro.foundations.memo)
-        self.value_caches: set = set()
 
         self._index()
 
@@ -192,17 +142,6 @@ class ModuleInfo:
                                 node.module,
                                 alias.name,
                             )
-            elif isinstance(node, ast.Call):
-                callee = node.func
-                name = None
-                if isinstance(callee, ast.Name):
-                    name = callee.id
-                elif isinstance(callee, ast.Attribute):
-                    name = callee.attr
-                if name is not None and name.startswith("register_"):
-                    for descendant in ast.walk(node):
-                        if isinstance(descendant, ast.Name):
-                            self.registered_names.add(descendant.id)
 
         for statement in self.tree.body:
             if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -211,29 +150,6 @@ class ModuleInfo:
                 )
             elif isinstance(statement, ast.ClassDef):
                 self.classes[statement.name] = ClassInfo(self, statement)
-            elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
-                targets, value = self._assignment(statement)
-                if value is None:
-                    continue
-                for target in targets:
-                    if not isinstance(target, ast.Name):
-                        continue
-                    if _is_container_expr(value):
-                        self.containers[target.id] = statement
-                    if (
-                        isinstance(value, ast.Call)
-                        and isinstance(value.func, ast.Name)
-                        and value.func.id == "ValueCache"
-                    ):
-                        self.value_caches.add(target.id)
-
-    @staticmethod
-    def _assignment(statement):
-        if isinstance(statement, ast.Assign):
-            return statement.targets, statement.value
-        if isinstance(statement, ast.AnnAssign) and statement.value is not None:
-            return [statement.target], statement.value
-        return (), None
 
     # -- convenience ---------------------------------------------------- #
 
@@ -254,9 +170,9 @@ class ModuleInfo:
         return "ModuleInfo(%s as %s)" % (self.path, self.name)
 
 
-#: Bound on every resolution recursion: payload chains in this codebase
-#: are at most factory -> constructor -> ``__call__`` deep; the bound is
-#: a cycle guard, not a tuning knob.
+#: Bound on every resolution recursion: ``from x import y`` re-export
+#: chains in this codebase are short; the bound is a cycle guard, not a
+#: tuning knob.
 _RESOLVE_DEPTH = 6
 
 
@@ -265,7 +181,7 @@ class Program:
 
     def __init__(self, modules: Sequence[ModuleInfo]):
         self.modules: List[ModuleInfo] = list(modules)
-        #: per-run memo space (e.g. the PAR closure is shared by 3 rules)
+        #: per-run memo space (e.g. the RSL pass is shared by 2 rules)
         self.cache: Dict[str, object] = {}
         self.by_name: Dict[str, ModuleInfo] = {}
         for module in self.modules:
@@ -354,149 +270,3 @@ class Program:
                 return [candidates[0]]
             return []
         return []
-
-    # -- payload resolution (what runs in the *worker*) ----------------- #
-
-    def resolve_payload(
-        self,
-        module: ModuleInfo,
-        expr: ast.expr,
-        scope_body: Sequence[ast.stmt] = (),
-        _depth: int = 0,
-    ) -> List[FunctionInfo]:
-        """The function bodies a process-pool payload *expr* executes.
-
-        Payload semantics differ from call-graph semantics in one spot:
-        a constructed instance (``Tracker(x)``) ships to the worker and
-        runs its ``__call__`` there, while ``__init__`` already ran in
-        the parent.
-        """
-        if _depth > _RESOLVE_DEPTH:
-            return []
-        if isinstance(expr, ast.Name):
-            assigned = self._local_assignments(expr.id, scope_body)
-            if assigned:
-                resolved: List[FunctionInfo] = []
-                for value in assigned:
-                    resolved.extend(
-                        self.resolve_payload(module, value, scope_body, _depth + 1)
-                    )
-                return _dedupe(resolved)
-            target = self.resolve_name(module, expr.id)
-            if isinstance(target, FunctionInfo):
-                return [target]
-            if isinstance(target, ClassInfo):
-                call = target.methods.get("__call__")
-                return [call] if call is not None else []
-            return []
-        if isinstance(expr, ast.Call):
-            produced: List[FunctionInfo] = []
-            callee = expr.func
-            if isinstance(callee, ast.Name):
-                target = self.resolve_name(module, callee.id)
-                if isinstance(target, ClassInfo):
-                    call = target.methods.get("__call__")
-                    return [call] if call is not None else []
-                if isinstance(target, FunctionInfo):
-                    produced.extend(
-                        self._returned_payloads(target, _depth + 1)
-                    )
-                return _dedupe(produced)
-            factories = self.resolve_callee(module, callee)
-            if not factories and isinstance(callee, ast.Attribute):
-                candidates = self.method_index.get(callee.attr, ())
-                if len(candidates) == 1:
-                    factories = [candidates[0]]
-            for factory in factories:
-                produced.extend(self._returned_payloads(factory, _depth + 1))
-            return _dedupe(produced)
-        if isinstance(expr, ast.Attribute):
-            value = expr.value
-            if isinstance(value, ast.Name):
-                source = self.module_ref(module, value.id)
-                if source is not None:
-                    target = self.resolve_name(source, expr.attr)
-                    if isinstance(target, FunctionInfo):
-                        return [target]
-            candidates = self.method_index.get(expr.attr, ())
-            if len(candidates) == 1:
-                return [candidates[0]]
-            return []
-        return []
-
-    def _returned_payloads(
-        self, factory: FunctionInfo, depth: int
-    ) -> List[FunctionInfo]:
-        """One level of return-value resolution inside a factory body."""
-        produced: List[FunctionInfo] = []
-        for node in ast.walk(factory.node):
-            if isinstance(node, ast.Return) and node.value is not None:
-                produced.extend(
-                    self.resolve_payload(
-                        factory.module,
-                        node.value,
-                        factory.node.body,
-                        depth,
-                    )
-                )
-        return produced
-
-    @staticmethod
-    def _local_assignments(
-        name: str, scope_body: Sequence[ast.stmt]
-    ) -> List[ast.expr]:
-        """Every value assigned to local *name* inside the scope body."""
-        values: List[ast.expr] = []
-        for statement in scope_body:
-            for node in ast.walk(statement):
-                if isinstance(node, ast.Assign):
-                    for target in node.targets:
-                        if isinstance(target, ast.Name) and target.id == name:
-                            values.append(node.value)
-        return values
-
-    # -- call-graph closure --------------------------------------------- #
-
-    def reachable_functions(
-        self, roots: Sequence[FunctionInfo], max_depth: int = 16
-    ) -> List[FunctionInfo]:
-        """Functions transitively callable from *roots* (roots included).
-
-        Bounded, deterministic breadth-first closure: edges come from
-        :meth:`resolve_callee` over every ``Call`` in a body (nested
-        defs included -- an over-approximation is the sound direction
-        for a purity check), siblings are visited in source order, and
-        an unresolvable callee simply contributes no edge.
-        """
-        seen: Dict[Tuple[str, str], FunctionInfo] = {}
-        frontier: List[FunctionInfo] = []
-        for root in roots:
-            if root.key not in seen:
-                seen[root.key] = root
-                frontier.append(root)
-        depth = 0
-        while frontier and depth < max_depth:
-            next_frontier: List[FunctionInfo] = []
-            for fn in frontier:
-                for node in ast.walk(fn.node):
-                    if not isinstance(node, ast.Call):
-                        continue
-                    for callee in self.resolve_callee(
-                        fn.module, node.func, fn.owner_class
-                    ):
-                        if callee.key not in seen:
-                            seen[callee.key] = callee
-                            next_frontier.append(callee)
-            frontier = next_frontier
-            depth += 1
-        return list(seen.values())
-
-
-def _dedupe(functions: List[FunctionInfo]) -> List[FunctionInfo]:
-    seen = set()
-    out: List[FunctionInfo] = []
-    for fn in functions:
-        if fn.key not in seen:
-            seen.add(fn.key)
-            out.append(fn)
-    return out

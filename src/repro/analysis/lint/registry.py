@@ -13,7 +13,7 @@ Three scopes, distinguished by what the ``run`` callable receives:
   time, with the whole program available for context.  The eight legacy
   rules and ``KNB001`` live here.
 * ``"program"`` -- ``run(program, context)``: cross-file rules whose
-  findings still land *in* the linted files (``PAR00x``, ``RSL00x``).
+  findings still land *in* the linted files (``RSL00x``).
 * ``"artifact"`` -- ``run(program, context)``: rules about artifacts
   *outside* the linted tree (CI workflow, generated docs tables --
   ``KNB002``/``KNB003``).  Skipped by single-source ``iter_findings``.
@@ -65,7 +65,7 @@ def register_rule(rule: LintRule) -> LintRule:
 
 
 def lint_rule(code: str, name: str, scope: str, summary: str):
-    """Decorator form: ``@lint_rule("PAR001", "worker-global-write", ...)``."""
+    """Decorator form: ``@lint_rule("RSL001", "unpolled-expensive-loop", ...)``."""
 
     def decorate(fn: Callable) -> Callable:
         register_rule(LintRule(code, name, scope, summary, fn))

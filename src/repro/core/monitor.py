@@ -5,8 +5,8 @@ The paper's Section 5 observation -- projection-view global constraints
 -- is executed by :class:`~repro.core.streaming.StreamingChecker`, one
 run in one process.  This module scales that checker to the ROADMAP's
 mass-monitoring shape: a :class:`MonitorMultiplexer` drives thousands of
-concurrent sessions over one shared specification, and survives worker
-or driver crashes without losing (or double-applying) a single event.
+concurrent sessions over one shared specification, and survives driver
+crashes without losing (or double-applying) a single event.
 
 Three ideas carry the design:
 
@@ -27,12 +27,10 @@ Three ideas carry the design:
   suffix -- deterministic, so the rebuilt fingerprints are byte-identical
   to an uninterrupted run: zero lost, zero double-applied events.
 
-* **One application path.**  Serial ingest, shard workers and replay
-  all restore a session's snapshot into a checker their caller reuses
-  and feed it (:func:`_apply_session`); snapshots, never live checkers,
-  are the volatile state.  Shard payloads are *stateless* -- durable
-  state only advances on the driver -- so the pool's resubmission of a
-  crashed chunk recomputes the same snapshots.
+* **One application path.**  Ingest and replay both restore a
+  session's snapshot into the multiplexer's one reused checker and feed
+  it (:func:`_apply_session`); snapshots, never live checkers, are the
+  volatile state.
 
 Per-session quarantine keeps one poison event from taking down its
 neighbours: the offending session is rolled back to its last good
@@ -51,11 +49,9 @@ snapshot write; ``raise`` skips the write and keeps the journal tail,
 idempotent -- recovery pass).
 """
 
-import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.core import parallel
 from repro.core.extended import ExtendedAutomaton
 from repro.core.streaming import StreamingChecker
 from repro.db.database import Database
@@ -93,8 +89,8 @@ def _canonical_threads(
 
     Sorting both the DFA states and the stored values makes equal
     checker states produce equal snapshots (and equal pickles), so
-    fingerprint comparisons across serial, sharded and recovered runs
-    are byte-level, never modulo set iteration order.
+    fingerprint comparisons across uninterrupted and recovered runs are
+    byte-level, never modulo set iteration order.
     """
     return tuple(
         tuple(
@@ -112,10 +108,9 @@ class SessionSnapshot:
     """A compact, picklable, version-tagged capture of a streaming session.
 
     Records only *run* state -- the specification and database stay with
-    the checker, so snapshots are cheap to pickle across the process
-    pool and to retain in the multiplexer's durable store.  ``threads``
-    is stored canonically sorted; :meth:`apply` rebuilds the mutable
-    dict-of-sets form.
+    the checker, so snapshots are cheap to pickle and to retain in the
+    multiplexer's durable store.  ``threads`` is stored canonically
+    sorted; :meth:`apply` rebuilds the mutable dict-of-sets form.
     """
 
     version: int
@@ -177,7 +172,7 @@ class SessionSnapshot:
 
 
 # ---------------------------------------------------------------------- #
-# journal entries, shard tasks and the pure worker payload
+# journal entries and the application path
 # ---------------------------------------------------------------------- #
 
 
@@ -190,16 +185,8 @@ class JournalEntry(NamedTuple):
     registers: Tuple[Any, ...]
 
 
-class _SessionTask(NamedTuple):
-    """Work shipped to a shard: where the session is, what to feed it."""
-
-    session: object
-    snapshot: SessionSnapshot
-    events: Tuple[JournalEntry, ...]
-
-
 class _SessionResult(NamedTuple):
-    """What applying a task produced (pure function of the task).
+    """What applying a session's events produced (pure function of the inputs).
 
     ``results`` holds ``(seq, verdict)`` for every applied event;
     ``poison`` is ``(seq, error)`` when an event raised, in which case
@@ -218,14 +205,14 @@ class _SessionResult(NamedTuple):
 def _apply_session(
     checker: StreamingChecker,
     snapshot: SessionSnapshot,
-    events: Tuple[JournalEntry, ...],
+    events: Sequence[JournalEntry],
 ) -> _SessionResult:
     """Apply *events* to the session *snapshot*; pure and deterministic.
 
-    This is the single application path -- serial ingest, sharded workers
-    and journal replay all come through here, which is what makes their
-    answers byte-identical by construction.  The caller supplies and
-    reuses *checker*: restoring *snapshot* overwrites all its run state.
+    This is the single application path -- ingest and journal replay both
+    come through here, which is what makes their answers byte-identical
+    by construction.  The caller supplies and reuses *checker*:
+    restoring *snapshot* overwrites all its run state.
     A poison event (any unexpected exception from ``feed``) rolls the
     session back to the state just before it, so quarantine freezes a
     meaningful position.
@@ -261,33 +248,6 @@ def _apply_session(
         poison=poison,
         interrupted=interrupted,
     )
-
-
-class _ShardWorker:
-    """The process-pool payload: a stateless shard applier.
-
-    Holds only the immutable specification; every call is a pure
-    function from ``(snapshot, events)`` tasks to results, so the pool's
-    chunk resubmission after a worker crash recomputes identical answers
-    and durable state never advances off the driver.
-    """
-
-    __slots__ = ("_extended", "_database")
-
-    def __init__(self, extended: ExtendedAutomaton, database: Database):
-        self._extended = extended
-        self._database = database
-
-    def __call__(self, shard: Tuple[_SessionTask, ...]) -> Tuple[_SessionResult, ...]:
-        checker = StreamingChecker(self._extended, self._database, strict=False)
-        return tuple(
-            _apply_session(checker, task.snapshot, task.events) for task in shard
-        )
-
-
-def _shard_of(session: object, shards: int) -> int:
-    """Deterministic shard assignment (never Python's salted ``hash``)."""
-    return zlib.crc32(repr(session).encode("utf-8")) % shards
 
 
 # ---------------------------------------------------------------------- #
@@ -337,11 +297,9 @@ class MonitorMultiplexer:
     """Drive many concurrent streaming sessions, crash-safely.
 
     Events arrive in batches tagged by session id
-    (``ingest([(session, state, registers), ...])``); sessions are
-    sharded by id over the resilient process pool when ``REPRO_WORKERS``
-    and ``REPRO_MONITOR_SHARDS`` allow, and applied serially otherwise --
-    byte-identically, because both paths and replay restore each session
-    into a reused checker through :func:`_apply_session`.
+    (``ingest([(session, state, registers), ...])``); each batch is
+    applied session by session, and ingest and replay restore each
+    session into one reused checker through :func:`_apply_session`.
 
     Durability model: the **durable** half (write-ahead journal, periodic
     per-session snapshots, terminal-outcome ledger) survives a crash; the
@@ -349,25 +307,22 @@ class MonitorMultiplexer:
     it by :meth:`recover`, which the ``monitor.ingest:crash`` fault kind
     exercises end to end; a terminal session keeps only its final
     durable snapshot.  One :meth:`ingest` costs O(batch + journal), never
-    O(sessions seen).  Knobs: ``REPRO_MONITOR_SHARDS``,
-    ``REPRO_MONITOR_SNAPSHOT_EVERY``, ``REPRO_MONITOR_JOURNAL_CAP`` (all
-    call-time, all overridable per instance).
+    O(sessions seen).  Knobs: ``REPRO_MONITOR_SNAPSHOT_EVERY`` and
+    ``REPRO_MONITOR_JOURNAL_CAP`` (both call-time, both overridable per
+    instance).
     """
 
     def __init__(
         self,
         extended: ExtendedAutomaton,
         database: Database,
-        shards: Optional[int] = None,
         snapshot_every: Optional[int] = None,
         journal_cap: Optional[int] = None,
     ):
         self._extended = extended
         self._database = database
-        self._shards = shards
         self._snapshot_every = snapshot_every
         self._journal_cap = journal_cap
-        self._worker = _ShardWorker(extended, database)
         self._checker = StreamingChecker(extended, database, strict=False)
         self._initial = self._checker.snapshot()
         # durable state: survives a (simulated) crash
@@ -386,14 +341,6 @@ class MonitorMultiplexer:
         self._snapshots_taken = 0
 
     # -- knobs ---------------------------------------------------------- #
-
-    def _effective_shards(self) -> int:
-        if self._shards is not None:
-            return max(int(self._shards), 1)
-        configured = knobs.value("REPRO_MONITOR_SHARDS")
-        if configured > 0:
-            return configured
-        return parallel.worker_count()
 
     def _effective_snapshot_every(self) -> int:
         if self._snapshot_every is not None:
@@ -551,7 +498,7 @@ class MonitorMultiplexer:
         ]
         resolved = Deadline.resolve(deadline)
         kind = fault("monitor.ingest")
-        if kind in ("raise", "exception"):
+        if kind == "raise":
             raise FaultInjected(
                 "injected failure at monitor.ingest: batch of %d rejected "
                 "atomically (nothing journaled, nothing applied)" % len(batch)
@@ -616,52 +563,15 @@ class MonitorMultiplexer:
     ) -> Tuple[int, int, str]:
         """Apply journaled *entries* to the live sessions; the normal path."""
         per_session: Dict[object, List[JournalEntry]] = {}
-        order: List[object] = []
         skipped = 0
         for entry in entries:
             if entry.session in self._ledger:
                 skipped += 1  # terminal session: acked, never applied
                 continue
-            if entry.session not in per_session:
-                per_session[entry.session] = []
-                order.append(entry.session)
-            per_session[entry.session].append(entry)
-        tasks = [
-            _SessionTask(
-                session, self._sessions[session].snapshot, tuple(per_session[session])
-            )
-            for session in order
-        ]
-        shard_count = self._effective_shards()
-        workers = parallel.worker_count()
+            per_session.setdefault(entry.session, []).append(entry)
         results: List[_SessionResult] = []
         status = "complete"
-        if workers <= 1 or shard_count <= 1 or len(tasks) <= 1:
-            for task in tasks:
-                try:
-                    if cancel is not None:
-                        cancel.check("monitor.ingest")
-                    active = current_deadline()
-                    if active is not None:
-                        active.check("monitor.ingest")
-                except DeadlineExceeded:
-                    status = "timeout"
-                    break
-                except OperationCancelled:
-                    status = "cancelled"
-                    break
-                result = _apply_session(self._checker, task.snapshot, task.events)
-                results.append(result)
-                if result.interrupted:
-                    status = "timeout"
-                    break
-        else:
-            # Workers cannot observe the driver's ambient deadline scope,
-            # so the sharded path polls on the driver with whole-batch
-            # granularity: an expiry or cancellation seen *before*
-            # dispatch applies nothing (the journaled events stay pending
-            # and the next ingest drains them), matching the serial
-            # path's "stop between sessions, never mid-event" contract.
+        for session, events in per_session.items():
             try:
                 if cancel is not None:
                     cancel.check("monitor.ingest")
@@ -669,17 +579,17 @@ class MonitorMultiplexer:
                 if active is not None:
                     active.check("monitor.ingest")
             except DeadlineExceeded:
-                return 0, skipped, "timeout"
+                status = "timeout"
+                break
             except OperationCancelled:
-                return 0, skipped, "cancelled"
-            shards: Dict[int, List[_SessionTask]] = {}
-            for task in tasks:
-                shards.setdefault(_shard_of(task.session, shard_count), []).append(task)
-            items = [tuple(shards[index]) for index in sorted(shards)]
-            for shard_result in parallel.parallel_map(
-                self._worker, items, chunk_size=1
-            ):
-                results.extend(shard_result)
+                status = "cancelled"
+                break
+            snapshot = self._sessions[session].snapshot
+            result = _apply_session(self._checker, snapshot, events)
+            results.append(result)
+            if result.interrupted:
+                status = "timeout"
+                break
         applied = self._merge_results(results, violations, newly_quarantined)
         return applied, skipped, status
 
@@ -716,7 +626,7 @@ class MonitorMultiplexer:
         """Refresh one session's durable snapshot; honest about failure."""
         record = self._sessions[session]
         kind = fault("monitor.snapshot")
-        if kind in ("raise", "exception"):
+        if kind == "raise":
             record_event(
                 "RS009",
                 "durable snapshot of monitor session %r skipped (injected "
@@ -837,7 +747,7 @@ class MonitorMultiplexer:
                     restarted = True
                     restarts += 1
                     break
-                if kind in ("raise", "exception"):
+                if kind == "raise":
                     self._ledger[session] = Outcome.degraded(
                         session=repr(session),
                         reason="restore-failed",

@@ -66,7 +66,6 @@ from repro.core.extended import (
     eliminate_equality_constraints,
     lift_constraints_to_states,
 )
-from repro.core.parallel import parallel_map
 from repro.core.pruning import prune_extended, prune_infeasible
 from repro.core.register_automaton import RegisterAutomaton, State, Transition
 
@@ -312,30 +311,6 @@ def inequality_tracker_dfa(automaton: RegisterAutomaton, i: int, j: int) -> Dfa:
     return _explore(symbols, masks, first, step, lambda state: state[1] & j_bit)
 
 
-class _TrackerPair:
-    """Picklable worker: both Lemma 21 tracker DFAs for one register pair.
-
-    Wraps the normalised automaton (pickled once per chunk when a process
-    pool is in use) and returns, for a pair ``(i, j)``, the equality and
-    inequality tracker DFAs -- or ``None`` where the tracked language is
-    empty and the constraint would be dropped anyway.
-    """
-
-    __slots__ = ("automaton",)
-
-    def __init__(self, automaton: RegisterAutomaton):
-        self.automaton = automaton
-
-    def __call__(self, pair):
-        i, j = pair
-        eq_dfa = equality_tracker_dfa(self.automaton, i, j)
-        neq_dfa = inequality_tracker_dfa(self.automaton, i, j)
-        return (
-            None if eq_dfa.is_empty() else eq_dfa,
-            None if neq_dfa.is_empty() else neq_dfa,
-        )
-
-
 def lemma21_constraints(
     automaton: RegisterAutomaton, registers: Iterable[int]
 ) -> List[GlobalConstraint]:
@@ -344,23 +319,19 @@ def lemma21_constraints(
     *automaton* must be complete and state-driven.  Constraints whose
     language is empty are dropped, and equality constraints that only
     relate a position to itself through the trivial ``i == j`` reflexivity
-    are kept (they are harmless and occasionally meaningful).
-
-    Each register pair's two tracker DFAs are independent of every other
-    pair's, so the pairs are mapped through
-    :func:`repro.core.parallel.parallel_map` -- serial by default,
-    process-parallel under ``REPRO_WORKERS`` -- with the constraint list
-    assembled in pair order either way.
+    are kept (they are harmless and occasionally meaningful).  The list
+    is assembled in pair order, equality before inequality.
     """
     registers = list(registers)
-    pairs = [(i, j) for i in registers for j in registers]
-    results = parallel_map(_TrackerPair(automaton), pairs, chunk_size=2)
     constraints: List[GlobalConstraint] = []
-    for (i, j), (eq_dfa, neq_dfa) in zip(pairs, results):
-        if eq_dfa is not None:
-            constraints.append(GlobalConstraint(EQ, i, j, eq_dfa))
-        if neq_dfa is not None:
-            constraints.append(GlobalConstraint(NEQ, i, j, neq_dfa))
+    for i in registers:
+        for j in registers:
+            eq_dfa = equality_tracker_dfa(automaton, i, j)
+            neq_dfa = inequality_tracker_dfa(automaton, i, j)
+            if not eq_dfa.is_empty():
+                constraints.append(GlobalConstraint(EQ, i, j, eq_dfa))
+            if not neq_dfa.is_empty():
+                constraints.append(GlobalConstraint(NEQ, i, j, neq_dfa))
     return constraints
 
 

@@ -97,8 +97,7 @@ class ConstraintNarrowing:
     in its corridor (the violation the full consistency check would find).
 
     All thread bookkeeping uses frozensets queried with order-independent
-    predicates, so decisions are identical across hash seeds and worker
-    counts.
+    predicates, so decisions are identical across hash seeds.
     """
 
     __slots__ = ("_k", "_constraints", "_dfas", "_dead", "paths_pruned")

@@ -192,14 +192,15 @@ class _Node:
 
 
 class CodedCandidateCheck:
-    """Picklable consistency check for one id-lasso candidate.
+    """Consistency check for one id-lasso candidate.
 
-    The coded mirror of :class:`repro.core.emptiness._CandidateCheck`:
-    the same product walk of constraint DFA and corridor tracker with the
-    same cycle detection, but corridors are register bitmasks, DFA steps
-    are table lookups keyed by ``(dfa state, original-state index)``, and
-    nothing references a guard object -- the instance ships only tuples,
-    dicts and frozensets.  Bounded cliques (Theorem 9 condition (b)) hold
+    The coded mirror of the literal path's check in
+    :func:`repro.core.emptiness.check_emptiness`
+    (:func:`~repro.core.emptiness.trace_is_consistent`): the same product
+    walk of constraint DFA and corridor tracker with the same cycle
+    detection, but corridors are register bitmasks, DFA steps are table
+    lookups keyed by ``(dfa state, original-state index)``, and nothing
+    references a guard object.  Bounded cliques (Theorem 9 condition (b)) hold
     vacuously in the kernel's domain: a relation-free signature gives the
     inequality graph no vertices, exactly the early-out of
     :func:`repro.core.emptiness.trace_has_bounded_cliques`.
@@ -372,13 +373,13 @@ class SymbolicKernel:
                     )
                 )
             # Re-key the per-node original states by the index the delta
-            # tables use (plain ints: cheap to pickle with the check).
+            # tables use.
             self._node_orig = tuple(orig_index[node.state] for node in self._nodes)
             found = self._tables = tuple(tables)
         return found
 
     def candidate_check(self) -> CodedCandidateCheck:
-        """The picklable per-candidate realisability check."""
+        """The per-candidate realisability check."""
         tables = self._constraint_tables()
         return CodedCandidateCheck(
             self._node_orig, self._node_xclass, self._node_yimage, tables

@@ -1,44 +1,40 @@
 """Deterministic fault injection (``REPRO_FAULTS``).
 
-Every recovery path in the resilient execution layer -- pool respawn,
-serial fallback, deadline timeout, CLI interrupt -- must be *exercised*
-by tests and CI, not trusted on faith.  This module is the switchboard:
-named injection sites inside the library consult the active
-:class:`FaultPlan` and, when the plan says so, fail in a controlled,
-reproducible way.
+Every recovery path in the resilient execution layer -- deadline
+timeout, monitor crash recovery, session quarantine, CLI interrupt --
+must be *exercised* by tests and CI, not trusted on faith.  This module
+is the switchboard: named injection sites inside the library consult
+the active :class:`FaultPlan` and, when the plan says so, fail in a
+controlled, reproducible way.
 
 Syntax
 ------
 ``REPRO_FAULTS`` is a comma-separated list of ``site:kind:nth`` entries::
 
-    REPRO_FAULTS=parallel.call_chunk:exit:1
-    REPRO_FAULTS=parallel.spawn:raise:1,emptiness.lasso:deadline:3
+    REPRO_FAULTS=monitor.ingest:crash:1
+    REPRO_FAULTS=monitor.snapshot:raise:2-4,emptiness.lasso:deadline:3
 
 * ``site`` names the injection point (see docs/ROBUSTNESS.md for the
-  table).  Current sites: ``parallel.call_chunk`` (inside the worker
-  process, per chunk), ``parallel.spawn`` (executor creation),
-  ``emptiness.lasso`` (the candidate-lasso loop of ``check_emptiness``),
-  and the monitor-multiplexer sites ``monitor.ingest`` (per ingest call,
-  driver side: ``crash`` zaps volatile session state after the batch is
-  journaled, ``raise`` rejects the batch atomically), ``monitor.snapshot``
-  (per durable snapshot write: ``raise`` skips it, ``crash`` as above)
-  and ``monitor.restore`` (per session during recovery: ``raise``
-  quarantines that one session, ``crash`` restarts the idempotent
-  recovery pass).
-* ``kind`` is what happens: ``exit`` (hard ``os._exit`` -- simulates a
-  worker crash / OOM kill), ``raise`` (raises :class:`FaultInjected`),
+  table).  Current sites: ``emptiness.lasso`` (the candidate-lasso loop
+  of ``check_emptiness``) and the monitor-multiplexer sites
+  ``monitor.ingest`` (per ingest call: ``crash`` zaps volatile session
+  state after the batch is journaled, ``raise`` rejects the batch
+  atomically), ``monitor.snapshot`` (per durable snapshot write:
+  ``raise`` skips it, ``crash`` as above) and ``monitor.restore`` (per
+  session during recovery: ``raise`` quarantines that one session,
+  ``crash`` restarts the idempotent recovery pass).
+* ``kind`` is what happens: ``raise`` (raises :class:`FaultInjected`),
+  ``crash`` (a monitor site drops its volatile session state),
   ``deadline`` (raises
   :class:`~repro.foundations.resilience.DeadlineExceeded`, forcing the
   timeout path without a real clock), ``interrupt`` (raises
   ``KeyboardInterrupt``, exercising the CLI partial-report path).  Each
-  site documents which kinds it honours.
+  site documents which of these kinds it honours; a plan naming any
+  other kind is rejected.
 * ``nth`` selects occurrences of the site *in the current process*:
   ``3`` fires on exactly the third hit, ``2-4`` on hits two through
-  four, ``*`` on every hit.  Counters are per-process: worker processes
-  inherit the environment variable and count their own hits, so
-  ``parallel.call_chunk:exit:1`` kills every fresh worker on its first
-  chunk -- which is exactly the repeated-crash scenario the executor
-  respawn logic must survive.
+  four, ``*`` on every hit.  Occurrences count from 1, and a range
+  must not run backwards.
 
 The plan is re-read whenever the environment value changes (call-time
 semantics, like every other ``REPRO_*`` knob), and hit counters reset
@@ -63,12 +59,17 @@ __all__ = [
 ]
 
 
+#: The kinds some site honours; a plan naming any other kind would inject
+#: nothing, so :func:`parse_fault_plan` rejects it.
+_KINDS = ("raise", "crash", "deadline", "interrupt")
+
+
 class FaultInjected(ReproError):
     """The error raised by ``kind=raise`` injections.
 
     A distinct type so tests can assert the failure came from the
     harness, and so recovery code can choose to treat it exactly like
-    the real failure it stands in for (e.g. a spawn failure) without
+    the real failure it stands in for (e.g. a rejected batch) without
     ever catching genuine programming errors by accident.
     """
 
@@ -93,9 +94,12 @@ def _parse_selector(raw: str) -> Tuple[int, Optional[int]]:
         return (1, None)
     if "-" in raw:
         low, high = raw.split("-", 1)
-        return (int(low), int(high))
-    nth = int(raw)
-    return (nth, nth)
+        first, last = int(low), int(high)
+    else:
+        first = last = int(raw)
+    if first < 1 or last < first:
+        raise ValueError("REPRO_FAULTS selector %r can never fire" % raw)
+    return (first, last)
 
 
 def parse_fault_plan(text: str) -> "FaultPlan":
@@ -117,6 +121,11 @@ def parse_fault_plan(text: str) -> "FaultPlan":
         site, kind = parts[0].strip(), parts[1].strip()
         if not site or not kind:
             raise ValueError("REPRO_FAULTS entry %r has an empty field" % entry)
+        if kind not in _KINDS:
+            raise ValueError(
+                "REPRO_FAULTS entry %r: kind %r is not one of %s"
+                % (entry, kind, ", ".join(_KINDS))
+            )
         first, last = _parse_selector(parts[2] if len(parts) == 3 else "*")
         specs.append(FaultSpec(site, kind, first, last))
     return FaultPlan(tuple(specs))
@@ -169,15 +178,12 @@ def _active_plan() -> Optional[FaultPlan]:
     raw = knobs.value("REPRO_FAULTS")
     if not raw:
         with _ACTIVE_LOCK:
-            # Per-worker occurrence numbering is the documented
-            # REPRO_FAULTS contract, so these per-process writes are
-            # exempt from the PAR003 worker-purity rule.
-            _ACTIVE[0] = _ACTIVE[1] = None  # worker-ok: per-process plan cache
+            _ACTIVE[0] = _ACTIVE[1] = None
         return None
     with _ACTIVE_LOCK:
         if _ACTIVE[0] != raw:
-            _ACTIVE[0] = raw  # worker-ok: per-process plan cache (see above)
-            _ACTIVE[1] = parse_fault_plan(raw)  # worker-ok: per-process plan cache
+            _ACTIVE[0] = raw
+            _ACTIVE[1] = parse_fault_plan(raw)
         return _ACTIVE[1]
 
 
@@ -185,8 +191,8 @@ def fault(site: str) -> Optional[str]:
     """Poll an injection *site*: the kind to inject now, or ``None``.
 
     The fast path (no ``REPRO_FAULTS``) is one environment read and no
-    locking beyond the cache reset -- cheap enough for per-chunk and
-    per-candidate call sites.
+    locking beyond the cache reset -- cheap enough for per-candidate call
+    sites.
     """
     plan = _active_plan()
     if plan is None:

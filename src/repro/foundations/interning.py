@@ -23,8 +23,7 @@ Interning is always on.  Consumers still keep *structural* equality
 correct, because two equal values need not be the same object after
 :func:`clear_intern_tables` (a value built before the clear is no longer
 in any table); identity is an optimisation, never a requirement.
-Unpickled values (e.g. results shipped back from ``REPRO_WORKERS``
-subprocesses) re-enter the tables on load via each class's
+Unpickled values re-enter the tables on load via each class's
 ``__reduce__``, which routes through the interning constructor.
 
 Thread note: table probes are dict operations protected by the GIL.  A

@@ -7,8 +7,8 @@ through :func:`value`.  Centralising both halves buys three guarantees
 the scattered ``os.environ.get("REPRO_*")`` reads could not:
 
 * **one parser per knob**: junk-tolerance rules ("unset, empty, negative
-  or garbage mean the default") live in exactly one place, so the serial
-  path, the worker processes, and the benchmarks cannot drift;
+  or garbage mean the default") live in exactly one place, so the
+  library, the tests and the benchmarks cannot drift;
 * **auditable ablation coverage**: lint rule ``KNB002`` cross-checks
   this registry against ``.github/workflows/ci.yml`` -- every registered
   knob must name an ablation leg, or carry an explicit
@@ -24,16 +24,6 @@ each call, so tests and A/B benchmark runs flip knobs per call with
 ``monkeypatch.setenv`` and no module reloads.  Direct
 ``os.environ``/``os.getenv`` access to a ``REPRO_*`` name anywhere else
 under ``repro`` is a lint finding (``KNB001``).
-
-Worker pinning
---------------
-The one sanctioned *write* is :func:`pin_for_worker`: process-pool
-initializers pin a knob inside a fresh worker (e.g. ``REPRO_WORKERS=1``
-so work items that themselves consult the knob never spawn nested
-pools).  Routing the write through here keeps the worker-purity race
-detector (lint rule ``PAR002``) honest: any other worker-side
-environment write is exactly the hidden nondeterminism it exists to
-catch.
 """
 
 import os
@@ -48,7 +38,6 @@ __all__ = [
     "all_knobs",
     "value",
     "raw_value",
-    "pin_for_worker",
 ]
 
 #: The spellings that turn a flag knob off, so ``REPRO_BENCH_QUICK=off``
@@ -94,59 +83,6 @@ def flag_default_off(raw: Optional[str]) -> bool:
     return bool(text) and text not in OFF_VALUES
 
 
-def parse_worker_count(raw: Optional[str]) -> int:
-    """``REPRO_WORKERS``: serial (1) for unset/junk/<=1, capped at 64.
-
-    An explicit request above the machine's CPU count is honoured (the
-    cap is a sanity bound, not an autodetect): tests rely on
-    ``REPRO_WORKERS=2`` actually crossing the process boundary even on a
-    single-CPU host, where oversubscription is the caller's informed
-    choice.
-    """
-    text = (raw or "").strip()
-    if not text:
-        return 1
-    try:
-        requested = int(text)
-    except ValueError:
-        return 1
-    if requested <= 1:
-        return 1
-    return min(requested, 64)
-
-
-def parse_pool_retries(raw: Optional[str]) -> int:
-    """``REPRO_MAX_POOL_RETRIES``: default 1, ``0`` allowed, capped at 16."""
-    text = (raw or "").strip()
-    if not text:
-        return 1
-    try:
-        requested = int(text)
-    except ValueError:
-        return 1
-    if requested < 0:
-        return 1
-    return min(requested, 16)
-
-
-def parse_backoff_seconds(raw: Optional[str]) -> float:
-    """``REPRO_POOL_BACKOFF_MS``: milliseconds in, *seconds* out.
-
-    Defaults to 50 ms; junk and negatives mean the default; ``0``
-    disables the sleep (CI fault-smoke runs).
-    """
-    text = (raw or "").strip()
-    if not text:
-        return 0.05
-    try:
-        milliseconds = float(text)
-    except ValueError:
-        return 0.05
-    if milliseconds < 0:
-        return 0.05
-    return milliseconds / 1000.0
-
-
 def parse_optional_ms(raw: Optional[str]) -> Optional[float]:
     """``REPRO_DEADLINE_MS``: a millisecond count, or ``None`` for "no deadline".
 
@@ -168,20 +104,6 @@ def parse_optional_ms(raw: Optional[str]) -> Optional[float]:
 def parse_stripped(raw: Optional[str]) -> str:
     """A plain string knob (``REPRO_FAULTS``): stripped, ``""`` when unset."""
     return (raw or "").strip()
-
-
-def parse_shard_count(raw: Optional[str]) -> int:
-    """``REPRO_MONITOR_SHARDS``: ``0`` (auto) for unset/junk/negative, capped at 256."""
-    text = (raw or "").strip()
-    if not text:
-        return 0
-    try:
-        requested = int(text)
-    except ValueError:
-        return 0
-    if requested < 0:
-        return 0
-    return min(requested, 256)
 
 
 def _parse_bounded_int(raw: Optional[str], default: int, cap: int) -> int:
@@ -264,18 +186,6 @@ def raw_value(name: str) -> Optional[str]:
     return os.environ.get(name)
 
 
-def pin_for_worker(name: str, pinned: str) -> None:
-    """Pin knob *name* to *pinned* inside a worker process.
-
-    The one sanctioned environment write: process-pool initializers call
-    this so knobs consulted by work items resolve deterministically
-    inside the worker (e.g. ``REPRO_WORKERS=1`` prevents nested pools).
-    Only ever call it from a worker initializer -- pinning the parent
-    process would leak across requests.
-    """
-    os.environ[name] = pinned  # worker-ok: the sanctioned worker-pin write (see docstring)
-
-
 # ---------------------------------------------------------------------- #
 # the declarations
 # ---------------------------------------------------------------------- #
@@ -300,71 +210,12 @@ register_knob(
 
 register_knob(
     Knob(
-        name="REPRO_WORKERS",
-        default="`1` (serial)",
-        parse=parse_worker_count,
-        doc=(
-            "Process-pool width for the candidate-lasso checks "
-            "(`docs/PERFORMANCE.md`).  `0`/`1`/unset/junk mean serial; "
-            "capped at 64."
-        ),
-    )
-)
-
-register_knob(
-    Knob(
-        name="REPRO_MAX_POOL_RETRIES",
-        default="`1`",
-        parse=parse_pool_retries,
-        doc=(
-            "Executor respawns allowed after a broken pool before degrading "
-            "to the serial path.  `0` goes straight to serial on the first "
-            "break; capped at 16."
-        ),
-        ablation="none",
-        ablation_reason=(
-            "the retry machinery itself is exercised by the fault-smoke "
-            "crash legs (parallel.call_chunk:exit); the knob only tunes how "
-            "many respawns precede the serial fallback, which is "
-            "bit-identical by construction"
-        ),
-    )
-)
-
-register_knob(
-    Knob(
-        name="REPRO_POOL_BACKOFF_MS",
-        default="`50`",
-        parse=parse_backoff_seconds,
-        doc=(
-            "Base delay before an executor respawn, doubling per retry.  "
-            "`0` disables the sleep (CI fault-smoke runs)."
-        ),
-    )
-)
-
-register_knob(
-    Knob(
         name="REPRO_FAULTS",
         default="unset",
         parse=parse_stripped,
         doc=(
             "Deterministic fault-injection plan, `site:kind:nth` entries -- "
             "see `docs/ROBUSTNESS.md`, \"Fault injection\"."
-        ),
-    )
-)
-
-register_knob(
-    Knob(
-        name="REPRO_MONITOR_SHARDS",
-        default="`0` (auto: one shard per worker)",
-        parse=parse_shard_count,
-        doc=(
-            "Shard count for `MonitorMultiplexer` session fan-out "
-            "(`repro.core.monitor`).  `0`/unset/junk mean auto "
-            "(`REPRO_WORKERS`); capped at 256.  Sharded and serial ingest "
-            "are byte-identical."
         ),
     )
 )

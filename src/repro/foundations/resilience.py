@@ -21,16 +21,17 @@ every long-running procedure in the library:
   signal handler) polled at the same checkpoints as deadlines.
 * :class:`Outcome` -- the verdict wrapper: ``COMPLETE`` with a value,
   ``TIMEOUT`` / ``CANCELLED`` without one, or ``DEGRADED`` when a
-  procedure finished on a weaker path (budget-declined analysis, serial
-  fallback).  Every non-complete outcome carries deterministic progress
-  stats ("candidates checked", budget snapshots) so "ran out of budget"
-  is a first-class answer, never a silent lie.
+  procedure finished on a weaker path (budget-declined analysis,
+  quarantined monitor session).  Every non-complete outcome carries
+  deterministic progress stats ("candidates checked", budget snapshots)
+  so "ran out of budget" is a first-class answer, never a silent lie.
 
-Recovery paths (pool respawns, serial fallbacks, expired deadlines)
-additionally record structured :class:`~repro.foundations.diagnostics.Diagnostic`
-events (codes ``RS001``-``RS009``, see docs/ROBUSTNESS.md) in a bounded
-in-process log, so tests and operators can observe *that* degradation
-happened without parsing log text.
+Recovery paths (expired deadlines, declined analyses, monitor recovery
+and quarantine) additionally record structured
+:class:`~repro.foundations.diagnostics.Diagnostic` events (``RS00x``
+codes, see docs/ROBUSTNESS.md) in a bounded in-process log, so tests and
+operators can observe *that* degradation happened without parsing log
+text.
 
 Ambient deadline: procedures that cannot thread a parameter through
 every layer (guard completion runs deep inside normalisation) consult
@@ -350,7 +351,7 @@ class OutcomeStatus(enum.Enum):
     * ``TIMEOUT`` -- a deadline expired; the value (if any) is partial
       and the verdict it supports is ``UNKNOWN``.
     * ``DEGRADED`` -- the procedure finished, but on a weaker path: a
-      budget-declined analysis, a serial fallback.  Values are still
+      budget-declined analysis, a quarantined monitor session.  Values are still
       sound (degradation paths are chosen to be bit-identical or
       conservative), the stats say what was skipped.
     * ``CANCELLED`` -- an external token stopped the work.
@@ -372,7 +373,7 @@ class Outcome(Generic[T]):
     ``stats`` must be JSON-serialisable and *deterministic given where
     the procedure stopped* -- counts of work done, budget snapshots,
     names of skipped phases -- never raw clock readings, so byte-identical
-    comparisons across serial/parallel/interned runs stay meaningful.
+    comparisons across repeated and interned runs stay meaningful.
     """
 
     status: OutcomeStatus
@@ -429,7 +430,7 @@ def record_event(
     location: str = "",
     data: Optional[dict] = None,
 ) -> Diagnostic:
-    """Record one structured resilience event (codes ``RS001``-``RS009``).
+    """Record one structured resilience event (an ``RS00x`` code).
 
     Returns the recorded :class:`Diagnostic` so call sites can also
     attach it to an :class:`Outcome` or a report.

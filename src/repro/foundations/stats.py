@@ -92,7 +92,7 @@ def cache_stats(name: str) -> CacheStats:
     """The (singleton) stats object for the named cache; created on demand."""
     stats = _REGISTRY.get(name)
     if stats is None:
-        stats = _REGISTRY[name] = CacheStats(name)  # worker-ok: per-process counters
+        stats = _REGISTRY[name] = CacheStats(name)
     return stats
 
 

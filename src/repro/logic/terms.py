@@ -44,8 +44,8 @@ class Term(metaclass=Interned):
         raise AttributeError("terms are immutable")
 
     def __reduce__(self):
-        # Route unpickling through the constructor so values shipped to and
-        # from worker processes re-intern on load.
+        # Route unpickling through the constructor so unpickled values
+        # re-intern on load.
         return (type(self), (self.name,))
 
     def is_variable(self) -> bool:

@@ -3,9 +3,9 @@
 ``FIXTURES`` maps a relative path (under a ``fixtures/`` root a test
 materialises in a tmp directory) to the source of one deliberately-bad
 module.  There is one seeded violation per lint rule -- the eight legacy
-rules (``ID001`` .. ``ORD001``) and the three new cross-file families
-(``PAR00x`` / ``KNB00x`` / ``RSL00x``) -- plus the clean counterparts the
-exemption comments demonstrate.
+rules (``ID001`` .. ``ORD001``) and the two new cross-file families
+(``KNB00x`` / ``RSL00x``) -- plus the clean counterparts the exemption
+comments demonstrate.
 
 The contents are data, not code: nothing in this module is imported or
 executed by the library.  Two golden files pin the linter's behaviour
@@ -23,11 +23,11 @@ Regenerate the full golden (from the repo root, after a deliberate
 rule change; the legacy golden is the pre-refactor anchor and is never
 regenerated)::
 
-    PYTHONPATH=src python tests/test_lint_engine.py --regen
+    PYTHONPATH=src:. python tests/test_lint_engine.py --regen
 
 Paths are chosen so the path-sensitive rules see the tree they expect:
 ``src/repro/core/...`` is the HC001 hot tree, anything under a ``repro``
-directory is in scope for MC001/ORD001/KNB001/PAR00x, and module names
+directory is in scope for MC001/ORD001/KNB001, and module names
 derived from the ``repro`` package root (``repro.core.streaming``) land
 in the RSL long-running set.
 """
@@ -108,38 +108,6 @@ FIXTURES = {
             for item in set(items):
                 out.append(item)
             return out
-        """
-    ),
-    # -- PAR00x: worker-purity race detector -------------------------- #
-    # The call site and the payload live in different modules: the rule
-    # must chase `record` through the import graph into the payload
-    # module and flag the hidden writes there.
-    "src/repro/core/bad_worker.py": textwrap.dedent(
-        """\
-        from repro.core.bad_worker_payload import record
-        from repro.core.parallel import parallel_map
-
-
-        def fan_out(items):
-            return parallel_map(record, list(items), chunk_size=2)
-        """
-    ),
-    "src/repro/core/bad_worker_payload.py": textwrap.dedent(
-        """\
-        import os
-
-        _HITS = 0
-        _CACHE = {}  # mode-ok: fixture cache of plain ints
-        _BLESSED = {}  # mode-ok: fixture cache of plain ints
-
-
-        def record(item):
-            global _HITS
-            _HITS = _HITS + 1
-            os.environ["REPRO_SEEN"] = str(item)
-            _CACHE[item] = item
-            _BLESSED[item] = item  # worker-ok: fixture demonstrates the exemption
-            return item
         """
     ),
     # -- KNB00x: knob registry discipline ------------------------------ #

@@ -13,12 +13,10 @@ Five layers, tested bottom-up:
   on random automata (k <= 5, where the explicit domain is tolerable);
 * end-to-end at high k: DF001/DF002/DF004 fire on 7..12-register
   automata, and ``check_emptiness`` at k = 8 is invariant under pruning
-  (``tests.helpers.without_pruning``) and ``REPRO_WORKERS``.
+  (``tests.helpers.without_pruning``).
 """
 
-import os
 import random
-from contextlib import contextmanager
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -43,7 +41,6 @@ from repro.analysis.dataflow import (
     reachable_types_outcome,
 )
 from repro.automata.regex import concat, literal
-from repro.core.parallel import shutdown_executor
 from repro.foundations.interning import clear_intern_tables
 from repro.foundations.memo import clear_value_caches
 from repro.foundations.resilience import OutcomeStatus
@@ -68,25 +65,6 @@ EMPTY = Signature.empty()
 
 #: Bell numbers B(1)..B(8): the sizes of the complete-x-type domains.
 BELL = (1, 2, 5, 15, 52, 203, 877, 4140)
-
-
-@contextmanager
-def _env(**overrides):
-    """Pin environment knobs for one block (``None`` unsets a variable)."""
-    previous = {name: os.environ.get(name) for name in overrides}
-    for name, value in overrides.items():
-        if value is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = value
-    try:
-        yield
-    finally:
-        for name, value in previous.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
 
 
 def ra(k, states, initial, accepting, transitions):
@@ -368,7 +346,7 @@ class TestHighRegisterEndToEnd:
 
 
 # --------------------------------------------------------------------- #
-# pruning and worker parity at k = 8
+# pruning parity at k = 8
 # --------------------------------------------------------------------- #
 
 
@@ -418,16 +396,10 @@ def _emptiness_fingerprint(result):
     )
 
 
-def _decide_k8(**overrides):
-    with _env(**overrides):
-        clear_value_caches()
-        clear_intern_tables()
-        try:
-            return check_emptiness(
-                _complete_k8_extended(), max_prefix=3, max_cycle=3
-            )
-        finally:
-            shutdown_executor()
+def _decide_k8():
+    clear_value_caches()
+    clear_intern_tables()
+    return check_emptiness(_complete_k8_extended(), max_prefix=3, max_cycle=3)
 
 
 class TestKnobParityAtEightRegisters:
@@ -438,8 +410,3 @@ class TestKnobParityAtEightRegisters:
         assert not pruned.empty
         assert _emptiness_fingerprint(pruned) == _emptiness_fingerprint(baseline)
         assert pruned.candidates_checked <= baseline.candidates_checked
-
-    def test_worker_parity(self):
-        serial = _decide_k8(REPRO_WORKERS="1")
-        parallel = _decide_k8(REPRO_WORKERS="2")
-        assert _emptiness_fingerprint(serial) == _emptiness_fingerprint(parallel)

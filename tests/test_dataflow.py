@@ -11,8 +11,7 @@ Four layers, tested bottom-up:
   from a small pool);
 * the end-to-end contract: ``check_emptiness`` returns the same verdict
   and witness as the unpruned search (``tests.helpers.without_pruning``)
-  while never checking *more* candidates -- serially and under
-  ``REPRO_WORKERS=2``.
+  while never checking *more* candidates.
 """
 
 import random
@@ -47,7 +46,6 @@ from repro.analysis.dataflow import (
 )
 from repro.automata.buchi import BuchiAutomaton
 from repro.automata.regex import concat, literal, plus
-from repro.core.parallel import shutdown_executor, worker_count
 from repro.core.pruning import build_narrowing
 from repro.generators import random_extended_automaton, random_register_automaton
 from repro.logic.types import complete_equality_x_types
@@ -442,15 +440,6 @@ class TestPruningSoundEndToEnd:
             funnel(), [GlobalConstraint("neq", 1, 2, factor)]
         )
         _compare_modes(extended)
-
-    def test_sound_under_two_workers(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        assert worker_count() == 2
-        try:
-            extended, *_ = _example23(True)
-            _compare_modes(extended)
-        finally:
-            shutdown_executor()
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -8,8 +8,10 @@ from repro import (
     RegisterAutomaton,
     SigmaType,
     Signature,
+    X,
     check_emptiness,
     has_run,
+    rel,
 )
 from repro.automata.regex import concat, literal, plus
 from repro.core.emptiness import clique_number
@@ -94,6 +96,34 @@ class TestExample8:
     def test_has_run_wrapper(self, example8_extended, example8_p_only):
         assert has_run(example8_extended, max_prefix=1, max_cycle=4)
         assert not has_run(example8_p_only, max_prefix=1, max_cycle=3)
+
+
+def _p_only():
+    """Example 8's p-only restriction with a p p+ p factor: no candidate realises."""
+    signature = Signature(relations={"P": 1})
+    guard = SigmaType([rel("P", X(1))])
+    base = RegisterAutomaton(1, signature, {"p"}, {"p"}, {"p"}, [("p", guard, "p")])
+    factor = concat(literal("p"), plus(literal("p")), literal("p"))
+    return ExtendedAutomaton(base, [GlobalConstraint("neq", 1, 1, factor)])
+
+
+class TestCandidateCap:
+    def test_cap_counts_the_first_candidate_past_it(self):
+        """Stopping at ``max_candidates`` reports cap + 1 candidates checked.
+
+        The first unique candidate past the cap is counted though never
+        checked; a cap the enumeration never reaches reports the true count.
+        """
+        extended = _p_only()
+        full = check_emptiness(extended)
+        n = full.candidates_checked
+        assert (n, full.verdict) == (163, "unknown")
+        for cap in (1, 5, n - 1):
+            result = check_emptiness(extended, max_candidates=cap)
+            assert result.candidates_checked == cap + 1
+            assert result.verdict == "unknown"
+        for cap in (n, n + 1):
+            assert check_emptiness(extended, max_candidates=cap).candidates_checked == n
 
 
 class TestWitnessProjection:

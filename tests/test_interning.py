@@ -1,4 +1,4 @@
-"""Interning invariants (PR 3): identity, hashing, pickling, parallelism.
+"""Interning invariants (PR 3): identity, hashing, pickling.
 
 The hash-consed logic kernel promises that structural equality *is*
 identity for terms, literals and sigma-types.  These properties pin the
@@ -8,39 +8,26 @@ promise down:
   same literal bag is the same object;
 * hash stability -- hashes agree across construction orders;
 * pickle safety -- values re-intern on unpickle, so a round trip yields
-  the canonical instance (this is what lets values cross the
-  ``ProcessPoolExecutor`` boundary);
+  the canonical instance;
 * structural equality -- after ``clear_intern_tables()`` a rebuilt value
   is a new object that still compares, hashes and prints like the old
-  one, and emptiness answers do not change;
-* parallel determinism -- ``check_emptiness`` under ``REPRO_WORKERS=2``
-  returns byte-identical results to the serial run on the Example 2/3
-  automaton and its completed / state-driven normal forms.
+  one, and emptiness answers do not change.
 """
 
-import os
 import pickle
 import random
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import (
-    ExtendedAutomaton,
-    GlobalConstraint,
-    RegisterAutomaton,
     SigmaType,
-    Signature,
     X,
     Y,
     check_emptiness,
     eq,
     neq,
-    rel,
 )
-from repro.automata.regex import concat, literal, plus
-from repro.core.parallel import shutdown_executor, worker_count
 from repro.foundations.errors import InconsistentTypeError
 from repro.foundations.interning import clear_intern_tables
 from repro.generators import random_equality_type
@@ -132,7 +119,7 @@ def test_random_equality_type_hash_stable(k, seed):
 
 
 # --------------------------------------------------------------------- #
-# pickling (the process-pool boundary)
+# pickling
 # --------------------------------------------------------------------- #
 
 
@@ -198,46 +185,6 @@ def test_equality_stays_structural_across_a_table_clear(literals):
         assert pickle.loads(pickle.dumps(before)) is after
 
 
-def test_emptiness_unchanged_across_a_table_clear(example7_extended):
-    before = check_emptiness(example7_extended)
-    clear_intern_tables()
-    after = check_emptiness(example7_extended)
-    assert _fingerprint(after) == _fingerprint(before)
-    assert repr(after.witness.trace) == repr(before.witness.trace)
-
-
-# --------------------------------------------------------------------- #
-# serial / parallel parity
-# --------------------------------------------------------------------- #
-
-
-def _example23(constrained):
-    d1 = SigmaType([eq(X(1), X(2)), eq(X(2), Y(2))])
-    d2 = SigmaType([eq(X(2), Y(2))])
-    d3 = SigmaType([eq(X(2), Y(2)), eq(Y(1), Y(2))])
-    automaton = RegisterAutomaton(
-        2,
-        Signature.empty(),
-        {"q1", "q2"},
-        {"q1"},
-        {"q1"},
-        [("q1", d1, "q2"), ("q2", d2, "q2"), ("q2", d3, "q1")],
-    )
-    constraints = []
-    if constrained:
-        factor = concat(literal("q1"), plus(literal("q2")), literal("q1"))
-        constraints = [GlobalConstraint("neq", 1, 1, factor)]
-    return automaton, constraints
-
-
-def _p_only():
-    signature = Signature(relations={"P": 1})
-    guard = SigmaType([rel("P", X(1))])
-    base = RegisterAutomaton(1, signature, {"p"}, {"p"}, {"p"}, [("p", guard, "p")])
-    factor = concat(literal("p"), plus(literal("p")), literal("p"))
-    return base, [GlobalConstraint("neq", 1, 1, factor)]
-
-
 def _fingerprint(result):
     witness = result.witness
     return (
@@ -250,45 +197,9 @@ def _fingerprint(result):
     )
 
 
-@pytest.fixture
-def two_workers(monkeypatch):
-    monkeypatch.setenv("REPRO_WORKERS", "2")
-    assert worker_count() == 2  # the knob must actually cross processes
-    yield
-    shutdown_executor()
-
-
-def test_parallel_matches_serial(two_workers, monkeypatch):
-    """REPRO_WORKERS=2 emptiness is byte-identical to the serial answer."""
-    cases = []
-    for constrained in (False, True):
-        base, constraints = _example23(constrained)
-        for variant in (base, base.completed(), base.state_driven()):
-            cases.append(ExtendedAutomaton(variant, constraints))
-    base, constraints = _p_only()
-    cases.append(ExtendedAutomaton(base, constraints))
-
-    for extended in cases:
-        parallel = _fingerprint(
-            check_emptiness(extended, max_prefix=2, max_cycle=4)
-        )
-        monkeypatch.setenv("REPRO_WORKERS", "1")
-        serial = _fingerprint(check_emptiness(extended, max_prefix=2, max_cycle=4))
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        assert parallel == serial
-
-
-def test_worker_count_parsing(monkeypatch):
-    for raw, expected in [
-        ("", 1),
-        ("0", 1),
-        ("1", 1),
-        ("2", 2),
-        ("junk", 1),
-        ("-3", 1),
-        ("999", 64),
-    ]:
-        monkeypatch.setenv("REPRO_WORKERS", raw)
-        assert worker_count() == expected
-    monkeypatch.delenv("REPRO_WORKERS")
-    assert worker_count() == 1
+def test_emptiness_unchanged_across_a_table_clear(example7_extended):
+    before = check_emptiness(example7_extended)
+    clear_intern_tables()
+    after = check_emptiness(example7_extended)
+    assert _fingerprint(after) == _fingerprint(before)
+    assert repr(after.witness.trace) == repr(before.witness.trace)

@@ -12,7 +12,7 @@ Two golden files pin the engine's output over the fixture tree in
   findings going forward.  After a *deliberate* rule change, regenerate
   it from the repo root with::
 
-      PYTHONPATH=src python tests/test_lint_engine.py --regen
+      PYTHONPATH=src:. python tests/test_lint_engine.py --regen
 
 The rest of the module unit-tests the layers the goldens cannot reach
 individually: the program model's cross-module resolution, the pure
@@ -40,7 +40,7 @@ from repro.analysis.lint import (
     load_program,
     main,
 )
-from repro.analysis.lint import deadlines, docs, knob_rules, purity
+from repro.analysis.lint import deadlines, docs, knob_rules
 from repro.analysis.lint.program import ModuleInfo, Program, module_name_for
 from repro.foundations import knobs
 from tests.lint_fixture_data import FIXTURES, LEGACY_CODES
@@ -114,7 +114,7 @@ class TestGoldens:
         """Each seeded violation is caught -- no rule is vacuous."""
         codes = {f["code"] for f in json.loads(FULL_GOLDEN.read_text())["findings"]}
         assert set(LEGACY_CODES) <= codes
-        assert {"PAR001", "PAR002", "PAR003", "KNB001", "RSL001", "RSL002"} <= codes
+        assert {"KNB001", "RSL001", "RSL002"} <= codes
         # Artifact rules need a CI workflow / docs tree; the fixture
         # tree has neither, so they must stay silent rather than guess.
         assert "KNB002" not in codes and "KNB003" not in codes
@@ -171,50 +171,25 @@ class TestProgramModel:
         assert module_name_for("src/repro/logic/__init__.py") == "repro.logic"
         assert module_name_for("tools/lint_repro.py") == "lint_repro"
 
-    def test_payload_resolved_across_modules(self):
-        """The fixture race: call site and payload in different files."""
+    def test_callee_resolved_across_modules(self):
+        """A call through a ``from x import f`` alias enters ``f``'s body."""
         program = _program(
             {
-                "src/repro/core/bad_worker.py": FIXTURES[
-                    "src/repro/core/bad_worker.py"
-                ],
-                "src/repro/core/bad_worker_payload.py": FIXTURES[
-                    "src/repro/core/bad_worker_payload.py"
-                ],
+                "src/repro/core/caller.py": (
+                    "from repro.core.callee import work\n"
+                    "\n"
+                    "def go(items):\n"
+                    "    return [work(item) for item in items]\n"
+                ),
+                "src/repro/core/callee.py": "def work(item):\n    return item\n",
             }
         )
-        names = {fn.qualname for fn in purity.worker_functions(program)}
-        assert "record" in names
-
-    def test_payload_resolved_through_local_variable(self):
-        source = (
-            "from repro.core.parallel import parallel_map\n"
-            "\n"
-            "def _work(item):\n"
-            "    return item\n"
-            "\n"
-            "def go(items):\n"
-            "    payload = _work\n"
-            "    return parallel_map(payload, items)\n"
+        caller = program.by_name["repro.core.caller"]
+        call = next(
+            node for node in ast.walk(caller.tree) if isinstance(node, ast.Call)
         )
-        program = _program({"src/repro/core/x.py": source})
-        names = {fn.qualname for fn in purity.worker_functions(program)}
-        assert "_work" in names
-
-    def test_constructed_payload_resolves_to_dunder_call(self):
-        source = (
-            "from repro.core.parallel import parallel_map\n"
-            "\n"
-            "class Tracker:\n"
-            "    def __call__(self, item):\n"
-            "        return item\n"
-            "\n"
-            "def go(items):\n"
-            "    return parallel_map(Tracker(), items)\n"
-        )
-        program = _program({"src/repro/core/x.py": source})
-        names = {fn.qualname for fn in purity.worker_functions(program)}
-        assert "Tracker.__call__" in names
+        (callee,) = program.resolve_callee(caller, call.func)
+        assert (callee.module.name, callee.qualname) == ("repro.core.callee", "work")
 
     def test_unparseable_file_is_a_syn001_failure(self):
         program, failures = load_program([("x.py", "def broken(:\n")])
@@ -225,96 +200,9 @@ class TestProgramModel:
         codes = [rule.code for rule in all_rules()]
         assert codes == sorted(codes)
         assert set(LEGACY_CODES) <= set(codes)
-        assert get_rule("PAR001").scope == "program"
+        assert get_rule("RSL001").scope == "program"
         assert get_rule("KNB002").scope == "artifact"
         assert get_rule("ID001").scope == "module"
-
-
-# --------------------------------------------------------------------- #
-# PAR00x: worker purity
-# --------------------------------------------------------------------- #
-
-
-class TestWorkerPurity:
-    def _findings(self, files):
-        return purity.purity_findings(_program(files))
-
-    def test_fixture_payload_yields_all_three_codes(self):
-        findings = self._findings(
-            {
-                "src/repro/core/bad_worker.py": FIXTURES[
-                    "src/repro/core/bad_worker.py"
-                ],
-                "src/repro/core/bad_worker_payload.py": FIXTURES[
-                    "src/repro/core/bad_worker_payload.py"
-                ],
-            }
-        )
-        assert [f.code for f in findings] == ["PAR001", "PAR002", "PAR003"]
-        # The _BLESSED write on the `# worker-ok:` line stays exempt.
-        blessed_line = FIXTURES["src/repro/core/bad_worker_payload.py"].splitlines()
-        exempt = blessed_line.index(
-            "    _BLESSED[item] = item  # worker-ok: fixture demonstrates the exemption"
-        ) + 1
-        assert all(f.line != exempt for f in findings)
-
-    def test_registered_container_is_exempt(self):
-        source = (
-            "from repro.core.parallel import parallel_map\n"
-            "from repro.core.caching import register_cache\n"
-            "\n"
-            "_CACHE = {}\n"
-            "register_cache(_CACHE)\n"
-            "\n"
-            "def record(item):\n"
-            "    _CACHE[item] = item\n"
-            "    return item\n"
-            "\n"
-            "def go(items):\n"
-            "    return parallel_map(record, items)\n"
-        )
-        assert self._findings({"src/repro/core/x.py": source}) == []
-
-    def test_value_cache_is_exempt(self):
-        source = (
-            "from repro.core.parallel import parallel_map\n"
-            "from repro.foundations.memo import ValueCache\n"
-            "\n"
-            "_MEMO = ValueCache('x')\n"
-            "\n"
-            "def record(item):\n"
-            "    _MEMO[item] = item\n"
-            "    return item\n"
-            "\n"
-            "def go(items):\n"
-            "    return parallel_map(record, items)\n"
-        )
-        assert self._findings({"src/repro/core/x.py": source}) == []
-
-    def test_functions_not_reachable_from_a_pool_stay_unchecked(self):
-        source = (
-            "_CACHE = {}\n"
-            "\n"
-            "def record(item):\n"
-            "    _CACHE[item] = item\n"
-            "    return item\n"
-        )
-        assert self._findings({"src/repro/core/x.py": source}) == []
-
-    def test_outside_the_repro_tree_is_out_of_scope(self):
-        source = (
-            "from repro.core.parallel import parallel_map\n"
-            "\n"
-            "_SEEN = {}\n"
-            "\n"
-            "def record(item):\n"
-            "    _SEEN[item] = item\n"
-            "    return item\n"
-            "\n"
-            "def go(items):\n"
-            "    return parallel_map(record, items)\n"
-        )
-        assert self._findings({"benchmarks/bench_x.py": source}) == []
 
 
 # --------------------------------------------------------------------- #
@@ -391,11 +279,12 @@ class TestAblationCoverage:
         ]
 
     def test_covered_ci_knob_is_clean(self):
-        assert self._codes([self._knob("REPRO_WORKERS")], "REPRO_WORKERS: 2") == []
+        knob = self._knob("REPRO_DEADLINE_MS")
+        assert self._codes([knob], "REPRO_DEADLINE_MS: 2") == []
 
     def test_uncovered_ci_knob_is_flagged(self):
-        (message,) = self._codes([self._knob("REPRO_WORKERS")], "jobs: {}")
-        assert "REPRO_WORKERS" in message and "no leg" in message
+        (message,) = self._codes([self._knob("REPRO_DEADLINE_MS")], "jobs: {}")
+        assert "REPRO_DEADLINE_MS" in message and "no leg" in message
 
     def test_opt_out_requires_a_reason(self):
         knob = self._knob("REPRO_X", ablation="none")
@@ -426,20 +315,20 @@ class TestAblationCoverage:
 
 class TestKnobRegistry:
     def test_values_are_read_at_call_time(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert knobs.value("REPRO_WORKERS") == 3
-        monkeypatch.setenv("REPRO_WORKERS", "junk")
-        assert knobs.value("REPRO_WORKERS") == 1
-        monkeypatch.delenv("REPRO_WORKERS")
-        assert knobs.value("REPRO_WORKERS") == 1
+        monkeypatch.setenv("REPRO_MONITOR_SNAPSHOT_EVERY", "3")
+        assert knobs.value("REPRO_MONITOR_SNAPSHOT_EVERY") == 3
+        monkeypatch.setenv("REPRO_MONITOR_SNAPSHOT_EVERY", "junk")
+        assert knobs.value("REPRO_MONITOR_SNAPSHOT_EVERY") == 32
+        monkeypatch.delenv("REPRO_MONITOR_SNAPSHOT_EVERY")
+        assert knobs.value("REPRO_MONITOR_SNAPSHOT_EVERY") == 32
 
     def test_parsers_absorb_junk(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "100")
-        assert knobs.value("REPRO_WORKERS") == 64
-        monkeypatch.setenv("REPRO_MAX_POOL_RETRIES", "0")
-        assert knobs.value("REPRO_MAX_POOL_RETRIES") == 0
-        monkeypatch.setenv("REPRO_POOL_BACKOFF_MS", "-5")
-        assert knobs.value("REPRO_POOL_BACKOFF_MS") == 0.05
+        monkeypatch.setenv("REPRO_MONITOR_JOURNAL_CAP", "99999999")
+        assert knobs.value("REPRO_MONITOR_JOURNAL_CAP") == 10_000_000
+        monkeypatch.setenv("REPRO_MONITOR_JOURNAL_CAP", "0")
+        assert knobs.value("REPRO_MONITOR_JOURNAL_CAP") == 1024
+        monkeypatch.setenv("REPRO_MONITOR_SNAPSHOT_EVERY", "-5")
+        assert knobs.value("REPRO_MONITOR_SNAPSHOT_EVERY") == 32
         monkeypatch.setenv("REPRO_DEADLINE_MS", "nope")
         assert knobs.value("REPRO_DEADLINE_MS") is None
 
@@ -453,10 +342,10 @@ class TestKnobRegistry:
         assert knobs.value("REPRO_BENCH_QUICK") is True
 
     def test_redeclaring_identically_returns_the_original(self):
-        existing = knobs.get_knob("REPRO_WORKERS")
+        existing = knobs.get_knob("REPRO_DEADLINE_MS")
         again = knobs.register_knob(
             knobs.Knob(
-                name="REPRO_WORKERS",
+                name="REPRO_DEADLINE_MS",
                 default=existing.default,
                 parse=existing.parse,
                 doc=existing.doc,
@@ -468,18 +357,12 @@ class TestKnobRegistry:
         with pytest.raises(ValueError):
             knobs.register_knob(
                 knobs.Knob(
-                    name="REPRO_WORKERS",
+                    name="REPRO_DEADLINE_MS",
                     default="something else",
-                    parse=knobs.parse_worker_count,
+                    parse=knobs.parse_optional_ms,
                     doc="a conflicting meaning",
                 )
             )
-
-    def test_pin_for_worker_is_a_real_environment_write(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "5")
-        knobs.pin_for_worker("REPRO_WORKERS", "1")
-        assert os.environ["REPRO_WORKERS"] == "1"
-        assert knobs.value("REPRO_WORKERS") == 1
 
     def test_every_declaration_is_documented_and_certifiable(self):
         declared = knobs.all_knobs()
@@ -612,7 +495,7 @@ class TestGeneratedDocs:
         assert text.startswith("# Doc\n") and text.endswith("tail\n")
         assert "| `ID001` | module |" in text
         knob_text = (tmp_path / "docs" / "ROBUSTNESS.md").read_text()
-        assert "| `REPRO_WORKERS` |" in knob_text
+        assert "| `REPRO_DEADLINE_MS` |" in knob_text
 
     def test_drift_findings_report_stale_and_missing_markers(self, tmp_path):
         context = self._context(

@@ -1,13 +1,13 @@
 """Tests for the crash-surviving monitor multiplexer (`repro.core.monitor`).
 
 The load-bearing contract: for every fault scenario the harness can
-inject (worker crash mid-ingest, driver volatile-state loss, failed
-snapshots, failed restores, poison events), the per-session final
+inject (driver volatile-state loss, failed snapshots, failed restores,
+poison events), the per-session final
 ``(state, position, failed, peak_threads)`` fingerprints are
 byte-identical to the fault-free serial run -- zero lost and zero
 double-applied events.  Several tests deliberately tolerate an *ambient*
-``REPRO_FAULTS`` plan (the CI fault-smoke leg runs this file under
-injected crashes); tests that assert exact counters pin the plan
+``REPRO_FAULTS`` plan (the CI fault-smoke leg runs this file under an
+injected driver crash); tests that assert exact counters pin the plan
 themselves.
 """
 
@@ -32,7 +32,6 @@ from repro.core.monitor import (
     MonitorMultiplexer,
     SessionSnapshot,
 )
-from repro.core.parallel import shutdown_executor
 from repro.core.runs import FiniteRun
 from repro.core.streaming import StreamingChecker, StreamingViolation
 from repro.foundations import knobs
@@ -315,40 +314,6 @@ class TestMultiplexerBasics:
 
 
 # ---------------------------------------------------------------------- #
-# sharded ingest parity (REPRO_WORKERS=2)
-# ---------------------------------------------------------------------- #
-
-
-class TestShardedParity:
-    def test_workers_2_fingerprints_identical(self, extended, db, monkeypatch):
-        batches = random_batches()
-        monkeypatch.setenv("REPRO_FAULTS", "")
-        reset_faults()
-        serial = drive(MonitorMultiplexer(extended, db), batches).fingerprints()
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        try:
-            sharded = drive(
-                MonitorMultiplexer(extended, db, shards=4), batches
-            ).fingerprints()
-        finally:
-            shutdown_executor()
-        assert sharded == serial
-
-    def test_shards_knob_drives_fanout(self, extended, db, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "")
-        reset_faults()
-        batches = random_batches(batches=3)
-        serial = drive(MonitorMultiplexer(extended, db), batches).fingerprints()
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        monkeypatch.setenv("REPRO_MONITOR_SHARDS", "3")
-        try:
-            sharded = drive(MonitorMultiplexer(extended, db), batches).fingerprints()
-        finally:
-            shutdown_executor()
-        assert sharded == serial
-
-
-# ---------------------------------------------------------------------- #
 # crash recovery: zero lost, zero double-applied
 # ---------------------------------------------------------------------- #
 
@@ -374,30 +339,6 @@ class TestCrashRecovery:
         assert crashed.stats()["recoveries"] == 1
         assert len(recent_events("RS007")) == 1
         drain_events()
-
-    def test_worker_crash_mid_sharded_ingest(self, extended, db, monkeypatch):
-        batches = random_batches()
-        monkeypatch.setenv("REPRO_FAULTS", "")
-        reset_faults()
-        baseline = drive(MonitorMultiplexer(extended, db), batches).fingerprints()
-        # Acceptance scenario: a worker crash (parallel.call_chunk:exit)
-        # during sharded ingest AND a driver volatile-state crash, in one
-        # plan -- the pool respawns + resubmits, the journal replays, and
-        # the final fingerprints match the fault-free serial run.
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        monkeypatch.setenv("REPRO_POOL_BACKOFF_MS", "0")
-        monkeypatch.setenv(
-            "REPRO_FAULTS", "monitor.ingest:crash:1,parallel.call_chunk:exit:1"
-        )
-        reset_faults()
-        try:
-            crashed = drive(
-                MonitorMultiplexer(extended, db, shards=4), batches
-            ).fingerprints()
-        finally:
-            shutdown_executor()
-            reset_faults()
-        assert crashed == baseline
 
     def test_explicit_recover_is_idempotent(self, extended, db, no_faults):
         batches = random_batches(batches=3)
@@ -488,9 +429,9 @@ class TestQuarantine:
     def test_neighbours_of_a_poison_run_on_the_rolled_back_checker(
         self, extended, db, no_faults
     ):
-        # Serial ingest reuses one checker: the sessions after the poisoned
-        # one run on the checker its rollback just restored.
-        mux = MonitorMultiplexer(extended, db, shards=1)
+        # Ingest reuses one checker: the sessions after the poisoned one
+        # run on the checker its rollback just restored.
+        mux = MonitorMultiplexer(extended, db)
         sessions = ["s%d" % index for index in range(5)]
         first = [(s, "q", ("v%d" % index,)) for index, s in enumerate(sessions)]
         # s2 is poisoned mid-task; s3, next, repeats its first value
@@ -526,28 +467,6 @@ class TestQuarantine:
         assert mux.session_outcome("a").status is OutcomeStatus.DEGRADED
         assert mux.session_fingerprint("a") == frozen
         assert mux.session_fingerprint("b")[1] == 2
-
-    def test_poison_in_sharded_ingest(self, extended, db, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "")
-        reset_faults()
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        mux = MonitorMultiplexer(extended, db, shards=4)
-        sessions = ["s%d" % index for index in range(8)]
-        try:
-            mux.ingest([(s, "q", ("v1",)) for s in sessions])
-            report = mux.ingest(
-                [
-                    (s, "q", (_Unhashable(),) if s == "s3" else ("v2",))
-                    for s in sessions
-                ]
-            )
-        finally:
-            shutdown_executor()
-        assert report.quarantined == ("s3",)
-        assert mux.session_fingerprint("s3")[1] == 0
-        for s in sessions:
-            if s != "s3":
-                assert mux.session_fingerprint(s)[1] == 1
 
     def test_restore_failure_quarantines_one_session(
         self, extended, db, monkeypatch
@@ -637,28 +556,6 @@ class TestDeadlinesAndCancellation:
         assert report.applied == 3
         assert mux.stats()["events_applied"] == 4
         assert mux.session_fingerprint("a")[:2] == ("q", 2)
-
-    def test_expired_deadline_times_out_on_the_sharded_path(
-        self, extended, db, no_faults, monkeypatch
-    ):
-        """Workers can't see the driver's ambient deadline: the sharded
-        path must poll on the driver and report TIMEOUT with nothing
-        applied (regression: it used to apply the whole batch and report
-        COMPLETE under REPRO_WORKERS=2)."""
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        try:
-            mux = MonitorMultiplexer(extended, db, shards=4)
-            report = mux.ingest(
-                [("a", "q", ("v1",)), ("b", "q", ("v1",))], deadline=0
-            )
-            assert report.outcome.status is OutcomeStatus.TIMEOUT
-            assert report.applied == 0
-            # journaled, not lost: the next ingest drains the batch first
-            mux.ingest([("a", "q", ("v2",))])
-            assert mux.session_fingerprint("a")[1] == 1
-            assert mux.session_fingerprint("b")[1] == 0
-        finally:
-            shutdown_executor()
 
     def test_cancellation_outcome(self, extended, db, no_faults):
         token = CancellationToken()
@@ -762,19 +659,8 @@ class TestInterruptedIngestProperty:
 
 class TestMonitorKnobs:
     def test_registered(self):
-        for name in (
-            "REPRO_MONITOR_SHARDS",
-            "REPRO_MONITOR_SNAPSHOT_EVERY",
-            "REPRO_MONITOR_JOURNAL_CAP",
-        ):
+        for name in ("REPRO_MONITOR_SNAPSHOT_EVERY", "REPRO_MONITOR_JOURNAL_CAP"):
             assert knobs.is_registered(name)
-
-    @pytest.mark.parametrize(
-        "raw,expected",
-        [(None, 0), ("", 0), ("junk", 0), ("-3", 0), ("4", 4), ("9999", 256)],
-    )
-    def test_shards_parser(self, raw, expected):
-        assert knobs.parse_shard_count(raw) == expected
 
     @pytest.mark.parametrize(
         "raw,expected",

@@ -14,9 +14,8 @@ Four layers, tested bottom-up:
   verdict while shrinking ``k``;
 * the end-to-end contract: ``check_emptiness`` with the trim is
   **byte-identical** -- verdict, witness, *and* ``candidates_checked``
-  -- to the untrimmed search (``tests.helpers.without_trim``), serially
-  and under ``REPRO_WORKERS=2`` (a strictly stronger bar than pruning's
-  "never checks more").
+  -- to the untrimmed search (``tests.helpers.without_trim``), a
+  strictly stronger bar than pruning's "never checks more".
 """
 
 import random
@@ -50,7 +49,6 @@ from repro.analysis.dataflow import (
     solve_forward,
 )
 from repro.automata.regex import concat, literal, plus, star
-from repro.core.parallel import shutdown_executor, worker_count
 from repro.core.reduction import (
     DEFAULT_TRIM_BUDGET,
     project_dead_registers,
@@ -635,14 +633,6 @@ class TestReduceSoundEndToEnd:
         )
         reduced, _ = _compare_reduce_modes(ExtendedAutomaton(automaton, []))
         assert reduced.empty
-
-    def test_sound_under_two_workers(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        assert worker_count() == 2
-        try:
-            _compare_reduce_modes(junky_constrained())
-        finally:
-            shutdown_executor()
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])

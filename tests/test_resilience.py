@@ -1,31 +1,28 @@
 """The resilient execution layer: deadlines, budgets, faults, recovery.
 
-Four layers under test:
+Three layers under test:
 
 * the vocabulary (``repro.foundations.resilience``): monotonic deadlines
   with ambient scoping, hierarchical budgets, cancellation tokens,
   outcome taxonomy, and the structured RS00x event log;
 * the fault harness (``repro.foundations.faults``): ``REPRO_FAULTS``
-  parsing, per-site occurrence counters, call-time re-parsing;
-* the hardened parallel map (``repro.core.parallel``): worker-crash
-  recovery (respawn, then bit-identical serial fallback), the
-  poisoned-executor regression, spawn retries, unpicklable-workload
-  degradation, and the early-consumer-exit drain;
+  parsing, per-site occurrence counters, call-time re-parsing, and the
+  agreement of the documented sites with the code and the CI plans;
 * deadline-aware procedures: ``check_emptiness`` returning honest
   ``TIMEOUT`` outcomes, the Buchi enumeration, guard completion,
   Theorem 24 and streaming checkpoints, the budgeted dataflow analysis,
   and the CLI's partial-report interrupt path.
 
-Hypothesis properties pin the two acceptance contracts: deadline-expired
+A hypothesis property pins the acceptance contract: deadline-expired
 emptiness outcomes are UNKNOWN-monotone (a longer deadline never flips a
-definite verdict), and fault-injected parallel runs answer byte-
-identically to the serial path.
+definite verdict).
 """
 
-import functools
+import ast
 import os
 import random
-import time
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -58,17 +55,9 @@ from repro.analysis.dataflow import (
     reachable_types_outcome,
 )
 from repro.automata.regex import concat, literal, plus
-from repro.core.parallel import (
-    imap_chunked,
-    max_pool_retries,
-    parallel_map,
-    shutdown_executor,
-    worker_count,
-)
 from repro.core.runs import FiniteRun
 from repro.db.database import Database
 from repro.foundations.faults import (
-    FaultInjected,
     fault,
     fault_hits,
     parse_fault_plan,
@@ -123,35 +112,14 @@ def _fingerprint(result):
 
 @pytest.fixture(autouse=True)
 def _clean_harness(monkeypatch):
-    """Every test starts with no faults, no events, and a fresh pool."""
+    """Every test starts with no faults and no events."""
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     monkeypatch.delenv("REPRO_DEADLINE_MS", raising=False)
-    monkeypatch.setenv("REPRO_POOL_BACKOFF_MS", "0")
     reset_faults()
     drain_events()
     yield
     reset_faults()
     drain_events()
-    shutdown_executor()
-
-
-@pytest.fixture
-def two_workers(monkeypatch):
-    monkeypatch.setenv("REPRO_WORKERS", "2")
-    assert worker_count() == 2
-    yield
-    shutdown_executor()
-
-
-def _square(x):
-    return x * x
-
-
-def _mark_and_sleep(directory, item):
-    with open(os.path.join(directory, "item-%d" % item), "w") as handle:
-        handle.write("done")
-    time.sleep(0.05)
-    return item
 
 
 # --------------------------------------------------------------------- #
@@ -323,14 +291,14 @@ class TestTokenAndOutcome:
 
 class TestFaultPlan:
     def test_parse_single_entry(self):
-        plan = parse_fault_plan("parallel.call_chunk:exit:1")
-        assert plan.fire("parallel.call_chunk") == "exit"
-        assert plan.fire("parallel.call_chunk") is None  # nth=1 only
+        plan = parse_fault_plan("monitor.ingest:crash:1")
+        assert plan.fire("monitor.ingest") == "crash"
+        assert plan.fire("monitor.ingest") is None  # nth=1 only
 
     def test_parse_range_and_star(self):
-        plan = parse_fault_plan("a:raise:2-3,b:exit:*")
+        plan = parse_fault_plan("a:raise:2-3,b:deadline:*")
         assert [plan.fire("a") for _ in range(4)] == [None, "raise", "raise", None]
-        assert [plan.fire("b") for _ in range(3)] == ["exit"] * 3
+        assert [plan.fire("b") for _ in range(3)] == ["deadline"] * 3
 
     def test_default_selector_is_every_hit(self):
         plan = parse_fault_plan("site:raise")
@@ -343,7 +311,20 @@ class TestFaultPlan:
         assert plan.fire("a") == "raise"
         assert plan.hits("a") == 2 and plan.hits("b") == 1
 
-    @pytest.mark.parametrize("bad", ["justasite", "a:b:c:d", ":kind:1", "site::1"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "justasite",
+            "a:b:c:d",
+            ":kind:1",
+            "site::1",
+            # well-formed plans that could never inject anything
+            "monitor.ingest:crash:0",
+            "monitor.ingest:crash:5-2",
+            "monitor.ingest:crsh:1",
+            "emptiness.lasso:deadlne:1",
+        ],
+    )
     def test_malformed_plans_fail_loudly(self, bad):
         with pytest.raises(ValueError):
             parse_fault_plan(bad)
@@ -360,168 +341,57 @@ class TestFaultPlan:
         assert fault_hits("site") == 0
 
 
-# --------------------------------------------------------------------- #
-# parallel: knobs and plain behaviour
-# --------------------------------------------------------------------- #
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-class TestParallelKnobs:
-    def test_max_pool_retries_parsing(self, monkeypatch):
-        for raw, expected in [
-            ("", 1),
-            ("0", 0),
-            ("3", 3),
-            ("junk", 1),
-            ("-1", 1),
-            ("999", 16),
-        ]:
-            monkeypatch.setenv("REPRO_MAX_POOL_RETRIES", raw)
-            assert max_pool_retries() == expected
-        monkeypatch.delenv("REPRO_MAX_POOL_RETRIES")
-        assert max_pool_retries() == 1
-
-    def test_pool_path_matches_serial(self, two_workers):
-        items = list(range(37))
-        assert parallel_map(_square, items, chunk_size=4) == [_square(i) for i in items]
+def _source_fault_sites():
+    """Every ``fault("<literal>")`` site under ``src/repro`` (AST scan)."""
+    sites = set()
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "fault"
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)
+            ):
+                sites.add(node.args[0].value)
+    return sites
 
 
-# --------------------------------------------------------------------- #
-# parallel: crash recovery (the tentpole scenarios)
-# --------------------------------------------------------------------- #
+def _documented_fault_kinds():
+    """Site -> kinds, from the table in ROBUSTNESS.md "Fault injection"."""
+    text = (REPO_ROOT / "docs" / "ROBUSTNESS.md").read_text()
+    section = text.split("\n## Fault injection\n", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and re.fullmatch(r"`[\w.]+`", cells[0]):
+            table[cells[0].strip("`")] = set(re.findall(r"`(\w+)`", cells[1]))
+    return table
 
 
-class TestPoolRecovery:
-    def test_worker_crash_recovers_with_identical_results(
-        self, two_workers, monkeypatch
-    ):
-        """Every fresh worker dies on its first chunk: respawn once, then the
-        serial fallback -- and the consumer sees the exact serial answers."""
-        monkeypatch.setenv("REPRO_FAULTS", "parallel.call_chunk:exit:1")
-        items = list(range(23))
-        results = parallel_map(_square, items, chunk_size=4)
-        assert results == [_square(i) for i in items]
-        broken = recent_events("RS001")
-        degraded = recent_events("RS002")
-        assert len(broken) >= 1  # at least the first crash was recovered
-        assert len(degraded) == 1  # exactly one serial degradation
-        assert degraded[0].data["reason"] == "pool-broken-after-retries"
+class TestFaultSiteInventory:
+    """The documented fault sites, the code and the CI plans agree.
 
-    def test_late_worker_crash_loses_no_results(self, monkeypatch):
-        """Regression: workers that complete some chunks before dying must
-        not lose fetched-but-unyielded results.  With exit:2-5 every fresh
-        worker finishes its first chunk, then dies -- the pool can break
-        while the head chunk's results are in hand, exactly the window
-        where the old code dropped whole chunks on the floor."""
-        monkeypatch.setenv("REPRO_WORKERS", "4")
-        monkeypatch.setenv("REPRO_FAULTS", "parallel.call_chunk:exit:2-5")
-        items = list(range(120))
-        expected = [_square(i) for i in items]
-        for _ in range(3):  # the loss was timing-dependent: repeat
-            assert parallel_map(_square, items, chunk_size=4) == expected
+    A CI plan naming a site the code no longer polls, or a kind the site
+    does not honour, injects nothing and passes vacuously.
+    """
 
-    def test_iterator_exceptions_propagate(self, two_workers):
-        """An items iterator raising TypeError/AttributeError must propagate,
-        not be mistaken for an unpicklable workload (whose serial fallback
-        would silently truncate: the generator is already terminated)."""
+    def test_documented_sites_are_the_sites_in_the_code(self):
+        assert _source_fault_sites() == set(_documented_fault_kinds())
 
-        def blows_up():
-            yield from range(8)
-            raise TypeError("iterator blew up")
-
-        with pytest.raises(TypeError, match="iterator blew up"):
-            list(imap_chunked(_square, blows_up(), chunk_size=2))
-        degraded = recent_events("RS002")
-        assert degraded == ()  # no bogus serial degradation was recorded
-
-    def test_zero_retries_goes_straight_to_serial(self, two_workers, monkeypatch):
-        """REPRO_MAX_POOL_RETRIES=0: the first broken pool skips the respawn
-        and finishes on the serial path."""
-        monkeypatch.setenv("REPRO_FAULTS", "parallel.call_chunk:exit:1")
-        monkeypatch.setenv("REPRO_MAX_POOL_RETRIES", "0")
-        items = list(range(30))
-        results = parallel_map(_square, items, chunk_size=4)
-        assert results == [_square(i) for i in items]
-        assert len(recent_events("RS001")) == 1  # no second pool was tried
-        assert len(recent_events("RS002")) == 1
-
-    def test_executor_is_not_poisoned_after_crash(self, two_workers, monkeypatch):
-        """Regression: a broken pool used to stay cached forever, failing every
-        later imap_chunked call in the process."""
-        monkeypatch.setenv("REPRO_FAULTS", "parallel.call_chunk:exit:1")
-        assert parallel_map(_square, list(range(9)), chunk_size=2) == [
-            _square(i) for i in range(9)
-        ]
-        # Faults off: the next call must get a fresh, healthy pool.
-        monkeypatch.delenv("REPRO_FAULTS")
-        reset_faults()
-        drain_events()
-        assert parallel_map(_square, list(range(40)), chunk_size=4) == [
-            _square(i) for i in range(40)
-        ]
-        assert recent_events("RS001") == ()
-        assert recent_events("RS002") == ()
-
-    def test_spawn_failure_retries_then_succeeds(self, two_workers, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "parallel.spawn:raise:1")
-        shutdown_executor()  # force a genuine spawn on the next call
-        items = list(range(12))
-        assert parallel_map(_square, items, chunk_size=3) == [_square(i) for i in items]
-        spawn_events = recent_events("RS005")
-        assert len(spawn_events) == 1
-        assert recent_events("RS002") == ()  # the retry made the pool work
-
-    def test_persistent_spawn_failure_degrades_to_serial(
-        self, two_workers, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_FAULTS", "parallel.spawn:raise:*")
-        shutdown_executor()
-        items = list(range(12))
-        assert parallel_map(_square, items, chunk_size=3) == [_square(i) for i in items]
-        assert len(recent_events("RS005")) == 2  # initial + one retry
-        degraded = recent_events("RS002")
-        assert len(degraded) == 1
-        assert degraded[0].data["reason"] == "spawn-failed"
-
-    def test_unpicklable_workload_falls_back_to_serial(self, two_workers):
-        unpicklable = lambda x: x + 1  # noqa: E731  -- deliberately unpicklable
-        items = list(range(10))
-        assert parallel_map(unpicklable, items, chunk_size=2) == [i + 1 for i in items]
-        degraded = recent_events("RS002")
-        assert len(degraded) == 1
-        assert degraded[0].data["reason"] == "unpicklable-workload"
-
-    def test_genuine_exceptions_still_propagate(self, two_workers, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "parallel.call_chunk:raise:1")
-        with pytest.raises(FaultInjected):
-            parallel_map(_square, list(range(8)), chunk_size=2)
-
-    def test_early_exit_drains_running_chunks(self, two_workers, tmp_path):
-        """Closing the generator cancels pending chunks and waits out the
-        running ones: no stray results appear after the close returns."""
-        fn = functools.partial(_mark_and_sleep, str(tmp_path))
-        results = imap_chunked(fn, list(range(40)), chunk_size=4)
-        first = next(results)
-        assert first == 0
-        results.close()  # cancel + drain
-        after_close = len(list(tmp_path.iterdir()))
-        time.sleep(0.5)
-        after_wait = len(list(tmp_path.iterdir()))
-        assert after_close == after_wait, "chunks kept computing after close"
-        # Bounded in-flight means most of the work was never dispatched.
-        assert after_close <= 24
-
-    def test_crash_recovery_on_emptiness_matches_serial(
-        self, two_workers, monkeypatch
-    ):
-        """The acceptance scenario: Example 2/3 emptiness under worker crashes
-        answers byte-identically to the serial run, without raising."""
-        extended = _example23(constrained=True)
-        monkeypatch.setenv("REPRO_WORKERS", "1")
-        serial = _fingerprint(check_emptiness(extended, max_prefix=2, max_cycle=4))
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        monkeypatch.setenv("REPRO_FAULTS", "parallel.call_chunk:exit:1")
-        recovered = _fingerprint(check_emptiness(extended, max_prefix=2, max_cycle=4))
-        assert recovered == serial
+    def test_every_ci_plan_entry_names_a_documented_site_and_kind(self):
+        table = _documented_fault_kinds()
+        workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+        plans = re.findall(r"REPRO_FAULTS=(\S+)", workflow)
+        assert plans
+        for plan in plans:
+            for spec in parse_fault_plan(plan).specs:
+                assert spec.site in table, (plan, spec.site)
+                assert spec.kind in table[spec.site], (plan, spec.kind)
 
 
 # --------------------------------------------------------------------- #
@@ -565,17 +435,6 @@ class TestEmptinessDeadline:
         assert first.candidates_checked == second.candidates_checked == 1
         assert first.outcome.stats == second.outcome.stats
 
-    def test_fault_forced_expiry_identical_under_workers(
-        self, two_workers, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_FAULTS", "emptiness.lasso:deadline:2")
-        parallel = check_emptiness(_example23(), max_prefix=2, max_cycle=4)
-        monkeypatch.setenv("REPRO_WORKERS", "1")
-        reset_faults()
-        serial = check_emptiness(_example23(), max_prefix=2, max_cycle=4)
-        assert parallel.outcome.stats == serial.outcome.stats
-        assert parallel.candidates_checked == serial.candidates_checked == 1
-
     def test_cancellation_token_produces_cancelled_outcome(self):
         token = CancellationToken()
         token.cancel("user hit stop")
@@ -617,35 +476,6 @@ class TestEmptinessDeadline:
         assert truncated.candidates_checked <= full.candidates_checked or (
             full.verdict == "nonempty"
         )
-
-    @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_fault_injected_parallel_matches_serial(self, seed):
-        """Crashing workers never change the answer or the progress stats."""
-        extended = random_extended_automaton(
-            random.Random(seed),
-            k=2,
-            n_states=3,
-            n_transitions=4,
-            n_constraints=2,
-            equality_fraction=0.0,
-        )
-        serial = _fingerprint(check_emptiness(extended, max_prefix=1, max_cycle=3))
-        try:
-            os.environ["REPRO_WORKERS"] = "2"
-            os.environ["REPRO_FAULTS"] = "parallel.call_chunk:exit:1"
-            os.environ["REPRO_POOL_BACKOFF_MS"] = "0"
-            reset_faults()
-            injected = _fingerprint(
-                check_emptiness(extended, max_prefix=1, max_cycle=3)
-            )
-        finally:
-            os.environ.pop("REPRO_WORKERS", None)
-            os.environ.pop("REPRO_FAULTS", None)
-            reset_faults()
-            shutdown_executor()
-        assert injected == serial
-
 
 # --------------------------------------------------------------------- #
 # deadline checkpoints in the deep layers
