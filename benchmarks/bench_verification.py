@@ -6,7 +6,14 @@ and product sizes plus decision time.
 
 Expected shape: cost grows with the negated property's Buchi automaton
 (exponential in formula size, the classical LTL blow-up), not with the data.
+
+Every case is decided twice: timed on the coded kernel, then once more on
+the literal path (``tests.helpers.without_symkernel()``).  Verdict,
+product size and counterexample trace must agree before a row is kept.
 """
+
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,11 +25,25 @@ from repro.ltl.syntax import Not_, Or_, Until
 
 from _tables import register_table
 
+sys.path.insert(0, str(Path(__file__).parent.parent))
+from tests.helpers import without_symkernel  # noqa: E402
+
 ROWS = []
 
 
 def _eq12():
     return {"eq12": atom_eq(X(1), X(2))}
+
+
+def _fingerprint(result):
+    trace = result.counterexample.trace if result.counterexample else None
+    return result.holds, result.product_size, repr(trace)
+
+
+def _assert_literal_agrees(result, extended, sentence):
+    with without_symkernel():
+        literal = verify(extended, sentence)
+    assert _fingerprint(result) == _fingerprint(literal)
 
 
 PROPERTIES = [
@@ -42,6 +63,7 @@ def test_verify_example1(benchmark, example1_automaton, name, skeleton, expected
     extended = ExtendedAutomaton(example1_automaton, [])
     result = benchmark(verify, extended, sentence)
     assert result.holds == expected
+    _assert_literal_agrees(result, extended, sentence)
     ROWS.append((name, "holds" if result.holds else "fails", result.product_size))
 
 
@@ -55,6 +77,7 @@ def test_verify_workflow(benchmark):
     )
     result = benchmark(verify, extended, sentence)
     assert result.holds
+    _assert_literal_agrees(result, extended, sentence)
     ROWS.append(("review: F(rev != auth)", "holds", result.product_size))
 
 

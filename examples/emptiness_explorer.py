@@ -22,12 +22,12 @@ from repro import (
 )
 from repro.automata.regex import concat, literal, star
 from repro.core.emptiness import (
-    _normalize_for_analysis,
+    LiteralControl,
     clique_number,
     trace_has_bounded_cliques,
     trace_is_consistent,
 )
-from repro.core.symbolic import scontrol_buchi
+from repro.core.extended import eliminate_equality_constraints
 from repro.core.tracewindow import TraceWindow
 
 
@@ -54,8 +54,8 @@ def main() -> None:
     print("witness database:", database)
 
     # Probe individual lasso traces: increasing p-block length inside the loop.
-    normalised = _normalize_for_analysis(extended)
-    buchi = scontrol_buchi(normalised.automaton)
+    control = LiteralControl(eliminate_equality_constraints(extended)[0])
+    normalised, buchi = control.normalised, control.buchi
     print("\nper-lasso realisability (loop shape -> verdict):")
     probed = 0
     for lasso in buchi.iter_accepted_lassos(4, 1):

@@ -370,7 +370,11 @@ class BuchiAutomaton:
         return BuchiAutomaton(transitions, self._initial, self._accepting)
 
     def relabel_states(self) -> "BuchiAutomaton":
-        """Replace states by dense integers (cosmetic, keeps products small)."""
+        """Replace states by dense integers (cosmetic, keeps products small).
+
+        States are numbered in :func:`_order_key` order, so the numbering
+        does not depend on the hash order of set-valued states.
+        """
         index: Dict[State, int] = {}
 
         def number(state: State) -> int:
@@ -379,7 +383,7 @@ class BuchiAutomaton:
             return index[state]
 
         transitions: Dict[State, Dict[object, Set[State]]] = {}
-        for state in sorted(self.states(), key=repr):
+        for state in sorted(self.states(), key=_order_key):
             number(state)
         for state, moves in self._transitions.items():
             for symbol, targets in moves.items():
@@ -397,6 +401,20 @@ class BuchiAutomaton:
             len(self.states()),
             len(self._accepting),
         )
+
+
+def _order_key(state: State) -> Tuple:
+    """A sort key like ``repr``, but blind to the iteration order of sets.
+
+    ``repr`` lists a frozenset's members in hash order, which follows
+    ``PYTHONHASHSEED``; here they are sorted.  A tableau state
+    ``(atom, level)`` orders by its sorted member reprs, then its level.
+    """
+    if isinstance(state, tuple):
+        return (0, tuple(map(_order_key, state)))
+    if isinstance(state, frozenset):
+        return (1, tuple(sorted(map(_order_key, state))))
+    return (2, repr(state))
 
 
 class _SearchTables:

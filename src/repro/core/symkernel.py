@@ -1,17 +1,17 @@
-"""Code-based normalisation for the emptiness pipeline (the symkernel).
+"""Code-based normalisation for emptiness and verification (the symkernel).
 
-``check_emptiness`` normalises the automaton -- ``completed()`` then
-``state_driven()`` -- before the lasso search starts.  Completion is the
-Bell(2k) wall: every guard splits into one transition per completion of
-its equality skeleton, each materialised as an interned :class:`SigmaType`
-with its closure, satisfiability check and canonical form, and the
-state-driven conversion then multiplies those transitions again before
-``scontrol_buchi`` walks them pair by pair.  For the automata the
-emptiness check actually sees in the constraint pipeline -- relation-free
-signature, no constants, equality-type guards -- all of that structure is
-determined by *partition codes*: a completion of a guard over the
-vocabulary ``x1..xk, y1..yk`` is exactly a set partition of the ``2k``
-variables, an integer bitmask over :func:`repro.logic.types.pair_bits`.
+``check_emptiness`` and ``verify`` normalise the automaton --
+``completed()`` then ``state_driven()`` -- before the lasso search
+starts.  Completion is the Bell(2k) wall: every guard splits into one
+transition per completion of its equality skeleton, each materialised as
+an interned :class:`SigmaType` with its closure, satisfiability check and
+canonical form, and the state-driven conversion then multiplies those
+transitions again before ``scontrol_buchi`` walks them pair by pair.
+For the automata both actually see -- relation-free signature, no
+constants, equality-type guards -- all of that structure is determined
+by *partition codes*: a completion of a guard over the vocabulary
+``x1..xk, y1..yk`` is exactly a set partition of the ``2k`` variables,
+an integer bitmask over :func:`repro.logic.types.pair_bits`.
 
 This module builds the normalised symbolic control graph directly over
 those codes:
@@ -64,19 +64,30 @@ completions from one source state, so the completed automaton is never
 state-driven and the normalised control pairs are uniformly the nested
 ``((state, completion), completion)`` shape.
 
-``check_emptiness`` always asks for the kernel first.  The literal path
-stays for the inputs the kernel declines; forcing it on eligible inputs
+``verify`` additionally needs every proposition settled by the codes:
+a node's letter is read off its partition code
+(:func:`repro.ltl.ltlfo.code_assignment`, one bit test per atom), so a
+sentence with a relation, a constant or a register beyond ``k`` takes
+the legacy path too, which raises ``EvaluationError`` where no complete
+type settles an atom.
+
+**Consumers.**  ``check_emptiness`` and ``verify`` ask for the kernel through
+the one selection :func:`repro.core.emptiness.normal_control`; its
+:class:`~repro.core.emptiness.LiteralControl` answer is the legacy path,
+kept for the inputs the kernel declines.  Forcing it on eligible inputs
 is the test helper ``tests.helpers.without_symkernel()``, the baseline of
-the byte-identity tests and of the E19 benchmark
-(``benchmarks/bench_symkernel.py``, BENCH_8.json).
+the byte-identity tests and of the E19 and E6 benchmarks
+(``benchmarks/bench_symkernel.py``, BENCH_8.json;
+``benchmarks/bench_verification.py``).
 """
 
+from functools import partial
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.automata.buchi import BuchiAutomaton
 from repro.automata.words import Lasso
 from repro.core.caching import dead_states
-from repro.core.extended import ExtendedAutomaton
+from repro.core.extended import ExtendedAutomaton, normalize_control
 from repro.foundations.resilience import current_deadline
 from repro.logic.literals import eq, neq
 from repro.logic.terms import x_vars, y_vars
@@ -312,7 +323,8 @@ class SymbolicKernel:
     """The coded normalised control graph of one eligible automaton.
 
     Produced by :func:`build_kernel`; consumed by
-    :func:`repro.core.emptiness.check_emptiness`.  ``buchi`` is the Buchi
+    :func:`repro.core.emptiness.check_emptiness` and
+    :func:`repro.core.verification.verify`.  ``buchi`` is the Buchi
     automaton for ``SControl`` of the normalised automaton over rank ids;
     :meth:`decode_lasso` maps an id-lasso back to the legacy
     ``((state, completion), completion)`` pair lasso, materialising only
@@ -327,8 +339,18 @@ class SymbolicKernel:
         self._node_orig, self._node_xclass, self._node_yimage = node_tables
         self._pairs: Dict[int, Tuple] = {}
         self.stats = stats
+        #: Builds the literal normal form on demand.  Only a witness asked
+        #: for a concrete run needs it, so the searches hand the builder,
+        #: not its value, to :class:`~repro.core.emptiness.EmptinessWitness`;
+        #: it holds the automaton only, so a kept witness does not keep
+        #: the kernel alive.
+        self.normalised = partial(normalize_control, without_eq)
 
     # -- decoding ------------------------------------------------------ #
+
+    def code_of(self, symbol: str) -> int:
+        """The completion code of node *symbol* (over ``x1..xk, y1..yk``)."""
+        return self._nodes[int(symbol[1:])].code
 
     def decode_node(self, rank: int) -> Tuple:
         """The legacy control pair of node *rank* (cached per rank)."""

@@ -11,7 +11,7 @@ equality), never by identity, and every instance is tracked weakly so
 """
 
 import weakref
-from typing import Callable, Dict, Hashable, List, Optional
+from typing import Callable, Dict, Hashable, Optional
 
 from repro.foundations.stats import cache_stats
 
@@ -34,13 +34,14 @@ class ValueCache:
     __slots__ = ("_data", "_maxsize", "stats", "__weakref__")
 
     _MISSING = object()
-    _instances: List["weakref.ref"] = []
+    #: Every live instance; a collected cache leaves the set by itself.
+    _instances: "weakref.WeakSet[ValueCache]" = weakref.WeakSet()
 
     def __init__(self, name: str, maxsize: Optional[int] = None):
         self._data: Dict[Hashable, object] = {}
         self._maxsize = maxsize
         self.stats = cache_stats(name)
-        ValueCache._instances.append(weakref.ref(self))
+        ValueCache._instances.add(self)
 
     def lookup(self, key: Hashable, compute: Callable[[], object]) -> object:
         """The cached value for *key*, computing and storing it on a miss."""
@@ -74,10 +75,5 @@ def clear_value_caches() -> None:
     Stats counters are deliberately left alone -- this resets *state*, not
     *observability*; pair with ``reset_cache_stats`` when both matter.
     """
-    live: List["weakref.ref"] = []
-    for ref in ValueCache._instances:
-        cache = ref()
-        if cache is not None:
-            cache.clear()
-            live.append(ref)
-    ValueCache._instances[:] = live
+    for cache in list(ValueCache._instances):
+        cache.clear()

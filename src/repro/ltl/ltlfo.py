@@ -14,17 +14,19 @@ Two evaluation modes are provided:
   settles every atom over ``x``, ``y`` and the constants, so each
   proposition's truth at a position is determined
   (:func:`evaluate_formula_under_type`).  This is the observation the paper
-  uses to reduce Theorem 12 to omega-automata emptiness.
+  uses to reduce Theorem 12 to omega-automata emptiness.  When the type
+  is a partition code of the coded kernel, :func:`code_assignment` reads
+  the letter off the code's bits instead.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Tuple
+from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from repro.foundations.errors import EvaluationError, SpecificationError
 from repro.logic.formulas import And, AtomFormula, FalseFormula, Formula, Not, Or, TrueFormula
-from repro.logic.literals import Literal
-from repro.logic.terms import Var, register_index
-from repro.logic.types import SigmaType
+from repro.logic.literals import EqAtom, Literal
+from repro.logic.terms import Term, Var, register_index
+from repro.logic.types import SigmaType, pair_bit
 from repro.ltl.syntax import LtlFormula
 
 
@@ -127,3 +129,58 @@ def proposition_assignment(
         for name, formula in sentence.propositions.items()
         if evaluate_formula_under_type(formula, delta)
     )
+
+
+def code_assignment(
+    sentence: LtlFoSentence, k: int
+) -> Optional[Callable[[int], FrozenSet[str]]]:
+    """:func:`proposition_assignment` over completion codes, or ``None``.
+
+    A completion code (:func:`repro.logic.types.guard_completion_search`
+    over ``x1..xk, y1..yk``) is a set partition of the ``2k`` variables,
+    so the complete type it stands for entails ``u = v`` exactly when the
+    pair's bit is set and ``u != v`` otherwise: one bit test per atom.
+    ``t = t`` holds under every type.  Returns ``None`` when some other
+    atom is not an equality of two register variables of ``1..k`` -- a
+    relation, a constant, a register beyond ``k`` -- which only a literal
+    type can settle (or refuse to, with :class:`EvaluationError`).
+    """
+    width = 2 * k
+
+    def position(term: Term) -> Optional[int]:
+        index = register_index(term)
+        if index is None or not 1 <= index[1] <= k:
+            return None
+        return index[1] if index[0] == "x" else k + index[1]
+
+    def compile_formula(formula: Formula) -> Optional[Callable[[int], bool]]:
+        if isinstance(formula, TrueFormula):
+            return lambda code: True
+        if isinstance(formula, FalseFormula):
+            return lambda code: False
+        if isinstance(formula, AtomFormula):
+            atom = formula.atom
+            if not isinstance(atom, EqAtom):
+                return None
+            if atom.left == atom.right:
+                return lambda code: True  # every type entails t = t
+            left, right = position(atom.left), position(atom.right)
+            if left is None or right is None:
+                return None
+            bit = pair_bit(left, right, width)
+            return lambda code: bool(code >> bit & 1)
+        if isinstance(formula, Not):
+            operand = compile_formula(formula.operand)
+            return None if operand is None else lambda code: not operand(code)
+        if isinstance(formula, (And, Or)):
+            operands = [compile_formula(op) for op in formula.operands]
+            if None in operands:
+                return None
+            combine = all if isinstance(formula, And) else any
+            return lambda code: combine(op(code) for op in operands)
+        return None
+
+    tests = [(name, compile_formula(f)) for name, f in sentence.propositions.items()]
+    if any(test is None for _name, test in tests):
+        return None
+    return lambda code: frozenset(name for name, test in tests if test(code))

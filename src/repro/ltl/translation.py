@@ -124,12 +124,14 @@ def ltl_to_generalized_buchi(formula: LtlFormula) -> Tuple[GeneralizedBuchiAutom
                     transitions.setdefault(source, {}).setdefault(letter, set()).add(target)
 
     initial = [atom for atom in atoms if normal in atom]
-    acceptance_sets = []
-    for node in closure:
-        if isinstance(node, Until):
-            acceptance_sets.append(
-                frozenset(atom for atom in atoms if node not in atom or node.right in atom)
-            )
+    # One acceptance set per until, in reverse repr order (in the F/G
+    # templates: outermost first).  The hash order of the closure set
+    # would make the degeneralised automaton follow PYTHONHASHSEED.
+    untils = sorted((node for node in closure if isinstance(node, Until)), key=repr, reverse=True)
+    acceptance_sets = [
+        frozenset(atom for atom in atoms if node not in atom or node.right in atom)
+        for node in untils
+    ]
     return (
         GeneralizedBuchiAutomaton(transitions, initial, acceptance_sets),
         propositions,

@@ -184,11 +184,13 @@ def without_trim():
 
 @contextmanager
 def without_symkernel():
-    """Run ``check_emptiness`` on the literal normalisation path.
+    """Run ``check_emptiness`` and ``verify`` on the literal normalisation path.
 
-    The kernel declines every input, so ``completed()`` /
-    ``state_driven()`` answer even where the coded kernel would: the
-    baseline of the symkernel byte-identity tests and of E19.
+    The kernel declines every input, so the one selection both share
+    (``repro.core.emptiness.normal_control``) answers with the
+    ``completed()`` / ``state_driven()`` control even where the coded
+    kernel would: the baseline of the symkernel byte-identity tests, of
+    the coded ``verify`` tests and of E19 and E6.
     """
     from repro.core import emptiness
 

@@ -35,7 +35,7 @@ from repro.core.caching import (
 from repro.core.streaming import StreamingChecker, StreamingViolation
 from repro.db.evaluation import evaluate_type, transition_valuation
 from repro.foundations.errors import EvaluationError
-from repro.foundations.memo import ValueCache
+from repro.foundations.memo import ValueCache, clear_value_caches
 from repro.foundations.stats import CacheStats, all_cache_stats, cache_stats
 
 EMPTY = SigmaType()
@@ -98,6 +98,20 @@ class TestValueCache:
         assert len(cache) == 2
         assert 1 not in cache and 3 in cache
         assert cache.stats.evictions >= 1
+
+    def test_registry_forgets_collected_caches(self):
+        # Short-lived caches (one per call) used to leave a dead weakref
+        # each in the registry until the next clear_value_caches().
+        gc.collect()
+        before = len(ValueCache._instances)
+        for index in range(1000):
+            ValueCache("unit.short_lived").lookup(index, lambda: index)
+        gc.collect()
+        assert len(ValueCache._instances) <= before
+        live = ValueCache("unit.live")
+        live.lookup("k", lambda: "v")
+        clear_value_caches()
+        assert len(live) == 0 and "k" not in live
 
 
 class TestCachedMethod:

@@ -1,5 +1,10 @@
 """Unit tests for the LTL substrate and LTL-FO sentences."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.automata import Lasso
@@ -123,6 +128,36 @@ class TestTranslation:
         for word in self.WORDS:
             projected = word.map(lambda letter: frozenset(letter) & props)
             assert positive.accepts(projected) != negative.accepts(projected)
+
+    def test_automaton_independent_of_hash_seed(self):
+        # The acceptance sets used to follow the hash order of the closure
+        # set, and the state numbers the repr of frozensets: each
+        # PYTHONHASHSEED built a different automaton.  Checked on the
+        # negated templates of the ltl-verify workload.
+        script = (
+            "from repro.ltl import Eventually, Globally, Not_, Or_, Prop, ltl_to_buchi\n"
+            "p, q = Prop('p'), Prop('q')\n"
+            "templates = [Eventually(p), Globally(p), Globally(Or_(Not_(p), Eventually(q))),\n"
+            "             Globally(Eventually(p)), Eventually(Globally(p)),\n"
+            "             Globally(Or_(Not_(p), Eventually(Globally(q))))]\n"
+            "for template in templates:\n"
+            "    automaton, _props = ltl_to_buchi(Not_(template))\n"
+            "    print(sorted((s, sorted(a), sorted(automaton.successors(s, a)))\n"
+            "                 for s in automaton.states() for a in automaton.symbols()),\n"
+            "          sorted(automaton.initial), sorted(automaton.accepting))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        tables = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in ("0", "1", "2")
+        ]
+        assert tables[0] == tables[1] == tables[2]
 
 
 class TestLtlFo:

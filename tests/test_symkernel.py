@@ -32,8 +32,7 @@ from repro import (
     neq,
 )
 from repro.automata.regex import any_of, concat, literal, plus, star
-from repro.core.emptiness import _normalize_for_analysis
-from repro.core.extended import eliminate_equality_constraints
+from repro.core.extended import eliminate_equality_constraints, normalize_control
 from repro.core.symbolic import scontrol_buchi
 from repro.core.symkernel import build_kernel
 from repro.generators import random_extended_automaton, random_register_automaton
@@ -164,7 +163,7 @@ def test_kernel_buchi_matches_scontrol(example1_automaton):
     extended = ExtendedAutomaton(example1_automaton, [])
     kernel = build_kernel(_without_eq(extended))
     assert kernel is not None
-    legacy = scontrol_buchi(_normalize_for_analysis(extended).automaton)
+    legacy = scontrol_buchi(normalize_control(_without_eq(extended)).automaton)
     _assert_buchi_isomorphic(kernel, legacy)
 
 
@@ -176,7 +175,7 @@ def test_kernel_buchi_matches_scontrol_random(seed):
     kernel = build_kernel(_without_eq(extended))
     if kernel is None:  # already complete + state-driven: legacy identity
         return
-    legacy = scontrol_buchi(_normalize_for_analysis(extended).automaton)
+    legacy = scontrol_buchi(normalize_control(_without_eq(extended)).automaton)
     _assert_buchi_isomorphic(kernel, legacy)
 
 

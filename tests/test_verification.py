@@ -1,6 +1,17 @@
-"""Tests for LTL-FO verification (Theorem 12)."""
+"""Tests for LTL-FO verification (Theorem 12).
+
+``verify`` runs on the coded kernel (``repro.core.symkernel``) wherever
+``check_emptiness`` does; ``tests.helpers.without_symkernel()`` forces the
+literal ``completed()`` / ``state_driven()`` path, the oracle the coded
+answers must match byte for byte.  Counterexamples are checked against
+the concrete semantics (:func:`run_satisfies`) as ground truth.
+"""
+
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     ExtendedAutomaton,
@@ -17,10 +28,16 @@ from repro import (
     verify,
 )
 from repro.automata.regex import concat, literal, plus
+from repro.core.extended import eliminate_equality_constraints
+from repro.core.symkernel import build_kernel
+from repro.foundations.errors import EvaluationError
+from repro.generators import random_register_automaton
+from repro.generators.automata import random_constraint_regex
 from repro.logic.formulas import atom_eq, atom_rel
 from repro.logic.terms import Var
 from repro.ltl import Eventually, Globally, Not_, Prop
 from repro.ltl.syntax import Or_
+from tests.helpers import without_symkernel
 
 EMPTY = SigmaType()
 
@@ -130,3 +147,128 @@ class TestRunSatisfies:
         globally_eq = sentence_eq12(Globally)
         assert run_satisfies(eventually_eq, run, empty_database)
         assert not run_satisfies(globally_eq, run, empty_database)
+
+
+# --------------------------------------------------------------------- #
+# the coded path against the literal one and against ground truth
+# --------------------------------------------------------------------- #
+
+#: The six template shapes of the ltl-verify workload.
+TEMPLATES = (
+    lambda p, q: Eventually(p),
+    lambda p, q: Globally(p),
+    lambda p, q: Globally(Or_(Not_(p), Eventually(q))),
+    lambda p, q: Globally(Eventually(p)),
+    lambda p, q: Eventually(Globally(p)),
+    lambda p, q: Globally(Or_(Not_(p), Eventually(Globally(q)))),
+)
+
+
+def _random_instance(seed, k, constraints, with_global, template):
+    """A random automaton with *constraints* ``neq`` constraints, and a sentence.
+
+    Atoms compare an x register with an x or y register (or the global
+    ``z1``) and are negated with probability 0.3.
+    """
+    rng = random.Random(seed)
+    automaton = random_register_automaton(
+        rng, k=k, n_states=rng.randint(2, 3), n_transitions=rng.randint(3, 5)
+    )
+    states = sorted(automaton.states)
+    extended = ExtendedAutomaton(
+        automaton,
+        [
+            GlobalConstraint(
+                "neq", rng.randint(1, k), rng.randint(1, k), random_constraint_regex(rng, states)
+            )
+            for _ in range(constraints)
+        ],
+    )
+    z = Var("z1")
+    partners = [X, Y] + ([lambda _index: z] if with_global else [])
+
+    def atom():
+        formula = atom_eq(X(rng.randint(1, k)), rng.choice(partners)(rng.randint(1, k)))
+        return ~formula if rng.random() < 0.3 else formula
+
+    sentence = LtlFoSentence(
+        skeleton=TEMPLATES[template](Prop("p"), Prop("q")),
+        propositions={"p": atom(), "q": atom()},
+        global_vars=(z,) if with_global else (),
+    )
+    return extended, sentence
+
+
+def _fingerprint(result):
+    trace = result.counterexample.trace if result.counterexample else None
+    return (
+        result.holds,
+        result.exact,
+        result.product_size,
+        result.candidates_checked,
+        repr(trace),
+    )
+
+
+def _assert_coded_matches_literal(extended, sentence):
+    coded = verify(extended, sentence)
+    with without_symkernel():
+        literal = verify(extended, sentence)
+    assert _fingerprint(coded) == _fingerprint(literal)
+    if coded.counterexample is not None:
+        realised = coded.counterexample.lasso_run()
+        if realised is not None:
+            database, run = realised
+            assert not run_satisfies(sentence, run.project(extended.k), database)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    k=st.sampled_from([1, 2]),
+    constraints=st.integers(min_value=0, max_value=2),
+    with_global=st.booleans(),
+    template=st.integers(min_value=0, max_value=len(TEMPLATES) - 1),
+)
+def test_coded_verify_matches_literal(seed, k, constraints, with_global, template):
+    _assert_coded_matches_literal(*_random_instance(seed, k, constraints, with_global, template))
+
+
+@pytest.mark.parametrize("seed,template", [(3, 1), (11, 3), (29, 5)])
+def test_coded_verify_matches_literal_at_k3(seed, template):
+    # Pinned: the literal path completes over x1..x3, y1..y3 and takes
+    # about a second per call here.
+    _assert_coded_matches_literal(*_random_instance(seed, 3, 1, False, template))
+
+
+def test_unsettled_atom_raises_on_both_paths(example1_automaton):
+    # x3 is no register of a k = 2 automaton: no complete type settles it.
+    sentence = LtlFoSentence(
+        skeleton=Globally(Prop("p")), propositions={"p": atom_eq(X(1), X(3))}
+    )
+    extended = ExtendedAutomaton(example1_automaton, [])
+    with pytest.raises(EvaluationError) as coded:
+        verify(extended, sentence)
+    with without_symkernel(), pytest.raises(EvaluationError) as literal:
+        verify(extended, sentence)
+    assert str(coded.value) == str(literal.value)
+
+
+def test_already_normal_automaton_verifies():
+    # Complete, state-driven control: the kernel declines it and the
+    # literal path decides without normalising.
+    stay = SigmaType([eq(X(1), Y(1))])
+    move = SigmaType([neq(X(1), Y(1))])
+    automaton = RegisterAutomaton(
+        1, Signature.empty(), {"a", "b"}, {"a"}, {"a"}, [("a", stay, "b"), ("b", move, "a")]
+    )
+    extended = ExtendedAutomaton(automaton, [])
+    assert build_kernel(eliminate_equality_constraints(extended)[0]) is None
+    sentence = LtlFoSentence(
+        skeleton=Globally(Prop("same")), propositions={"same": atom_eq(X(1), Y(1))}
+    )
+    result = verify(extended, sentence)
+    assert not result.holds and result.exact
+    database, run = result.counterexample.lasso_run()
+    assert not run_satisfies(sentence, run.project(1), database)
+    _assert_coded_matches_literal(extended, sentence)
