@@ -22,7 +22,6 @@ from repro import (
     rel,
 )
 from repro.automata.regex import concat, literal, plus, star
-from repro.foundations import knobs
 
 
 @pytest.fixture
@@ -72,23 +71,13 @@ def rng():
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Print the experiment tables, then write the JSON report if asked.
-
-    The report is written only when ``REPRO_BENCH_JSON`` names a path
-    (CI sets it on every step whose report it uploads); unset, empty or
-    ``0`` writes nothing, so a plain local run never overwrites a
-    committed ``BENCH_*.json``.
-    """
-    from _tables import REGISTRY, print_table, write_session_json
+    """Print the experiment tables and the cache-effectiveness table."""
+    from _tables import REGISTRY, print_table
 
     for title, headers, rows in REGISTRY:
         if rows:
             print_table(title, headers, rows)
     _print_cache_effectiveness()
-    target = knobs.value("REPRO_BENCH_JSON")
-    if target and target != "0":
-        write_session_json(target, session.config)
-        print("\nbenchmark report written to %s" % target)
 
 
 def _print_cache_effectiveness():

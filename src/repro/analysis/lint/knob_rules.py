@@ -45,9 +45,8 @@ _KNOB_TOKEN = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
 
 _KNB001_MESSAGE = (
     "direct environment access to %r bypasses the knob registry: declare "
-    "the knob in repro.foundations.knobs and go through knobs.value(...) / "
-    "knobs.raw_value(...), so parsing, ablation coverage and the generated "
-    "docs stay centralised"
+    "the knob in repro.foundations.knobs and go through knobs.value(...), "
+    "so parsing, ablation coverage and the generated docs stay centralised"
 )
 
 

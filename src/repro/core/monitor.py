@@ -21,11 +21,11 @@ Three ideas carry the design:
 
 * **Write-ahead journal + periodic snapshots.**  Every ingested batch is
   journaled *before* any state changes; durable per-session snapshots are
-  refreshed every ``REPRO_MONITOR_SNAPSHOT_EVERY`` events (and whenever
-  the journal exceeds ``REPRO_MONITOR_JOURNAL_CAP``).  Recovery restores
-  each session from its last durable snapshot and replays the journal
-  suffix -- deterministic, so the rebuilt fingerprints are byte-identical
-  to an uninterrupted run: zero lost, zero double-applied events.
+  refreshed every ``snapshot_every`` events (and whenever the journal
+  exceeds ``journal_cap`` entries).  Recovery restores each session from
+  its last durable snapshot and replays the journal suffix --
+  deterministic, so the rebuilt fingerprints are byte-identical to an
+  uninterrupted run: zero lost, zero double-applied events.
 
 * **One application path.**  Ingest and replay both restore a
   session's snapshot into the multiplexer's one reused checker and feed
@@ -57,7 +57,6 @@ from repro.core.streaming import StreamingChecker
 from repro.db.database import Database
 from repro.foundations.errors import SpecificationError
 from repro.foundations.faults import FaultInjected, fault
-from repro.foundations import knobs
 from repro.foundations.resilience import (
     CancellationToken,
     Deadline,
@@ -307,22 +306,24 @@ class MonitorMultiplexer:
     it by :meth:`recover`, which the ``monitor.ingest:crash`` fault kind
     exercises end to end; a terminal session keeps only its final
     durable snapshot.  One :meth:`ingest` costs O(batch + journal), never
-    O(sessions seen).  Knobs: ``REPRO_MONITOR_SNAPSHOT_EVERY`` and
-    ``REPRO_MONITOR_JOURNAL_CAP`` (both call-time, both overridable per
-    instance).
+    O(sessions seen).  ``snapshot_every`` (events a session absorbs
+    between durable snapshots) and ``journal_cap`` (journal length that
+    forces a snapshot of every lagging session) trade replay length
+    against snapshot work; both are clamped to at least 1, and results
+    are identical for any value.
     """
 
     def __init__(
         self,
         extended: ExtendedAutomaton,
         database: Database,
-        snapshot_every: Optional[int] = None,
-        journal_cap: Optional[int] = None,
+        snapshot_every: int = 32,
+        journal_cap: int = 1024,
     ):
         self._extended = extended
         self._database = database
-        self._snapshot_every = snapshot_every
-        self._journal_cap = journal_cap
+        self._snapshot_every = max(int(snapshot_every), 1)
+        self._journal_cap = max(int(journal_cap), 1)
         self._checker = StreamingChecker(extended, database, strict=False)
         self._initial = self._checker.snapshot()
         # durable state: survives a (simulated) crash
@@ -339,18 +340,6 @@ class MonitorMultiplexer:
         self._quarantined = 0
         self._recoveries = 0
         self._snapshots_taken = 0
-
-    # -- knobs ---------------------------------------------------------- #
-
-    def _effective_snapshot_every(self) -> int:
-        if self._snapshot_every is not None:
-            return max(int(self._snapshot_every), 1)
-        return knobs.value("REPRO_MONITOR_SNAPSHOT_EVERY")
-
-    def _effective_journal_cap(self) -> int:
-        if self._journal_cap is not None:
-            return max(int(self._journal_cap), 1)
-        return knobs.value("REPRO_MONITOR_JOURNAL_CAP")
 
     # -- session lifecycle ---------------------------------------------- #
 
@@ -652,16 +641,14 @@ class MonitorMultiplexer:
 
         Returns the events a crash recovery in here drained (else 0).
         """
-        snapshot_every = self._effective_snapshot_every()
         touched = dict.fromkeys(entry.session for entry in entries)
         try:
             for session in touched:
                 record = self._sessions.get(session)
-                if record is not None and record.since_durable >= snapshot_every:
+                if record is not None and record.since_durable >= self._snapshot_every:
                     self._snapshot_session(session)
             self._truncate_journal()
-            cap = self._effective_journal_cap()
-            if len(self._journal) > cap:
+            if len(self._journal) > self._journal_cap:
                 # Cap pressure: snapshot every lagging live session so the
                 # prefix floor advances, then truncate again.  Truncation
                 # keeps every entry past a live session's durable snapshot,

@@ -37,8 +37,8 @@ the *forward* analysis):
   the completion/normalisation shape downstream, so it is *not* wired
   into ``check_emptiness`` -- it is the explicit reduction API behind
   the ``DF008`` projection-candidate diagnostics, preserving the
-  emptiness *verdict* (asserted by the E18 benchmark and the test
-  suite) rather than the byte-exact witness.
+  emptiness *verdict* (asserted in ``tests/test_reduction.py``) rather
+  than the byte-exact witness.
 
 Layering note: this module lives in ``core`` but the analysis lives
 above it, so the dataflow import happens lazily inside the functions.

@@ -76,9 +76,9 @@ the one selection :func:`repro.core.emptiness.normal_control`; its
 :class:`~repro.core.emptiness.LiteralControl` answer is the legacy path,
 kept for the inputs the kernel declines.  Forcing it on eligible inputs
 is the test helper ``tests.helpers.without_symkernel()``, the baseline of
-the byte-identity tests and of the E19 and E6 benchmarks
-(``benchmarks/bench_symkernel.py``, BENCH_8.json;
-``benchmarks/bench_verification.py``).
+the byte-identity tests (``tests/test_symkernel.py``, which also checks
+that the kernel materialises no completion) and of the E6 benchmark
+(``benchmarks/bench_verification.py``).
 """
 
 from functools import partial

@@ -19,11 +19,10 @@ the scattered ``os.environ.get("REPRO_*")`` reads could not:
   drifts.
 
 Reads stay **call-time** (lint rule ``ENV001``): declaring a knob never
-touches the environment; only :func:`value` / :func:`raw_value` do, on
-each call, so tests and A/B benchmark runs flip knobs per call with
-``monkeypatch.setenv`` and no module reloads.  Direct
-``os.environ``/``os.getenv`` access to a ``REPRO_*`` name anywhere else
-under ``repro`` is a lint finding (``KNB001``).
+touches the environment; only :func:`value` does, on each call, so
+tests flip knobs per call with ``monkeypatch.setenv`` and no module
+reloads.  Direct ``os.environ``/``os.getenv`` access to a ``REPRO_*``
+name anywhere else under ``repro`` is a lint finding (``KNB001``).
 """
 
 import os
@@ -37,7 +36,6 @@ __all__ = [
     "is_registered",
     "all_knobs",
     "value",
-    "raw_value",
 ]
 
 #: The spellings that turn a flag knob off, so ``REPRO_BENCH_QUICK=off``
@@ -106,29 +104,6 @@ def parse_stripped(raw: Optional[str]) -> str:
     return (raw or "").strip()
 
 
-def _parse_bounded_int(raw: Optional[str], default: int, cap: int) -> int:
-    text = (raw or "").strip()
-    if not text:
-        return default
-    try:
-        requested = int(text)
-    except ValueError:
-        return default
-    if requested < 1:
-        return default
-    return min(requested, cap)
-
-
-def parse_snapshot_every(raw: Optional[str]) -> int:
-    """``REPRO_MONITOR_SNAPSHOT_EVERY``: default 32, at least 1, capped at 1e6."""
-    return _parse_bounded_int(raw, 32, 1_000_000)
-
-
-def parse_journal_cap(raw: Optional[str]) -> int:
-    """``REPRO_MONITOR_JOURNAL_CAP``: default 1024, at least 1, capped at 1e7."""
-    return _parse_bounded_int(raw, 1024, 10_000_000)
-
-
 # ---------------------------------------------------------------------- #
 # the registry
 # ---------------------------------------------------------------------- #
@@ -175,17 +150,6 @@ def value(name: str) -> Any:
     return _REGISTRY[name].read()
 
 
-def raw_value(name: str) -> Optional[str]:
-    """The raw environment value of *name*, unparsed (``None`` when unset).
-
-    The blessed low-level accessor for the few callers that need the raw
-    text -- :mod:`repro.foundations.faults` keys its plan cache on it,
-    and :meth:`Deadline.from_env` accepts non-registry names.  Still a
-    call-time read.
-    """
-    return os.environ.get(name)
-
-
 # ---------------------------------------------------------------------- #
 # the declarations
 # ---------------------------------------------------------------------- #
@@ -220,34 +184,6 @@ register_knob(
     )
 )
 
-register_knob(
-    Knob(
-        name="REPRO_MONITOR_SNAPSHOT_EVERY",
-        default="`32`",
-        parse=parse_snapshot_every,
-        doc=(
-            "Events a monitor session absorbs between durable snapshots "
-            "(`docs/ROBUSTNESS.md`, \"Session snapshots\").  Smaller means "
-            "shorter journal replays after a crash; results are identical "
-            "for any value."
-        ),
-    )
-)
-
-register_knob(
-    Knob(
-        name="REPRO_MONITOR_JOURNAL_CAP",
-        default="`1024`",
-        parse=parse_journal_cap,
-        doc=(
-            "Write-ahead journal length that triggers snapshot-all + "
-            "truncation in `MonitorMultiplexer` (best effort under "
-            "injected snapshot faults).  Results are identical for any "
-            "value."
-        ),
-    )
-)
-
 # Harness knobs: read by the benchmark/test harness (outside the `repro`
 # tree, so KNB001 does not route their reads through here), declared so
 # the KNB002 registry/CI cross-check and the generated docs cover every
@@ -266,21 +202,6 @@ register_knob(
         doc=(
             "Benchmark quick mode (the CI smoke job): shrinks workload "
             "sizes so `benchmarks/` finish in seconds."
-        ),
-        ablation="none",
-        ablation_reason=_HARNESS_REASON,
-    )
-)
-
-register_knob(
-    Knob(
-        name="REPRO_BENCH_JSON",
-        default="unset (no report)",
-        parse=parse_stripped,
-        doc=(
-            "Where the benchmark session writes its machine-readable "
-            "report (`benchmarks/_tables.py`).  Unset, empty or `0` write "
-            "nothing."
         ),
         ablation="none",
         ablation_reason=_HARNESS_REASON,

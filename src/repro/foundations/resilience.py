@@ -112,19 +112,14 @@ class Deadline:
         return cls(float(milliseconds) / 1000.0)
 
     @classmethod
-    def from_env(cls, name: str = "REPRO_DEADLINE_MS") -> Optional["Deadline"]:
-        """The deadline requested by the environment, or ``None``.
+    def from_env(cls) -> Optional["Deadline"]:
+        """The deadline ``REPRO_DEADLINE_MS`` requests, or ``None``.
 
-        Read at call time (never at import), so tests and A/B runs can
-        flip the knob per call.  Unset, empty, negative or junk values
-        all mean "no deadline".
+        Read at call time (never at import), so tests can flip the knob
+        per call.  Unset, empty, negative or junk values all mean "no
+        deadline".
         """
-        knob = (
-            knobs.get_knob(name)
-            if knobs.is_registered(name)
-            else knobs.get_knob("REPRO_DEADLINE_MS")
-        )
-        milliseconds = knob.parse(knobs.raw_value(name))
+        milliseconds = knobs.value("REPRO_DEADLINE_MS")
         if milliseconds is None:
             return None
         return cls.after_ms(milliseconds)

@@ -190,7 +190,7 @@ def without_symkernel():
     (``repro.core.emptiness.normal_control``) answers with the
     ``completed()`` / ``state_driven()`` control even where the coded
     kernel would: the baseline of the symkernel byte-identity tests, of
-    the coded ``verify`` tests and of E19 and E6.
+    the coded ``verify`` tests and of E6.
     """
     from repro.core import emptiness
 

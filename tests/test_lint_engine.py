@@ -315,22 +315,17 @@ class TestAblationCoverage:
 
 class TestKnobRegistry:
     def test_values_are_read_at_call_time(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MONITOR_SNAPSHOT_EVERY", "3")
-        assert knobs.value("REPRO_MONITOR_SNAPSHOT_EVERY") == 3
-        monkeypatch.setenv("REPRO_MONITOR_SNAPSHOT_EVERY", "junk")
-        assert knobs.value("REPRO_MONITOR_SNAPSHOT_EVERY") == 32
-        monkeypatch.delenv("REPRO_MONITOR_SNAPSHOT_EVERY")
-        assert knobs.value("REPRO_MONITOR_SNAPSHOT_EVERY") == 32
+        monkeypatch.setenv("REPRO_DEADLINE_MS", "3")
+        assert knobs.value("REPRO_DEADLINE_MS") == 3.0
+        monkeypatch.setenv("REPRO_DEADLINE_MS", "250")
+        assert knobs.value("REPRO_DEADLINE_MS") == 250.0
+        monkeypatch.delenv("REPRO_DEADLINE_MS")
+        assert knobs.value("REPRO_DEADLINE_MS") is None
 
     def test_parsers_absorb_junk(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MONITOR_JOURNAL_CAP", "99999999")
-        assert knobs.value("REPRO_MONITOR_JOURNAL_CAP") == 10_000_000
-        monkeypatch.setenv("REPRO_MONITOR_JOURNAL_CAP", "0")
-        assert knobs.value("REPRO_MONITOR_JOURNAL_CAP") == 1024
-        monkeypatch.setenv("REPRO_MONITOR_SNAPSHOT_EVERY", "-5")
-        assert knobs.value("REPRO_MONITOR_SNAPSHOT_EVERY") == 32
-        monkeypatch.setenv("REPRO_DEADLINE_MS", "nope")
-        assert knobs.value("REPRO_DEADLINE_MS") is None
+        for junk in ("nope", "-5", ""):
+            monkeypatch.setenv("REPRO_DEADLINE_MS", junk)
+            assert knobs.value("REPRO_DEADLINE_MS") is None
 
     def test_bench_quick_is_off_unless_set(self, monkeypatch):
         monkeypatch.delenv("REPRO_BENCH_QUICK", raising=False)

@@ -34,7 +34,6 @@ from repro.core.monitor import (
 )
 from repro.core.runs import FiniteRun
 from repro.core.streaming import StreamingChecker, StreamingViolation
-from repro.foundations import knobs
 from repro.foundations.errors import SpecificationError
 from repro.foundations.faults import FaultInjected, reset_faults
 from repro.foundations.resilience import (
@@ -64,6 +63,23 @@ def extended():
 @pytest.fixture
 def db(empty_database):
     return empty_database
+
+
+#: The corner of the multiplexer's two durability settings: a durable
+#: snapshot after every event and a journal truncated constantly.
+CORNER = {"snapshot_every": 1, "journal_cap": 8}
+
+
+@pytest.fixture
+def make_mux(request, extended, db):
+    """Build a multiplexer at the requesting class's ``settings``.
+
+    The multiplexer suites below run at the defaults; each runs again,
+    unchanged, as a subclass at :data:`CORNER` (end of file), where every
+    fingerprint, verdict and counter must come out the same.
+    """
+    settings = getattr(request.cls, "settings", {})
+    return lambda: MonitorMultiplexer(extended, db, **settings)
 
 
 @pytest.fixture
@@ -266,13 +282,13 @@ class TestSnapshotRoundTripProperty:
 
 
 class TestMultiplexerBasics:
-    def test_matches_independent_checkers(self, extended, db):
+    def test_matches_independent_checkers(self, extended, db, make_mux):
         batches = random_batches()
-        mux = drive(MonitorMultiplexer(extended, db), batches)
+        mux = drive(make_mux(), batches)
         assert mux.fingerprints() == oracle_fingerprints(extended, db, batches)
 
-    def test_violations_reported_per_session(self, extended, db):
-        mux = MonitorMultiplexer(extended, db)
+    def test_violations_reported_per_session(self, make_mux):
+        mux = make_mux()
         report = mux.ingest(
             [("a", "q", ("v1",)), ("a", "q", ("v1",)), ("b", "q", ("v1",))]
         )
@@ -283,14 +299,14 @@ class TestMultiplexerBasics:
         again = mux.ingest([("a", "q", ("v9",))])
         assert again.violations["a"] == report.violations["a"]
 
-    def test_duplicate_open_raises(self, extended, db):
-        mux = MonitorMultiplexer(extended, db)
+    def test_duplicate_open_raises(self, make_mux):
+        mux = make_mux()
         mux.open_session("a")
         with pytest.raises(SpecificationError):
             mux.open_session("a")
 
-    def test_close_and_cancel_taxonomy(self, extended, db):
-        mux = MonitorMultiplexer(extended, db)
+    def test_close_and_cancel_taxonomy(self, make_mux):
+        mux = make_mux()
         mux.ingest([("a", "q", ("v1",)), ("b", "q", ("v1",))])
         closed = mux.close_session("a")
         assert closed.status is OutcomeStatus.COMPLETE
@@ -320,18 +336,18 @@ class TestMultiplexerBasics:
 
 class TestCrashRecovery:
     def test_driver_crash_mid_ingest_recovers_identically(
-        self, extended, db, monkeypatch
+        self, make_mux, monkeypatch
     ):
         batches = random_batches()
         monkeypatch.setenv("REPRO_FAULTS", "")
         reset_faults()
-        baseline = drive(MonitorMultiplexer(extended, db), batches)
+        baseline = drive(make_mux(), batches)
         total = sum(len(batch) for batch in batches)
         assert baseline.stats()["events_applied"] == total
         drain_events()
         monkeypatch.setenv("REPRO_FAULTS", "monitor.ingest:crash:3")
         reset_faults()
-        crashed = drive(MonitorMultiplexer(extended, db), batches)
+        crashed = drive(make_mux(), batches)
         reset_faults()
         assert crashed.fingerprints() == baseline.fingerprints()
         # no lost and no double-applied events
@@ -340,19 +356,21 @@ class TestCrashRecovery:
         assert len(recent_events("RS007")) == 1
         drain_events()
 
-    def test_explicit_recover_is_idempotent(self, extended, db, no_faults):
+    def test_explicit_recover_is_idempotent(self, make_mux, no_faults):
         batches = random_batches(batches=3)
-        mux = drive(MonitorMultiplexer(extended, db), batches)
+        mux = drive(make_mux(), batches)
         before = mux.fingerprints()
         assert mux.recover() == mux.stats()["sessions"]
         assert mux.recover() == mux.stats()["sessions"]
         assert mux.fingerprints() == before
 
-    def test_snapshot_faults_leave_recovery_exact(self, extended, db, monkeypatch):
+    def test_snapshot_faults_leave_recovery_exact(
+        self, extended, db, make_mux, monkeypatch
+    ):
         batches = random_batches()
         monkeypatch.setenv("REPRO_FAULTS", "")
         reset_faults()
-        baseline = drive(MonitorMultiplexer(extended, db), batches).fingerprints()
+        baseline = drive(make_mux(), batches).fingerprints()
         drain_events()
         # Every early durable-snapshot write fails; the journal keeps the
         # tail, so a later crash still recovers byte-identically.
@@ -368,23 +386,23 @@ class TestCrashRecovery:
         assert len(recent_events("RS009")) == 4
         drain_events()
 
-    def test_restore_crash_restarts_recovery(self, extended, db, monkeypatch):
+    def test_restore_crash_restarts_recovery(self, make_mux, monkeypatch):
         batches = random_batches()
         monkeypatch.setenv("REPRO_FAULTS", "")
         reset_faults()
-        baseline = drive(MonitorMultiplexer(extended, db), batches).fingerprints()
+        baseline = drive(make_mux(), batches).fingerprints()
         monkeypatch.setenv(
             "REPRO_FAULTS", "monitor.restore:crash:1,monitor.ingest:crash:1"
         )
         reset_faults()
-        crashed = drive(MonitorMultiplexer(extended, db), batches).fingerprints()
+        crashed = drive(make_mux(), batches).fingerprints()
         reset_faults()
         assert crashed == baseline
 
-    def test_atomic_batch_reject(self, extended, db, monkeypatch):
+    def test_atomic_batch_reject(self, make_mux, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "")
         reset_faults()
-        mux = MonitorMultiplexer(extended, db)
+        mux = make_mux()
         mux.ingest([("a", "q", ("v1",))])
         before = (mux.fingerprints(), mux.stats()["journal_len"])
         monkeypatch.setenv("REPRO_FAULTS", "monitor.ingest:raise:1")
@@ -410,8 +428,8 @@ class _Unhashable:
 
 
 class TestQuarantine:
-    def test_poison_event_fails_only_its_session(self, extended, db, no_faults):
-        mux = MonitorMultiplexer(extended, db)
+    def test_poison_event_fails_only_its_session(self, make_mux, no_faults):
+        mux = make_mux()
         mux.ingest([("a", "q", ("v1",)), ("b", "q", ("v1",))])
         drain_events()
         report = mux.ingest([("a", "q", (_Unhashable(),)), ("b", "q", ("v2",))])
@@ -427,11 +445,11 @@ class TestQuarantine:
         assert [event.code for event in drain_events() if event.code == "RS008"]
 
     def test_neighbours_of_a_poison_run_on_the_rolled_back_checker(
-        self, extended, db, no_faults
+        self, extended, db, make_mux, no_faults
     ):
         # Ingest reuses one checker: the sessions after the poisoned one
         # run on the checker its rollback just restored.
-        mux = MonitorMultiplexer(extended, db)
+        mux = make_mux()
         sessions = ["s%d" % index for index in range(5)]
         first = [(s, "q", ("v%d" % index,)) for index, s in enumerate(sessions)]
         # s2 is poisoned mid-task; s3, next, repeats its first value
@@ -451,11 +469,11 @@ class TestQuarantine:
         assert {s: mux.session_fingerprint(s) for s in sessions} == expected
 
     def test_quarantine_is_durable_across_crashes(
-        self, extended, db, monkeypatch
+        self, make_mux, monkeypatch
     ):
         monkeypatch.setenv("REPRO_FAULTS", "")
         reset_faults()
-        mux = MonitorMultiplexer(extended, db)
+        mux = make_mux()
         mux.ingest([("a", "q", ("v1",)), ("b", "q", ("v1",))])
         mux.ingest([("a", "q", (_Unhashable(),)), ("b", "q", ("v2",))])
         frozen = mux.session_fingerprint("a")
@@ -469,11 +487,11 @@ class TestQuarantine:
         assert mux.session_fingerprint("b")[1] == 2
 
     def test_restore_failure_quarantines_one_session(
-        self, extended, db, monkeypatch
+        self, make_mux, monkeypatch
     ):
         monkeypatch.setenv("REPRO_FAULTS", "")
         reset_faults()
-        mux = MonitorMultiplexer(extended, db)
+        mux = make_mux()
         mux.ingest([("a", "q", ("v1",)), ("b", "q", ("v1",)), ("c", "q", ("v1",))])
         monkeypatch.setenv(
             "REPRO_FAULTS", "monitor.restore:raise:1,monitor.ingest:crash:1"
@@ -496,9 +514,9 @@ class TestQuarantine:
 
 class TestDeadlinesAndCancellation:
     def test_expired_deadline_times_out_without_losing_events(
-        self, extended, db, no_faults
+        self, make_mux, no_faults
     ):
-        mux = MonitorMultiplexer(extended, db)
+        mux = make_mux()
         report = mux.ingest(
             [("a", "q", ("v1",)), ("b", "q", ("v1",))], deadline=0
         )
@@ -508,8 +526,8 @@ class TestDeadlinesAndCancellation:
         assert mux.session_fingerprint("a")[1] == 1
         assert mux.session_fingerprint("b")[1] == 0
 
-    def test_recover_drains_timed_out_batch(self, extended, db, no_faults):
-        mux = MonitorMultiplexer(extended, db)
+    def test_recover_drains_timed_out_batch(self, make_mux, no_faults):
+        mux = make_mux()
         report = mux.ingest([("a", "q", ("v1",))], deadline=0)
         assert report.outcome.status is OutcomeStatus.TIMEOUT
         assert report.applied == 0
@@ -518,9 +536,9 @@ class TestDeadlinesAndCancellation:
 
     @pytest.mark.parametrize("terminate", ["close_session", "cancel_session"])
     def test_terminating_drains_events_a_timed_out_ingest_left(
-        self, extended, db, no_faults, terminate
+        self, make_mux, no_faults, terminate
     ):
-        mux = MonitorMultiplexer(extended, db)
+        mux = make_mux()
         mux.ingest([("a", "q", ("v1",))])
         mux.ingest([("a", "q", ("v2",)), ("a", "q", ("v1",))], deadline=0)
         outcome = getattr(mux, terminate)("a")
@@ -528,8 +546,8 @@ class TestDeadlinesAndCancellation:
         assert "inequality" in outcome.stats["failed"]
         assert mux.stats()["events_applied"] == 3
 
-    def test_drained_events_are_counted_once(self, extended, db, no_faults):
-        mux = MonitorMultiplexer(extended, db)
+    def test_drained_events_are_counted_once(self, make_mux, no_faults):
+        mux = make_mux()
         mux.ingest([("a", "q", ("v1",)), ("b", "q", ("v1",))], deadline=0)
         report = mux.ingest([("a", "q", ("v2",))])
         assert mux.fingerprints() == {"a": ("q", 1, None, 2), "b": ("q", 0, None, 1)}
@@ -557,10 +575,10 @@ class TestDeadlinesAndCancellation:
         assert mux.stats()["events_applied"] == 4
         assert mux.session_fingerprint("a")[:2] == ("q", 2)
 
-    def test_cancellation_outcome(self, extended, db, no_faults):
+    def test_cancellation_outcome(self, make_mux, no_faults):
         token = CancellationToken()
         token.cancel("operator stop")
-        mux = MonitorMultiplexer(extended, db)
+        mux = make_mux()
         report = mux.ingest([("a", "q", ("v1",))], cancel=token)
         assert report.outcome.status is OutcomeStatus.CANCELLED
         mux.recover()
@@ -653,35 +671,23 @@ class TestInterruptedIngestProperty:
 
 
 # ---------------------------------------------------------------------- #
-# knobs
+# the same suites at the corner of the durability settings
 # ---------------------------------------------------------------------- #
 
 
-class TestMonitorKnobs:
-    def test_registered(self):
-        for name in ("REPRO_MONITOR_SNAPSHOT_EVERY", "REPRO_MONITOR_JOURNAL_CAP"):
-            assert knobs.is_registered(name)
+class TestMultiplexerBasicsAtCorner(TestMultiplexerBasics):
+    settings = CORNER
+    test_journal_stays_bounded = None  # sets both arguments itself
 
-    @pytest.mark.parametrize(
-        "raw,expected",
-        [(None, 32), ("", 32), ("junk", 32), ("0", 32), ("-1", 32), ("5", 5)],
-    )
-    def test_snapshot_every_parser(self, raw, expected):
-        assert knobs.parse_snapshot_every(raw) == expected
 
-    @pytest.mark.parametrize(
-        "raw,expected",
-        [(None, 1024), ("junk", 1024), ("0", 1024), ("17", 17)],
-    )
-    def test_journal_cap_parser(self, raw, expected):
-        assert knobs.parse_journal_cap(raw) == expected
+class TestCrashRecoveryAtCorner(TestCrashRecovery):
+    settings = CORNER
 
-    def test_env_knobs_steer_the_multiplexer(self, extended, db, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "")
-        reset_faults()
-        monkeypatch.setenv("REPRO_MONITOR_SNAPSHOT_EVERY", "1")
-        monkeypatch.setenv("REPRO_MONITOR_JOURNAL_CAP", "4")
-        batches = random_batches(sessions=5, batches=4, batch_size=10)
-        mux = drive(MonitorMultiplexer(extended, db), batches)
-        assert mux.stats()["snapshots_taken"] > 0
-        assert mux.fingerprints() == oracle_fingerprints(extended, db, batches)
+
+class TestQuarantineAtCorner(TestQuarantine):
+    settings = CORNER
+
+
+class TestDeadlinesAndCancellationAtCorner(TestDeadlinesAndCancellation):
+    settings = CORNER
+    test_crash_recovery_counts_the_events_it_drains = None  # sets both itself

@@ -16,6 +16,7 @@ Three layers:
 """
 
 import random
+from contextlib import nullcontext
 
 import pytest
 
@@ -35,6 +36,9 @@ from repro.automata.regex import any_of, concat, literal, plus, star
 from repro.core.extended import eliminate_equality_constraints, normalize_control
 from repro.core.symbolic import scontrol_buchi
 from repro.core.symkernel import build_kernel
+from repro.foundations.interning import clear_intern_tables
+from repro.foundations.memo import clear_value_caches
+from repro.foundations.stats import cache_stats
 from repro.generators import random_extended_automaton, random_register_automaton
 from repro.logic.terms import x_vars, y_vars
 from repro.logic.types import decode_completion, enumerate_completion_codes
@@ -221,7 +225,8 @@ def test_prop6_elimination_feeds_eligible_automaton(example5_extended):
     The full emptiness search on example 5 is out of reach for a unit test in
     *either* mode -- elimination raises k to 5, i.e. Bell(10) = 115975
     completions per guard, which is exactly the wall the kernel attacks at
-    build level (see benchmarks/bench_symkernel.py).  Here we only assert the
+    build level (see ``test_kernel_materialises_no_completions``).  Here we
+    only assert the
     gate: the eliminated automaton is relation-free, constant-free and
     incomplete, so ``build_kernel`` would accept it rather than fall back.
     """
@@ -304,6 +309,48 @@ def test_ab_k3_workload():
     extended = ExtendedAutomaton(automaton, [GlobalConstraint("neq", 1, 2, pattern)])
     on, off = _run_both(extended, max_prefix=1, max_cycle=2, max_candidates=50)
     _assert_identical(on, off)
+
+
+# --------------------------------------------------------------------- #
+# what the kernel materialises
+# --------------------------------------------------------------------- #
+
+
+def _sigma_types_built(literal):
+    """SigmaTypes constructed deciding a fresh k=3 loop from cold caches.
+
+    The one guard, ``x1 = y1``, leaves every other pair open, so it has
+    52 completions over the six variables.  Constructions are counted as
+    misses of the ``SigmaType`` intern table.
+    """
+    clear_value_caches()
+    clear_intern_tables()
+    guard = SigmaType([eq(X(1), Y(1))])
+    automaton = RegisterAutomaton(
+        3, Signature.empty(), {"a"}, {"a"}, {"a"}, [("a", guard, "a")]
+    )
+    vocabulary = tuple(x_vars(3)) + tuple(y_vars(3))
+    assert len(enumerate_completion_codes(guard, vocabulary)) == 52
+    stats = cache_stats("intern.SigmaType")
+    before = stats.misses
+    with without_symkernel() if literal else nullcontext():
+        result = check_emptiness(ExtendedAutomaton(automaton, []))
+    assert not result.empty
+    return stats.misses - before
+
+
+def test_kernel_materialises_no_completions():
+    """The kernel enumerates completions as codes, never as SigmaTypes.
+
+    The literal path builds every one of the 52 completions; the kernel
+    builds at most a handful of objects, at least 5x fewer than the
+    literal path (the bar E19 held), and fewer than the completions.
+    """
+    kernel = _sigma_types_built(literal=False)
+    literal = _sigma_types_built(literal=True)
+    assert literal >= 52
+    assert kernel < 52
+    assert 5 * kernel <= literal
 
 
 # --------------------------------------------------------------------- #
