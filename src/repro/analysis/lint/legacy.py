@@ -1,10 +1,13 @@
 """The eight pre-refactor lint rules, as one fused module pass.
 
-Ported **verbatim** from the monolithic ``tools/lint_repro.py`` (which
-is now a thin shim over this package): visitor structure, scope
-tracking, messages and finding positions are unchanged, and the golden
-test ``tests/goldens/lint_legacy_fixture.json`` -- generated with the
-pre-refactor tool -- pins the output byte for byte.
+Ported **verbatim** from the monolithic ``tools/lint_repro.py`` (since
+deleted; this package is the only entry point): visitor structure, scope
+tracking and finding positions are unchanged, and the golden test
+``tests/goldens/lint_legacy_fixture.json`` -- generated with the
+pre-refactor tool -- pins the output byte for byte.  Two messages have
+been reworded since, ENV001's and MC001's, because they named retired
+knobs and the retired interning mode; the golden was regenerated for
+that change only.
 
 Like flake8's checkers, the eight rules share a single AST walk: the
 :class:`_Linter` visitor and the :class:`_CacheScan` second pass run
@@ -23,7 +26,7 @@ The rules (full rationale in the generated table in ``docs/ANALYSIS.md``):
   in ``repro/core`` hot paths.
 * ``ENV001`` -- environment read at import time; knobs are call-time.
 * ``TIME001`` -- ``time.time()`` for durations; use the monotonic clock.
-* ``MC001`` -- module-level dict cache that ignores the interning mode
+* ``MC001`` -- module-level dict cache not cleared with the intern tables
   (exempt: ``# mode-ok:`` or a ``register_*`` lifecycle hook).
 * ``ORD001`` -- iteration over an unordered container in a ``repro``
   package (exempt: ``# order-ok:``).
@@ -279,10 +282,9 @@ class _Linter(ast.NodeVisitor):
     # ENV001 ------------------------------------------------------------ #
 
     _ENV001_MESSAGE = (
-        "environment read at import time: knobs like REPRO_WORKERS / "
-        "REPRO_INTERN / REPRO_PRUNE must be read at call time so tests "
-        "and A/B runs can flip them per call (see "
-        "repro.core.parallel.worker_count)"
+        "environment read at import time: knobs like REPRO_DEADLINE_MS "
+        "must be read at call time so tests can flip them per call (see "
+        "repro.foundations.knobs.value)"
     )
 
     def visit_Import(self, node: ast.Import) -> None:
@@ -339,10 +341,10 @@ class _Linter(ast.NodeVisitor):
 # MC001 --------------------------------------------------------------- #
 
 _MC001_MESSAGE = (
-    "module-level dict cache %r is mutated inside functions but ignores "
-    "the interning mode: interned values cached across a REPRO_INTERN "
-    "flip break identity-is-equality; clear it via "
-    "register_mode_listener(...) or mark the assignment "
+    "module-level dict cache %r is mutated inside functions but is not "
+    "cleared with the intern tables: interned values cached across "
+    "clear_intern_tables() break identity-is-equality; clear it via "
+    "register_clear_listener(...) or mark the assignment "
     "'# mode-ok: <why>' if it holds no interned values"
 )
 
@@ -523,9 +525,9 @@ _LEGACY_RULES = (
     (
         "MC001",
         "mode-blind-cache",
-        "module-level dict cache mutated inside functions but blind to the "
-        "interning mode (exempt: `# mode-ok:` or a `register_*` lifecycle "
-        "hook)",
+        "module-level dict cache mutated inside functions but not cleared "
+        "with the intern tables (exempt: `# mode-ok:` or a `register_*` "
+        "lifecycle hook)",
     ),
     (
         "ORD001",

@@ -139,7 +139,7 @@ def dataflow_constancy_pass(automaton: RegisterAutomaton) -> Iterator[Diagnostic
     """Register pairs provably equal at a state on every run reaching it.
 
     Informational refinement facts: they justify narrowing the candidate
-    enumeration (see :class:`repro.core.pruning.ConstraintNarrowing`) and
+    enumeration (see :class:`repro.core.symkernel.CodedNarrowing`) and
     often reveal redundant registers.  Skipped silently when the analysis
     is over budget (``DF005`` from the feasibility pass covers that).
     """

@@ -224,7 +224,7 @@ class BuchiAutomaton:
         max_cycle_length`` appears (possibly in non-canonical shape).
 
         *narrow* is an optional prefix filter (e.g.
-        :class:`repro.core.pruning.ConstraintNarrowing`) exposing
+        :class:`repro.core.symkernel.CodedNarrowing`) exposing
         ``empty()`` and ``step(filter_state, symbol) -> filter_state | None``.
         Each path threads its filter state through every appended symbol; a
         ``None`` prunes the path and its entire extension subtree.  The

@@ -28,7 +28,7 @@ from repro.db.database import Database
 from repro.db.evaluation import evaluate_type, transition_valuation
 from repro.foundations.domain import DataValue, FreshSupply
 from repro.foundations.errors import SpecificationError
-from repro.foundations.interning import register_mode_listener
+from repro.foundations.interning import register_clear_listener
 from repro.foundations.memo import ValueCache
 from repro.core.register_automaton import RegisterAutomaton, State, Transition
 
@@ -357,7 +357,7 @@ def initial_tuples(
 # the register_vars memos it is built from.
 _X_TO_Y: Dict[int, Dict] = {}
 
-register_mode_listener(_X_TO_Y.clear)
+register_clear_listener(_X_TO_Y.clear)
 
 
 def _x_to_y_mapping(k: int) -> Dict:

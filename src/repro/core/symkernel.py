@@ -23,10 +23,14 @@ those codes:
 * the type-agreement edge test of ``scontrol_buchi`` becomes an integer
   comparison ``y_code(n) == x_code(n')`` (for complete constant-free
   equality types, agreement *is* equality of the boundary partitions);
-* the Lemma 21 corridor trackers -- the candidate consistency walk and the
-  :class:`~repro.core.pruning.ConstraintNarrowing` prefix filter -- run on
-  register bitmasks and precomputed DFA transition tables instead of
-  closure queries on materialised guards.
+* Theorem 9's consistency condition is followed by Lemma 21-style
+  corridor trackers over register bitmasks: one walk per candidate
+  (:class:`CodedCandidateCheck`) and one prefix filter for the enumeration
+  (:class:`CodedNarrowing`), both over precomputed DFA transition tables.
+  They are the only implementation: the literal normal form
+  (:class:`~repro.core.emptiness.LiteralControl`) feeds them rows read off
+  :func:`repro.logic.types.corridor_masks`.  The masks are the finite
+  exact configuration encoding of Chen, Wang and Yen (arXiv:1402.6783).
 
 **Byte-identity.**  The kernel result must be indistinguishable from the
 legacy path.  The anchors:
@@ -44,8 +48,9 @@ legacy path.  The anchors:
   canonicalisation is pure symbol-equality, hence commutes with the
   id-to-pair bijection: deduplication, ``candidates_checked`` and the
   winning trace all match, and only the winner is decoded.
-* The corridor walks use the *base* constraint DFAs (the legacy path
-  lifts them onto normalised states, which only renames the alphabet:
+* On the kernel the corridor walks read the *base* constraint DFAs with
+  original states as letters (the literal path lifts them onto normalised
+  states, which only renames the alphabet:
   ``lifted.delta(s, (p, comp)) == base.delta(s, p)``).  The lifted DFA's
   dead-state set can be larger -- states only live through alphabet
   symbols that are not normalised-state peels -- but a thread parked on a
@@ -99,7 +104,13 @@ from repro.logic.types import (
     pair_bits,
 )
 
-__all__ = ["build_kernel", "SymbolicKernel"]
+__all__ = [
+    "build_kernel",
+    "SymbolicKernel",
+    "CodedCandidateCheck",
+    "CodedNarrowing",
+    "constraint_tables",
+]
 
 
 # ---------------------------------------------------------------------- #
@@ -198,51 +209,82 @@ class _Node:
 
 
 # ---------------------------------------------------------------------- #
-# corridor trackers over codes
+# the corridor walk and the narrowing filter (both normal forms)
 # ---------------------------------------------------------------------- #
 
 
-class CodedCandidateCheck:
-    """Consistency check for one id-lasso candidate.
+def constraint_tables(extended: ExtendedAutomaton, letters) -> Tuple[Tuple, ...]:
+    """``(i, j, delta, initial, accepting, dead)`` per inequality constraint.
 
-    The coded mirror of the literal path's check in
-    :func:`repro.core.emptiness.check_emptiness`
-    (:func:`~repro.core.emptiness.trace_is_consistent`): the same product
-    walk of constraint DFA and corridor tracker with the same cycle
-    detection, but corridors are register bitmasks, DFA steps are table
-    lookups keyed by ``(dfa state, original-state index)``, and nothing
-    references a guard object.  Bounded cliques (Theorem 9 condition (b)) hold
-    vacuously in the kernel's domain: a relation-free signature gives the
-    inequality graph no vertices, exactly the early-out of
-    :func:`repro.core.emptiness.trace_has_bounded_cliques`.
+    ``i`` and ``j`` are the constrained registers as bit indices,
+    ``delta[(dfa state, letter)]`` is the constraint DFA's step on each of
+    *letters*, and ``dead`` holds the DFA states from which no accepting
+    state is reachable.
+    """
+    tables = []
+    for constraint in extended.inequality_constraints():
+        dfa = extended.constraint_dfa(constraint)
+        delta = {
+            (state, letter): dfa.delta(state, letter)
+            for state in dfa.states
+            for letter in letters
+        }
+        tables.append(
+            (
+                constraint.i - 1,
+                constraint.j - 1,
+                delta,
+                dfa.initial,
+                dfa.accepting,
+                dead_states(dfa),
+            )
+        )
+    return tuple(tables)
+
+
+class CodedCandidateCheck:
+    """Theorem 9 condition (a), consistency, on one lasso candidate.
+
+    A product walk of each constraint DFA with the corridor of its left
+    register, from every spine position: a violation is an accepting DFA
+    state whose corridor holds the right register.  Cycle detection on
+    (DFA state, corridor, stored position) makes the infinite check
+    finite, so the answer is exact.  Bounded cliques (condition (b)) is
+    the caller's: it holds vacuously without relations, exactly the
+    early-out of :func:`repro.core.emptiness.trace_has_bounded_cliques`.
+
+    ``row_of(symbol)`` is ``(letter, x_class, y_image)``: the letter the
+    constraint DFAs read at that position and the corridor masks of its
+    complete type (register ``m`` is bit ``m - 1``); ``tables`` come from
+    :func:`constraint_tables`.  The kernel reads rows off partition codes,
+    with original states as letters and the base DFAs;
+    :class:`~repro.core.emptiness.LiteralControl` reads them off
+    :func:`repro.logic.types.corridor_masks`, with normalised states as
+    letters and the lifted DFAs.
     """
 
-    __slots__ = ("node_orig", "node_xclass", "node_yimage", "tables")
+    __slots__ = ("row_of", "tables")
 
-    def __init__(self, node_orig, node_xclass, node_yimage, tables):
-        self.node_orig = node_orig
-        self.node_xclass = node_xclass
-        self.node_yimage = node_yimage
+    def __init__(self, row_of, tables):
+        self.row_of = row_of
         self.tables = tables
 
     def __call__(self, lasso: Lasso) -> bool:
         spine = lasso.spine_length()
         period = len(lasso.period)
-        ranks = [int(symbol[1:]) for symbol in lasso.prefix + lasso.period]
+        row_of = self.row_of
+        rows = [row_of(symbol) for symbol in lasso.prefix + lasso.period]
 
         def stored(position: int) -> int:
             if position < spine:
                 return position
             return spine - period + (position - (spine - period)) % period
 
-        node_orig = self.node_orig
-        node_xclass = self.node_xclass
-        node_yimage = self.node_yimage
         for i_index, j_bit, delta, initial, accepting, dead in self.tables:
             for start in range(spine):
-                rank = ranks[start]
-                members = node_xclass[rank][i_index]
-                dfa_state = delta[(initial, node_orig[rank])]
+                letter, x_class, _y_image = rows[start]
+                members = x_class[i_index]
+                dfa_state = delta[(initial, letter)]
                 position = start
                 seen: Set[Tuple] = set()
                 while True:
@@ -254,48 +296,53 @@ class CodedCandidateCheck:
                     if key in seen:
                         break
                     seen.add(key)
-                    members = advance_mask(node_yimage[ranks[stored(position)]], members)
+                    members = advance_mask(rows[stored(position)][2], members)
                     position += 1
-                    dfa_state = delta[(dfa_state, node_orig[ranks[stored(position)]])]
+                    dfa_state = delta[(dfa_state, rows[stored(position)][0])]
         return True
 
 
 class CodedNarrowing:
-    """Mask-level mirror of :class:`repro.core.pruning.ConstraintNarrowing`.
+    """The consistency walk as a prefix filter of the lasso enumeration.
 
-    Same filter-state discipline -- per-constraint thread sets advanced in
-    the exact consistency-walk order (step, dead-continue, advance,
-    violation, spawn) -- over node ranks instead of ``(state, guard)``
-    symbols.  Prune decisions are identical to the legacy filter (see the
-    module docstring for the dead-set argument); ``paths_pruned`` is kept
-    for diagnostics.
+    Threaded through
+    :meth:`repro.automata.buchi.BuchiAutomaton.iter_accepted_lassos`, over
+    the inputs of :class:`CodedCandidateCheck`.  A filter state is
+    ``(previous y_image row, per-constraint thread sets)``; a thread
+    ``(dfa state, corridor)`` is the configuration the walk would hold
+    after walking one constraint from one start position to the end of
+    the explored word.
+    :meth:`step` advances every thread in the walk's order (step,
+    dead-continue, advance, violation), spawns the thread of the new start
+    position, and returns ``None`` -- pruning the enumeration subtree --
+    on a violation.  A violation inside the word dooms every lasso
+    extending it, so the surviving candidates keep their order: verdict
+    and winning witness are those of the unnarrowed search, and only
+    ``candidates_checked`` shrinks.  ``paths_pruned`` is kept for
+    diagnostics.
     """
 
-    __slots__ = ("_node_orig", "_node_xclass", "_node_yimage", "_tables", "paths_pruned")
+    __slots__ = ("_row_of", "_tables", "paths_pruned")
 
-    def __init__(self, node_orig, node_xclass, node_yimage, tables):
-        self._node_orig = node_orig
-        self._node_xclass = node_xclass
-        self._node_yimage = node_yimage
+    def __init__(self, row_of, tables):
+        self._row_of = row_of
         self._tables = tables
         self.paths_pruned = 0
 
     def empty(self) -> Tuple:
+        """The filter state before any symbol has been read."""
         return (None, tuple(frozenset() for _ in self._tables))
 
     def step(self, fstate: Tuple, symbol) -> Optional[Tuple]:
-        rank = int(symbol[1:])
-        orig = self._node_orig[rank]
-        previous_rank, all_threads = fstate
-        previous_image = (
-            None if previous_rank is None else self._node_yimage[previous_rank]
-        )
+        """The filter state after appending *symbol*, or ``None`` to prune."""
+        letter, x_class, y_image = self._row_of(symbol)
+        previous_image, all_threads = fstate
         new_threads: List[frozenset] = []
         for index, table in enumerate(self._tables):
             i_index, j_bit, delta, initial, accepting, dead = table
             advanced = set()
             for dfa_state, members in all_threads[index]:
-                next_state = delta[(dfa_state, orig)]
+                next_state = delta[(dfa_state, letter)]
                 if next_state in dead:
                     continue
                 next_members = advance_mask(previous_image, members)
@@ -303,15 +350,15 @@ class CodedNarrowing:
                     self.paths_pruned += 1
                     return None
                 advanced.add((next_state, next_members))
-            spawn_state = delta[(initial, orig)]
+            spawn_state = delta[(initial, letter)]
             if spawn_state not in dead:
-                spawn_members = self._node_xclass[rank][i_index]
+                spawn_members = x_class[i_index]
                 if spawn_state in accepting and spawn_members >> j_bit & 1:
                     self.paths_pruned += 1
                     return None
                 advanced.add((spawn_state, spawn_members))
             new_threads.append(frozenset(advanced))
-        return (rank, tuple(new_threads))
+        return (y_image, tuple(new_threads))
 
 
 # ---------------------------------------------------------------------- #
@@ -331,12 +378,14 @@ class SymbolicKernel:
     the completions the winning witness touches.
     """
 
-    def __init__(self, without_eq, vocab, nodes, buchi, node_tables, stats):
+    def __init__(self, without_eq, vocab, nodes, buchi, rows, stats):
         self._without_eq = without_eq
         self._vocab = vocab
         self._nodes = nodes  # rank -> _Node
         self.buchi = buchi
-        self._node_orig, self._node_xclass, self._node_yimage = node_tables
+        #: node id -> ``(original state, x_class masks, y_image masks)``
+        self._rows = rows
+        self._tables: Optional[Tuple[Tuple, ...]] = None
         self._pairs: Dict[int, Tuple] = {}
         self.stats = stats
         #: Builds the literal normal form on demand.  Only a witness asked
@@ -368,57 +417,20 @@ class SymbolicKernel:
     # -- corridor trackers --------------------------------------------- #
 
     def _constraint_tables(self) -> Tuple[Tuple, ...]:
-        found = getattr(self, "_tables", None)
-        if found is None:
-            without_eq = self._without_eq
-            orig_index: Dict[object, int] = {}
-            for node in self._nodes:
-                if node.state not in orig_index:
-                    orig_index[node.state] = len(orig_index)
-            originals = list(orig_index)
-            tables = []
-            for constraint in without_eq.inequality_constraints():
-                dfa = without_eq.constraint_dfa(constraint)
-                delta = {
-                    (state, index): dfa.delta(state, original)
-                    for state in dfa.states
-                    for index, original in enumerate(originals)
-                }
-                tables.append(
-                    (
-                        constraint.i - 1,
-                        constraint.j - 1,
-                        delta,
-                        dfa.initial,
-                        frozenset(dfa.accepting),
-                        dead_states(dfa),
-                    )
-                )
-            # Re-key the per-node original states by the index the delta
-            # tables use.
-            self._node_orig = tuple(orig_index[node.state] for node in self._nodes)
-            found = self._tables = tuple(tables)
-        return found
+        if self._tables is None:
+            originals = dict.fromkeys(node.state for node in self._nodes)
+            self._tables = constraint_tables(self._without_eq, originals)
+        return self._tables
 
     def candidate_check(self) -> CodedCandidateCheck:
         """The per-candidate realisability check."""
-        tables = self._constraint_tables()
-        return CodedCandidateCheck(
-            self._node_orig, self._node_xclass, self._node_yimage, tables
-        )
+        return CodedCandidateCheck(self._rows.__getitem__, self._constraint_tables())
 
     def build_narrowing(self) -> Optional[CodedNarrowing]:
-        """The coded enumeration filter.
-
-        ``None`` exactly when :func:`repro.core.pruning.build_narrowing`
-        would return ``None``: no inequality constraints.
-        """
+        """The enumeration filter; ``None`` without inequality constraints."""
         if not self._without_eq.inequality_constraints():
             return None
-        tables = self._constraint_tables()
-        return CodedNarrowing(
-            self._node_orig, self._node_xclass, self._node_yimage, tables
-        )
+        return CodedNarrowing(self._rows.__getitem__, self._constraint_tables())
 
 
 def build_kernel(without_eq: ExtendedAutomaton) -> Optional[SymbolicKernel]:
@@ -552,9 +564,10 @@ def build_kernel(without_eq: ExtendedAutomaton) -> Optional[SymbolicKernel]:
     accepting = [node.node_id for node in control if node.state in automaton.accepting]
     buchi = BuchiAutomaton(buchi_transitions, initial, accepting)
 
-    node_orig = tuple(node.state for node in control)
-    node_xclass = tuple(masks[node.code][2] for node in control)
-    node_yimage = tuple(masks[node.code][3] for node in control)
+    rows = {
+        node.node_id: (node.state, masks[node.code][2], masks[node.code][3])
+        for node in control
+    }
     stats = {
         "control_nodes": len(control),
         "control_edges": edge_count,
@@ -566,6 +579,6 @@ def build_kernel(without_eq: ExtendedAutomaton) -> Optional[SymbolicKernel]:
         vocab,
         tuple(control),
         buchi,
-        (node_orig, node_xclass, node_yimage),
+        rows,
         stats,
     )

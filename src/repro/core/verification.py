@@ -22,13 +22,14 @@ satisfies the LTL-FO sentence under every valuation of the global variables
    intersected with the ``SControl`` automaton, whose symbols are mapped
    to truth assignments;
 4. an accepted lasso of the product is a *symbolic* counterexample; it is
-   a genuine one iff it is realisable (consistency + bounded cliques,
-   with the same check :mod:`repro.core.emptiness` uses).  Without global
-   constraints every symbolic trace is realisable and the procedure is
-   exact Buchi emptiness; with constraints, candidate counterexamples are
-   enumerated under bounds and the "verified" verdict records the bound.
-   Only the winning counterexample is decoded into ``(state, guard)``
-   pairs.
+   a genuine one iff it is realisable (consistency + bounded cliques).
+   The search is Theorem 9's own, :func:`repro.core.emptiness.search_candidates`,
+   run on the product: without global constraints every symbolic trace is
+   realisable and the procedure is exact Buchi emptiness; with
+   constraints, candidate counterexamples are enumerated under bounds, and
+   "verified" is exact when the product accepts no lasso at all and
+   otherwise records the bound.  Only the winning counterexample is
+   decoded into ``(state, guard)`` pairs.
 
 Concrete-run checking (:func:`run_satisfies`) is also provided: it
 evaluates the sentence semantically on a lasso run over a database, serving
@@ -52,7 +53,12 @@ from repro.ltl.ltlfo import LtlFoSentence, code_assignment, proposition_assignme
 from repro.ltl.syntax import Not_, satisfies
 from repro.ltl.translation import ltl_to_buchi
 from repro.foundations.memo import ValueCache
-from repro.core.emptiness import EmptinessWitness, LiteralControl, normal_control
+from repro.core.emptiness import (
+    EmptinessWitness,
+    LiteralControl,
+    normal_control,
+    search_candidates,
+)
 from repro.core.extended import ExtendedAutomaton, eliminate_equality_constraints
 from repro.core.pruning import prune_extended
 from repro.core.register_automaton import RegisterAutomaton, Transition
@@ -161,8 +167,8 @@ def verify(
     Accepts a plain :class:`RegisterAutomaton` wrapped in an
     :class:`ExtendedAutomaton` with no constraints (then the answer is
     exact) or a genuinely extended automaton (then a "verified" answer is
-    certified up to the enumeration bounds; counterexamples are always
-    exact).
+    exact when the product accepts no lasso, and otherwise certified up
+    to the enumeration bounds; counterexamples are always exact).
     """
     augmented, mapping = add_global_registers(extended, sentence.global_vars)
     grounded = _rewrite_sentence(sentence, mapping)
@@ -204,48 +210,24 @@ def verify(
     product = trace_buchi.intersect(lifted)
     size = product.size()
 
-    if not without_eq.constraints:
-        lasso = product.find_accepted_lasso()
-        if lasso is None:
-            return VerificationResult(holds=True, exact=True, product_size=size)
-        witness = EmptinessWitness(
-            control.decode_lasso(lasso), control.normalised, extended, extended.k
-        )
+    # The emptiness search itself: product symbols are the control's symbols,
+    # so the control's narrowing and realisability check apply unchanged.
+    lasso, exact, checked = search_candidates(
+        control, product, bool(without_eq.constraints), max_prefix, max_cycle, max_candidates
+    )
+    if lasso is None:
         return VerificationResult(
-            holds=False, exact=True, counterexample=witness, product_size=size,
-            candidates_checked=1,
+            holds=True, exact=exact, product_size=size, candidates_checked=checked
         )
-
-    checked = 0
-    seen: Set[Lasso] = set()
-    # The same filter and realisability check the emptiness search uses:
-    # product symbols are the control's symbols.  The filter only skips
-    # candidates the check would reject, so the verdict and the winning
-    # counterexample are unchanged.
-    narrow = control.build_narrowing()
-    check = control.candidate_check()
-    for lasso in product.iter_accepted_lassos(max_cycle, max_prefix, narrow=narrow):
-        if lasso in seen:
-            continue
-        seen.add(lasso)
-        checked += 1
-        if checked > max_candidates:
-            break
-        if not check(lasso):
-            continue
-        witness = EmptinessWitness(
-            control.decode_lasso(lasso), control.normalised, extended, extended.k
-        )
-        return VerificationResult(
-            holds=False,
-            exact=True,
-            counterexample=witness,
-            product_size=size,
-            candidates_checked=checked,
-        )
-    exact = product.find_accepted_lasso() is None
+    witness = EmptinessWitness(
+        control.decode_lasso(lasso), control.normalised, extended, extended.k
+    )
     return VerificationResult(
-        holds=True, exact=exact, product_size=size, candidates_checked=checked
+        holds=False,
+        exact=True,
+        counterexample=witness,
+        product_size=size,
+        candidates_checked=checked,
     )
 
 

@@ -10,7 +10,7 @@ from typing import Dict, Mapping
 
 from repro.foundations.domain import DataValue
 from repro.foundations.errors import EvaluationError
-from repro.foundations.interning import register_mode_listener
+from repro.foundations.interning import register_clear_listener
 from repro.db.database import Database
 from repro.logic.formulas import And, AtomFormula, FalseFormula, Formula, Not, Or, TrueFormula
 from repro.logic.literals import EqAtom, Literal, RelAtom
@@ -144,8 +144,8 @@ def evaluate_formula(formula: Formula, database: Database, valuation: Valuation)
 _X_VARS: Dict[int, tuple] = {}
 _Y_VARS: Dict[int, tuple] = {}
 
-register_mode_listener(_X_VARS.clear)
-register_mode_listener(_Y_VARS.clear)
+register_clear_listener(_X_VARS.clear)
+register_clear_listener(_Y_VARS.clear)
 
 
 def register_vars(kind: str, count: int) -> tuple:

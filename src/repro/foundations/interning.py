@@ -40,7 +40,7 @@ from repro.foundations.stats import cache_stats
 __all__ = [
     "Interned",
     "register_intern_table",
-    "register_mode_listener",
+    "register_clear_listener",
     "intern_table_sizes",
     "clear_intern_tables",
 ]
@@ -90,7 +90,7 @@ _EXTRA_TABLES: Dict[str, "weakref.WeakValueDictionary"] = {}  # mode-ok: weak ta
 #: caches of *interned values* register a clearing callback here -- a cache
 #: entry built before a clear must never be served after it, or
 #: identity-is-equality breaks.
-_MODE_LISTENERS: List = []
+_CLEAR_LISTENERS: List = []
 
 
 def register_intern_table(name: str, table: "weakref.WeakValueDictionary") -> None:
@@ -98,14 +98,14 @@ def register_intern_table(name: str, table: "weakref.WeakValueDictionary") -> No
     _EXTRA_TABLES[name] = table
 
 
-def register_mode_listener(listener) -> None:
+def register_clear_listener(listener) -> None:
     """Run *listener()* whenever :func:`clear_intern_tables` runs.
 
     That is the only place listeners fire: the cold-start benchmarks and
     the tests use it as the "reset all canonical values" hammer.
     Listeners must be idempotent and must not raise.
     """
-    _MODE_LISTENERS.append(listener)
+    _CLEAR_LISTENERS.append(listener)
 
 
 def intern_table_sizes() -> Dict[str, int]:
@@ -129,5 +129,5 @@ def clear_intern_tables() -> None:
         cls.__intern_table__.clear()
     for table in _EXTRA_TABLES.values():
         table.clear()
-    for listener in _MODE_LISTENERS:
+    for listener in _CLEAR_LISTENERS:
         listener()

@@ -28,7 +28,7 @@ from itertools import product as cartesian_product
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.foundations.errors import InconsistentTypeError, SpecificationError
-from repro.foundations.interning import register_intern_table, register_mode_listener
+from repro.foundations.interning import register_clear_listener, register_intern_table
 from repro.foundations.memo import ValueCache
 from repro.foundations.resilience import current_deadline
 from repro.foundations.stats import cache_stats
@@ -680,78 +680,14 @@ def enumerate_interval_codes(e_mask: int, d_mask: int, k: int) -> Tuple[int, ...
     The enumeration order replays the eq-first backtracking of
     :meth:`SigmaType.completions`, so ``enumerate_interval_codes(0, 0, k)``
     lists the Bell(k) partitions in exactly the order
-    ``SigmaType().completions({}, [X(1)..X(k)])`` produces them.
+    ``SigmaType().completions({}, [X(1)..X(k)])`` produces them.  It is the
+    completion search of :func:`_completion_code_search` over the
+    registers, with the interval's pairs as the entailed ones.
     """
     return _INTERVAL_CACHE.lookup(
-        (e_mask, d_mask, k), lambda: tuple(_enumerate_interval(e_mask, d_mask, k))
+        (e_mask, d_mask, k),
+        lambda: tuple(code for code, _ in _completion_code_search(e_mask, d_mask, k)),
     )
-
-
-def _enumerate_interval(e_mask: int, d_mask: int, k: int) -> Iterator[int]:
-    pairs = pair_bits(k)
-
-    def entailed_neq(labels, neq_edges, ri: int, rj: int) -> bool:
-        for a, b in neq_edges:
-            roots = (labels[a], labels[b])
-            if roots == (ri, rj) or roots == (rj, ri):
-                return True
-        return False
-
-    def extend(bit: int, labels, neq_edges) -> Iterator[int]:
-        active = current_deadline()
-        if active is not None:
-            active.check("types.interval_enumeration")
-        while bit < len(pairs):
-            i, j = pairs[bit]
-            ri, rj = labels[i], labels[j]
-            if ri == rj or entailed_neq(labels, neq_edges, ri, rj):
-                bit += 1
-                continue
-            forced_eq = bool(e_mask >> bit & 1)
-            forced_neq = bool(d_mask >> bit & 1)
-            if forced_eq or not forced_neq:
-                root, other = min(ri, rj), max(ri, rj)
-                merged = tuple(
-                    root if label == other else label for label in labels
-                )
-                yield from extend(bit + 1, merged, neq_edges)
-            if not forced_eq:
-                yield from extend(bit + 1, labels, neq_edges + ((i, j),))
-            return
-        code = 0
-        for index, (i, j) in enumerate(pairs):
-            if labels[i] == labels[j]:
-                code |= 1 << index
-        yield code
-
-    # Pre-seed with the interval constraints: union every e-pair, record a
-    # disequality edge for every d-pair.  An inconsistent interval (some
-    # d-pair forced equal by the closure of e) yields nothing.  Labels are
-    # kept fully flattened (register -> class representative) so the DFS
-    # compares in O(1).
-    labels = list(range(k + 1))
-
-    def find(register: int) -> int:
-        while labels[register] != register:
-            labels[register] = labels[labels[register]]
-            register = labels[register]
-        return register
-
-    for bit, (i, j) in enumerate(pairs):
-        if e_mask >> bit & 1:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                labels[max(ri, rj)] = min(ri, rj)
-    seeded = tuple(
-        find(register) if register else 0 for register in range(k + 1)
-    )
-    neq_edges: Tuple[Tuple[int, int], ...] = ()
-    for bit, (i, j) in enumerate(pairs):
-        if d_mask >> bit & 1:
-            if seeded[i] == seeded[j]:
-                return
-            neq_edges += ((i, j),)
-    yield from extend(0, seeded, neq_edges)
 
 
 def interval_size(e_mask: int, d_mask: int, k: int) -> int:
@@ -952,10 +888,10 @@ _ABSTRACT_SUCCESSORS = ValueCache("logic.abstract_successors", maxsize=65536)
 _SUCCESSOR_ATOMS = ValueCache("logic.successor_atoms", maxsize=65536)
 
 
-register_mode_listener(_COMPLETE_X_TYPES.clear)
-register_mode_listener(_DECODE_CACHE.clear)
-register_mode_listener(_ABSTRACT_SUCCESSORS.clear)
-register_mode_listener(_SUCCESSOR_ATOMS.clear)
+register_clear_listener(_COMPLETE_X_TYPES.clear)
+register_clear_listener(_DECODE_CACHE.clear)
+register_clear_listener(_ABSTRACT_SUCCESSORS.clear)
+register_clear_listener(_SUCCESSOR_ATOMS.clear)
 
 
 def complete_equality_x_types(k: int) -> Tuple["SigmaType", ...]:

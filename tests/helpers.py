@@ -168,7 +168,7 @@ def without_pruning():
     from repro.core.symkernel import SymbolicKernel
 
     with mock.patch.object(emptiness, "prune_extended", lambda extended: extended), \
-            mock.patch.object(emptiness, "build_narrowing", lambda normalised: None), \
+            mock.patch.object(emptiness.LiteralControl, "build_narrowing", lambda self: None), \
             mock.patch.object(SymbolicKernel, "build_narrowing", lambda self: None):
         yield
 

@@ -824,7 +824,7 @@ class TestMc001:
 
     def test_mode_listener_registration_exempts(self):
         source = self.MUTATING_CACHE + (
-            "\nregister_mode_listener(_CACHE.clear)\n"
+            "\nregister_clear_listener(_CACHE.clear)\n"
         )
         assert self._codes(source) == []
 

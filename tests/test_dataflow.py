@@ -46,7 +46,8 @@ from repro.analysis.dataflow import (
 )
 from repro.automata.buchi import BuchiAutomaton
 from repro.automata.regex import concat, literal, plus
-from repro.core.pruning import build_narrowing
+from repro.core.emptiness import LiteralControl
+from repro.core.symkernel import SymbolicKernel, build_kernel
 from repro.generators import random_extended_automaton, random_register_automaton
 from repro.logic.types import complete_equality_x_types
 from tests.helpers import without_pruning
@@ -376,22 +377,57 @@ class TestNarrowedEnumeration:
         )
 
     def test_narrowing_mirrors_the_consistency_walk(self):
-        extended, d1, d2, d3 = _example23(True)
-        narrow = build_narrowing(extended)
-        assert narrow is not None
-        fstate = narrow.empty()
-        for symbol in [("q1", d1), ("q2", d2), ("q2", d3)]:
-            fstate = narrow.step(fstate, symbol)
-            assert fstate is not None
-        # Closing the q1 q2+ q1 factor forces register 1 equal across it:
-        # the "neq" constraint is violated inside the word, so the whole
-        # subtree is pruned.
-        assert narrow.step(fstate, ("q1", d1)) is None
-        assert narrow.paths_pruned == 1
+        extended, *_ = _example23(True)
+        for control in _normal_controls(extended):
+            narrow = control.build_narrowing()
+            assert narrow is not None
+            words = _control_words(control, ("q1", "q2", "q2", "q1"))
+            assert words
+            for word in words:
+                fstate = narrow.empty()
+                for symbol in word[:-1]:
+                    fstate = narrow.step(fstate, symbol)
+                    assert fstate is not None
+                # Closing the q1 q2+ q1 factor forces register 1 equal
+                # across it: the "neq" constraint is violated inside the
+                # word, so the whole subtree is pruned.
+                assert narrow.step(fstate, word[-1]) is None
+            assert narrow.paths_pruned == len(words)
 
     def test_narrowing_none_without_inequality_constraints(self):
         extended, *_ = _example23(False)
-        assert build_narrowing(extended) is None
+        for control in _normal_controls(extended):
+            assert control.build_narrowing() is None
+
+
+def _normal_controls(extended):
+    """Both normal forms of *extended*: the literal control and the kernel."""
+    kernel = build_kernel(extended)
+    assert kernel is not None
+    return LiteralControl(extended), kernel
+
+
+def _control_words(control, shape):
+    """Every ``SControl`` word of *control* whose original states spell *shape*."""
+
+    def original_state(symbol):
+        if isinstance(control, SymbolicKernel):
+            symbol = control.decode_node(int(symbol[1:]))
+        (state, _completion), _guard = symbol
+        return state
+
+    buchi = control.buchi
+    words = [(symbol,) for symbol in sorted(buchi.initial, key=repr)]
+    words = [word for word in words if original_state(word[0]) == shape[0]]
+    for state in shape[1:]:
+        words = [
+            word + (symbol,)
+            for word in words
+            # SControl reads its state: the symbol after a pair is its successor.
+            for symbol in sorted(buchi.successors(word[-1], word[-1]), key=repr)
+            if original_state(symbol) == state
+        ]
+    return words
 
 
 # --------------------------------------------------------------------- #

@@ -6,7 +6,9 @@ Two golden files pin the engine's output over the fixture tree in
 * ``tests/goldens/lint_legacy_fixture.json`` was generated with the
   **pre-refactor** ``tools/lint_repro.py`` and is the migration
   acceptance anchor: the new engine, selected down to the eight legacy
-  codes, must reproduce it byte for byte.  It is never regenerated.
+  codes, must reproduce it byte for byte.  It was regenerated once, when
+  the ENV001 and MC001 messages stopped naming retired knobs and the
+  retired interning mode; any other change to it is a regression.
 * ``tests/goldens/lint_full_fixture.json`` is the full new-engine
   output (all rules) and pins the JSON shape and the new families'
   findings going forward.  After a *deliberate* rule change, regenerate

@@ -35,6 +35,7 @@ from repro import (
     DeadlineExceeded,
     ExtendedAutomaton,
     GlobalConstraint,
+    LtlFoSentence,
     Outcome,
     OutcomeStatus,
     RegisterAutomaton,
@@ -46,6 +47,7 @@ from repro import (
     check_emptiness,
     eq,
     project_with_database,
+    verify,
 )
 from repro.analysis.cli import main as cli_main
 from repro.analysis.dataflow import (
@@ -58,6 +60,7 @@ from repro.automata.regex import concat, literal, plus
 from repro.core.runs import FiniteRun
 from repro.db.database import Database
 from repro.foundations.faults import (
+    FaultInjected,
     fault,
     fault_hits,
     parse_fault_plan,
@@ -71,6 +74,8 @@ from repro.foundations.resilience import (
     recent_events,
 )
 from repro.generators import random_extended_automaton
+from repro.logic.formulas import atom_eq
+from repro.ltl import Globally, Prop
 
 
 # --------------------------------------------------------------------- #
@@ -96,6 +101,15 @@ def _example23(constrained=True):
         factor = concat(literal("q1"), plus(literal("q2")), literal("q1"))
         constraints = [GlobalConstraint("neq", 1, 1, factor)]
     return ExtendedAutomaton(automaton, constraints)
+
+
+def _all_distinct():
+    """Example 7: one register, every value distinct from every other."""
+    automaton = RegisterAutomaton(
+        1, Signature.empty(), {"q"}, {"q"}, {"q"}, [("q", SigmaType(), "q")]
+    )
+    factor = concat(literal("q"), plus(literal("q")))
+    return ExtendedAutomaton(automaton, [GlobalConstraint("neq", 1, 1, factor)])
 
 
 def _fingerprint(result):
@@ -446,6 +460,28 @@ class TestEmptinessDeadline:
         monkeypatch.setenv("REPRO_FAULTS", "emptiness.lasso:interrupt:1")
         with pytest.raises(KeyboardInterrupt):
             check_emptiness(_example23())
+
+    def test_lasso_fault_fires_in_both_searches(self, monkeypatch):
+        """``check_emptiness`` and ``verify`` run the one candidate loop.
+
+        ``verify`` takes no deadline, so an injected failure there leaves
+        as an exception instead of an outcome.
+        """
+        extended = _all_distinct()
+        sentence = LtlFoSentence(
+            skeleton=Globally(Prop("stay")),
+            propositions={"stay": atom_eq(X(1), Y(1))},
+        )
+        monkeypatch.setenv("REPRO_FAULTS", "emptiness.lasso:raise:1")
+        with pytest.raises(FaultInjected):
+            check_emptiness(extended)
+        reset_faults()
+        with pytest.raises(FaultInjected):
+            verify(extended, sentence)
+        monkeypatch.delenv("REPRO_FAULTS")
+        reset_faults()
+        result = verify(extended, sentence)
+        assert not result.holds and result.candidates_checked >= 1
 
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
