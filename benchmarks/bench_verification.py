@@ -1,15 +1,19 @@
 """E6 -- LTL-FO verification (Theorem 12).
 
 Verifies a family of properties of growing temporal depth against the
-Example-1 automaton and the review workflow, reporting property-automaton
-and product sizes plus decision time.
+Example-1 automaton and the review workflow, reporting product sizes plus
+decision time.  No case has global constraints, so the product size is
+the number of (control, property) pairs the on-the-fly emptiness search
+visited before it stopped.
 
 Expected shape: cost grows with the negated property's Buchi automaton
 (exponential in formula size, the classical LTL blow-up), not with the data.
 
-Every case is decided twice: timed on the coded kernel, then once more on
-the literal path (``tests.helpers.without_symkernel()``).  Verdict,
-product size and counterexample trace must agree before a row is kept.
+Every case is decided three times: timed on the coded kernel, then once
+more on the literal path (``tests.helpers.without_symkernel()``) and once
+on the lifted flagged product (``tests.helpers.without_product_search()``).
+Verdict, product size and counterexample trace must agree between the
+first two, and the verdict with the third, before a row is kept.
 """
 
 import sys
@@ -26,7 +30,7 @@ from repro.ltl.syntax import Not_, Or_, Until
 from _tables import register_table
 
 sys.path.insert(0, str(Path(__file__).parent.parent))
-from tests.helpers import without_symkernel  # noqa: E402
+from tests.helpers import without_product_search, without_symkernel  # noqa: E402
 
 ROWS = []
 
@@ -44,6 +48,9 @@ def _assert_literal_agrees(result, extended, sentence):
     with without_symkernel():
         literal = verify(extended, sentence)
     assert _fingerprint(result) == _fingerprint(literal)
+    with without_product_search():
+        oracle = verify(extended, sentence)
+    assert (result.holds, result.exact) == (oracle.holds, oracle.exact)
 
 
 PROPERTIES = [

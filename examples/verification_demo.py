@@ -44,7 +44,10 @@ def check(extended, name, sentence):
     result = verify(extended, sentence)
     verdict = "HOLDS" if result.holds else "FAILS"
     exactness = "exact" if result.exact else "bounded"
-    print("  %-38s %s (%s, product %d states)" % (name, verdict, exactness, result.product_size))
+    print(
+        "  %-38s %s (%s, %d product states explored)"
+        % (name, verdict, exactness, result.product_size)
+    )
     if not result.holds and result.counterexample is not None:
         out = result.counterexample.lasso_run()
         if out is not None:

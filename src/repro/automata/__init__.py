@@ -13,11 +13,12 @@ library works directly with automata:
   finite-word automata with determinisation, minimisation, products,
   complement and equivalence checking,
 * :mod:`repro.automata.buchi` -- nondeterministic Buchi automata with lasso
-  membership, emptiness (with lasso witness extraction), intersection,
-  union, and degeneralisation of generalized Buchi acceptance.
+  membership, emptiness (with lasso witness extraction), intersection
+  (flagged, or searched on the fly by :class:`BuchiProduct`), union, and
+  degeneralisation of generalized Buchi acceptance.
 """
 
-from repro.automata.buchi import BuchiAutomaton, GeneralizedBuchiAutomaton
+from repro.automata.buchi import BuchiAutomaton, BuchiProduct, GeneralizedBuchiAutomaton
 from repro.automata.dfa import Dfa
 from repro.automata.nfa import Nfa
 from repro.automata.regex import (
@@ -55,5 +56,6 @@ __all__ = [
     "Nfa",
     "Dfa",
     "BuchiAutomaton",
+    "BuchiProduct",
     "GeneralizedBuchiAutomaton",
 ]

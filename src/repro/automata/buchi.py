@@ -3,11 +3,13 @@
 The paper's trace languages (``SControl(A)``, ``Control(A)``, ``State(A)``)
 are omega-languages; this module supplies the omega-automata toolbox used to
 manipulate them: lasso membership, emptiness with lasso witness extraction,
-intersection (the flagged product), union, homomorphic images, and
-degeneralisation of generalized Buchi acceptance (needed by the LTL
-translation).
+intersection (the flagged product, or :class:`BuchiProduct`, whose
+emptiness search builds only the pairs it visits), union, homomorphic
+images, and degeneralisation of generalized Buchi acceptance (needed by the
+LTL translation).
 """
 
+from bisect import bisect_left
 from typing import Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.automata.words import Lasso
@@ -18,7 +20,8 @@ State = Hashable
 
 #: Edge expansions (a walk and one symbol of its last state) between two
 #: deadline polls inside one round of
-#: :meth:`BuchiAutomaton.iter_accepted_lassos`.
+#: :meth:`BuchiAutomaton.iter_accepted_lassos`, and pair expansions between
+#: two polls of :meth:`BuchiProduct.find_accepted_lasso`.
 EXTEND_POLL_EVERY = 256
 
 
@@ -308,12 +311,16 @@ class BuchiAutomaton:
     # boolean operations
     # ------------------------------------------------------------------ #
 
-    def intersect(self, other: "BuchiAutomaton") -> "BuchiAutomaton":
+    def intersect(
+        self, other: "BuchiAutomaton", letter_of: Optional[Callable] = None
+    ) -> "BuchiAutomaton":
         """The flagged product automaton for the intersection.
 
         States ``(q1, q2, phase)``; phase 1 waits for ``q1`` accepting,
         phase 2 waits for ``q2`` accepting; acceptance = phase-1 states with
-        ``q1`` accepting (Baier-Katoen construction).
+        ``q1`` accepting (Baier-Katoen construction).  The product reads
+        this automaton's symbols; a symbol ``a`` moves *other* on
+        ``letter_of(a)``, or on ``a`` itself when *letter_of* is omitted.
         """
         initial = {(q1, q2, 1) for q1 in self._initial for q2 in other._initial}
         transitions: Dict[State, Dict[object, Set[State]]] = {}
@@ -332,8 +339,11 @@ class BuchiAutomaton:
             # Unsorted: the product maps states to sets of targets, and every
             # search re-sorts them (_SearchTables.edges), so hash order
             # cannot leak.
-            for symbol in moves1.keys() & moves2.keys():  # order-ok: searches re-sort
-                targets = {(t1, t2, nxt_phase) for t1 in moves1[symbol] for t2 in moves2[symbol]}
+            for symbol, targets1 in moves1.items():
+                targets2 = moves2.get(symbol if letter_of is None else letter_of(symbol))
+                if not targets2:
+                    continue
+                targets = {(t1, t2, nxt_phase) for t1 in targets1 for t2 in targets2}
                 if targets:
                     moves[symbol] = targets
                     fresh = targets - seen
@@ -403,6 +413,265 @@ class BuchiAutomaton:
         )
 
 
+class _LetterMap(dict):
+    """``letter_of`` read once per symbol: ``letters[symbol]``."""
+
+    def __init__(self, letter_of: Callable):
+        super().__init__()
+        self._read = letter_of
+
+    def __missing__(self, symbol):
+        letter = self[symbol] = self._read(symbol)
+        return letter
+
+
+class BuchiProduct:
+    """*left* read in step with *right*, which reads ``letter_of(symbol)``.
+
+    The product of Theorem 12: *left* is a control automaton, *right* the
+    negated property over letters, and a symbol ``a`` of *left* moves
+    *right* on ``letter_of(a)``; the product reads *left*'s symbols.
+    Each symbol's letter is read once.
+
+    :meth:`find_accepted_lasso` searches the pairs ``(left state, right
+    state)`` on the fly under generalised acceptance, so no pair is built
+    before the search reaches it and there are no phase copies.
+    :meth:`iter_accepted_lassos` enumerates the flagged product
+    :meth:`BuchiAutomaton.intersect` builds, on first use: its order
+    defines the bounded enumeration.
+    """
+
+    def __init__(self, left: BuchiAutomaton, right: BuchiAutomaton, letter_of: Callable):
+        self.left = left
+        self.right = right
+        self._letters = _LetterMap(letter_of)
+        self._flagged: Optional[BuchiAutomaton] = None
+        self._visited = 0
+
+    def size(self) -> int:
+        """The states explored.
+
+        The flagged product's state count once :meth:`iter_accepted_lassos`
+        has built it, else the pairs the last :meth:`find_accepted_lasso`
+        visited.
+        """
+        if self._flagged is not None:
+            return self._flagged.size()
+        return self._visited
+
+    def iter_accepted_lassos(
+        self, max_cycle_length: int, max_prefix_length: int, narrow=None, deadline=None
+    ):
+        """:meth:`BuchiAutomaton.iter_accepted_lassos` of the flagged product."""
+        if self._flagged is None:
+            self._flagged = self.left.intersect(self.right, self._letters.__getitem__)
+        return self._flagged.iter_accepted_lassos(
+            max_cycle_length, max_prefix_length, narrow=narrow, deadline=deadline
+        )
+
+    def find_accepted_lasso(self) -> Optional[Lasso]:
+        """A lasso of *left*'s symbols both automata accept, or ``None``.
+
+        One iterative Tarjan pass over the pairs reachable from the initial
+        pairs, in the manner of Couvreur's on-the-fly emptiness check: it
+        stops at the first strongly connected component that has an edge
+        and contains both a pair accepting for *left* and a pair accepting
+        for *right*.  The prefix is a breadth-first access path into that
+        component and the period a cycle inside it through both kinds of
+        pair.  Seeds, symbols and targets are walked in ``repr`` order, so
+        neither the component nor the lasso depends on hash order or on
+        the numbering of the search tables.
+
+        The ambient deadline is polled every :data:`EXTEND_POLL_EVERY`
+        pair expansions (checkpoint ``buchi.product``).
+        """
+        search = _PairSearch(self.left._tables(), self.right._tables(), self._letters)
+        component = search.accepting_component()
+        self._visited = len(search.number)
+        if component is None:
+            return None
+        width = search.width
+        left_accepting, right_accepting = search.left_accepting, search.right_accepting
+
+        def left_goal(pair: int) -> bool:
+            return left_accepting[pair // width]
+
+        def right_goal(pair: int) -> bool:
+            return right_accepting[pair % width]
+
+        entry, prefix = search.walk(search.seeds, component.__contains__, None)
+        left_stop, to_left = search.walk((entry,), left_goal, component)
+        right_stop, to_right = search.walk((left_stop,), right_goal, component)
+        _stop, back = search.walk(
+            (right_stop,), entry.__eq__, component, nonempty=not (to_left or to_right)
+        )
+        return Lasso(prefix, to_left + to_right + back)
+
+
+class _PairSearch:
+    """The pairs of a :class:`BuchiProduct`, expanded on demand.
+
+    Pair ``(left number, right number)`` of the two automata's
+    :class:`_SearchTables` is the integer ``left * width + right``.  Its
+    successors are listed in search order: *left*'s symbols and targets
+    in ``repr`` order, then *right*'s targets in ``repr`` order.
+    """
+
+    __slots__ = (
+        "width",
+        "seeds",
+        "number",
+        "left_accepting",
+        "right_accepting",
+        "_left_edges",
+        "_right_row",
+        "_letters",
+        "_expansions",
+    )
+
+    def __init__(self, left: "_SearchTables", right: "_SearchTables", letters: _LetterMap):
+        width = self.width = len(right.states)
+        self.seeds = [c * width + p for c in left.seeds() for p in right.seeds()]
+        #: Each pair the Tarjan pass visited, with its visit number.
+        self.number: Dict[int, int] = {}
+        self.left_accepting = left.accepting_flags()
+        self.right_accepting = right.accepting_flags()
+        self._left_edges = left.edges
+        self._right_row = right.by_symbol
+        self._letters = letters
+        self._expansions = 0
+
+    def successors(self, pair: int) -> List[int]:
+        """The successor pairs of *pair*, in search order."""
+        self._expansions += 1
+        if self._expansions == EXTEND_POLL_EVERY:
+            self._expansions = 0
+            active = current_deadline()
+            if active is not None:
+                active.check("buchi.product")
+        width = self.width
+        source, state = divmod(pair, width)
+        row = self._right_row(state)
+        letters = self._letters
+        found: List[int] = []
+        for symbol, targets in self._left_edges(source):
+            following = row.get(letters[symbol])
+            if following:
+                found.extend([target * width + p for target in targets for p in following])
+        return found
+
+    def symbol_between(self, pair: int, target: int):
+        """The first symbol, in search order, on which *pair* steps to *target*."""
+        source, state = divmod(pair, self.width)
+        left_target, right_target = divmod(target, self.width)
+        row = self._right_row(state)
+        for symbol, targets in self._left_edges(source):
+            if left_target in targets and right_target in row.get(self._letters[symbol], ()):
+                return symbol
+
+    def accepting_component(self) -> Optional[FrozenSet[int]]:
+        """The first component the Tarjan pass completes that witnesses acceptance.
+
+        Iterative, so deep products cannot hit the recursion limit.  A
+        component witnesses acceptance when it has an edge (more than one
+        pair, or a self-loop) and meets both acceptance sets.  The pass
+        stops there; :attr:`number` holds the pairs it visited.
+        """
+        successors = self.successors
+        width = self.width
+        left_accepting, right_accepting = self.left_accepting, self.right_accepting
+        number = self.number
+        keys: List[int] = []  # visit number -> pair
+        low: List[int] = []
+        on_stack: List[bool] = []
+        stack: List[int] = []  # visit numbers, increasing
+        for seed in self.seeds:
+            if seed in number:
+                continue
+            visit = number[seed] = len(keys)
+            keys.append(seed)
+            low.append(visit)
+            on_stack.append(True)
+            stack.append(visit)
+            work = [(visit, iter(successors(seed)))]
+            while work:
+                visit, pending = work[-1]
+                for target in pending:
+                    found = number.get(target)
+                    if found is None:
+                        found = number[target] = len(keys)
+                        keys.append(target)
+                        low.append(found)
+                        on_stack.append(True)
+                        stack.append(found)
+                        work.append((found, iter(successors(target))))
+                        break
+                    if on_stack[found] and found < low[visit]:
+                        low[visit] = found
+                else:
+                    work.pop()
+                    lowest = low[visit]
+                    if work and lowest < low[work[-1][0]]:
+                        low[work[-1][0]] = lowest
+                    if lowest != visit:
+                        continue
+                    if stack[-1] == visit:
+                        # A component of one pair: it needs a self-loop.
+                        stack.pop()
+                        on_stack[visit] = False
+                        pair = keys[visit]
+                        if (
+                            left_accepting[pair // width]
+                            and right_accepting[pair % width]
+                            and pair in successors(pair)
+                        ):
+                            return frozenset((pair,))
+                        continue
+                    # The component rooted here is the stack from *visit* up.
+                    cut = bisect_left(stack, visit)
+                    members = [keys[member] for member in stack[cut:]]
+                    for member in stack[cut:]:
+                        on_stack[member] = False
+                    del stack[cut:]
+                    if any(left_accepting[pair // width] for pair in members) and any(
+                        right_accepting[pair % width] for pair in members
+                    ):
+                        return frozenset(members)
+        return None
+
+    def walk(self, sources, goal, within, nonempty: bool = False) -> Tuple[int, Tuple]:
+        """A breadth-first path from *sources* to the first pair meeting *goal*.
+
+        Returns ``(pair, word)``.  *within* confines the walk to a set of
+        pairs (``None``: no bound).  A source meeting *goal* ends the walk
+        at once unless *nonempty* asks for at least one edge.  The caller
+        guarantees a goal is reachable.
+        """
+        if not nonempty:
+            for source in sources:
+                if goal(source):
+                    return source, ()
+        parent: Dict[int, Optional[int]] = dict.fromkeys(sources)
+        queue = list(sources)
+        head = 0
+        while True:
+            pair = queue[head]
+            head += 1
+            for target in self.successors(pair):
+                if within is not None and target not in within:
+                    continue
+                if goal(target):
+                    word = [self.symbol_between(pair, target)]
+                    step = parent[pair]
+                    while step is not None:
+                        word.append(self.symbol_between(step, pair))
+                        pair, step = step, parent[step]
+                    return target, tuple(reversed(word))
+                if target not in parent:
+                    parent[target] = pair
+                    queue.append(target)
+
+
 def _order_key(state: State) -> Tuple:
     """A sort key like ``repr``, but blind to the iteration order of sets.
 
@@ -439,6 +708,8 @@ class _SearchTables:
         "_edges",
         "_anchors",
         "_predecessors",
+        "_by_symbol",
+        "_accepting_flags",
     )
 
     def __init__(self, automaton: BuchiAutomaton):
@@ -475,6 +746,8 @@ class _SearchTables:
         self._edges: List[Optional[Tuple]] = [None] * len(states)
         self._anchors: Optional[FrozenSet[int]] = None
         self._predecessors: Optional[List[List[int]]] = None
+        self._by_symbol: List[Optional[Dict[object, Tuple[int, ...]]]] = [None] * len(states)
+        self._accepting_flags: Optional[List[bool]] = None
 
     def seeds(self) -> List[int]:
         """The initial states, sorted by ``repr``."""
@@ -498,6 +771,20 @@ class _SearchTables:
                 )
             )
         return edges
+
+    def by_symbol(self, state: int) -> Dict[object, Tuple[int, ...]]:
+        """The targets of *state* under each symbol, as :meth:`edges` lists them."""
+        row = self._by_symbol[state]
+        if row is None:
+            row = self._by_symbol[state] = dict(self.edges(state))
+        return row
+
+    def accepting_flags(self) -> List[bool]:
+        """Whether each state number is accepting."""
+        if self._accepting_flags is None:
+            accepting = self._accepting
+            self._accepting_flags = [state in accepting for state in self.states]
+        return self._accepting_flags
 
     def anchors(self) -> FrozenSet[int]:
         """The accepting states that lie on a cycle.

@@ -18,18 +18,22 @@ satisfies the LTL-FO sentence under every valuation of the global variables
    :func:`repro.ltl.ltlfo.evaluate_formula_under_type`, serves the inputs
    the kernel declines and the sentences whose atoms no code settles;
 3. the negated property is translated to a Buchi automaton
-   (:func:`repro.ltl.translation.ltl_to_buchi`, once per skeleton) and
-   intersected with the ``SControl`` automaton, whose symbols are mapped
-   to truth assignments;
+   (:func:`repro.ltl.translation.ltl_to_buchi`, once per skeleton, with
+   its search tables) and composed with the ``SControl`` automaton into a
+   :class:`~repro.automata.buchi.BuchiProduct`: a control symbol moves the
+   property automaton on its letter, the truth assignment its type
+   settles, read once per symbol;
 4. an accepted lasso of the product is a *symbolic* counterexample; it is
    a genuine one iff it is realisable (consistency + bounded cliques).
    The search is Theorem 9's own, :func:`repro.core.emptiness.search_candidates`,
-   run on the product: without global constraints every symbolic trace is
-   realisable and the procedure is exact Buchi emptiness; with
-   constraints, candidate counterexamples are enumerated under bounds, and
-   "verified" is exact when the product accepts no lasso at all and
-   otherwise records the bound.  Only the winning counterexample is
-   decoded into ``(state, guard)`` pairs.
+   run on the product.  Without global constraints every symbolic trace
+   is realisable and the procedure is exact Buchi emptiness, decided on
+   the fly over (control, property) pairs under generalised acceptance:
+   no product is built.  With constraints, candidate counterexamples are
+   enumerated under bounds on the flagged product, and "verified" is
+   exact when the product accepts no lasso at all and otherwise records
+   the bound.  Only the winning counterexample is decoded into
+   ``(state, guard)`` pairs.
 
 Concrete-run checking (:func:`run_satisfies`) is also provided: it
 evaluates the sentence semantically on a lasso run over a database, serving
@@ -38,9 +42,9 @@ as the ground-truth oracle in tests and benchmarks.
 
 from dataclasses import dataclass
 from itertools import product as cartesian_product
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
-from repro.automata.buchi import BuchiAutomaton
+from repro.automata.buchi import BuchiAutomaton, BuchiProduct
 from repro.automata.words import Lasso
 from repro.db.database import Database
 from repro.db.evaluation import evaluate_formula, transition_valuation
@@ -145,7 +149,10 @@ class VerificationResult:
     ``holds`` is the verdict; ``exact`` records whether it is unconditional
     (see the module docstring); ``counterexample`` is an
     :class:`EmptinessWitness` for the violating trace when ``holds`` is
-    ``False``.
+    ``False``.  ``product_size`` counts what the search explored: without
+    global constraints the (control, property) pairs the on-the-fly search
+    visited before it stopped, with them the states of the flagged product
+    the bounded enumeration walks.
     """
 
     holds: bool
@@ -181,40 +188,21 @@ def verify(
     control = (
         normal_control(without_eq) if letter_of_code is not None else LiteralControl(without_eq)
     )
-    trace_buchi = control.buchi
-    negated = _negated_property(grounded.skeleton)
-
-    # Lift the property automaton to read the control's symbols directly.
-    # A symbol's letter is the truth assignment its complete type settles;
-    # the property automaton is consulted once per (state, letter).
+    # A symbol's letter is the truth assignment its complete type settles.
     if isinstance(control, SymbolicKernel):
-        def assignment(symbol) -> FrozenSet[str]:
+        def letter_of(symbol) -> FrozenSet[str]:
             return letter_of_code(control.code_of(symbol))
     else:
-        def assignment(pair) -> FrozenSet[str]:
+        def letter_of(pair) -> FrozenSet[str]:
             return proposition_assignment(grounded, pair[1])
 
-    by_letter: Dict[FrozenSet[str], List] = {}
-    for symbol in trace_buchi.symbols():  # order-ok: lifted automaton is order-free
-        by_letter.setdefault(assignment(symbol), []).append(symbol)
-    lifted_transitions: Dict = {}
-    for state in negated.states():
-        for letter, symbols in by_letter.items():
-            targets = negated.successors(state, letter)
-            if targets:
-                moves = lifted_transitions.setdefault(state, {})
-                for symbol in symbols:
-                    moves[symbol] = targets
-    lifted = BuchiAutomaton(lifted_transitions, negated.initial, negated.accepting)
-
-    product = trace_buchi.intersect(lifted)
-    size = product.size()
-
+    product = BuchiProduct(control.buchi, _negated_property(grounded.skeleton), letter_of)
     # The emptiness search itself: product symbols are the control's symbols,
     # so the control's narrowing and realisability check apply unchanged.
     lasso, exact, checked = search_candidates(
         control, product, bool(without_eq.constraints), max_prefix, max_cycle, max_candidates
     )
+    size = product.size()
     if lasso is None:
         return VerificationResult(
             holds=True, exact=exact, product_size=size, candidates_checked=checked
@@ -232,7 +220,11 @@ def verify(
 
 
 def _negated_property(skeleton) -> BuchiAutomaton:
-    """The Buchi automaton of ``not skeleton``, translated once per skeleton."""
+    """The Buchi automaton of ``not skeleton``, translated once per skeleton.
+
+    The automaton keeps the search tables :class:`BuchiProduct` reads, so
+    they too are built once per skeleton.
+    """
     return _NEGATED_PROPERTIES.lookup(skeleton, lambda: ltl_to_buchi(Not_(skeleton))[0])
 
 
@@ -248,16 +240,18 @@ def run_satisfies(
 
     Evaluates each proposition at each position from the actual data values
     and the database, then checks the LTL skeleton with the lasso oracle.
-    Global variables are universally quantified; because the run and the
-    database contain finitely many values, it suffices to check valuations
-    drawn from the active domain, the run's values, and one fresh value
-    (two indistinguishable fresh values behave identically).
+    Global variables are universally quantified.  The run and the database
+    hold finitely many values, and values outside them are interchangeable:
+    a valuation of ``m`` global variables uses at most ``m`` such values,
+    and only their equalities among themselves matter.  So it suffices to
+    check valuations drawn from the active domain, the run's values and
+    ``m`` fresh values, one per global variable.
     """
     relevant: Set = set(database.active_domain())
     for row in run.data:
         relevant.update(row)
     supply = FreshSupply(used=relevant)
-    candidates = sorted(relevant, key=repr) + [supply.take()]
+    candidates = sorted(relevant, key=repr) + [supply.take() for _ in sentence.global_vars]
 
     def position_assignment(position: int, valuation: Dict[Var, object]) -> FrozenSet[str]:
         nxt = run.successor(position)

@@ -619,3 +619,57 @@ def literal_iter_accepted_lassos(automaton, max_cycle_length, max_prefix_length,
             for cycle_states, cycle_symbols, _cycle_filter in cycles:
                 if cycle_states[-1] == anchor and cycle_symbols:
                     yield Lasso(symbols_path, cycle_symbols)
+
+
+# ---------------------------------------------------------------------- #
+# the lifted flagged product: the oracle for the on-the-fly pair search
+# ---------------------------------------------------------------------- #
+#
+# Theorem 12's product as ``verify`` built it before ``BuchiProduct``: the
+# property automaton lifted onto the control's symbols, the flagged product
+# ``intersect`` builds from the two, and the single-automaton searches
+# over it.  ``BuchiProduct.find_accepted_lasso`` must agree with it on
+# emptiness; the constrained ``verify`` path must agree byte for byte.
+
+
+def lift_onto(left, right, letter_of):
+    """*right* relabelled to read *left*'s symbols: ``a`` moves it on ``letter_of(a)``."""
+    from repro.automata.buchi import BuchiAutomaton
+
+    by_letter = {}
+    for symbol in left.symbols():
+        by_letter.setdefault(letter_of(symbol), []).append(symbol)
+    transitions = {}
+    for state in right.states():
+        for letter, symbols in by_letter.items():
+            targets = right.successors(state, letter)
+            if targets:
+                moves = transitions.setdefault(state, {})
+                for symbol in symbols:
+                    moves[symbol] = targets
+    return BuchiAutomaton(transitions, right.initial, right.accepting)
+
+
+class LiftedProduct:
+    """``BuchiProduct``'s interface over ``left.intersect(lift_onto(left, right, letter_of))``."""
+
+    def __init__(self, left, right, letter_of):
+        self.product = left.intersect(lift_onto(left, right, letter_of))
+
+    def find_accepted_lasso(self):
+        return self.product.find_accepted_lasso()
+
+    def iter_accepted_lassos(self, *bounds, **options):
+        return self.product.iter_accepted_lassos(*bounds, **options)
+
+    def size(self):
+        return self.product.size()
+
+
+@contextmanager
+def without_product_search():
+    """Run ``verify`` on the lifted flagged product instead of the pair search."""
+    from repro.core import verification
+
+    with mock.patch.object(verification, "BuchiProduct", LiftedProduct):
+        yield

@@ -7,10 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.automata import BuchiAutomaton, Dfa, Lasso, Nfa, parse_regex
+from repro.automata import BuchiAutomaton, BuchiProduct, Dfa, Lasso, Nfa, parse_regex
 from repro.automata.regex import (
     Epsilon,
     any_of,
@@ -25,6 +25,8 @@ from repro.automata.regex import (
 from repro.foundations.errors import SpecificationError
 
 from tests.helpers import (
+    LiftedProduct,
+    lift_onto,
     literal_find_accepted_lasso,
     literal_iter_accepted_lassos,
     literal_minimize,
@@ -270,6 +272,19 @@ class TestBuchi:
         assert witness == Lasso(("a",) * length, ("b",) + ("a",) * length)
         assert witness == literal_find_accepted_lasso(ring)
 
+    def test_long_product_search_is_iterative(self):
+        """The pair search walks a 5,001-pair cycle without recursing."""
+        length = 5000
+        transitions = {state: {"a": {state + 1}} for state in range(length)}
+        transitions[length] = {"b": {0}}
+        ring = BuchiAutomaton(transitions, {0}, {length})
+        every_letter = BuchiAutomaton({0: {"x": {0}}}, {0}, {0})
+        product = BuchiProduct(ring, every_letter, lambda symbol: "x")
+        witness = product.find_accepted_lasso()
+        assert witness == Lasso((), ("a",) * length + ("b",))
+        assert witness == literal_find_accepted_lasso(ring)
+        assert product.size() == length + 1
+
     def test_iter_accepted_lassos_sound(self, infinitely_many_p):
         found = list(infinitely_many_p.iter_accepted_lassos(3, 2))
         assert found
@@ -303,8 +318,8 @@ class _BanSymbol:
 
 
 @st.composite
-def random_buchi(draw):
-    """Buchi automata with 1-7 states and 1-3 symbols.
+def random_buchi(draw, alphabet="abc", max_states=7):
+    """Buchi automata with 1-*max_states* states and 1-3 symbols of *alphabet*.
 
     Integer labels up to 30 make ``repr`` order differ from numeric order.
     Each state and symbol has at most two targets, which keeps the
@@ -312,9 +327,11 @@ def random_buchi(draw):
     accepting sets may be empty.
     """
     labels = draw(
-        st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=7, unique=True)
+        st.lists(
+            st.integers(min_value=0, max_value=30), min_size=1, max_size=max_states, unique=True
+        )
     )
-    symbols = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    symbols = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=3, unique=True))
     states = st.sampled_from(labels)
     transitions = {}
     for state in labels:
@@ -389,3 +406,51 @@ def test_intersect_does_not_leak_insertion_order(left, right):
     assert first.accepting == second.accepting
     assert first.find_accepted_lasso() == second.find_accepted_lasso()
     assert list(first.iter_accepted_lassos(3, 2)) == list(second.iter_accepted_lassos(3, 2))
+
+
+@st.composite
+def product_operands(draw):
+    """Two Buchi automata with 1-6 states and a map from the first's symbols onto the second's.
+
+    The left automaton reads 1-3 of ``abc``, the right one 1-3 of ``xyz``;
+    the map sends every left symbol to one of ``xyz``, which the right
+    automaton may not read at all.
+    """
+    left = draw(random_buchi(max_states=6))
+    right = draw(random_buchi(alphabet="xyz", max_states=6))
+    letters = draw(st.lists(st.sampled_from("xyz"), min_size=1, max_size=3, unique=True))
+    return left, right, {symbol: draw(st.sampled_from(letters)) for symbol in "abc"}
+
+
+#: A three-pair cycle whose only accepting pair is its first: the search
+#: must carry the back edge's low link up to it.
+_RING_OF_THREE = (
+    BuchiAutomaton({0: {"a": {1}}, 1: {"a": {2}}, 2: {"a": {0}}}, {0}, {0}),
+    BuchiAutomaton({0: {"x": {0}}}, {0}, {0}),
+    {"a": "x", "b": "x", "c": "x"},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_operands())
+@example(_RING_OF_THREE)
+def test_product_search_agrees_with_lifted_flagged_product(operands):
+    """The pair search finds a lasso exactly when the flagged product does.
+
+    The oracle is the lifted flagged product of ``tests.helpers``; a lasso
+    the search returns is accepted by both operands, and ``intersect``
+    through the letter map builds the flagged product of the lifted one.
+    """
+    left, right, letters = operands
+    letter_of = letters.__getitem__
+    lasso = BuchiProduct(left, right, letter_of).find_accepted_lasso()
+    oracle = LiftedProduct(left, right, letter_of).find_accepted_lasso()
+    assert (lasso is None) == (oracle is None)
+    if lasso is not None:
+        assert left.accepts(lasso)
+        assert right.accepts(lasso.map(letter_of))
+    direct = left.intersect(right, letter_of)
+    lifted = left.intersect(lift_onto(left, right, letter_of))
+    assert direct._transitions == lifted._transitions
+    assert direct.initial == lifted.initial
+    assert direct.accepting == lifted.accepting

@@ -562,6 +562,37 @@ class TestDeepCheckpoints:
         assert max(gaps) <= 256
         assert narrow.steps > 256 * 10  # the last cycle round alone runs 1,296 steps
 
+    def test_product_search_polls_between_pair_expansions(self):
+        """No stretch of the pair search runs more than 256 pair expansions unpolled."""
+        from repro.automata.buchi import BuchiAutomaton, BuchiProduct
+
+        # Each ring state reads its own symbol, and the product reads each
+        # symbol's letter once: the letter reads count the pair expansions.
+        letters_read = []
+
+        def letter_of(symbol):
+            letters_read.append(symbol)
+            return "x"
+
+        class RecordingDeadline:
+            def __init__(self):
+                self.polls = []
+
+            def check(self, site=""):
+                self.polls.append((site, len(letters_read)))
+
+        length = 1200
+        ring = BuchiAutomaton({q: {q: {(q + 1) % length}} for q in range(length)}, {0}, set())
+        every_letter = BuchiAutomaton({0: {"x": {0}}}, {0}, {0})
+        deadline = RecordingDeadline()
+        with deadline_scope(deadline):
+            # No left state accepts: the search expands every pair.
+            assert BuchiProduct(ring, every_letter, letter_of).find_accepted_lasso() is None
+        assert len(letters_read) == length
+        assert {site for site, _count in deadline.polls} == {"buchi.product"}
+        counts = [0] + [count for _site, count in deadline.polls] + [length]
+        assert max(after - before for before, after in zip(counts, counts[1:])) <= 256
+
     def test_completions_interruptible_and_memo_unpoisoned(self):
         relations = {"R": 1}
         variables = (X(1), X(2))

@@ -3,11 +3,17 @@
 ``verify`` runs on the coded kernel (``repro.core.symkernel``) wherever
 ``check_emptiness`` does; ``tests.helpers.without_symkernel()`` forces the
 literal ``completed()`` / ``state_driven()`` path, the oracle the coded
-answers must match byte for byte.  Counterexamples are checked against
-the concrete semantics (:func:`run_satisfies`) as ground truth.
+answers must match byte for byte.  ``tests.helpers.without_product_search()``
+replaces the on-the-fly pair search by the lifted flagged product, the
+oracle for its verdicts.  Counterexamples are checked against the concrete
+semantics (:func:`run_satisfies`) as ground truth.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,11 +39,11 @@ from repro.core.symkernel import build_kernel
 from repro.foundations.errors import EvaluationError
 from repro.generators import random_register_automaton
 from repro.generators.automata import random_constraint_regex
-from repro.logic.formulas import atom_eq, atom_rel
+from repro.logic.formulas import Or, atom_eq, atom_rel
 from repro.logic.terms import Var
 from repro.ltl import Eventually, Globally, Not_, Prop
 from repro.ltl.syntax import Or_
-from tests.helpers import without_symkernel
+from tests.helpers import without_product_search, without_symkernel
 
 EMPTY = SigmaType()
 
@@ -148,6 +154,28 @@ class TestRunSatisfies:
         assert run_satisfies(eventually_eq, run, empty_database)
         assert not run_satisfies(globally_eq, run, empty_database)
 
+    def test_each_global_variable_gets_its_own_fresh_value(self):
+        """forall z1 z2 z3: G(z1 = z2 or z2 = z3 or z1 = z3) fails on any run.
+
+        The run holds one value, so a refuting valuation needs two fresh
+        values besides it.
+        """
+        z1, z2, z3 = Var("z1"), Var("z2"), Var("z3")
+        automaton = RegisterAutomaton(
+            1, Signature.empty(), {"q"}, {"q"}, {"q"}, [("q", SigmaType([eq(X(1), Y(1))]), "q")]
+        )
+        sentence = LtlFoSentence(
+            skeleton=Globally(Prop("p")),
+            propositions={"p": Or((atom_eq(z1, z2), atom_eq(z2, z3), atom_eq(z1, z3)))},
+            global_vars=(z1, z2, z3),
+        )
+        result = verify(ExtendedAutomaton(automaton, []), sentence)
+        assert not result.holds and result.exact
+        database, run = result.counterexample.lasso_run()
+        visible = run.project(1)
+        assert len({value for row in visible.data for value in row}) == 1
+        assert not run_satisfies(sentence, visible, database)
+
 
 # --------------------------------------------------------------------- #
 # the coded path against the literal one and against ground truth
@@ -211,12 +239,29 @@ def _fingerprint(result):
 
 
 def _assert_coded_matches_literal(extended, sentence):
+    """Coded equals literal byte for byte, and both agree with the lifted product.
+
+    With constraints the bounded enumeration runs on the flagged product,
+    so the oracle matches byte for byte too; without them the pair search
+    must reach the same verdict, and every counterexample must refute the
+    sentence on a concrete run.
+    """
     coded = verify(extended, sentence)
     with without_symkernel():
         literal = verify(extended, sentence)
     assert _fingerprint(coded) == _fingerprint(literal)
-    if coded.counterexample is not None:
-        realised = coded.counterexample.lasso_run()
+    with without_product_search():
+        oracle = verify(extended, sentence)
+    if extended.constraints:
+        assert _fingerprint(coded) == _fingerprint(oracle)
+    else:
+        assert (coded.holds, coded.exact) == (oracle.holds, oracle.exact)
+    for result in (coded, oracle):
+        if result.counterexample is None:
+            continue
+        realised = result.counterexample.lasso_run()
+        # Only a global constraint can rule out every data-periodic run.
+        assert realised is not None or extended.constraints
         if realised is not None:
             database, run = realised
             assert not run_satisfies(sentence, run.project(extended.k), database)
@@ -239,6 +284,34 @@ def test_coded_verify_matches_literal_at_k3(seed, template):
     # Pinned: the literal path completes over x1..x3, y1..y3 and takes
     # about a second per call here.
     _assert_coded_matches_literal(*_random_instance(seed, 3, 1, False, template))
+
+
+def test_verify_independent_of_hash_seed():
+    """Verdicts, product sizes and counterexamples are the same under every hash seed."""
+    script = (
+        "from repro import verify\n"
+        "from tests.test_verification import TEMPLATES, _fingerprint, _random_instance\n"
+        "for template in range(len(TEMPLATES)):\n"
+        "    for seed, k, constraints, with_global in ((5, 2, 0, False), (8, 2, 0, True),\n"
+        "                                              (13, 1, 1, False)):\n"
+        "        instance = _random_instance(seed, k, constraints, with_global, template)\n"
+        "        print(_fingerprint(verify(*instance)))\n"
+    )
+    root = Path(__file__).resolve().parent.parent
+    fingerprints = [
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+                (str(root / "src"), str(root))
+            )),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in ("0", "1", "2")
+    ]
+    assert fingerprints[0] == fingerprints[1] == fingerprints[2]
+    assert fingerprints[0].count("\n") == 3 * len(TEMPLATES)
 
 
 def test_unsettled_atom_raises_on_both_paths(example1_automaton):
