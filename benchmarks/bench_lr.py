@@ -1,14 +1,19 @@
 """E8 -- LR-boundedness profiles (Definition 15 / Theorem 18, Examples 16-17).
 
 Computes the cut-graph vertex-cover profiles of the paper's example
-automata and reports the boundedness verdicts plus decision time.
+automata at the window sizes ``is_lr_bounded`` compares (4, 7, 10, 13 and
+16 loop iterations of the first accepted lasso) and reports the
+boundedness verdicts plus decision time.
 
-Expected shape: Example 16's A bounded (cover 1), its trace-equivalent A'
-unbounded (covers grow with the window), Example 17 unbounded; projections
-of register automata bounded with cover <= k (Proposition 20).
+Expected shape: Example 16's A bounded (max cover 1 at every window), its
+trace-equivalent A' and Example 17 unbounded (max cover strictly growing
+with the window); projections of register automata bounded with cover
+<= k (Proposition 20).  Every profile must equal the one built one cut
+graph at a time (``tests.helpers.per_cut_profile``) before a row is kept.
 """
 
-import pytest
+import sys
+from pathlib import Path
 
 from repro import is_lr_bounded, lr_bound_estimate, project_register_automaton
 from repro.core.extended import normalize_control
@@ -17,52 +22,68 @@ from repro.core.symbolic import scontrol_buchi
 
 from _tables import register_table
 
+sys.path.insert(0, str(Path(__file__).parent.parent))
+from tests.helpers import per_cut_profile  # noqa: E402
+
+#: The windows ``is_lr_bounded`` grows through by default (loop iterations).
+WINDOWS = (4, 7, 10, 13, 16)
+
 ROWS = []
 
 
-def _max_cover(extended, loops):
+def _max_covers(extended):
     normalised = normalize_control(extended)
-    buchi = scontrol_buchi(normalised.automaton)
-    lasso = buchi.find_accepted_lasso()
-    profile = lr_cover_profile(normalised, lasso, loops=loops)
-    return max(profile or [0])
+    lasso = scontrol_buchi(normalised.automaton).find_accepted_lasso()
+    covers = []
+    for loops in WINDOWS:
+        profile = lr_cover_profile(normalised, lasso, loops=loops)
+        assert profile == per_cut_profile(normalised, lasso, loops)
+        covers.append(max(profile or [0]))
+    return covers
 
 
-def test_example16_bounded(benchmark, example7_extended):
-    from repro import ExtendedAutomaton, RegisterAutomaton, SigmaType, Signature, X, Y, neq
+def _bounded_row(name, extended):
+    covers = _max_covers(extended)
+    assert len(set(covers)) == 1, covers
+    ROWS.append((name, "bounded", ", ".join(map(str, covers))))
 
-    guard = SigmaType([neq(X(1), Y(1))])
-    base = RegisterAutomaton(
-        1, Signature.empty(), {"q"}, {"q"}, {"q"}, [("q", guard, "q")]
-    )
-    extended = ExtendedAutomaton(base, [])
-    verdict = benchmark(is_lr_bounded, extended)
-    assert verdict
-    ROWS.append(("Example 16 A (local)", "bounded", _max_cover(extended, 3), _max_cover(extended, 5)))
+
+def _unbounded_row(name, extended):
+    covers = _max_covers(extended)
+    assert all(a < b for a, b in zip(covers, covers[1:])), covers
+    ROWS.append((name, "unbounded", ", ".join(map(str, covers))))
+
+
+def test_example16_bounded(benchmark, example16_bounded):
+    assert benchmark(is_lr_bounded, example16_bounded)
+    _bounded_row("Example 16 A (local)", example16_bounded)
+
+
+def test_example16_unbounded(benchmark, example16_unbounded):
+    assert not benchmark(is_lr_bounded, example16_unbounded)
+    _unbounded_row("Example 16 A' (p-pairs)", example16_unbounded)
 
 
 def test_example17_unbounded(benchmark, example7_extended):
-    verdict = benchmark(is_lr_bounded, example7_extended)
-    assert not verdict
-    ROWS.append(
-        (
-            "Example 17 (all distinct)",
-            "unbounded",
-            _max_cover(example7_extended, 3),
-            _max_cover(example7_extended, 5),
-        )
-    )
+    assert not benchmark(is_lr_bounded, example7_extended)
+    _unbounded_row("Example 17 (all distinct)", example7_extended)
 
 
 def test_projection_bound(benchmark, example1_automaton):
     projected = project_register_automaton(example1_automaton, 1)
     estimate = benchmark(lambda: lr_bound_estimate(projected, max_cycle=3))
     assert estimate <= example1_automaton.k
-    ROWS.append(("Example 1 projection", "bounded (Prop 20)", estimate, estimate))
+    ROWS.append(
+        (
+            "Example 1 projection",
+            "bounded (Prop 20)",
+            "estimate %d <= k = %d" % (estimate, example1_automaton.k),
+        )
+    )
 
 
 register_table(
-    "E8: LR cut-graph covers (window 3 vs 5 loops)",
-    ["instance", "verdict", "max cover @3", "max cover @5"],
+    "E8: LR max cut-graph cover at 4, 7, 10, 13, 16 loops",
+    ["instance", "verdict", "max cover per window"],
     ROWS,
 )

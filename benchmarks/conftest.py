@@ -66,6 +66,32 @@ def example8_extended():
 
 
 @pytest.fixture
+def example16_bounded():
+    """Example 16's A: local disequality only -- LR-bounded."""
+    guard = SigmaType([neq(X(1), Y(1))])
+    base = RegisterAutomaton(
+        1, Signature.empty(), {"q"}, {"q"}, {"q"}, [("q", guard, "q")]
+    )
+    return ExtendedAutomaton(base, [])
+
+
+@pytest.fixture
+def example16_unbounded():
+    """Example 16's A': trace-equivalent to A but not LR-bounded."""
+    guard = SigmaType([neq(X(1), Y(1))])
+    base = RegisterAutomaton(
+        1,
+        Signature.empty(),
+        {"p", "q"},
+        {"p", "q"},
+        {"p", "q"},
+        [("p", guard, "p"), ("q", guard, "q")],
+    )
+    p_pairs = concat(literal("p"), plus(literal("p")))
+    return ExtendedAutomaton(base, [GlobalConstraint("neq", 1, 1, p_pairs)])
+
+
+@pytest.fixture
 def rng():
     return random.Random(20260707)
 

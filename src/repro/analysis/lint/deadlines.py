@@ -34,11 +34,12 @@ __all__ = ["deadline_findings", "LONG_RUNNING_MODULES", "EXPENSIVE_NAMES"]
 #: Dotted module names whose loops must stay interruptible: the layers
 #: with documented checkpoint sites (emptiness.lasso, types.completions,
 #: theorem24.literal_pair/register_pair, buchi.*_round, buchi.anchor,
-#: buchi.extend, buchi.product, streaming.feed_run, monitor.ingest) plus
-#: the dataflow solver.
+#: buchi.extend, buchi.product, lr.lasso, streaming.feed_run,
+#: monitor.ingest) plus the dataflow solver.
 LONG_RUNNING_MODULES = frozenset(
     {
         "repro.core.emptiness",
+        "repro.core.lr",
         "repro.core.symkernel",
         "repro.core.theorem24",
         "repro.core.streaming",

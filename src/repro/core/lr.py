@@ -34,6 +34,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from repro.automata.words import Lasso
 from repro.foundations.errors import SpecificationError
+from repro.foundations.resilience import current_deadline
 from repro.logic.literals import eq as lit_eq
 from repro.logic.literals import neq as lit_neq
 from repro.logic.terms import X, Y
@@ -88,7 +89,9 @@ def lr_cover_profile(
     *extended* should have a complete, state-driven control; both kinds of
     global constraints are honoured (equality matches merge classes inside
     the window, so no Proposition 6 elimination is required here).  The
-    window covers the prefix plus *loops* loop iterations.
+    window covers the prefix plus *loops* loop iterations.  One sweep of
+    the window (:meth:`TraceWindow.cut_edges`) files every inequality edge
+    under the cuts it crosses; each cut then costs one matching.
     """
     automaton = extended.automaton
     window = TraceWindow(
@@ -104,10 +107,10 @@ def lr_cover_profile(
     # that horizon see no right-side classes and are not meaningful, so the
     # profile stops before them.
     margin = len(trace.period) + 1
-    horizon = window.length - margin
     profile: List[int] = []
-    for h in range(max(horizon - 1, 0)):
-        left, right, edges = window.cut_graph(h, right_margin=margin)
+    for edges in window.cut_edges(right_margin=margin):
+        left = list(dict.fromkeys(a for a, _b in edges))
+        right = list(dict.fromkeys(b for _a, b in edges))
         profile.append(bipartite_vertex_cover(left, right, edges))
     return profile
 
@@ -123,23 +126,18 @@ def is_lr_bounded(
     """Whether *extended* is LR-bounded (Definition 15 / Theorem 18).
 
     Enumerates lasso control traces and compares the maximum cut-graph
-    vertex cover across window sizes two periods apart: on the eventually
-    periodic class/edge structure the cover either stabilises (bounded) or
-    grows with the window (unbounded).  Exact on lassos within the
-    enumeration bounds; ``DESIGN.md`` records this substitution for the
-    paper's MSO+bounding-quantifier argument.
+    vertex cover across windows growing by three loop iterations at a time
+    (*base_loops*, then +3 up to the first size past *max_loops*: 4, 7, 10,
+    13 and 16 loops by default): on the eventually periodic class/edge
+    structure the cover either stabilises (bounded) or grows with the
+    window (unbounded).  Exact on lassos within the enumeration bounds;
+    ``DESIGN.md`` records this substitution for the paper's
+    MSO+bounding-quantifier argument.  Polls the ambient deadline once per
+    candidate lasso (checkpoint ``lr.lasso``).
     """
     normalised = normalize_control(extended)
     buchi = scontrol_buchi(normalised.automaton)
-    checked = 0
-    seen: Set[Lasso] = set()
-    for lasso in buchi.iter_accepted_lassos(max_cycle, max_prefix):
-        if lasso in seen:
-            continue
-        seen.add(lasso)
-        checked += 1
-        if checked > max_candidates:
-            break
+    for lasso in _candidate_lassos(buchi, max_prefix, max_cycle, max_candidates):
         if _window_inconsistent(normalised, lasso, base_loops + 2):
             # Definition 15 ranges over Control(A); traces whose induced
             # (in)equalities clash have no runs and are excluded (the same
@@ -164,6 +162,26 @@ def is_lr_bounded(
     return True
 
 
+def _candidate_lassos(buchi, max_prefix: int, max_cycle: int, max_candidates: int):
+    """The first *max_candidates* distinct accepted lassos of *buchi*.
+
+    Polls the ambient deadline (checkpoint ``lr.lasso``) before handing
+    out each one, so the window work on a lasso never starts past the
+    deadline.
+    """
+    seen: Set[Lasso] = set()
+    for lasso in buchi.iter_accepted_lassos(max_cycle, max_prefix):
+        if lasso in seen:
+            continue
+        seen.add(lasso)
+        if len(seen) > max_candidates:
+            return
+        deadline = current_deadline()
+        if deadline is not None:
+            deadline.check("lr.lasso")
+        yield lasso
+
+
 def _window_inconsistent(extended: ExtendedAutomaton, trace: Lasso, loops: int) -> bool:
     """Whether the trace's constraints clash within the analysis window."""
     automaton = extended.automaton
@@ -185,19 +203,15 @@ def lr_bound_estimate(
     max_candidates: int = 200,
     loops: int = 5,
 ) -> int:
-    """The largest cut-graph vertex cover observed over sampled lassos."""
+    """The largest cut-graph vertex cover observed over sampled lassos.
+
+    Polls the ambient deadline once per candidate lasso (checkpoint
+    ``lr.lasso``).
+    """
     normalised = normalize_control(extended)
     buchi = scontrol_buchi(normalised.automaton)
     best = 0
-    checked = 0
-    seen: Set[Lasso] = set()
-    for lasso in buchi.iter_accepted_lassos(max_cycle, max_prefix):
-        if lasso in seen:
-            continue
-        seen.add(lasso)
-        checked += 1
-        if checked > max_candidates:
-            break
+    for lasso in _candidate_lassos(buchi, max_prefix, max_cycle, max_candidates):
         if _window_inconsistent(normalised, lasso, loops):
             continue
         profile = lr_cover_profile(normalised, lasso, loops=loops)

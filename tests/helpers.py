@@ -673,3 +673,57 @@ def without_product_search():
 
     with mock.patch.object(verification, "BuchiProduct", LiftedProduct):
         yield
+
+
+# ---------------------------------------------------------------------- #
+# Section 5 cut graphs one cut at a time: the oracle for the cut sweep
+# ---------------------------------------------------------------------- #
+
+
+def cut_graph(window, h, right_margin=1):
+    """``G^w_h`` of Section 5 within a :class:`TraceWindow`, built for one cut.
+
+    Returns (left classes, right classes, edges): classes entirely on
+    positions ``<= h`` vs entirely on positions ``> h``, with the
+    inequality edges between the two sides.  Classes straddling the cut
+    are excluded, as in Definition 15, and so are classes reaching into
+    the last *right_margin* positions (they may extend beyond the window).
+    The reference for ``TraceWindow.cut_edges``, which files every edge
+    under its cuts in one sweep.
+    """
+    spans = {}
+    for root, members in window.all_classes().items():
+        positions = [node[0] for node in members if node[0] != "const"]
+        if positions:
+            spans[root] = (min(positions), max(positions))
+    horizon = window.length - right_margin
+    left = [c for c, (lo, hi) in spans.items() if hi <= h and hi < horizon]
+    right = [c for c, (lo, hi) in spans.items() if lo > h and hi < horizon]
+    left_set, right_set = set(left), set(right)
+    edges = set()
+    for a, b in window.inequality_edges():
+        if (a in left_set and b in right_set) or (a in right_set and b in left_set):
+            edges.add((a, b) if a in left_set else (b, a))
+    return sorted(left, key=repr), sorted(right, key=repr), edges
+
+
+def per_cut_profile(extended, trace, loops):
+    """``lr_cover_profile(extended, trace, loops)``, one cut graph per cut."""
+    from repro.core.lr import bipartite_vertex_cover
+    from repro.core.tracewindow import TraceWindow
+
+    automaton = extended.automaton
+    window = TraceWindow(
+        trace,
+        automaton.k,
+        length=len(trace.prefix) + loops * len(trace.period),
+        inequality_constraints=extended.inequality_constraints(),
+        states=automaton.states,
+        equality_constraints=extended.equality_constraints(),
+    )
+    margin = len(trace.period) + 1
+    horizon = window.length - margin
+    return [
+        bipartite_vertex_cover(*cut_graph(window, h, right_margin=margin))
+        for h in range(max(horizon - 1, 0))
+    ]

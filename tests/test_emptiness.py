@@ -270,8 +270,9 @@ def test_walk_and_narrowing_agree_with_trace_windows(seed, k):
     Each candidate's verdict equals the absence of a conflict in a
     union-find window long enough to be exact, and the narrowing prunes a
     word exactly when that word's own window has a conflict.  The windows
-    (:class:`repro.core.tracewindow.TraceWindow`) share no code with the
-    corridor walk.
+    (:class:`repro.core.tracewindow.TraceWindow`) share only
+    :func:`repro.core.caching.dead_states` with the corridor walk: both stop
+    scanning from a start position once its DFA run is dead.
     """
     extended = random_extended_automaton(
         random.Random(seed),

@@ -1,6 +1,11 @@
 """Tests for LR-boundedness and Theorem 19 (Section 5)."""
 
+import random
+from itertools import islice
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import (
     Database,
@@ -20,10 +25,13 @@ from repro import (
     synthesize_register_automaton,
 )
 from repro.automata.regex import concat, literal, plus
-from repro.core.lr import bipartite_vertex_cover
+from repro.core.extended import normalize_control
+from repro.core.lr import bipartite_vertex_cover, lr_cover_profile
+from repro.core.symbolic import scontrol_buchi
 from repro.foundations.errors import SpecificationError
+from repro.generators import random_extended_automaton
 
-from tests.helpers import canonical_trace
+from tests.helpers import canonical_trace, per_cut_profile
 
 EMPTY = SigmaType()
 
@@ -43,6 +51,30 @@ class TestVertexCover:
     def test_koenig_on_path(self):
         edges = [(0, "a"), (1, "a"), (1, "b")]
         assert bipartite_vertex_cover([0, 1], ["a", "b"], edges) == 2
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    k=st.integers(min_value=1, max_value=2),
+    constraints=st.integers(min_value=0, max_value=3),
+    loops=st.integers(min_value=1, max_value=7),
+)
+def test_cut_sweep_agrees_with_per_cut_graphs(seed, k, constraints, loops):
+    """The one-sweep profile equals the profile built one cut graph at a time.
+
+    Random automata carry equality and inequality constraints, so classes
+    merge across gaps and edges reach over many cuts.
+    """
+    extended = random_extended_automaton(
+        random.Random(seed), k=k, n_states=3, n_transitions=5, n_constraints=constraints
+    )
+    normalised = normalize_control(extended)
+    lassos = scontrol_buchi(normalised.automaton).iter_accepted_lassos(4, 1)
+    for lasso in islice(lassos, 6):
+        assert lr_cover_profile(normalised, lasso, loops) == per_cut_profile(
+            normalised, lasso, loops
+        )
 
 
 class TestExamples16And17:

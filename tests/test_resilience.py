@@ -593,6 +593,42 @@ class TestDeepCheckpoints:
         counts = [0] + [count for _site, count in deadline.polls] + [length]
         assert max(after - before for before, after in zip(counts, counts[1:])) <= 256
 
+    def test_lr_polls_once_per_candidate_lasso(self, example1_automaton):
+        """``lr.lasso`` fires once per distinct candidate, before its windows."""
+        from unittest import mock
+
+        from repro import project_register_automaton
+        from repro.core import lr
+        from repro.core.extended import normalize_control
+        from repro.core.symbolic import scontrol_buchi
+
+        view = project_register_automaton(example1_automaton, 1)
+        buchi = scontrol_buchi(normalize_control(view).automaton)
+        lassos = list(buchi.iter_accepted_lassos(4, 1))
+        distinct = list(dict.fromkeys(lassos))
+        assert len(distinct) < len(lassos)  # the enumeration repeats some
+        events = []
+
+        class RecordingDeadline:
+            def check(self, site=""):
+                if site == "lr.lasso":
+                    events.append(site)
+
+        window_inconsistent = lr._window_inconsistent
+
+        def recording(extended, trace, loops):
+            events.append(trace)
+            return window_inconsistent(extended, trace, loops)
+
+        expected = [event for lasso in distinct for event in ("lr.lasso", lasso)]
+        with mock.patch.object(lr, "_window_inconsistent", recording):
+            with deadline_scope(RecordingDeadline()):
+                assert lr.is_lr_bounded(view)
+                assert events == expected
+                events.clear()
+                lr.lr_bound_estimate(view)
+                assert events == expected
+
     def test_completions_interruptible_and_memo_unpoisoned(self):
         relations = {"R": 1}
         variables = (X(1), X(2))

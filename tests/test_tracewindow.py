@@ -17,6 +17,8 @@ from repro import (
 from repro.automata import Lasso
 from repro.automata.regex import concat, literal, plus, star
 from repro.core.tracewindow import TraceWindow
+from repro.logic.terms import Const
+from tests.helpers import cut_graph
 
 EMPTY = SigmaType()
 
@@ -151,16 +153,30 @@ class TestCutGraphs:
         # the final position may extend beyond the window (treated as
         # straddling with the default margin), so stop one cut early
         for h in range(4):
-            left, right, edges = window.cut_graph(h)
+            left, right, edges = cut_graph(window, h)
             assert len(edges) == 1
 
     def test_straddling_classes_excluded(self, carry_trace):
         trace, _ = carry_trace
         window = TraceWindow(trace, 1, length=6)
-        left, right, edges = window.cut_graph(2)
+        left, right, edges = cut_graph(window, 2)
         # the single carried class straddles every cut: no vertices remain
         assert left == [] or right == []
         assert edges == set()
+
+    def test_sweep_files_each_edge_under_its_cuts(self):
+        """``cut_edges`` equals the one-cut reference at every cut, including
+        pairs that name the right-hand class first (here ``x1 != c`` against
+        the constant's class, which ends at position 0)."""
+        c = Const("c")
+        first = SigmaType([eq(X(1), c), neq(X(1), Y(1))])
+        rest = SigmaType([neq(X(1), c), neq(X(1), Y(1))])
+        window = TraceWindow(Lasso((("p", first),), (("q", rest),)), 1, length=8)
+        cuts = window.cut_edges()
+        assert len(cuts) == 6
+        assert cuts == [cut_graph(window, h)[2] for h in range(len(cuts))]
+        # the constant's class {x1@0, c} meets every class right of cut 0
+        assert len(cuts[0]) == 6
 
 
 class TestRealization:
