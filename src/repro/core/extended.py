@@ -319,19 +319,20 @@ def normalize_control(extended: ExtendedAutomaton) -> ExtendedAutomaton:
     """Complete + state-driven control, with every constraint lifted.
 
     Returns *extended* itself when the control is already complete and
-    state-driven.  Equality constraints are lifted like the inequality
+    state-driven.  Otherwise every guard is completed -- a complete guard
+    too, so each complete type carries its one canonical literal set (see
+    :meth:`~repro.logic.types.SigmaType.completions`), the form the coded
+    kernel decodes -- and the states become ``(state, guard)`` pairs.
+    This is the one normaliser of emptiness, verification, projection and
+    LR analysis.  Equality constraints are lifted like the inequality
     ones: the emptiness pipeline calls this after Proposition 6 has
     removed them, while the LR window analyses honour them directly and
     so avoid the register blow-up of the elimination.
     """
     automaton = extended.automaton
-    normalised = automaton
-    if not normalised.is_complete():
-        normalised = normalised.completed()
-    if not normalised.is_state_driven():
-        normalised = normalised.state_driven()
-    if normalised is automaton:
+    if automaton.is_complete() and automaton.is_state_driven():
         return extended
+    normalised = automaton.completed().state_driven()
     constraints = lift_constraints_to_states(
         extended.constraints,
         automaton.states,

@@ -205,8 +205,11 @@ def lr_bound_estimate(
 ) -> int:
     """The largest cut-graph vertex cover observed over sampled lassos.
 
-    Polls the ambient deadline once per candidate lasso (checkpoint
-    ``lr.lasso``).
+    The window is ``loops`` unrollings of each lasso's period.  The
+    default 5-loop window cannot separate bounded from unbounded inputs:
+    it reads 1 for Example 16's A, its unbounded A' and Example 7 alike,
+    which 16 loops read as 1, 7 and 7.  Polls the ambient deadline once
+    per candidate lasso (checkpoint ``lr.lasso``).
     """
     normalised = normalize_control(extended)
     buchi = scontrol_buchi(normalised.automaton)

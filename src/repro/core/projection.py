@@ -62,22 +62,11 @@ from repro.core.extended import (
     NEQ,
     ExtendedAutomaton,
     GlobalConstraint,
-    _normalisation_projection,
     eliminate_equality_constraints,
-    lift_constraints_to_states,
+    normalize_control,
 )
 from repro.core.pruning import prune_extended, prune_infeasible
 from repro.core.register_automaton import RegisterAutomaton, State, Transition
-
-
-def _normalize(automaton: RegisterAutomaton) -> RegisterAutomaton:
-    """Complete and state-driven normal form (the Lemma 21 precondition)."""
-    result = automaton
-    if not result.is_complete():
-        result = result.completed()
-    if not result.is_state_driven():
-        result = result.state_driven()
-    return result
 
 
 # ---------------------------------------------------------------------- #
@@ -354,7 +343,8 @@ def project_register_automaton(
     if m > automaton.k:
         raise SpecificationError("cannot keep %d of %d registers" % (m, automaton.k))
     automaton = prune_infeasible(automaton)
-    normalised = _normalize(automaton)
+    # Complete and state-driven: the Lemma 21 precondition.
+    normalised = normalize_control(ExtendedAutomaton(automaton, [])).automaton
     k = normalised.k
     projected = RegisterAutomaton(
         m,
@@ -395,14 +385,10 @@ def project_extended(extended: ExtendedAutomaton, m: int) -> ExtendedAutomaton:
         raise SpecificationError("cannot keep %d of %d registers" % (m, extended.k))
     extended = prune_extended(extended)
     without_eq, _original_k = eliminate_equality_constraints(extended)
-    base = _normalize(without_eq.automaton)
-    # Re-target the inequality constraints at the normalised state space.
-    inequality = lift_constraints_to_states(
-        without_eq.inequality_constraints(),
-        without_eq.automaton.states,
-        base.states,
-        _normalisation_projection(without_eq.automaton, base),
-    )
+    # The inequality constraints come back lifted onto the normalised states.
+    normalised = normalize_control(without_eq)
+    base = normalised.automaton
+    inequality = normalised.inequality_constraints()
     k = base.k
     projected_automaton = RegisterAutomaton(
         m,

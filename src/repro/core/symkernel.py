@@ -17,9 +17,9 @@ This module builds the normalised symbolic control graph directly over
 those codes:
 
 * nodes are the control pairs of the normalised automaton, keyed by
-  ``(source state, completion literal set)`` and carried as dense integer
-  ranks with flat per-rank tuples (original state, partition code,
-  per-register class masks and successor-image masks);
+  ``(source state, partition code)`` and carried as dense integer ranks
+  with flat per-rank tuples (original state, partition code, per-register
+  class masks and successor-image masks);
 * the type-agreement edge test of ``scontrol_buchi`` becomes an integer
   comparison ``y_code(n) == x_code(n')`` (for complete constant-free
   equality types, agreement *is* equality of the boundary partitions);
@@ -33,21 +33,26 @@ those codes:
   exact configuration encoding of Chen, Wang and Yen (arXiv:1402.6783).
 
 **Byte-identity.**  The kernel result must be indistinguishable from the
-legacy path.  The anchors:
+literal path.  The anchors:
 
-* :func:`repro.logic.types.guard_completion_search` replays the legacy
-  completion DFS over pure masks, so codes come out in ``completions()``
-  order and :func:`repro.logic.types.decode_completion` rebuilds any
-  completion literal-for-literal (under interning: the same object).
+* A complete type has one literal set on both paths.
+  :meth:`~repro.logic.types.SigmaType.completions` yields each completion
+  in canonical form, which over this vocabulary is
+  :func:`repro.logic.types.decode_code` of its partition code, whichever
+  guard it completes; ``normalize_control`` completes complete guards
+  too, so no guard keeps a literal form of its own.  A node is therefore
+  one control pair, and :func:`repro.logic.types.guard_completion_search`
+  lists the codes in ``completions()`` order.
 * The Buchi lasso searches order states and symbols by ``repr``.  Kernel
   node ids are ``"n%08d" % rank`` with ranks assigned by sorting the
-  nodes on the *exact legacy pair repr* -- built from the same sorted
-  canonical literal strings ``SigmaType.__repr__`` uses -- so the id
-  order replays the pair order and the enumeration visits candidates in
-  the legacy sequence.  :class:`~repro.automata.words.Lasso`
-  canonicalisation is pure symbol-equality, hence commutes with the
-  id-to-pair bijection: deduplication, ``candidates_checked`` and the
-  winning trace all match, and only the winner is decoded.
+  nodes on the repr of the pair ``((state, C), C)`` of the canonical
+  completion ``C`` -- rendered once per ``(code, k)`` per process from
+  its literals, without building ``C`` -- so the id order replays the
+  pair order and the enumeration visits candidates in the literal
+  sequence.  :class:`~repro.automata.words.Lasso` canonicalisation is
+  pure symbol-equality, hence commutes with the id-to-pair bijection:
+  deduplication, ``candidates_checked`` and the winning trace all match,
+  and only the winner is decoded.
 * On the kernel the corridor walks read the *base* constraint DFAs with
   original states as letters (the literal path lifts them onto normalised
   states, which only renames the alphabet:
@@ -60,25 +65,24 @@ legacy path.  The anchors:
   fires identically.
 
 **Eligibility.**  :func:`build_kernel` returns ``None`` -- and the caller
-falls back to the legacy path -- when the signature has relations or
+takes the literal path -- when the signature has relations or
 constants, when ``k == 0``, when some guard is not an equality type, or
-when the automaton is already complete and state-driven (the legacy path
-then skips normalisation entirely and there is no wall to avoid).  Within
-the eligible domain an incomplete guard always yields at least two
-completions from one source state, so the completed automaton is never
-state-driven and the normalised control pairs are uniformly the nested
-``((state, completion), completion)`` shape.
+when the automaton is already complete and state-driven (the literal
+path then skips normalisation entirely and there is no wall to avoid).
+Every other input is completed and made state-driven by
+``normalize_control``, so the normalised control pairs are uniformly
+the nested ``((state, completion), completion)`` shape.
 
 ``verify`` additionally needs every proposition settled by the codes:
 a node's letter is read off its partition code
 (:func:`repro.ltl.ltlfo.code_assignment`, one bit test per atom), so a
 sentence with a relation, a constant or a register beyond ``k`` takes
-the legacy path too, which raises ``EvaluationError`` where no complete
+the literal path too, which raises ``EvaluationError`` where no complete
 type settles an atom.
 
 **Consumers.**  ``check_emptiness`` and ``verify`` ask for the kernel through
 the one selection :func:`repro.core.emptiness.normal_control`; its
-:class:`~repro.core.emptiness.LiteralControl` answer is the legacy path,
+:class:`~repro.core.emptiness.LiteralControl` answer is the literal path,
 kept for the inputs the kernel declines.  Forcing it on eligible inputs
 is the test helper ``tests.helpers.without_symkernel()``, the baseline of
 the byte-identity tests (``tests/test_symkernel.py``, which also checks
@@ -87,18 +91,19 @@ that the kernel materialises no completion) and of the E6 benchmark
 """
 
 from functools import partial
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.automata.buchi import BuchiAutomaton
 from repro.automata.words import Lasso
 from repro.core.caching import dead_states
 from repro.core.extended import ExtendedAutomaton, normalize_control
+from repro.foundations.memo import ValueCache
 from repro.foundations.resilience import current_deadline
-from repro.logic.literals import eq, neq
 from repro.logic.terms import x_vars, y_vars
 from repro.logic.types import (
+    _code_literals,
     advance_mask,
-    decode_completion,
+    decode_code,
     guard_completion_search,
     pair_bit,
     pair_bits,
@@ -192,20 +197,31 @@ def _code_masks(code: int, k: int) -> Tuple[int, int, Tuple[int, ...], Tuple[int
     return x_code, y_code, tuple(x_class), tuple(y_image)
 
 
+#: ``repr`` of the canonical completion of each ``(code, k)``.
+_COMPLETION_TEXT = ValueCache("symkernel.completion_text", maxsize=65536)
+
+
+def _completion_text(code: int, k: int) -> str:
+    """``repr(decode_code(code, x1..xk y1..yk))``, without building the type."""
+
+    def render() -> str:
+        literals = sorted(_code_literals(code, x_vars(k) + y_vars(k)))
+        return "SigmaType(%s)" % " and ".join(repr(literal) for literal in literals)
+
+    return _COMPLETION_TEXT.lookup((code, k), render)
+
+
 class _Node:
     """One control pair of the normalised automaton, in coded form."""
 
-    __slots__ = ("state", "guard", "code", "lits", "targets", "rank", "node_id", "text")
+    __slots__ = ("state", "code", "targets", "rank", "node_id")
 
-    def __init__(self, state, guard, code: int, lits: FrozenSet):
+    def __init__(self, state, code: int):
         self.state = state
-        self.guard = guard
         self.code = code
-        self.lits = lits
         self.targets: Set = set()
         self.rank = -1
         self.node_id = ""
-        self.text = ""
 
 
 # ---------------------------------------------------------------------- #
@@ -373,9 +389,9 @@ class SymbolicKernel:
     :func:`repro.core.emptiness.check_emptiness` and
     :func:`repro.core.verification.verify`.  ``buchi`` is the Buchi
     automaton for ``SControl`` of the normalised automaton over rank ids;
-    :meth:`decode_lasso` maps an id-lasso back to the legacy
-    ``((state, completion), completion)`` pair lasso, materialising only
-    the completions the winning witness touches.
+    :meth:`decode_lasso` maps an id-lasso back to the
+    ``((state, completion), completion)`` pair lasso of the literal path,
+    materialising only the completions the winning witness touches.
     """
 
     def __init__(self, without_eq, vocab, nodes, buchi, rows, stats):
@@ -386,7 +402,6 @@ class SymbolicKernel:
         #: node id -> ``(original state, x_class masks, y_image masks)``
         self._rows = rows
         self._tables: Optional[Tuple[Tuple, ...]] = None
-        self._pairs: Dict[int, Tuple] = {}
         self.stats = stats
         #: Builds the literal normal form on demand.  Only a witness asked
         #: for a concrete run needs it, so the searches hand the builder,
@@ -402,16 +417,13 @@ class SymbolicKernel:
         return self._nodes[int(symbol[1:])].code
 
     def decode_node(self, rank: int) -> Tuple:
-        """The legacy control pair of node *rank* (cached per rank)."""
-        found = self._pairs.get(rank)
-        if found is None:
-            node = self._nodes[rank]
-            completion = decode_completion(node.guard, node.code, self._vocab)
-            found = self._pairs[rank] = ((node.state, completion), completion)
-        return found
+        """The control pair ``((state, C), C)`` of node *rank*."""
+        node = self._nodes[rank]
+        completion = decode_code(node.code, self._vocab)
+        return ((node.state, completion), completion)
 
     def decode_lasso(self, lasso: Lasso) -> Lasso:
-        """The pair lasso of an id-lasso (byte-identical to the legacy one)."""
+        """The pair lasso of an id-lasso (byte-identical to the literal one)."""
         return lasso.map(lambda symbol: self.decode_node(int(symbol[1:])))
 
     # -- corridor trackers --------------------------------------------- #
@@ -438,7 +450,7 @@ def build_kernel(without_eq: ExtendedAutomaton) -> Optional[SymbolicKernel]:
 
     *without_eq* is the extended automaton **after** equality-constraint
     elimination (Proposition 6), pruning and trimming -- the exact input
-    the legacy ``completed()``/``state_driven()`` normalisation would see.
+    the literal ``completed()``/``state_driven()`` normalisation would see.
     """
     automaton = without_eq.automaton
     signature = automaton.signature
@@ -454,47 +466,28 @@ def build_kernel(without_eq: ExtendedAutomaton) -> Optional[SymbolicKernel]:
         if not guard.is_equality_type():
             return None
 
-    vocab = tuple(x_vars(k)) + tuple(y_vars(k))
-    searches = {}
-    complete = True
-    for guard in guards:
-        codes, choices = guard_completion_search(guard, vocab)
-        searches[guard] = (codes, choices)
-        if len(codes) != 1:
-            complete = False
-    if complete and automaton.is_state_driven():
-        return None  # legacy normalisation is the identity: nothing to win
+    vocab = x_vars(k) + y_vars(k)
+    codes_of = {guard: guard_completion_search(guard, vocab) for guard in guards}
+    if all(len(codes) == 1 for codes in codes_of.values()) and automaton.is_state_driven():
+        return None  # the literal normalisation is the identity: nothing to win
 
-    # Chosen-branch literals, one per (pair bit, polarity) at width 2k.
-    width_pairs = pair_bits(2 * k)
-    chosen_literal = {}
-    for bit, (i, j) in enumerate(width_pairs):
-        left, right = vocab[i - 1], vocab[j - 1]
-        chosen_literal[(bit, True)] = eq(left, right)
-        chosen_literal[(bit, False)] = neq(left, right)
-
-    # Nodes: one per (source state, completion literal set), first-occurrence
-    # order over (transition, completion) -- the order the legacy completed()
-    # loop materialises them in.  Identical literal sets are identical
-    # completions (SigmaType equality is literal-set equality), so the dedup
-    # matches the control_pairs() dedup of the normalised automaton.
+    # Nodes: one per (source state, partition code), first-occurrence order
+    # over (transition, completion).  A completion's canonical literal set
+    # is a function of its code, so this is the control_pairs() dedup of
+    # the normalised automaton.
     nodes: Dict[Tuple, _Node] = {}
     completed_transitions = 0
     for transition in transitions:
         active = current_deadline()
         if active is not None:
             active.check("symkernel.build")
-        codes, choices = searches[transition.guard]
+        codes = codes_of[transition.guard]
         completed_transitions += len(codes)
-        base_literals = transition.guard.literals
         for code in codes:
-            lits = base_literals.union(
-                chosen_literal[choice] for choice in choices[code]
-            )
-            key = (transition.source, lits)
+            key = (transition.source, code)
             node = nodes.get(key)
             if node is None:
-                node = nodes[key] = _Node(transition.source, transition.guard, code, lits)
+                node = nodes[key] = _Node(transition.source, code)
             node.targets.add(transition.target)
 
     # Control pairs: sources of normalised transitions, i.e. nodes with a
@@ -509,33 +502,18 @@ def build_kernel(without_eq: ExtendedAutomaton) -> Optional[SymbolicKernel]:
         if any(has_follow[target] for target in node.targets)
     ]
 
-    # Rank by the legacy pair repr.  The normalised pair is
-    # ((state, completion), completion); its repr is assembled from the
-    # state repr and the completion's canonical literal rendering -- the
-    # exact strings SigmaType.__repr__ would produce -- without building
-    # the SigmaType.
+    # Rank by the repr of the normalised pair ((state, C), C), C the
+    # canonical completion of the node's code.
     state_text: Dict[object, str] = {}
-    literal_text: Dict[object, str] = {}
-    guard_text: Dict[FrozenSet, str] = {}
-    for node in control:
-        text = guard_text.get(node.lits)
-        if text is None:
-            if node.lits:
-                rendered = []
-                for literal in sorted(node.lits):
-                    found = literal_text.get(literal)
-                    if found is None:
-                        found = literal_text[literal] = repr(literal)
-                    rendered.append(found)
-                text = "SigmaType(%s)" % " and ".join(rendered)
-            else:
-                text = "SigmaType(true)"
-            guard_text[node.lits] = text
+
+    def pair_text(node: _Node) -> str:
         state = state_text.get(node.state)
         if state is None:
             state = state_text[node.state] = repr(node.state)
-        node.text = "((%s, %s), %s)" % (state, text, text)
-    control.sort(key=lambda node: node.text)
+        text = _completion_text(node.code, k)
+        return "((%s, %s), %s)" % (state, text, text)
+
+    control.sort(key=pair_text)
     for rank, node in enumerate(control):
         node.rank = rank
         node.node_id = "n%08d" % rank

@@ -64,7 +64,6 @@ from repro.core.emptiness import (
     search_candidates,
 )
 from repro.core.extended import ExtendedAutomaton, eliminate_equality_constraints
-from repro.core.pruning import prune_extended
 from repro.core.register_automaton import RegisterAutomaton, Transition
 from repro.core.runs import LassoRun
 from repro.core.symkernel import SymbolicKernel
@@ -179,9 +178,6 @@ def verify(
     """
     augmented, mapping = add_global_registers(extended, sentence.global_vars)
     grounded = _rewrite_sentence(sentence, mapping)
-    # Sound: pruning preserves the valid-run set exactly, hence the set of
-    # genuine counterexamples.
-    augmented = prune_extended(augmented)
     without_eq, _k = eliminate_equality_constraints(augmented)
     letter_of_code = code_assignment(grounded, without_eq.automaton.k)
     # A sentence no partition code settles is evaluated on literal types.

@@ -34,7 +34,7 @@ from repro.foundations.resilience import current_deadline
 from repro.foundations.stats import cache_stats
 from repro.logic.closure import EqualityClosure
 from repro.logic.literals import Atom, EqAtom, Literal, RelAtom
-from repro.logic.terms import Const, Term, Var, X, Y, register_index
+from repro.logic.terms import Const, Term, Var, X, Y, register_index, x_vars
 
 
 def _substitute_term(term: Term, mapping: Dict[Term, Term]) -> Term:
@@ -280,12 +280,20 @@ class SigmaType:
         variables: Sequence[Var],
         constants: Sequence[Const] = (),
     ) -> Iterator["SigmaType"]:
-        """Enumerate the complete types extending this one.
+        """Enumerate the complete types extending this one, in canonical form.
 
         This is the exponential blow-up the paper mentions; the enumeration
         is a backtracking search that settles one undecided atom at a time
-        and prunes inconsistent branches via the equality closure.  The
-        result is memoised per value and vocabulary: under interning, two
+        and prunes inconsistent branches via the equality closure.  Each
+        complete type comes out with one literal set, whichever guard it
+        completes: the literals no obligation covers (the relational
+        literals of an :meth:`equality_completed` guard), then, walking
+        the obligations in order, the literal the type entails for each
+        obligation those so far leave open.  That is the literal set the
+        completion search of ``true`` reaches for the type; over a
+        relation-free, constant-free vocabulary it is
+        :func:`decode_code` of the type's partition code.  The result is
+        memoised per value and vocabulary: under interning, two
         structurally equal guards share one completion computation.
         """
         key = (
@@ -308,9 +316,16 @@ class SigmaType:
         variables: Sequence[Var],
         constants: Sequence[Const],
     ) -> Iterator["SigmaType"]:
-        obligations = self._completion_obligations(relations, variables, constants)
+        """The backtracking search behind :meth:`completions`.
 
-        def extend(current: SigmaType, index: int) -> Iterator[SigmaType]:
+        ``current`` is the guard plus the branch choices so far, and
+        ``canonical`` the canonical literals of the same branch: it gains
+        each obligation in turn that ``current`` settles and it does not.
+        """
+        obligations = self._completion_obligations(relations, variables, constants)
+        covered = frozenset(obligations)
+
+        def extend(current: SigmaType, canonical: SigmaType, index: int) -> Iterator[SigmaType]:
             # One ambient-deadline poll per search node: this enumeration is
             # the exponential blow-up the paper warns about, and the poll is
             # a thread-local read (plus one clock read under a deadline), so
@@ -322,19 +337,26 @@ class SigmaType:
                 active.check("types.completions")
             while index < len(obligations):
                 positive = Literal(obligations[index], True)
-                if current.entails(positive) or current.entails(positive.negate()):
-                    index += 1
+                negative = positive.negate()
+                index += 1
+                if current.entails(positive) or current.entails(negative):
+                    if not (canonical.entails(positive) or canonical.entails(negative)):
+                        settled = positive if current.entails(positive) else negative
+                        canonical = SigmaType(canonical.literals | {settled}, check=False)
                     continue
-                for choice in (positive, positive.negate()):
+                for choice in (positive, negative):
                     try:
                         candidate = current.with_literals([choice])
                     except InconsistentTypeError:
                         continue
-                    yield from extend(candidate, index + 1)
+                    yield from extend(
+                        candidate, SigmaType(canonical.literals | {choice}, check=False), index
+                    )
                 return
-            yield current
+            yield canonical
 
-        yield from extend(self, 0)
+        kept = [literal for literal in self._literals if literal.atom not in covered]
+        yield from extend(self, SigmaType(kept, check=False), 0)
 
     # ------------------------------------------------------------------ #
     # canonical form, equality, display
@@ -541,8 +563,10 @@ def advance_mask(table: Tuple[int, ...], members: int) -> int:
 # encode each partition as a *pair bitmask*: one bit per register pair
 # (i, j), i < j, set exactly when the partition puts i and j in one block.
 # Pairs are numbered in the completion-obligation order -- (1,2), (1,3),
-# ..., (1,k), (2,3), ... -- so the code-driven enumerations below replay
-# :meth:`SigmaType.completions` bit for bit.
+# ..., (1,k), (2,3), ... -- so the code-driven enumerations below list
+# partitions in the order :meth:`SigmaType.completions` yields them, and
+# :func:`decode_code` builds the one (canonical) literal set it yields for
+# each.
 #
 # On top of single codes sits the *interval* (atom) representation the
 # antichain dataflow domain works with: a pair ``(e, d)`` of masks denotes
@@ -628,21 +652,33 @@ def interval_contains(outer: Tuple[int, int], inner: Tuple[int, int]) -> bool:
 
 
 def decode_partition_code(code: int, k: int) -> "SigmaType":
-    """The canonical :class:`SigmaType` for partition code *code*.
+    """The canonical complete x-type of partition code *code* (over ``x1..xk``)."""
+    return decode_code(code, x_vars(k))
 
-    Replays the completion search deterministically: walk the pairs in
-    obligation order, skip pairs already settled by the literals chosen so
-    far (same block, or an asserted disequality between the two blocks),
-    and otherwise assert the (dis)equality the code dictates.  The literal
-    set is therefore exactly what ``SigmaType().completions`` would have
-    accumulated on the branch leading to this partition -- the canonical
-    minimal form.
+
+def decode_code(code: int, terms: Tuple[Term, ...]) -> "SigmaType":
+    """The canonical complete equality type of partition code *code*.
+
+    *code* is a pair bitmask over ``pair_bits(len(terms))``.  The literal
+    set is the canonical one of :meth:`SigmaType.completions`: walk the
+    pairs in obligation order, skip pairs the literals so far settle (same
+    block, or an asserted disequality between the two blocks), and assert
+    the (dis)equality the code dictates for the others -- exactly what the
+    completion search of ``true`` accumulates on the branch leading to
+    this partition.  Cached per ``(code, terms)``.
     """
-    return _DECODE_CACHE.lookup((code, k), lambda: _decode(code, k))
+    return _DECODE_CACHE.lookup(
+        (code, terms), lambda: SigmaType(_code_literals(code, terms), check=False)
+    )
 
 
-def _decode(code: int, k: int) -> "SigmaType":
-    labels = list(range(k + 1))
+def _code_literals(code: int, terms: Tuple[Term, ...]) -> List[Literal]:
+    """The literals of ``decode_code(code, terms)``, without the type.
+
+    The coded kernel renders a node's text from them, so deciding an
+    automaton builds no :class:`SigmaType` per node.
+    """
+    labels = list(range(len(terms) + 1))
 
     def find(register: int) -> int:
         while labels[register] != register:
@@ -652,13 +688,13 @@ def _decode(code: int, k: int) -> "SigmaType":
 
     neq_edges: Set[Tuple[int, int]] = set()
     literals: List[Literal] = []
-    for bit, (i, j) in enumerate(pair_bits(k)):
+    for bit, (i, j) in enumerate(pair_bits(len(terms))):
         ri, rj = find(i), find(j)
         if ri == rj:
             continue
         edge = (min(ri, rj), max(ri, rj))
         if code >> bit & 1:
-            literals.append(Literal(EqAtom(X(i), X(j)), True))
+            literals.append(Literal(EqAtom(terms[i - 1], terms[j - 1]), True))
             root = min(ri, rj)
             other = max(ri, rj)
             labels[other] = root
@@ -669,9 +705,9 @@ def _decode(code: int, k: int) -> "SigmaType":
                     for a, b in neq_edges
                 }
         elif edge not in neq_edges:
-            literals.append(Literal(EqAtom(X(i), X(j)), False))
+            literals.append(Literal(EqAtom(terms[i - 1], terms[j - 1]), False))
             neq_edges.add(edge)
-    return SigmaType(literals, check=False)
+    return literals
 
 
 def enumerate_interval_codes(e_mask: int, d_mask: int, k: int) -> Tuple[int, ...]:
@@ -685,8 +721,7 @@ def enumerate_interval_codes(e_mask: int, d_mask: int, k: int) -> Tuple[int, ...
     registers, with the interval's pairs as the entailed ones.
     """
     return _INTERVAL_CACHE.lookup(
-        (e_mask, d_mask, k),
-        lambda: tuple(code for code, _ in _completion_code_search(e_mask, d_mask, k)),
+        (e_mask, d_mask, k), lambda: tuple(_completion_code_search(e_mask, d_mask, k))
     )
 
 
@@ -702,12 +737,11 @@ def interval_size(e_mask: int, d_mask: int, k: int) -> int:
 # The emptiness pipeline completes guards over the 2k-variable vocabulary
 # x1..xk, y1..yk; each completion settles every variable pair and is hence
 # a set partition of the vocabulary -- exactly what a pair-bitmask code over
-# ``pair_bits(len(vocab))`` describes.  :func:`enumerate_completion_codes`
+# ``pair_bits(len(vocab))`` describes.  :func:`guard_completion_search`
 # lists those codes in the order :meth:`SigmaType.completions` yields the
 # corresponding complete types, without constructing a single literal, and
-# :func:`decode_completion` rebuilds any one completion literal-for-literal
-# (the byte-identity anchor of ``repro.core.symkernel``, the same replay
-# trick as :func:`decode_partition_code`).
+# :func:`decode_code` rebuilds any one of them: a completion's canonical
+# literal set depends on its partition alone, not on the guard.
 #
 # Validity domain: the guard must settle vocabulary pairs through its
 # *equality closure* alone.  Relational literals can prune completion
@@ -739,16 +773,13 @@ def completion_masks(delta: "SigmaType", terms: Tuple[Term, ...]) -> Tuple[int, 
     return e_mask, d_mask
 
 
-def guard_completion_search(
-    delta: "SigmaType", terms: Tuple[Term, ...]
-) -> Tuple[Tuple[int, ...], Dict[int, Tuple[Tuple[int, bool], ...]]]:
-    """Codes and branch choices of the guard's completions over *terms*.
+def guard_completion_search(delta: "SigmaType", terms: Tuple[Term, ...]) -> Tuple[int, ...]:
+    """The partition codes of the guard's completions over *terms*.
 
-    Returns ``(codes, choices)``: the partition codes in legacy
-    ``completions()`` order, and for each code the ``(pair_bit, positive)``
-    decisions the backtracking search made to reach it -- exactly the
-    literals the legacy enumeration would have accumulated.  Memoised on
-    the type instance per vocabulary (pure integers: safe across table clears).
+    ``guard_completion_search(g, vocab)[n]`` is the partition code of
+    ``list(g.completions({}, vocab))[n]``: same completions, same order,
+    no :class:`SigmaType` construction.  Memoised on the type instance per
+    vocabulary (pure integers: safe across table clears).
     """
     if not delta.is_equality_type():
         raise SpecificationError(
@@ -759,58 +790,20 @@ def guard_completion_search(
     found = memo.get(terms)
     if found is None:
         e_mask, d_mask = completion_masks(delta, terms)
-        leaves = tuple(_completion_code_search(e_mask, d_mask, len(terms)))
-        codes = tuple(code for code, _ in leaves)
-        choices = {code: chosen for code, chosen in leaves}
         # Assigned only after the full (deadline-interruptible) search, so
         # an expiry never poisons the memo with a partial enumeration.
-        memo[terms] = found = (codes, choices)
+        memo[terms] = found = tuple(_completion_code_search(e_mask, d_mask, len(terms)))
     return found
 
 
-def enumerate_completion_codes(
-    delta: "SigmaType", terms: Tuple[Term, ...]
-) -> Tuple[int, ...]:
-    """The guard's completion partitions over *terms*, as codes.
-
-    ``enumerate_completion_codes(g, vocab)[n]`` is the partition code of
-    ``list(g.completions({}, vocab))[n]``: same completions, same order,
-    no :class:`SigmaType` construction.
-    """
-    return guard_completion_search(delta, terms)[0]
-
-
-def decode_completion(delta: "SigmaType", code: int, terms: Tuple[Term, ...]) -> "SigmaType":
-    """The completion of *delta* whose partition code is *code*.
-
-    Replays the recorded branch choices as literals, so the result carries
-    exactly the literal set the legacy enumeration built -- under interning
-    it *is* the same object ``completions()`` yields.
-    """
-    codes, choices = guard_completion_search(delta, tuple(terms))
-    chosen = choices.get(code)
-    if chosen is None:
-        raise SpecificationError(
-            "code %d is not a completion of %r over this vocabulary" % (code, delta)
-        )
-    pairs = pair_bits(len(terms))
-    literals = [
-        Literal(EqAtom(terms[pairs[bit][0] - 1], terms[pairs[bit][1] - 1]), positive)
-        for bit, positive in chosen
-    ]
-    return delta.with_literals(literals)
-
-
-def _completion_code_search(
-    e_mask: int, d_mask: int, n: int
-) -> Iterator[Tuple[int, Tuple[Tuple[int, bool], ...]]]:
+def _completion_code_search(e_mask: int, d_mask: int, n: int) -> Iterator[int]:
     """The completion DFS of ``_enumerate_completions`` over pure masks.
 
     Seeds a union-find from the entailed equalities and a disequality edge
     set from the entailed disequalities, then branches eq-first on every
-    unsettled pair -- the same skip and branch schedule as the legacy
-    literal-level search (both branches of an unsettled pair are always
-    consistent on an equality type).  Yields ``(code, choices)`` leaves.
+    unsettled pair -- the same skip and branch schedule as the literal
+    search (both branches of an unsettled pair are always consistent on an
+    equality type).  Yields the codes of the leaves.
     """
     pairs = pair_bits(n)
 
@@ -821,8 +814,8 @@ def _completion_code_search(
                 return True
         return False
 
-    def extend(bit: int, labels, neq_edges, chosen):
-        # One ambient-deadline poll per search node, mirroring the legacy
+    def extend(bit: int, labels, neq_edges):
+        # One ambient-deadline poll per search node, mirroring the literal
         # completion enumeration (see ``SigmaType._enumerate_completions``).
         active = current_deadline()
         if active is not None:
@@ -835,14 +828,14 @@ def _completion_code_search(
                 continue
             root, other = min(ri, rj), max(ri, rj)
             merged = tuple(root if label == other else label for label in labels)
-            yield from extend(bit + 1, merged, neq_edges, chosen + ((bit, True),))
-            yield from extend(bit + 1, labels, neq_edges + ((i, j),), chosen + ((bit, False),))
+            yield from extend(bit + 1, merged, neq_edges)
+            yield from extend(bit + 1, labels, neq_edges + ((i, j),))
             return
         code = 0
         for index, (i, j) in enumerate(pairs):
             if labels[i] == labels[j]:
                 code |= 1 << index
-        yield code, chosen
+        yield code
 
     labels = list(range(n + 1))
 
@@ -864,7 +857,7 @@ def _completion_code_search(
             if seeded[i] == seeded[j]:
                 return  # the guard itself is inconsistent: nothing to list
             neq_edges += ((i, j),)
-    yield from extend(0, seeded, neq_edges, ())
+    yield from extend(0, seeded, neq_edges)
 
 
 #: Complete equality x-types per register count (the Bell(k) partitions of

@@ -727,3 +727,40 @@ def per_cut_profile(extended, trace, loops):
         bipartite_vertex_cover(*cut_graph(window, h, right_margin=margin))
         for h in range(max(horizon - 1, 0))
     ]
+
+
+def present(automaton, rng):
+    """A random isomorphic copy of *automaton*, as the pipeline's presentations.
+
+    States are renamed, registers permuted and transitions shuffled.
+    Returns ``(copy, registers, states)``: ``registers[i]`` is the copy's
+    register for original register ``i``, and ``states`` lists the copy's
+    states in the order of the original names, so constraints drawn over
+    it match across copies up to renaming.
+    """
+    from repro.core.register_automaton import RegisterAutomaton
+    from repro.logic.terms import X, Y
+
+    k = automaton.k
+    order = list(range(1, k + 1))
+    rng.shuffle(order)
+    registers = dict(zip(range(1, k + 1), order))
+    terms = {X(i): X(j) for i, j in registers.items()}
+    terms.update({Y(i): Y(j) for i, j in registers.items()})
+    originals = sorted(automaton.states, key=repr)
+    names = rng.sample(range(10 * len(originals) + 10), len(originals))
+    renamed = {state: "q%d" % name for state, name in zip(originals, names)}
+    transitions = [
+        (renamed[t.source], t.guard.rename(terms), renamed[t.target])
+        for t in automaton.transitions
+    ]
+    rng.shuffle(transitions)
+    copy = RegisterAutomaton(
+        k,
+        automaton.signature,
+        [renamed[state] for state in originals],
+        {renamed[state] for state in automaton.initial},
+        {renamed[state] for state in automaton.accepting},
+        transitions,
+    )
+    return copy, registers, [renamed[state] for state in originals]

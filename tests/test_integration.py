@@ -55,12 +55,14 @@ class TestEmptinessAgainstSearch:
 
     @pytest.mark.parametrize("seed", list(range(8)))
     def test_plain_automata(self, seed, empty_database):
-        automaton = random_register_automaton(
-            random.Random(seed), k=1, n_states=3, n_transitions=4, ensure_live=False
-        )
-        symbolic = not check_emptiness(ExtendedAutomaton(automaton, [])).empty
-        concrete = find_lasso_run(automaton, empty_database, pool=("a", "b", "c")) is not None
-        assert symbolic == concrete
+        # k = 2 searches find_lasso_run's default pool of 2k + 1 values.
+        for k, pool in ((1, ("a", "b", "c")), (2, None)):
+            automaton = random_register_automaton(
+                random.Random(seed), k=k, n_states=3, n_transitions=4, ensure_live=False
+            )
+            symbolic = not check_emptiness(ExtendedAutomaton(automaton, [])).empty
+            concrete = find_lasso_run(automaton, empty_database, pool=pool) is not None
+            assert symbolic == concrete
 
 
 class TestWorkflowVerification:

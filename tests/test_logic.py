@@ -201,6 +201,15 @@ class TestCompletion:
         for completion in completions:
             assert completion.is_complete({"P": 1}, variables)
 
+    def test_one_literal_form_per_complete_type(self):
+        """A completion of ``x2 = y1`` *is* the completion of ``true`` it equals."""
+        variables = [X(1), X(2), Y(1), Y(2)]
+        of_true = list(SigmaType().completions({}, variables))
+        of_guard = list(SigmaType([eq(X(2), Y(1))]).completions({}, variables))
+        assert (len(of_true), len(of_guard)) == (15, 5)
+        for completion in of_guard:
+            assert any(completion is other for other in of_true)
+
     def test_empty_type_completion_count(self):
         # 1 register: settle x1 ? y1 -> 2 completions
         completions = list(SigmaType().completions({}, [X(1), Y(1)]))

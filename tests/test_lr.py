@@ -90,8 +90,16 @@ class TestExamples16And17:
         hence (Theorem 19) not a projection of any register automaton."""
         assert not is_lr_bounded(example7_extended)
 
-    def test_bound_estimate_small_for_local(self, example16_bounded):
-        assert lr_bound_estimate(example16_bounded) <= 1
+    def test_bound_estimate_small_for_local(
+        self, example16_bounded, example16_unbounded, example7_extended
+    ):
+        """At 16 loops the estimate separates bounded from unbounded: the
+        local disequality keeps a cover of 1, while Example 16's A' and
+        Example 7 grow with the window (a 5-loop window reads 1 for all
+        three)."""
+        assert lr_bound_estimate(example16_bounded, loops=16) == 1
+        assert lr_bound_estimate(example16_unbounded, loops=16) > 1
+        assert lr_bound_estimate(example7_extended, loops=16) > 1
 
 
 class TestProposition20:

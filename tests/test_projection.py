@@ -27,12 +27,8 @@ from repro import (
     rel,
 )
 from repro.automata.regex import literal
-from repro.core.extended import (
-    _normalisation_projection,
-    eliminate_equality_constraints,
-    lift_constraints_to_states,
-)
-from repro.core.projection import _bridge_dfa, _normalize, _symbol_masks, corridor_dfa
+from repro.core.extended import eliminate_equality_constraints, normalize_control
+from repro.core.projection import _bridge_dfa, _symbol_masks, corridor_dfa
 from repro.core.pruning import prune_extended, prune_infeasible
 from repro.core.theorem24 import _normalize_db
 from repro.foundations.errors import SpecificationError
@@ -158,8 +154,9 @@ class TestCodedTrackersMatchLiteral:
     def test_manuscript_views(self, role, hidden):
         spec = manuscript_review_workflow(with_database=False)
         _visible, order = _split_attributes(spec, hidden)
-        automaton = _normalize(prune_infeasible(spec.reordered(order).compile()))
-        _assert_trackers_match_literal(automaton)
+        automaton = prune_infeasible(spec.reordered(order).compile())
+        normalised = normalize_control(ExtendedAutomaton(automaton, []))
+        _assert_trackers_match_literal(normalised.automaton)
 
     def test_example23_binary(self, example23_automaton):
         _assert_trackers_match_literal(_normalize_db(example23_automaton), corridors=True)
@@ -196,7 +193,8 @@ class TestCodedTrackersMatchLiteral:
             n_transitions=rng.randint(1, 3),
             ensure_live=live,
         )
-        _assert_trackers_match_literal(_normalize(automaton))
+        normalised = normalize_control(ExtendedAutomaton(automaton, []))
+        _assert_trackers_match_literal(normalised.automaton)
 
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=2))
@@ -210,13 +208,9 @@ class TestCodedTrackersMatchLiteral:
             )
         )
         without_eq, _k = eliminate_equality_constraints(extended)
-        base = _normalize(without_eq.automaton)
-        (constraint,) = lift_constraints_to_states(
-            without_eq.inequality_constraints(),
-            without_eq.automaton.states,
-            base.states,
-            _normalisation_projection(without_eq.automaton, base),
-        )
+        normalised = normalize_control(without_eq)
+        base = normalised.automaton
+        (constraint,) = normalised.inequality_constraints()
         dfa = constraint.compiled(base.states)
         symbols, masks = _symbol_masks(base)
         for i in range(1, k + 1):

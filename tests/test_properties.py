@@ -212,22 +212,106 @@ def test_scontrol_lassos_realizable(seed, k):
 @given(st.integers(min_value=0, max_value=1000))
 def test_completion_preserves_runs(seed):
     """Runs of the original automaton are runs of the completed one (as sets
-    of register traces, prefix-level check)."""
+    of register traces, prefix-level check), at k = 1 and k = 2."""
     from repro import Database, generate_finite_runs
     from tests.helpers import canonical_trace
 
-    automaton = random_register_automaton(
-        random.Random(seed), k=1, n_states=2, n_transitions=3
-    )
-    completed = automaton.completed()
     database = Database(Signature.empty())
-    pool = ("a", "b")
-    original = {
-        canonical_trace(run.data)
-        for run in generate_finite_runs(automaton, database, 3, pool=pool)
+    for k, pool in ((1, ("a", "b")), (2, ("a", "b", "c"))):
+        automaton = random_register_automaton(
+            random.Random(seed), k=k, n_states=2, n_transitions=3
+        )
+        completed = automaton.completed()
+        original = {
+            canonical_trace(run.data)
+            for run in generate_finite_runs(automaton, database, 3, pool=pool)
+        }
+        completed_traces = {
+            canonical_trace(run.data)
+            for run in generate_finite_runs(completed, database, 3, pool=pool)
+        }
+        assert original == completed_traces
+
+
+# --------------------------------------------------------------------- #
+# presentation invariance of the normal forms
+# --------------------------------------------------------------------- #
+
+#: The pipeline's ``ltl-verify`` templates over propositions p and q.
+LTL_TEMPLATES = (
+    lambda p, q: Eventually(p),
+    lambda p, q: Globally(p),
+    lambda p, q: Globally(Or_(Not_(p), Eventually(q))),
+    lambda p, q: Globally(Eventually(p)),
+    lambda p, q: Eventually(Globally(p)),
+    lambda p, q: Globally(Or_(Not_(p), Eventually(Globally(q)))),
+)
+
+
+def _presentation_fingerprint(shown, registers, states, seed):
+    """What must not depend on the presentation, read off copy *shown*."""
+    from repro import ExtendedAutomaton, GlobalConstraint, check_emptiness
+    from repro.core.extended import normalize_control
+    from repro.core.symkernel import build_kernel
+    from repro.core.verification import verify
+    from repro.generators.automata import random_constraint_regex
+    from repro.logic.formulas import atom_eq
+    from repro.ltl.ltlfo import LtlFoSentence
+
+    # Constraints and atoms are drawn from one stream per base instance,
+    # over the presented states in original-name order, as the pipeline's
+    # corpora draw them.
+    draw = random.Random(seed)
+    k = shown.k
+    constraints = [
+        GlobalConstraint(
+            "neq",
+            registers[draw.randrange(1, k + 1)],
+            registers[draw.randrange(1, k + 1)],
+            random_constraint_regex(draw, states),
+        )
+        for _ in range(draw.randint(0, 2))
+    ]
+    extended = ExtendedAutomaton(shown, constraints)
+    kernel = build_kernel(extended)
+    normalised = normalize_control(extended).automaton
+
+    def atom():
+        a, b = draw.randint(1, k), draw.randint(1, k)
+        right = Y if draw.random() < 0.5 else X
+        formula = atom_eq(X(registers[a]), right(registers[b]))
+        return ~formula if draw.random() < 0.3 else formula
+
+    template = draw.choice(LTL_TEMPLATES)
+    sentence = LtlFoSentence(
+        skeleton=template(Prop("p"), Prop("q")), propositions={"p": atom(), "q": atom()}
+    )
+    verified = verify(ExtendedAutomaton(shown, []), sentence)
+    return (
+        None if kernel is None else (kernel.stats["control_nodes"], kernel.stats["control_edges"]),
+        (len(normalised.states), len(normalised.transitions)),
+        check_emptiness(extended).verdict,
+        verified.holds,
+        verified.product_size if verified.holds else None,
+    )
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(min_value=0, max_value=10_000))
+def test_normal_forms_independent_of_presentation(seed):
+    """Renamed states, permuted registers and shuffled transitions change
+    no kernel or normal-form size, no verdict and no holding product size:
+    a complete type has one literal form, whichever guard it completes."""
+    from tests.helpers import present
+
+    rng = random.Random(seed)
+    k = rng.choice((1, 2))
+    n_states = rng.randint(2, 3)
+    base = random_register_automaton(
+        rng, k=k, n_states=n_states, n_transitions=n_states + rng.randint(0, 3)
+    )
+    fingerprints = {
+        _presentation_fingerprint(*present(base, random.Random("%d:%d" % (seed, copy))), seed)
+        for copy in range(3)
     }
-    completed_traces = {
-        canonical_trace(run.data)
-        for run in generate_finite_runs(completed, database, 3, pool=pool)
-    }
-    assert original == completed_traces
+    assert len(fingerprints) == 1

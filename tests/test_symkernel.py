@@ -2,9 +2,10 @@
 
 Three layers:
 
-* completion codes (``repro.logic.types``): the code enumeration replays
-  the legacy ``completions()`` sequence byte for byte at k=3..6, and
-  decode-on-demand rebuilds each completion literal-for-literal;
+* completion codes (``repro.logic.types``): the code enumeration lists
+  the partitions of the literal backtracking search in its order at
+  k=3..6, and ``decode_code`` yields the canonical completion
+  ``completions()`` yields -- the same object;
 * the kernel graph (``repro.core.symkernel``): eligibility gates, and the
   id Buchi automaton is isomorphic -- via ``decode_node`` -- to the legacy
   ``scontrol_buchi`` of the normalised automaton;
@@ -41,7 +42,7 @@ from repro.foundations.memo import clear_value_caches
 from repro.foundations.stats import cache_stats
 from repro.generators import random_extended_automaton, random_register_automaton
 from repro.logic.terms import x_vars, y_vars
-from repro.logic.types import decode_completion, enumerate_completion_codes
+from repro.logic.types import decode_code, guard_completion_search, pair_bits
 from tests.helpers import without_symkernel
 
 EMPTY = SigmaType()
@@ -69,30 +70,43 @@ def _sample_guards(terms):
     return guards
 
 
+def _partition_code(completion, vocab):
+    """The partition code of complete type *completion*, read off its closure."""
+    return sum(
+        1 << bit
+        for bit, (i, j) in enumerate(pair_bits(len(vocab)))
+        if completion.entails(eq(vocab[i - 1], vocab[j - 1]))
+    )
+
+
+def _assert_codes_match_literal_search(guard, vocab):
+    # The literal backtracking search is the independent reference: the
+    # codes list its leaves in order, and decoding a code rebuilds its
+    # leaf's canonical literal set.
+    reference = list(guard._enumerate_completions({}, vocab, ()))
+    codes = guard_completion_search(guard, vocab)
+    assert list(codes) == [_partition_code(leaf, vocab) for leaf in reference]
+    assert len(set(codes)) == len(codes)
+    for code, leaf in zip(codes, reference):
+        decoded = decode_code(code, vocab)
+        assert decoded.literals == leaf.literals
+        assert repr(decoded) == repr(leaf)
+
+
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_completion_codes_match_legacy_sequence(k):
-    """Satellite: codes-vs-legacy completion-sequence identity at k=3..6."""
+    """Satellite: codes-vs-literal completion-sequence identity at k=3..6."""
     vocab = tuple(x_vars(k))
     for guard in _sample_guards(vocab):
-        legacy = list(guard.completions({}, vocab, ()))
-        codes = enumerate_completion_codes(guard, vocab)
-        assert len(codes) == len(legacy)
-        assert len(set(codes)) == len(codes)
-        for code, expected in zip(codes, legacy):
-            decoded = decode_completion(guard, code, vocab)
-            assert decoded == expected
-            assert decoded.literals == expected.literals
-            assert repr(decoded) == repr(expected)
+        _assert_codes_match_literal_search(guard, vocab)
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_completion_codes_match_legacy_xy_vocabulary(k):
-    """The emptiness vocabulary x1..xk, y1..yk replays identically too."""
+    """The emptiness vocabulary x1..xk, y1..yk decodes identically too."""
     vocab = tuple(x_vars(k)) + tuple(y_vars(k))
     for guard in _sample_guards(vocab):
-        legacy = list(guard.completions({}, vocab, ()))
-        codes = enumerate_completion_codes(guard, vocab)
-        assert [decode_completion(guard, code, vocab) for code in codes] == legacy
+        _assert_codes_match_literal_search(guard, vocab)
 
 
 def test_completion_codes_reject_relational_guards():
@@ -101,7 +115,7 @@ def test_completion_codes_reject_relational_guards():
 
     guard = SigmaType([rel("R", X(1))])
     with pytest.raises(SpecificationError):
-        enumerate_completion_codes(guard, tuple(x_vars(2)))
+        guard_completion_search(guard, tuple(x_vars(2)))
 
 
 # --------------------------------------------------------------------- #
@@ -311,6 +325,35 @@ def test_ab_k3_workload():
     _assert_identical(on, off)
 
 
+def test_ab_complete_non_canonical_guards():
+    """Complete guards written in a non-canonical form are canonicalised.
+
+    Every guard settles all of ``x1, x2, y1, y2`` but not in the literal
+    form the completion search reaches, and state ``a`` fires two of them,
+    so the automaton is complete but not state-driven and the kernel takes
+    it.  The kernel decodes each node canonically; the literal path must
+    complete the complete guards too, or its witness keeps them as written.
+    """
+    all_equal = SigmaType([eq(X(1), X(2)), eq(X(2), Y(1)), eq(Y(1), Y(2))])
+    renewed = SigmaType([eq(X(1), X(2)), eq(Y(1), Y(2)), neq(X(2), Y(2))])
+    automaton = RegisterAutomaton(
+        2,
+        Signature.empty(),
+        {"a", "b"},
+        {"a"},
+        {"a"},
+        [("a", all_equal, "b"), ("a", renewed, "a"), ("b", all_equal, "a")],
+    )
+    assert automaton.is_complete() and not automaton.is_state_driven()
+    extended = ExtendedAutomaton(
+        automaton, [GlobalConstraint("neq", 1, 1, concat(literal("a"), literal("a")))]
+    )
+    assert build_kernel(_without_eq(extended)) is not None
+    on, off = _run_both(extended)
+    _assert_identical(on, off)
+    assert not on.empty
+
+
 # --------------------------------------------------------------------- #
 # what the kernel materialises
 # --------------------------------------------------------------------- #
@@ -330,7 +373,7 @@ def _sigma_types_built(literal):
         3, Signature.empty(), {"a"}, {"a"}, {"a"}, [("a", guard, "a")]
     )
     vocabulary = tuple(x_vars(3)) + tuple(y_vars(3))
-    assert len(enumerate_completion_codes(guard, vocabulary)) == 52
+    assert len(guard_completion_search(guard, vocabulary)) == 52
     stats = cache_stats("intern.SigmaType")
     before = stats.misses
     with without_symkernel() if literal else nullcontext():
