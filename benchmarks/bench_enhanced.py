@@ -4,10 +4,11 @@ Builds the database-hidden view of Example 23 (binary and ternary E) and
 measures construction time and the resulting constraint inventory, plus the
 throughput of enhanced-constraint checking on lasso runs.
 
-Expected shape: binary variant yields monadic inequality constraints
-enforcing even/odd value disjointness; the ternary variant yields arity-2
-tuple constraints; finiteness constraints appear for the register forced
-into the active domain.
+Expected shape, asserted before the rows are recorded: the binary variant
+yields one equality constraint and only monadic tuple inequality
+constraints (enforcing even/odd value disjointness); the ternary variant
+yields arity-2 tuple constraints; both get one finiteness constraint, for
+the register forced into the active domain.
 """
 
 import pytest
@@ -56,6 +57,13 @@ def _example23(binary: bool) -> RegisterAutomaton:
 def test_theorem24_construction(benchmark, variant):
     automaton = _example23(variant == "binary")
     view = benchmark(project_with_database, automaton, 1)
+    arities = [c.arity for c in view.tuple_constraints]
+    if variant == "binary":
+        assert len(view.equality_constraints) == 1
+        assert arities and set(arities) == {1}
+    else:
+        assert 2 in arities
+    assert len(view.finiteness_constraints) == 1
     ROWS.append(
         (
             "Example 23 %s" % variant,

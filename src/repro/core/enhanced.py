@@ -155,20 +155,17 @@ class EnhancedAutomaton:
 
     @staticmethod
     def from_extended(extended: ExtendedAutomaton) -> "EnhancedAutomaton":
-        """Embed an extended automaton (inequalities become tuple constraints)."""
-        from repro.automata.regex import star, any_of
-
-        states = extended.automaton.states
-        tuples = []
-        for constraint in extended.inequality_constraints():
-            selector = PairSelector(
-                prefix=star(any_of(states)), factor=constraint.expression
+        """Embed an extended automaton: its inequality constraints become
+        arity-1 tuple constraints (Theorem 24 embeds Theorem 13's view so)."""
+        prefix = Dfa.universal(extended.automaton.states)
+        tuples = [
+            TupleInequalityConstraint(
+                left=((0, constraint.i),),
+                right=((0, constraint.j),),
+                selector=PairSelector(prefix=prefix, factor=constraint.expression),
             )
-            tuples.append(
-                TupleInequalityConstraint(
-                    left=((0, constraint.i),), right=((0, constraint.j),), selector=selector
-                )
-            )
+            for constraint in extended.inequality_constraints()
+        ]
         return EnhancedAutomaton(
             extended.automaton,
             equality_constraints=extended.equality_constraints(),

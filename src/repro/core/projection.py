@@ -31,7 +31,9 @@ needs no subset construction, because corridor steps distribute over union
 :func:`project_register_automaton` assembles Theorem 13 / Proposition 20:
 restrict the guards to the kept registers and attach the Lemma 21
 constraints for the kept register pairs.  The resulting extended automaton
-is LR-bounded (Proposition 20); see :mod:`repro.core.lr`.
+is LR-bounded (Proposition 20); see :mod:`repro.core.lr`.  Both public
+projections share one private path, and Theorem 24 reuses its projected
+view (:func:`_projected_view`).
 
 :func:`project_extended` extends projection to extended automata
 (Theorem 13 in full).  Global equality constraints are first eliminated by
@@ -54,9 +56,11 @@ documents this substitution.
 from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from repro.automata.dfa import Dfa
+from repro.db.schema import Signature
 from repro.foundations.errors import SpecificationError
+from repro.foundations.resilience import current_deadline
 from repro.logic.terms import Y
-from repro.logic.types import advance_mask, corridor_masks, project_type
+from repro.logic.types import advance_mask, corridor_masks, project_type_dataless
 from repro.core.extended import (
     EQ,
     NEQ,
@@ -65,7 +69,7 @@ from repro.core.extended import (
     eliminate_equality_constraints,
     normalize_control,
 )
-from repro.core.pruning import prune_extended, prune_infeasible
+from repro.core.pruning import prune_extended
 from repro.core.register_automaton import RegisterAutomaton, State, Transition
 
 
@@ -78,8 +82,11 @@ from repro.core.register_automaton import RegisterAutomaton, State, Transition
 # under a guard is the union of the per-register images
 # (:func:`repro.logic.types.advance_mask` over the guard's
 # :func:`~repro.logic.types.corridor_masks`).  Every tracker is built by
-# :func:`_explore` directly as a DFA: states are small integer tuples whose
-# last entry is the index of the last symbol read.
+# :func:`_explore` directly as a DFA: states are small tuples of masks
+# and flags holding what the next step needs of the last symbol read (its
+# index, or its ``y_image`` table).  Theorem 24's anchored
+# corridors and active-domain selectors (:mod:`repro.core.theorem24`)
+# come out of the same explorer.
 
 
 def _symbol_masks(automaton: RegisterAutomaton) -> Tuple[List[State], List]:
@@ -188,64 +195,87 @@ def equality_tracker_dfa(automaton: RegisterAutomaton, i: int, j: int) -> Dfa:
 
 def corridor_dfa(
     automaton: RegisterAutomaton,
-    start: Tuple[str, int],
-    end: Tuple[str, int],
+    endpoints: Sequence[Tuple[Tuple[str, int], Tuple[str, int]]],
+    first: State,
+    last: State,
 ) -> Dfa:
-    """A generalised equality tracker with x/y endpoints.
+    """Generalised equality trackers with x/y endpoints, anchored at two states.
 
-    Accepts the factors ``q_a .. q_b`` along which the value of the *start*
-    term at the factor's first position is carried to the *end* term at its
-    last position.  Endpoints are ``("x", r)`` (register ``r`` at the
-    anchor position itself) or ``("y", r)`` (register ``r`` at the position
-    *after* the anchor) -- the shapes relational-literal arguments take in
-    guards, needed by the Theorem 24 construction.
-    *automaton* must be (equality-)complete and state-driven.  The tracker
-    state is ``(S, q, direct)``, with ``direct`` marking a length-1 factor
-    whose two y endpoints the first guard itself connects.
+    Accepts the factors ``q_a .. q_b`` with ``q_a = first`` and ``q_b =
+    last`` along which, for every ``(start, end)`` pair of *endpoints*, the
+    value of the *start* term at the factor's first position is carried to
+    the *end* term at its last position.  Endpoints are ``("x", r)``
+    (register ``r`` at the anchor position itself) or ``("y", r)``
+    (register ``r`` at the position *after* the anchor) -- the shapes
+    relational-literal arguments take in guards, needed by the Theorem 24
+    construction.  With no endpoints only the two anchors are checked.
+    *automaton* must be (equality-)complete and state-driven; like every
+    tracker, a factor through a state without a guard is rejected.
+
+    The tracker state is ``(S_1 .. S_n, direct_1 .. direct_n, y_image,
+    at_last)``: one corridor per pair, ``direct`` marking a length-1 factor
+    whose two y endpoints the first guard itself connects, the ``y_image``
+    table of the last guard read (all that a corridor step needs; holding
+    the symbol instead multiplies the explored rows by the alphabet size),
+    and whether the last symbol is *last*.  ``None`` is a factor that did
+    not start at *first*.
     """
-    for kind, register in (start, end):
-        if kind not in ("x", "y"):
-            raise SpecificationError("corridor endpoint kind %r is not 'x' or 'y'" % (kind,))
-        _check_register(automaton, register)
+    for pair in endpoints:
+        for kind, register in pair:
+            if kind not in ("x", "y"):
+                raise SpecificationError("corridor endpoint kind %r is not 'x' or 'y'" % (kind,))
+            _check_register(automaton, register)
+    for anchor in (first, last):
+        if anchor not in automaton.states:
+            raise SpecificationError("corridor anchor %r is not a state" % (anchor,))
     symbols, masks = _symbol_masks(automaton)
-    start_kind, start_register = start
-    end_kind, end_register = end
-    start_bit = 1 << (start_register - 1)
-    end_bit = 1 << (end_register - 1)
-    both_y = start_kind == "y" and end_kind == "y"
+    first_index = symbols.index(first)
+    last_index = symbols.index(last)
+    count = len(endpoints)
+    ends = [(kind == "y", 1 << (register - 1)) for _start, (kind, register) in endpoints]
 
-    def first(q: int) -> Tuple:
+    def opening(q: int) -> Tuple:
+        if q != first_index:
+            return None
         x_class, y_image = masks[q][0], masks[q][1]
-        if start_kind == "x":
-            members = x_class[start_register - 1]
-        else:
-            members = sum(
-                1 << l for l, image in enumerate(y_image) if image & start_bit
-            )
+        closure = automaton.guard_of_state(symbols[q]).closure
+        members = tuple(
+            x_class[r - 1]
+            if kind == "x"
+            else sum(1 << l for l, image in enumerate(y_image) if image >> (r - 1) & 1)
+            for (kind, r), _end in endpoints
+        )
         # A length-1 factor with both endpoints on the y side is connected
         # directly inside the first guard; the corridor sets cannot see it.
-        direct = both_y and (
-            start_register == end_register
-            or automaton.guard_of_state(symbols[q]).closure.same(
-                Y(start_register), Y(end_register)
-            )
+        direct = tuple(
+            start[0] == end[0] == "y" and closure.same(Y(start[1]), Y(end[1]))
+            for start, end in endpoints
         )
-        return (members, q, direct)
+        return members + direct + (y_image, q == last_index)
 
     def step(state: Tuple) -> Callable[[int], Tuple]:
-        members, previous, _direct = state
-        advanced = advance_mask(masks[previous][1], members)
-        return lambda q: (advanced, q, False)
+        if state is None:
+            return lambda q: None
+        y_image = state[-2]
+        carried = tuple(advance_mask(y_image, members) for members in state[:count])
+        carried += (False,) * count
+        return lambda q: carried + (masks[q][1], q == last_index)
 
-    def accepts(state: Tuple) -> int:
-        members, previous, direct = state
-        if direct:
-            return True
-        if end_kind == "y":
-            members = advance_mask(masks[previous][1], members)
-        return members & end_bit
+    def accepts(state: Tuple) -> bool:
+        if state is None or not state[-1]:
+            return False
+        y_image = state[-2]
+        for index, (y_end, end_bit) in enumerate(ends):
+            if state[count + index]:
+                continue
+            members = state[index]
+            if y_end:
+                members = advance_mask(y_image, members)
+            if not members & end_bit:
+                return False
+        return True
 
-    return _explore(symbols, masks, first, step, accepts)
+    return _explore(symbols, masks, opening, step, accepts)
 
 
 def inequality_tracker_dfa(automaton: RegisterAutomaton, i: int, j: int) -> Dfa:
@@ -300,6 +330,13 @@ def inequality_tracker_dfa(automaton: RegisterAutomaton, i: int, j: int) -> Dfa:
     return _explore(symbols, masks, first, step, lambda state: state[1] & j_bit)
 
 
+def _checkpoint(site: str) -> None:
+    """Poll the ambient deadline (the tracker assemblies are exponential)."""
+    active = current_deadline()
+    if active is not None:
+        active.check(site)
+
+
 def lemma21_constraints(
     automaton: RegisterAutomaton, registers: Iterable[int]
 ) -> List[GlobalConstraint]:
@@ -309,12 +346,15 @@ def lemma21_constraints(
     language is empty are dropped, and equality constraints that only
     relate a position to itself through the trivial ``i == j`` reflexivity
     are kept (they are harmless and occasionally meaningful).  The list
-    is assembled in pair order, equality before inequality.
+    is assembled in pair order, equality before inequality.  The ambient
+    deadline is polled once per register pair, at
+    ``projection.register_pair``.
     """
     registers = list(registers)
     constraints: List[GlobalConstraint] = []
     for i in registers:
         for j in registers:
+            _checkpoint("projection.register_pair")
             eq_dfa = equality_tracker_dfa(automaton, i, j)
             neq_dfa = inequality_tracker_dfa(automaton, i, j)
             if not eq_dfa.is_empty():
@@ -333,29 +373,16 @@ def project_register_automaton(
     ``Reg(B) = Pi_m(Reg(A))``.  The underlying automaton restricts every
     guard to registers ``1..m``; the global constraints are the Lemma 21
     trackers for pairs of kept registers, so they transport exactly the
-    (dis)equalities the hidden registers used to enforce.
+    (dis)equalities the hidden registers used to enforce.  This is
+    :func:`project_extended` on ``(A, {})``: with no global constraint
+    there is nothing for Proposition 6 to eliminate and no bridge.
     """
     if automaton.signature.relations or automaton.signature.constants:
         raise SpecificationError(
             "Theorem 13 projection applies to automata without a database; "
             "use repro.core.enhanced.project_with_database for Section 6"
         )
-    if m > automaton.k:
-        raise SpecificationError("cannot keep %d of %d registers" % (m, automaton.k))
-    automaton = prune_infeasible(automaton)
-    # Complete and state-driven: the Lemma 21 precondition.
-    normalised = normalize_control(ExtendedAutomaton(automaton, [])).automaton
-    k = normalised.k
-    projected = RegisterAutomaton(
-        m,
-        normalised.signature,
-        normalised.states,
-        normalised.initial,
-        normalised.accepting,
-        _agreeing_projected_transitions(normalised, m),
-    )
-    constraints = lemma21_constraints(normalised, range(1, m + 1))
-    return ExtendedAutomaton(projected, constraints)
+    return _project(ExtendedAutomaton(automaton, []), m)
 
 
 # ---------------------------------------------------------------------- #
@@ -381,26 +408,40 @@ def project_extended(extended: ExtendedAutomaton, m: int) -> ExtendedAutomaton:
     """
     if extended.automaton.signature.relations or extended.automaton.signature.constants:
         raise SpecificationError("projection of extended automata requires no database")
+    return _project(extended, m)
+
+
+def _project(extended: ExtendedAutomaton, m: int) -> ExtendedAutomaton:
+    """The Theorem 13 assembly behind both public projections (neither
+    calls the other, so each view is built, and traced, once)."""
     if m > extended.k:
         raise SpecificationError("cannot keep %d of %d registers" % (m, extended.k))
-    extended = prune_extended(extended)
-    without_eq, _original_k = eliminate_equality_constraints(extended)
+    without_eq, _original_k = eliminate_equality_constraints(prune_extended(extended))
     # The inequality constraints come back lifted onto the normalised states.
     normalised = normalize_control(without_eq)
     base = normalised.automaton
-    inequality = normalised.inequality_constraints()
-    k = base.k
-    projected_automaton = RegisterAutomaton(
+    view = _projected_view(base, m)
+    bridges = _bridge_constraints(base, normalised.inequality_constraints(), m)
+    return ExtendedAutomaton(view.automaton, view.constraints + tuple(bridges))
+
+
+def _projected_view(normalised: RegisterAutomaton, m: int) -> ExtendedAutomaton:
+    """The projected control of *normalised* with its Lemma 21 constraints.
+
+    *normalised* must be (equality-)complete and state-driven.  The view
+    keeps its states, has no database, and carries the trackers of the
+    kept register pairs; Theorem 13 adds its bridges to it, and Theorem 24
+    reads its first two constraint families from it.
+    """
+    projected = RegisterAutomaton(
         m,
-        base.signature,
-        base.states,
-        base.initial,
-        base.accepting,
-        _agreeing_projected_transitions(base, m),
+        Signature.empty(),
+        normalised.states,
+        normalised.initial,
+        normalised.accepting,
+        _agreeing_projected_transitions(normalised, m),
     )
-    constraints = lemma21_constraints(base, range(1, m + 1))
-    constraints.extend(_bridge_constraints(base, inequality, m))
-    return ExtendedAutomaton(projected_automaton, constraints)
+    return ExtendedAutomaton(projected, lemma21_constraints(normalised, range(1, m + 1)))
 
 
 def _agreeing_projected_transitions(normalised: RegisterAutomaton, m: int):
@@ -429,7 +470,11 @@ def _agreeing_projected_transitions(normalised: RegisterAutomaton, m: int):
             if not agreement(source_guard, target_guard, k):
                 continue
         transitions.append(
-            Transition(transition.source, project_type(transition.guard, m, k), transition.target)
+            Transition(
+                transition.source,
+                project_type_dataless(transition.guard, m),
+                transition.target,
+            )
         )
     return transitions
 
@@ -447,6 +492,8 @@ def _bridge_constraints(
     ``(n',j0) ~ (b,j)`` and ``w_n .. w_{n'}`` matching ``e``; see
     :func:`_bridge_dfa`.
     """
+    if not inequality_constraints:
+        return []
     symbols, masks = _symbol_masks(base)
     results: List[GlobalConstraint] = []
     for constraint in inequality_constraints:

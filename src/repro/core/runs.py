@@ -75,7 +75,7 @@ class FiniteRun:
 
         Only the data is projected; states and guards are left untouched
         (callers projecting automata use
-        :func:`repro.logic.types.project_type` on the guards).
+        :func:`repro.logic.types.project_type_dataless` on the guards).
         """
         return FiniteRun(
             tuple(row[:m] for row in self.data), self.states, self.guards

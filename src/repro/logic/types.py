@@ -467,17 +467,6 @@ def y_successor_images(delta: SigmaType, k: int) -> Dict[int, FrozenSet[int]]:
     return found
 
 
-def advance_registers(
-    delta: SigmaType, members: FrozenSet[int], k: int
-) -> FrozenSet[int]:
-    """The one-step image of *members* under the guard's corridors."""
-    images = y_successor_images(delta, k)
-    result: Set[int] = set()
-    for l in members:
-        result |= images[l]
-    return frozenset(result)
-
-
 def corridor_masks(
     delta: SigmaType, k: int
 ) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
@@ -1135,23 +1124,13 @@ def agree(delta_now: SigmaType, delta_next: SigmaType, k: int) -> bool:
     return True
 
 
-def project_type(delta: SigmaType, m: int, k: int) -> SigmaType:
-    """``delta | m``: restriction of a transition type to registers ``1..m``.
-
-    Used by the projection constructions (Theorem 13 / Theorem 24): keeps
-    the literals that only mention ``x1..xm``, ``y1..ym`` and constants.
-    """
-    allowed: List[Term] = [X(i) for i in range(1, m + 1)] + [Y(i) for i in range(1, m + 1)]
-    return delta.restrict(allowed)
-
-
 def project_type_dataless(delta: SigmaType, m: int) -> SigmaType:
     """Restriction to registers ``1..m`` *and* to pure equality literals.
 
-    Used by Theorem 24, where the projected automaton has no database: the
-    result keeps only (dis)equality literals among ``x1..xm, y1..ym``,
-    dropping relational literals and anything mentioning constants or
-    hidden registers.
+    Used by the projections (Theorem 13 / Theorem 24), whose projected
+    automata have no database: the result keeps only (dis)equality
+    literals among ``x1..xm, y1..ym``, dropping relational literals and
+    anything mentioning constants or hidden registers.
     """
     allowed: Set[Term] = set()
     for i in range(1, m + 1):

@@ -51,6 +51,51 @@ def projection_prefix_sets(automaton, view, m, length, limit=None):
     return original, image
 
 
+def canonical_finite_runs(automaton, database, length, pool):
+    """The runs of :func:`generate_finite_runs` whose values first occur in pool order.
+
+    The same depth-first search, but each step offers only the values used
+    so far plus the next ``k`` unused pool values, and keeps the tuples
+    that introduce new values in pool order.  Over the empty database and
+    without constants, every run over *pool* is a renaming of one of
+    these, so the canonical traces of both enumerations agree.
+    """
+    from repro.core.runs import FiniteRun, _register_choices, initial_tuples
+
+    k = automaton.k
+
+    def offered(used):
+        fresh = [value for value in pool if value not in used][:k]
+        return tuple(value for value in pool if value in used) + tuple(fresh)
+
+    def in_pool_order(row, used):
+        fresh = [value for value in pool if value not in used]
+        introduced = list(dict.fromkeys(value for value in row if value not in used))
+        return introduced == fresh[: len(introduced)]
+
+    def extend(data, states, guards, used):
+        if len(states) == length:
+            yield FiniteRun(tuple(data), tuple(states), tuple(guards))
+            return
+        for transition in automaton.transitions_from(states[-1]):
+            for nxt in _register_choices(
+                transition.guard, data[-1], offered(used), database, k
+            ):
+                if in_pool_order(nxt, used):
+                    yield from extend(
+                        data + [nxt],
+                        states + [transition.target],
+                        guards + [transition.guard],
+                        used | set(nxt),
+                    )
+
+    seen = set()
+    for state, first, _transition in initial_tuples(automaton, database, offered(set())):
+        if in_pool_order(first, set()) and (state, first) not in seen:
+            seen.add((state, first))
+            yield from extend([first], [state], [], set(first))
+
+
 def _successor_types(types, guard, k):
     """Every complete type some type in *types* can step to under *guard*."""
     from repro.logic.types import abstract_successor_types
@@ -259,6 +304,17 @@ def literal_minimize(dfa):
     )
 
 
+def advance_registers(delta, members, k):
+    """The one-step image of the register set *members* under *delta*'s corridors."""
+    from repro.logic.types import y_successor_images
+
+    images = y_successor_images(delta, k)
+    result = set()
+    for l in members:
+        result |= images[l]
+    return frozenset(result)
+
+
 def _literal_guards(automaton):
     """State -> its unique guard (state-driven automata)."""
     guards = {}
@@ -317,7 +373,7 @@ def _deterministic_tracker(automaton, start, advance, accepts):
 
 def literal_equality_tracker_dfa(automaton, i, j):
     """``e=_{ij}``: the set of registers carrying the start value of ``i``."""
-    from repro.logic.types import advance_registers, x_equality_classes
+    from repro.logic.types import x_equality_classes
 
     k = automaton.k
     return _deterministic_tracker(
@@ -331,11 +387,7 @@ def literal_equality_tracker_dfa(automaton, i, j):
 def literal_corridor_dfa(automaton, start, end):
     """The x/y-endpoint corridor tracker, one register set per position."""
     from repro.logic.terms import Y
-    from repro.logic.types import (
-        advance_registers,
-        x_equality_classes,
-        y_successor_images,
-    )
+    from repro.logic.types import x_equality_classes, y_successor_images
 
     k = automaton.k
     start_kind, start_register = start
@@ -376,6 +428,89 @@ def literal_corridor_dfa(automaton, start, end):
     )
 
 
+def restrict_endpoints(dfa, first, last, alphabet):
+    """Intersect with "first letter is *first* and last letter is *last*"."""
+    from repro.automata.dfa import Dfa
+
+    # states: 0 init, 1 ok-first (last letter != last), 2 ok-first+last, 3 dead
+    transitions = {}
+    for symbol in alphabet:
+        if symbol == first:
+            transitions[(0, symbol)] = 2 if first == last else 1
+        else:
+            transitions[(0, symbol)] = 3
+        transitions[(1, symbol)] = 2 if symbol == last else 1
+        transitions[(2, symbol)] = 2 if symbol == last else 1
+        transitions[(3, symbol)] = 3
+    shape = Dfa({0, 1, 2, 3}, alphabet, transitions, 0, {2})
+    return dfa.intersect(shape)
+
+
+def literal_anchored_corridor_dfa(automaton, endpoints, first, last):
+    """Literal corridors of every endpoint pair, intersected, then anchored.
+
+    With no endpoints this is every word from *first* to *last*, terminal
+    states included.
+    """
+    from repro.automata.dfa import Dfa
+
+    alphabet = frozenset(automaton.states)
+    factor = Dfa.universal(alphabet)
+    for start, end in endpoints:
+        factor = factor.intersect(literal_corridor_dfa(automaton, start, end))
+    return literal_minimize(restrict_endpoints(factor, first, last, alphabet))
+
+
+def no_terminal_before_last(automaton):
+    """The words with no guardless state before their last letter."""
+    from repro.automata.dfa import Dfa
+
+    alphabet = frozenset(automaton.states)
+    transitions = {}
+    for symbol in alphabet:
+        terminal = automaton.guard_of_state(symbol) is None
+        transitions[(0, symbol)] = 1 if terminal else 0
+        transitions[(1, symbol)] = 2
+        transitions[(2, symbol)] = 2
+    return Dfa({0, 1, 2}, alphabet, transitions, 0, {0, 1})
+
+
+def literal_adom_position_dfa(automaton, register):
+    """Theorem 24's active-domain selector over register *sets*, minimised.
+
+    A position is selected when *register*'s value there has touched a
+    positive relational literal so far, directly or through a corridor.
+    """
+    from repro.logic.terms import Const, X, Y
+
+    k = automaton.k
+
+    def positive(guard, term_of):
+        touched = set()
+        for literal in guard.relational_literals():
+            if not literal.positive:
+                continue
+            for term in literal.atom.args:
+                if isinstance(term, Const):
+                    continue
+                for r in range(1, k + 1):
+                    if term == term_of(r) or guard.closure.same(term, term_of(r)):
+                        touched.add(r)
+        return frozenset(touched)
+
+    return _deterministic_tracker(
+        automaton,
+        lambda guard, symbol: (positive(guard, X), symbol),
+        lambda guard, state, symbol: (
+            advance_registers(guard, state[0], k)
+            | positive(guard, Y)
+            | positive(automaton.guard_of_state(symbol), X),
+            symbol,
+        ),
+        lambda guard, state: register in state[0],
+    )
+
+
 def literal_inequality_tracker_dfa(automaton, i, j):
     """``e!=_{ij}`` as the lemma's two-phase NFA, determinised.
 
@@ -386,7 +521,7 @@ def literal_inequality_tracker_dfa(automaton, i, j):
     """
     from repro.automata.nfa import EPSILON
     from repro.logic.terms import X, Y
-    from repro.logic.types import advance_registers, x_equality_classes
+    from repro.logic.types import x_equality_classes
 
     guards = _literal_guards(automaton)
     k = automaton.k
@@ -442,7 +577,7 @@ def literal_bridge_dfa(base, constraint_dfa, i0, j0, i, j):
     tracks the corridor of ``j0`` and accepts when ``j`` is in it.
     """
     from repro.automata.nfa import EPSILON
-    from repro.logic.types import advance_registers, x_equality_classes
+    from repro.logic.types import x_equality_classes
 
     guards = _literal_guards(base)
     k = base.k

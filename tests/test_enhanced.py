@@ -1,5 +1,7 @@
 """Tests for enhanced automata and Theorem 24 (Section 6)."""
 
+import random
+
 import pytest
 
 from repro import (
@@ -25,9 +27,13 @@ from repro import (
     rel,
 )
 from repro.automata.regex import any_of, concat, literal, star
+from repro.core.pruning import prune_infeasible
 from repro.core.theorem24 import _normalize_db, adom_position_dfa
 from repro.foundations.errors import SpecificationError
+from repro.generators import random_database, random_register_automaton
 from repro.logic.types import project_type_dataless
+
+from tests.helpers import literal_adom_position_dfa
 
 EMPTY = SigmaType()
 
@@ -236,6 +242,45 @@ class TestTheorem24Example23:
             project_with_database(example23_automaton, 3)
 
 
+class TestTheorem24Random:
+    def test_projected_runs_satisfy_view(self):
+        """The ``>=`` inclusion on random relational automata and databases.
+
+        Runs of the normalised automaton over a random database, projected
+        onto ``m`` registers and dataless guards, satisfy the view.  Only
+        their first 5 of 6 positions are projected: the last position's
+        guard never fires, so its data may break it.
+        """
+        signatures = (
+            Signature(relations={"E": 2, "U": 1}),
+            Signature(relations={"R": 1}),
+            Signature(relations={"E": 2}),
+        )
+        checked = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            k = rng.choice((1, 2))
+            signature = rng.choice(signatures)
+            automaton = random_register_automaton(
+                rng, k=k, n_states=2, n_transitions=rng.randint(2, 3), signature=signature
+            )
+            database = random_database(rng, signature)
+            normalised = _normalize_db(prune_infeasible(automaton))
+            pool = tuple(sorted(database.active_domain(), key=repr)[:3]) + ("f0", "f1")
+            runs = list(generate_finite_runs(normalised, database, 6, pool=pool, limit=100))
+            for m in range(1, k + 1):
+                view = project_with_database(automaton, m)
+                for run in runs:
+                    prefix = FiniteRun(
+                        tuple(row[:m] for row in run.data[:5]),
+                        run.states[:5],
+                        tuple(project_type_dataless(g, m) for g in run.guards[:4]),
+                    )
+                    assert view.constraint_violation(prefix) is None, (seed, m, run)
+                    checked += 1
+        assert checked > 1000
+
+
 class TestAdomPositions:
     def test_all_positions_selected_when_always_in_relation(self, example23_automaton):
         normalised = _normalize_db(example23_automaton)
@@ -245,6 +290,27 @@ class TestAdomPositions:
         for symbol in [sorted(normalised.states, key=repr)[0]] * 3:
             state = dfa.delta(state, symbol)
             assert state in dfa.accepting
+
+    def test_matches_literal_selector(self, example23_automaton):
+        """Example 23 and random relational automata, every register."""
+        automata = [example23_automaton]
+        for seed in range(12):
+            rng = random.Random(seed)
+            signature = rng.choice(
+                (Signature(relations={"E": 2, "U": 1}), Signature(relations={"R": 1}))
+            )
+            automata.append(
+                random_register_automaton(
+                    rng, k=2, n_states=2, n_transitions=3, signature=signature
+                )
+            )
+        for automaton in automata:
+            normalised = _normalize_db(automaton)
+            for register in range(1, automaton.k + 1):
+                coded = adom_position_dfa(normalised, register)
+                literal_dfa = literal_adom_position_dfa(normalised, register)
+                assert coded.equivalent(literal_dfa)
+                assert coded.size() == literal_dfa.size()
 
     def test_no_relations_never_selected(self):
         base = RegisterAutomaton(

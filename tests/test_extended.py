@@ -20,7 +20,7 @@ from repro import (
 )
 from repro.automata.regex import concat, literal, plus, star
 from repro.foundations.errors import SpecificationError
-from repro.logic.types import project_type
+from repro.logic.types import project_type_dataless
 
 EMPTY = SigmaType()
 
@@ -107,7 +107,7 @@ class TestProposition6:
         projected = (
             run.project(original_k)
             .map_states(lambda s: s[0])
-            .map_guards(lambda g: project_type(g, original_k, eliminated.automaton.k))
+            .map_guards(lambda g: project_type_dataless(g, original_k))
         )
         assert projected.is_valid(example5_extended.automaton, empty_database)
         assert example5_extended.satisfies_constraints(projected)

@@ -22,7 +22,7 @@ from repro.logic import (
     y_vars,
 )
 from repro.logic.literals import EqAtom, Literal, RelAtom
-from repro.logic.types import project_type, project_type_dataless
+from repro.logic.types import project_type_dataless
 
 
 class TestTerms:
@@ -242,7 +242,7 @@ class TestAgree:
 class TestProjection:
     def test_project_type_keeps_visible_literals(self):
         delta = SigmaType([eq(X(1), Y(1)), eq(X(2), Y(2)), eq(X(1), X(2))])
-        projected = project_type(delta, 1, 2)
+        projected = project_type_dataless(delta, 1)
         assert projected.literals == frozenset([eq(X(1), Y(1))])
 
     def test_project_type_dataless_strips_relations_and_constants(self):

@@ -29,9 +29,9 @@ from repro.core.extended import normalize_control
 from repro.core.lr import bipartite_vertex_cover, lr_cover_profile
 from repro.core.symbolic import scontrol_buchi
 from repro.foundations.errors import SpecificationError
-from repro.generators import random_extended_automaton
+from repro.generators import random_extended_automaton, random_register_automaton
 
-from tests.helpers import canonical_trace, per_cut_profile
+from tests.helpers import canonical_finite_runs, canonical_trace, per_cut_profile
 
 EMPTY = SigmaType()
 
@@ -137,24 +137,52 @@ class TestProposition22:
             synthesize_register_automaton(example5_extended)
 
     def test_soundness_and_completeness(self, alternating, empty_database):
-        """Pi_1(Reg(A)) == Reg(B) on bounded prefixes."""
+        """Pi_1(Reg(A)) == Reg(B) on bounded prefixes, up to value renaming."""
         synthesized = synthesize_register_automaton(alternating, bank_a=1, bank_b=1)
         pool = ("a", "b", "c")
         length = 5
         constrained = {
             canonical_trace(run.data)
-            for run in generate_finite_runs(
-                alternating.automaton, empty_database, length, pool=pool
+            for run in canonical_finite_runs(
+                alternating.automaton, empty_database, length, pool
             )
             if alternating.satisfies_constraints(run)
         }
         projected = {
             canonical_trace(tuple(row[:1] for row in run.data))
-            for run in generate_finite_runs(
-                synthesized, empty_database, length, pool=pool
-            )
+            for run in canonical_finite_runs(synthesized, empty_database, length, pool)
         }
         assert projected == constrained
+
+    def test_canonical_runs_cover_every_renaming(self, alternating, empty_database):
+        """The pool-order enumeration keeps every canonical trace of the full one."""
+        automata = [
+            alternating.automaton,
+            synthesize_register_automaton(alternating, bank_a=1, bank_b=1),
+        ]
+        for seed in range(4):
+            rng = random.Random(seed)
+            automata.append(
+                random_register_automaton(
+                    rng, k=rng.randint(1, 2), n_states=2, n_transitions=3
+                )
+            )
+        pool = ("a", "b", "c")
+        for automaton in automata:
+            for length in (3, 4):
+                full = {
+                    canonical_trace(run.data)
+                    for run in generate_finite_runs(
+                        automaton, empty_database, length, pool=pool
+                    )
+                }
+                canonical = {
+                    canonical_trace(run.data)
+                    for run in canonical_finite_runs(
+                        automaton, empty_database, length, pool
+                    )
+                }
+                assert canonical == full
 
     def test_register_layout(self, alternating):
         synthesized = synthesize_register_automaton(alternating, bank_a=2, bank_b=3)

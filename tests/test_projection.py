@@ -1,6 +1,7 @@
 """Tests for projections (Theorem 13, Lemma 21, Examples 4/5)."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -30,18 +31,21 @@ from repro.automata.regex import literal
 from repro.core.extended import eliminate_equality_constraints, normalize_control
 from repro.core.projection import _bridge_dfa, _symbol_masks, corridor_dfa
 from repro.core.pruning import prune_extended, prune_infeasible
-from repro.core.theorem24 import _normalize_db
+from repro.core.register_automaton import Transition
+from repro.core.theorem24 import _literal_occurrences, _normalize_db
 from repro.foundations.errors import SpecificationError
+from repro.logic.terms import register_index
 from repro.generators import random_extended_automaton, random_register_automaton
 from repro.workflows.review import manuscript_review_workflow
 from repro.workflows.views import _split_attributes
 
 from tests.helpers import (
     canonical_trace,
+    literal_anchored_corridor_dfa,
     literal_bridge_dfa,
-    literal_corridor_dfa,
     literal_equality_tracker_dfa,
     literal_inequality_tracker_dfa,
+    no_terminal_before_last,
 )
 
 EMPTY = SigmaType()
@@ -97,20 +101,55 @@ class TestTrackers:
             lambda a: inequality_tracker_dfa(a, 3, 1),
             lambda a: inequality_tracker_dfa(a, 1, 3),
             lambda a: inequality_tracker_dfa(a, 1, -1),
-            lambda a: corridor_dfa(a, ("x", 1), ("x", 3)),
-            lambda a: corridor_dfa(a, ("y", 0), ("x", 1)),
-            lambda a: corridor_dfa(a, ("z", 1), ("x", 1)),
-            lambda a: corridor_dfa(a, ("x", 1), ("X", 2)),
+            lambda a: corridor_dfa(a, [(("x", 1), ("x", 3))], *_sampled_anchors(a)[0]),
+            lambda a: corridor_dfa(a, [(("y", 0), ("x", 1))], *_sampled_anchors(a)[0]),
+            lambda a: corridor_dfa(a, [(("z", 1), ("x", 1))], *_sampled_anchors(a)[0]),
+            lambda a: corridor_dfa(a, [(("x", 1), ("X", 2))], *_sampled_anchors(a)[0]),
+            lambda a: corridor_dfa(a, [], "nowhere", _sampled_anchors(a)[0][1]),
+            lambda a: corridor_dfa(a, [], _sampled_anchors(a)[0][0], "nowhere"),
         ],
         ids=[
             "eq-i0", "eq-j3", "neq-i3", "neq-j3", "neq-j-1",
             "corridor-end3", "corridor-start0", "corridor-kind-z", "corridor-kind-X",
+            "corridor-first-unknown", "corridor-last-unknown",
         ],
     )
     def test_bad_registers_and_endpoints_rejected(self, normalized_example1, build):
-        """Registers outside 1..k and endpoint kinds other than x / y."""
+        """Registers outside 1..k, endpoint kinds other than x / y, unknown anchors."""
         with pytest.raises(SpecificationError):
             build(normalized_example1)
+
+
+def _example23_ternary():
+    """Example 23 with a ternary ``E``."""
+    signature = Signature(relations={"E": 3, "U": 1})
+    edge = (X(1), X(2), Y(1))
+    return RegisterAutomaton(
+        2,
+        signature,
+        {"p", "q"},
+        {"p"},
+        {"p"},
+        [
+            ("p", SigmaType([eq(X(2), Y(2)), rel("U", X(1)), rel("E", *edge)]), "q"),
+            ("q", SigmaType([eq(X(2), Y(2)), rel("U", X(1)), nrel("E", *edge)]), "p"),
+        ],
+    )
+
+
+def _sampled_anchors(automaton, count=3):
+    """*count* (first, last) pairs of guarded states, drawn at a fixed seed.
+
+    Every pair would take seconds per automaton through the literal
+    oracle; a sample keeps both same-state and distinct-state anchors.
+    """
+    guarded = sorted(
+        (q for q in automaton.states if automaton.guard_of_state(q) is not None), key=repr
+    )
+    rng = random.Random(len(guarded))
+    return [(guarded[0], guarded[0])] + [
+        (rng.choice(guarded), rng.choice(guarded)) for _ in range(count - 1)
+    ]
 
 
 def _assert_same_language(coded, literal_dfa):
@@ -119,8 +158,14 @@ def _assert_same_language(coded, literal_dfa):
 
 
 def _assert_trackers_match_literal(automaton, corridors=False):
-    """Every coded tracker of *automaton* against the NFA-based oracle."""
+    """Every coded tracker of *automaton* against the NFA-based oracle.
+
+    With *corridors*, every x/y endpoint pair is also checked as a
+    one-pair anchored corridor at a sample of anchors, against the literal
+    corridor intersected with the anchor shape.
+    """
     registers = range(1, automaton.k + 1)
+    anchors = _sampled_anchors(automaton) if corridors else ()
     for i in registers:
         for j in registers:
             _assert_same_language(
@@ -135,11 +180,12 @@ def _assert_trackers_match_literal(automaton, corridors=False):
                 continue
             for start_kind in "xy":
                 for end_kind in "xy":
-                    start, end = (start_kind, i), (end_kind, j)
-                    _assert_same_language(
-                        corridor_dfa(automaton, start, end),
-                        literal_corridor_dfa(automaton, start, end),
-                    )
+                    pair = ((start_kind, i), (end_kind, j))
+                    for first, last in anchors:
+                        _assert_same_language(
+                            corridor_dfa(automaton, [pair], first, last),
+                            literal_anchored_corridor_dfa(automaton, [pair], first, last),
+                        )
 
 
 class TestCodedTrackersMatchLiteral:
@@ -162,20 +208,66 @@ class TestCodedTrackersMatchLiteral:
         _assert_trackers_match_literal(_normalize_db(example23_automaton), corridors=True)
 
     def test_example23_ternary(self):
-        signature = Signature(relations={"E": 3, "U": 1})
-        edge = (X(1), X(2), Y(1))
+        _assert_trackers_match_literal(_normalize_db(_example23_ternary()), corridors=True)
+
+    def test_anchored_corridor_of_several_pairs(self):
+        """No pair, or two pairs at once: the literal corridors, intersected."""
+        automaton = _normalize_db(_example23_ternary())
+        terms = [(kind, r) for kind in "xy" for r in (1, 2)]
+        pairs = [(start, end) for start in terms for end in terms]
+        rng = random.Random(23)
+        for first, last in _sampled_anchors(automaton):
+            for endpoints in ([], rng.sample(pairs, 2), rng.sample(pairs, 2)):
+                _assert_same_language(
+                    corridor_dfa(automaton, endpoints, first, last),
+                    literal_anchored_corridor_dfa(automaton, endpoints, first, last),
+                )
+
+    def test_terminal_letter_only_ends_a_factor(self, example23_automaton):
+        """Every Theorem 24 factor of Example 23 with a terminal branch.
+
+        The tracker, like every tracker, rejects a factor through a state
+        without a guard; a run never fires from one.  Only the factors
+        with no endpoint pair differ from the literal oracle, which
+        accepts any word from the first anchor to the last.
+        """
+        terminal = Transition("p", SigmaType([rel("U", X(2))]), "r")
         automaton = RegisterAutomaton(
             2,
-            signature,
-            {"p", "q"},
-            {"p"},
-            {"p"},
-            [
-                ("p", SigmaType([eq(X(2), Y(2)), rel("U", X(1)), rel("E", *edge)]), "q"),
-                ("q", SigmaType([eq(X(2), Y(2)), rel("U", X(1)), nrel("E", *edge)]), "p"),
-            ],
+            example23_automaton.signature,
+            example23_automaton.states | {"r"},
+            example23_automaton.initial,
+            example23_automaton.accepting,
+            list(example23_automaton.transitions) + [terminal],
         )
-        _assert_trackers_match_literal(_normalize_db(automaton), corridors=True)
+        normalised = _normalize_db(automaton)
+        restriction = no_terminal_before_last(normalised)
+        occurrences = _literal_occurrences(normalised)
+        negatives = [o for o in occurrences if not o[1]]
+        positives = [o for o in occurrences if o[1]]
+        relaxed = []
+        for neg_state, _neg, relation, neg_args in negatives:
+            for pos_state, _pos, other, pos_args in positives:
+                if relation != other:
+                    continue
+                for (first, first_args), (last, last_args) in (
+                    ((neg_state, neg_args), (pos_state, pos_args)),
+                    ((pos_state, pos_args), (neg_state, neg_args)),
+                ):
+                    for size in range(len(first_args)):
+                        for e_set in combinations(range(len(first_args)), size):
+                            endpoints = [
+                                (register_index(first_args[c]), register_index(last_args[c]))
+                                for c in e_set
+                            ]
+                            coded = corridor_dfa(normalised, endpoints, first, last)
+                            oracle = literal_anchored_corridor_dfa(
+                                normalised, endpoints, first, last
+                            )
+                            assert coded.equivalent(oracle.intersect(restriction))
+                            if not coded.equivalent(oracle):
+                                relaxed.append(endpoints)
+        assert relaxed and not any(relaxed)
 
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(

@@ -629,6 +629,34 @@ class TestDeepCheckpoints:
                 lr.lr_bound_estimate(view)
                 assert events == expected
 
+    def test_projections_poll_once_per_pair(self, example1_automaton, example23_automaton):
+        """``projection.register_pair`` per kept register pair (Theorems 13
+        and 24), ``theorem24.literal_pair`` per (negative, positive) pair."""
+        from repro import project_register_automaton
+        from repro.core.pruning import prune_infeasible
+        from repro.core.theorem24 import _literal_occurrences, _normalize_db
+
+        sites = []
+
+        class RecordingDeadline:
+            def check(self, site=""):
+                sites.append(site)
+
+        with deadline_scope(RecordingDeadline()):
+            project_with_database(example23_automaton, 2)
+        occurrences = _literal_occurrences(
+            _normalize_db(prune_infeasible(example23_automaton))
+        )
+        negatives = sum(1 for occurrence in occurrences if not occurrence[1])
+        positives = len(occurrences) - negatives
+        assert negatives and positives
+        assert sites.count("projection.register_pair") == 4
+        assert sites.count("theorem24.literal_pair") == negatives * positives
+        sites.clear()
+        with deadline_scope(RecordingDeadline()):
+            project_register_automaton(example1_automaton, 1)
+        assert sites.count("projection.register_pair") == 1
+
     def test_completions_interruptible_and_memo_unpoisoned(self):
         relations = {"R": 1}
         variables = (X(1), X(2))
