@@ -54,7 +54,7 @@ def main() -> None:
     print("witness database:", database)
 
     # Probe individual lasso traces: increasing p-block length inside the loop.
-    control = LiteralControl(eliminate_equality_constraints(extended)[0])
+    control = LiteralControl(*eliminate_equality_constraints(extended))
     normalised, buchi = control.normalised, control.buchi
     print("\nper-lasso realisability (loop shape -> verdict):")
     probed = 0

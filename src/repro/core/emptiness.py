@@ -12,7 +12,10 @@ This module implements the decision on lasso witnesses:
 1. global equality constraints are eliminated (Proposition 6) and the
    control normalised (complete + state-driven), after which ``~_w`` is
    generated by local equalities only and every corridor is tracked
-   exactly by the subset automata of Lemma 21;
+   exactly by the subset automata of Lemma 21; each guard is completed
+   over its scoped vocabulary only, the registers Proposition 6 adds
+   joining it where a guard at the transition's source or target
+   mentions them (:func:`repro.core.extended.register_scopes`);
 2. candidate lassos are drawn from the Buchi automaton for
    ``SControl(A)``;
 3. each candidate is checked for **consistency** -- no pair of positions
@@ -177,15 +180,15 @@ class LiteralControl:
     """The normalised control of an automaton the coded kernel declines.
 
     ``completed()`` and ``state_driven()`` build the normalised automaton
-    (:func:`~repro.core.extended.normalize_control`) and
+    (:func:`~repro.core.extended.normalize_control`, scoped by *kept*) and
     :func:`~repro.core.symbolic.scontrol_buchi` its ``SControl`` over
     ``(state, guard)`` pairs.  It answers the calls the searches make on a
     :class:`~repro.core.symkernel.SymbolicKernel`; its symbols are pairs
     already, so decoding is the identity.
     """
 
-    def __init__(self, without_eq: ExtendedAutomaton):
-        self.normalised = normalize_control(without_eq)
+    def __init__(self, without_eq: ExtendedAutomaton, kept: Optional[int] = None):
+        self.normalised = normalize_control(without_eq, kept)
         self.buchi = scontrol_buchi(self.normalised.automaton)
 
     def decode_lasso(self, lasso: Lasso) -> Lasso:
@@ -213,28 +216,35 @@ class LiteralControl:
         return check
 
 
-def normal_control(without_eq: ExtendedAutomaton):
+def normal_control(without_eq: ExtendedAutomaton, kept: Optional[int] = None):
     """The normalised control of *without_eq*: coded wherever the kernel applies.
 
-    *without_eq* is the automaton after Proposition 6.  On eligible
-    automata the Bell(2k) completion and the state-driven conversion are
-    computed over integer partition codes -- no SigmaType materialisation,
-    no normalised RegisterAutomaton -- and the lasso search runs on rank
-    ids whose repr order replays the literal pair order exactly, so
-    verdicts, witness traces and ``candidates_checked`` are byte-identical
-    to the literal path (see :mod:`repro.core.symkernel`).  The kernel
-    declines relations, constants, non-equality guards, k=0 and control
-    that is already normal; those take the :class:`LiteralControl`.
+    *without_eq* is the automaton after Proposition 6 and *kept* the
+    register count before it.  Both normal forms complete each transition
+    over its scoped vocabulary only -- the registers ``1..kept`` and the
+    added registers a guard at its source or target mentions
+    (:func:`repro.core.extended.register_scopes`) -- which decides the
+    same realisable traces as completing over all ``2k`` variables.
+    Without *kept* every register is in scope.
+
+    On eligible automata the completion and the state-driven conversion
+    are computed over integer partition codes -- no SigmaType
+    materialisation, no normalised RegisterAutomaton -- and the lasso
+    search runs on rank ids whose repr order replays the literal pair
+    order exactly, so verdicts, witness traces and ``candidates_checked``
+    are byte-identical to the literal path (see :mod:`repro.core.symkernel`).
+    The kernel declines relations, constants, non-equality guards, k=0
+    and control that is already normal; those take the :class:`LiteralControl`.
 
     Either answer offers ``buchi``, ``decode_lasso``, ``build_narrowing()``,
     ``candidate_check()`` and ``normalised``, the normalised automaton a
     witness realises against -- on the kernel a builder, so the witness
     builds it only if someone asks for a concrete run.
     """
-    kernel = build_kernel(without_eq)
+    kernel = build_kernel(without_eq, kept)
     if kernel is not None:
         return kernel
-    return LiteralControl(without_eq)
+    return LiteralControl(without_eq, kept)
 
 
 class EmptinessWitness:
@@ -547,8 +557,8 @@ def _check_emptiness_bounded(
     # Unlike pruning this is candidate-preserving -- verdict, witness, and
     # candidates_checked are byte-identical (see repro.core.reduction).
     extended = trim_extended(extended)
-    without_eq, _original_k = eliminate_equality_constraints(extended)
-    control = normal_control(without_eq)
+    without_eq, kept = eliminate_equality_constraints(extended)
+    control = normal_control(without_eq, kept)
     constrained = bool(without_eq.constraints)
     lasso, exact, checked = search_candidates(
         control, control.buchi, constrained, max_prefix, max_cycle, max_candidates,

@@ -27,7 +27,7 @@ from repro.automata.dfa import Dfa
 from repro.automata.regex import Regex
 from repro.foundations.errors import InconsistentTypeError, SpecificationError
 from repro.logic.literals import eq as lit_eq
-from repro.logic.terms import Var, X, Y
+from repro.logic.terms import Var, X, Y, register_index
 from repro.logic.types import SigmaType
 from repro.core.caching import cached_method
 from repro.core.register_automaton import RegisterAutomaton, State, Transition
@@ -315,7 +315,69 @@ def _normalisation_projection(original: RegisterAutomaton, normalised: RegisterA
     return back
 
 
-def normalize_control(extended: ExtendedAutomaton) -> ExtendedAutomaton:
+def register_scopes(
+    automaton: RegisterAutomaton, kept: Optional[int]
+) -> Optional[Dict[State, Tuple[int, ...]]]:
+    """The registers in scope at each state, or ``None`` when all of them are.
+
+    ``S(q)`` is registers ``1..kept``, plus every register that a guard
+    into ``q`` mentions as ``y`` or a guard out of ``q`` mentions as ``x``.
+    *kept* is the register count before Proposition 6 (its second value);
+    the registers it adds hold a thread exactly where a guard reads or
+    writes them, so elsewhere their value is free.  ``None`` (or
+    ``kept >= k``) puts every register in scope.
+    """
+    if kept is None or kept >= automaton.k:
+        return None
+    always = range(1, kept + 1)
+    scopes = {state: set(always) for state in automaton.states}
+    for transition in automaton.transitions:
+        for variable in transition.guard.variables:
+            side, register = register_index(variable)
+            if register > kept:
+                scopes[transition.source if side == "x" else transition.target].add(register)
+    return {state: tuple(sorted(registers)) for state, registers in scopes.items()}
+
+
+def scoped_vocabulary(
+    scopes: Dict[State, Tuple[int, ...]], transition: Transition
+) -> Tuple[Var, ...]:
+    """The variables a transition is completed over: ``x_S(source) y_S(target)``.
+
+    The guard mentions no other variable, so each of its completions over
+    this vocabulary entails it.
+    """
+    return tuple(X(r) for r in scopes[transition.source]) + tuple(
+        Y(r) for r in scopes[transition.target]
+    )
+
+
+def _completed_in_scope(
+    automaton: RegisterAutomaton, scopes: Dict[State, Tuple[int, ...]]
+) -> RegisterAutomaton:
+    """``completed()`` with each transition completed over its scoped vocabulary."""
+    relations = automaton.signature.relations
+    constants = automaton.signature.const_terms()
+    transitions = [
+        Transition(transition.source, completion, transition.target)
+        for transition in automaton.transitions
+        for completion in transition.guard.completions(
+            relations, scoped_vocabulary(scopes, transition), constants
+        )
+    ]
+    return RegisterAutomaton(
+        automaton.k,
+        automaton.signature,
+        automaton.states,
+        automaton.initial,
+        automaton.accepting,
+        transitions,
+    )
+
+
+def normalize_control(
+    extended: ExtendedAutomaton, kept: Optional[int] = None
+) -> ExtendedAutomaton:
     """Complete + state-driven control, with every constraint lifted.
 
     Returns *extended* itself when the control is already complete and
@@ -328,11 +390,22 @@ def normalize_control(extended: ExtendedAutomaton) -> ExtendedAutomaton:
     ones: the emptiness pipeline calls this after Proposition 6 has
     removed them, while the LR window analyses honour them directly and
     so avoid the register blow-up of the elimination.
+
+    *kept* scopes the completion (:func:`register_scopes`): emptiness and
+    verification pass the register count before Proposition 6, and each
+    transition is completed over :func:`scoped_vocabulary` only.  A run
+    of the fully completed automaton stays a run when every out-of-scope
+    value is replaced by a fresh one (no guard reads it, and constraints
+    name registers ``1..kept`` only), so the scoped control has the same
+    realisable traces.  Without *kept* -- projection, LR analysis,
+    Theorem 24 -- every guard is completed over ``x1..xk, y1..yk``.
     """
     automaton = extended.automaton
     if automaton.is_complete() and automaton.is_state_driven():
         return extended
-    normalised = automaton.completed().state_driven()
+    scopes = register_scopes(automaton, kept)
+    completed = automaton.completed() if scopes is None else _completed_in_scope(automaton, scopes)
+    normalised = completed.state_driven()
     constraints = lift_constraints_to_states(
         extended.constraints,
         automaton.states,

@@ -69,6 +69,7 @@ from repro.core.extended import (
     eliminate_equality_constraints,
     normalize_control,
 )
+from repro.core.caching import cached_method
 from repro.core.pruning import prune_extended
 from repro.core.register_automaton import RegisterAutomaton, State, Transition
 
@@ -89,19 +90,23 @@ from repro.core.register_automaton import RegisterAutomaton, State, Transition
 # come out of the same explorer.
 
 
-def _symbol_masks(automaton: RegisterAutomaton) -> Tuple[List[State], List]:
+@cached_method("projection.symbol_masks")
+def _symbol_masks(automaton: RegisterAutomaton) -> Tuple[Tuple[State, ...], Tuple]:
     """The control states in ``repr`` order, and each one's corridor masks.
 
     The mask entry is ``None`` for a state without a guard (it fires
     nothing, so no infinite run visits it); every tracker goes dead there.
+    Every tracker of one automaton reads the same tables (Theorem 24
+    builds one per relational factor), so they are memoised per automaton
+    instance and die with it.
     """
     k = automaton.k
-    symbols = sorted(automaton.states, key=repr)
+    symbols = tuple(sorted(automaton.states, key=repr))
     masks = []
     for symbol in symbols:
         guard = automaton.guard_of_state(symbol)
         masks.append(None if guard is None else corridor_masks(guard, k))
-    return symbols, masks
+    return symbols, tuple(masks)
 
 
 def _explore(

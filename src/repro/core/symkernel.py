@@ -13,11 +13,31 @@ by *partition codes*: a completion of a guard over the vocabulary
 ``x1..xk, y1..yk`` is exactly a set partition of the ``2k`` variables,
 an integer bitmask over :func:`repro.logic.types.pair_bits`.
 
+**Scope.**  After Proposition 6 most of the ``2k`` registers are the
+elimination's: one per state of each equality-constraint DFA, holding a
+tracking thread only where a guard reads or writes it.  Each transition
+is therefore completed over its *scoped vocabulary*
+(:func:`repro.core.extended.scoped_vocabulary`): ``x_r`` for the
+registers in scope at its source and ``y_r`` for those in scope at its
+target, where the scope of a state is registers ``1..kept`` plus every
+register a guard into it mentions as ``y`` or a guard out of it mentions
+as ``x`` (:func:`repro.core.extended.register_scopes`).  The guard
+mentions only in-scope variables, so every scoped type entails it; a run
+of the fully completed control stays a run when each out-of-scope value
+is replaced by a fresh one, because no guard, relational literal or
+inequality constraint (those name registers ``<= kept``) reads it.  The
+scoped code is widened to ``2k`` bits with every out-of-scope variable a
+singleton class, so the masks, the agreement test, the corridor walks
+and :func:`repro.ltl.ltlfo.code_assignment` read it unchanged.  Without
+equality constraints ``kept == k`` and nothing is out of scope.
+
 This module builds the normalised symbolic control graph directly over
 those codes:
 
 * nodes are the control pairs of the normalised automaton, keyed by
-  ``(source state, partition code)`` and carried as dense integer ranks
+  ``(source state, scoped vocabulary, partition code)`` -- two
+  transitions out of one state can reach one code under different target
+  scopes, and their types differ -- and carried as dense integer ranks
   with flat per-rank tuples (original state, partition code, per-register
   class masks and successor-image masks);
 * the type-agreement edge test of ``scontrol_buchi`` becomes an integer
@@ -37,20 +57,22 @@ literal path.  The anchors:
 
 * A complete type has one literal set on both paths.
   :meth:`~repro.logic.types.SigmaType.completions` yields each completion
-  in canonical form, which over this vocabulary is
-  :func:`repro.logic.types.decode_code` of its partition code, whichever
-  guard it completes; ``normalize_control`` completes complete guards
-  too, so no guard keeps a literal form of its own.  A node is therefore
-  one control pair, and :func:`repro.logic.types.guard_completion_search`
-  lists the codes in ``completions()`` order.
+  in canonical form, which over a scoped vocabulary is
+  :func:`repro.logic.types.decode_code` of its partition code over that
+  vocabulary, whichever guard it completes; ``normalize_control``
+  completes complete guards too, so no guard keeps a literal form of its
+  own.  A node is therefore one control pair, and
+  :func:`repro.logic.types.guard_completion_search` lists the codes in
+  ``completions()`` order.
 * The Buchi lasso searches order states and symbols by ``repr``.  Kernel
   node ids are ``"n%08d" % rank`` with ranks assigned by sorting the
   nodes on the repr of the pair ``((state, C), C)`` of the canonical
-  completion ``C`` -- rendered once per ``(code, k)`` per process from
-  its literals, without building ``C`` -- so the id order replays the
-  pair order and the enumeration visits candidates in the literal
-  sequence.  :class:`~repro.automata.words.Lasso` canonicalisation is
-  pure symbol-equality, hence commutes with the id-to-pair bijection:
+  completion ``C`` -- rendered once per ``(code, vocabulary)`` per
+  process from its literals over the scoped vocabulary only, without
+  building ``C`` -- so the id order replays the pair order and the
+  enumeration visits candidates in the literal sequence.
+  :class:`~repro.automata.words.Lasso` canonicalisation is pure
+  symbol-equality, hence commutes with the id-to-pair bijection:
   deduplication, ``candidates_checked`` and the winning trace all match,
   and only the winner is decoded.
 * On the kernel the corridor walks read the *base* constraint DFAs with
@@ -68,17 +90,20 @@ literal path.  The anchors:
 takes the literal path -- when the signature has relations or
 constants, when ``k == 0``, when some guard is not an equality type, or
 when the automaton is already complete and state-driven (the literal
-path then skips normalisation entirely and there is no wall to avoid).
-Every other input is completed and made state-driven by
-``normalize_control``, so the normalised control pairs are uniformly
-the nested ``((state, completion), completion)`` shape.
+path then skips normalisation entirely and there is no wall to avoid;
+an out-of-scope variable makes a guard incomplete, so this needs every
+vocabulary full).  Every other input is completed and made state-driven
+by ``normalize_control(without_eq, kept)``, so the normalised control
+pairs are uniformly the nested ``((state, completion), completion)``
+shape.
 
 ``verify`` additionally needs every proposition settled by the codes:
 a node's letter is read off its partition code
 (:func:`repro.ltl.ltlfo.code_assignment`, one bit test per atom), so a
-sentence with a relation, a constant or a register beyond ``k`` takes
-the literal path too, which raises ``EvaluationError`` where no complete
-type settles an atom.
+sentence with a relation or a constant takes the literal path too.  An
+atom over a register beyond ``kept`` -- absent, or added by
+Proposition 6 and maybe out of scope -- raises ``EvaluationError``
+before either path runs (:func:`repro.ltl.ltlfo.check_registers`).
 
 **Consumers.**  ``check_emptiness`` and ``verify`` ask for the kernel through
 the one selection :func:`repro.core.emptiness.normal_control`; its
@@ -87,7 +112,9 @@ kept for the inputs the kernel declines.  Forcing it on eligible inputs
 is the test helper ``tests.helpers.without_symkernel()``, the baseline of
 the byte-identity tests (``tests/test_symkernel.py``, which also checks
 that the kernel materialises no completion) and of the E6 benchmark
-(``benchmarks/bench_verification.py``).
+(``benchmarks/bench_verification.py``).  The unscoped normal form is the
+test helper ``tests.helpers.without_register_scopes()``, the verdict
+oracle of the scoping tests.
 """
 
 from functools import partial
@@ -96,10 +123,15 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.automata.buchi import BuchiAutomaton
 from repro.automata.words import Lasso
 from repro.core.caching import dead_states
-from repro.core.extended import ExtendedAutomaton, normalize_control
+from repro.core.extended import (
+    ExtendedAutomaton,
+    normalize_control,
+    register_scopes,
+    scoped_vocabulary,
+)
 from repro.foundations.memo import ValueCache
 from repro.foundations.resilience import current_deadline
-from repro.logic.terms import x_vars, y_vars
+from repro.logic.terms import Var, register_index, x_vars, y_vars
 from repro.logic.types import (
     _code_literals,
     advance_mask,
@@ -197,28 +229,72 @@ def _code_masks(code: int, k: int) -> Tuple[int, int, Tuple[int, ...], Tuple[int
     return x_code, y_code, tuple(x_class), tuple(y_image)
 
 
-#: ``repr`` of the canonical completion of each ``(code, k)``.
+class _Vocabulary:
+    """The variables one scope completes over, as the kernel uses them.
+
+    ``terms`` is the vocabulary (all of ``x1..xk, y1..yk`` when *scope* is
+    ``None``), ``key`` a hashable of integers naming it across automata,
+    ``widening`` the ``(bit, wide bit)`` pairs that carry a code over
+    ``terms`` to ``2k`` bits -- every variable outside ``terms`` a
+    singleton class -- or ``None`` when ``terms`` is the full vocabulary,
+    and ``codes`` each guard's completion codes over ``terms``.
+    """
+
+    __slots__ = ("terms", "key", "widening", "codes")
+
+    def __init__(self, terms: Tuple[Var, ...], scope: Optional[Tuple], k: int):
+        self.terms = terms
+        self.key = (k, scope)
+        self.widening = None
+        self.codes: Dict = {}
+        if len(terms) < 2 * k:
+            positions = [
+                register if side == "x" else k + register
+                for side, register in map(register_index, terms)
+            ]
+            self.widening = tuple(
+                (bit, pair_bit(positions[i - 1], positions[j - 1], 2 * k))
+                for bit, (i, j) in enumerate(pair_bits(len(terms)))
+            )
+
+    def widen(self, scoped: int) -> int:
+        """The ``2k``-wide code of partition code *scoped* over ``terms``."""
+        code = 0
+        for bit, wide_bit in self.widening:
+            if scoped >> bit & 1:
+                code |= 1 << wide_bit
+        return code
+
+
+#: ``repr`` of the canonical completion of each ``(code, vocabulary key)``.
 _COMPLETION_TEXT = ValueCache("symkernel.completion_text", maxsize=65536)
 
 
-def _completion_text(code: int, k: int) -> str:
-    """``repr(decode_code(code, x1..xk y1..yk))``, without building the type."""
+def _completion_text(code: int, vocab: _Vocabulary) -> str:
+    """``repr(decode_code(code, vocab.terms))``, without building the type."""
 
     def render() -> str:
-        literals = sorted(_code_literals(code, x_vars(k) + y_vars(k)))
+        literals = sorted(_code_literals(code, vocab.terms))
         return "SigmaType(%s)" % " and ".join(repr(literal) for literal in literals)
 
-    return _COMPLETION_TEXT.lookup((code, k), render)
+    return _COMPLETION_TEXT.lookup((code, vocab.key), render)
 
 
 class _Node:
-    """One control pair of the normalised automaton, in coded form."""
+    """One control pair of the normalised automaton, in coded form.
 
-    __slots__ = ("state", "code", "targets", "rank", "node_id")
+    ``scoped`` is the partition code over ``vocab``, the transition's
+    scoped vocabulary; ``code`` is the same partition ``2k`` wide, with
+    every out-of-scope variable a singleton class.
+    """
 
-    def __init__(self, state, code: int):
+    __slots__ = ("state", "code", "scoped", "vocab", "targets", "rank", "node_id")
+
+    def __init__(self, state, code: int, scoped: int, vocab: _Vocabulary):
         self.state = state
         self.code = code
+        self.scoped = scoped
+        self.vocab = vocab
         self.targets: Set = set()
         self.rank = -1
         self.node_id = ""
@@ -394,9 +470,8 @@ class SymbolicKernel:
     materialising only the completions the winning witness touches.
     """
 
-    def __init__(self, without_eq, vocab, nodes, buchi, rows, stats):
+    def __init__(self, without_eq, kept, nodes, buchi, rows, stats):
         self._without_eq = without_eq
-        self._vocab = vocab
         self._nodes = nodes  # rank -> _Node
         self.buchi = buchi
         #: node id -> ``(original state, x_class masks, y_image masks)``
@@ -408,7 +483,7 @@ class SymbolicKernel:
         #: not its value, to :class:`~repro.core.emptiness.EmptinessWitness`;
         #: it holds the automaton only, so a kept witness does not keep
         #: the kernel alive.
-        self.normalised = partial(normalize_control, without_eq)
+        self.normalised = partial(normalize_control, without_eq, kept)
 
     # -- decoding ------------------------------------------------------ #
 
@@ -419,7 +494,7 @@ class SymbolicKernel:
     def decode_node(self, rank: int) -> Tuple:
         """The control pair ``((state, C), C)`` of node *rank*."""
         node = self._nodes[rank]
-        completion = decode_code(node.code, self._vocab)
+        completion = decode_code(node.scoped, node.vocab.terms)
         return ((node.state, completion), completion)
 
     def decode_lasso(self, lasso: Lasso) -> Lasso:
@@ -445,12 +520,18 @@ class SymbolicKernel:
         return CodedNarrowing(self._rows.__getitem__, self._constraint_tables())
 
 
-def build_kernel(without_eq: ExtendedAutomaton) -> Optional[SymbolicKernel]:
+def build_kernel(
+    without_eq: ExtendedAutomaton, kept: Optional[int] = None
+) -> Optional[SymbolicKernel]:
     """The coded normalised control graph, or ``None`` when ineligible.
 
     *without_eq* is the extended automaton **after** equality-constraint
     elimination (Proposition 6), pruning and trimming -- the exact input
-    the literal ``completed()``/``state_driven()`` normalisation would see.
+    the literal ``completed()``/``state_driven()`` normalisation would see
+    -- and *kept* the register count before Proposition 6: each
+    transition is completed over its scoped vocabulary only
+    (:func:`repro.core.extended.register_scopes`), exactly as
+    ``normalize_control(without_eq, kept)`` completes it.
     """
     automaton = without_eq.automaton
     signature = automaton.signature
@@ -466,28 +547,52 @@ def build_kernel(without_eq: ExtendedAutomaton) -> Optional[SymbolicKernel]:
         if not guard.is_equality_type():
             return None
 
-    vocab = x_vars(k) + y_vars(k)
-    codes_of = {guard: guard_completion_search(guard, vocab) for guard in guards}
-    if all(len(codes) == 1 for codes in codes_of.values()) and automaton.is_state_driven():
+    # The vocabulary each transition is completed over: x1..xk, y1..yk when
+    # every register is in scope, else one per (source scope, target
+    # scope); and each guard's completion codes over it.
+    scopes = register_scopes(automaton, kept)
+    full = _Vocabulary(x_vars(k) + y_vars(k), None, k)
+    vocab_of = [full] * len(transitions)
+    if scopes is not None:
+        by_scope: Dict[Tuple, _Vocabulary] = {}
+        for index, transition in enumerate(transitions):
+            scope = (scopes[transition.source], scopes[transition.target])
+            vocab = by_scope.get(scope)
+            if vocab is None:
+                terms = scoped_vocabulary(scopes, transition)
+                vocab = full if terms == full.terms else _Vocabulary(terms, scope, k)
+                by_scope[scope] = vocab
+            vocab_of[index] = vocab
+    for transition, vocab in zip(transitions, vocab_of):
+        if transition.guard not in vocab.codes:
+            vocab.codes[transition.guard] = guard_completion_search(transition.guard, vocab.terms)
+    if (
+        all(vocab is full for vocab in vocab_of)
+        and all(len(codes) == 1 for codes in full.codes.values())
+        and automaton.is_state_driven()
+    ):
         return None  # the literal normalisation is the identity: nothing to win
 
-    # Nodes: one per (source state, partition code), first-occurrence order
-    # over (transition, completion).  A completion's canonical literal set
-    # is a function of its code, so this is the control_pairs() dedup of
-    # the normalised automaton.
+    # Nodes: one per (source state, vocabulary, partition code),
+    # first-occurrence order over (transition, completion).  A completion's
+    # canonical literal set is a function of its code and vocabulary, and
+    # the vocabulary of a transition out of a state is fixed by its
+    # target's scope, so this is the control_pairs() dedup of the
+    # normalised automaton.
     nodes: Dict[Tuple, _Node] = {}
     completed_transitions = 0
-    for transition in transitions:
+    for transition, vocab in zip(transitions, vocab_of):
         active = current_deadline()
         if active is not None:
             active.check("symkernel.build")
-        codes = codes_of[transition.guard]
+        codes = vocab.codes[transition.guard]
         completed_transitions += len(codes)
-        for code in codes:
-            key = (transition.source, code)
+        for scoped in codes:
+            key = (transition.source, vocab, scoped)
             node = nodes.get(key)
             if node is None:
-                node = nodes[key] = _Node(transition.source, code)
+                code = scoped if vocab is full else vocab.widen(scoped)
+                node = nodes[key] = _Node(transition.source, code, scoped, vocab)
             node.targets.add(transition.target)
 
     # Control pairs: sources of normalised transitions, i.e. nodes with a
@@ -503,14 +608,14 @@ def build_kernel(without_eq: ExtendedAutomaton) -> Optional[SymbolicKernel]:
     ]
 
     # Rank by the repr of the normalised pair ((state, C), C), C the
-    # canonical completion of the node's code.
+    # canonical completion of the node's code over its vocabulary.
     state_text: Dict[object, str] = {}
 
     def pair_text(node: _Node) -> str:
         state = state_text.get(node.state)
         if state is None:
             state = state_text[node.state] = repr(node.state)
-        text = _completion_text(node.code, k)
+        text = _completion_text(node.scoped, node.vocab)
         return "((%s, %s), %s)" % (state, text, text)
 
     control.sort(key=pair_text)
@@ -554,7 +659,7 @@ def build_kernel(without_eq: ExtendedAutomaton) -> Optional[SymbolicKernel]:
     }
     return SymbolicKernel(
         without_eq,
-        vocab,
+        kept,
         tuple(control),
         buchi,
         rows,

@@ -16,7 +16,11 @@ satisfies the LTL-FO sentence under every valuation of the global variables
    (:func:`repro.ltl.ltlfo.code_assignment`); the literal
    ``completed()`` / ``state_driven()`` control, with
    :func:`repro.ltl.ltlfo.evaluate_formula_under_type`, serves the inputs
-   the kernel declines and the sentences whose atoms no code settles;
+   the kernel declines and the sentences whose atoms no code settles.
+   Both complete each transition over its scoped vocabulary, so an atom
+   may read only the registers before Proposition 6
+   (:func:`repro.ltl.ltlfo.check_registers` raises ``EvaluationError``
+   on any other, before either runs);
 3. the negated property is translated to a Buchi automaton
    (:func:`repro.ltl.translation.ltl_to_buchi`, once per skeleton, with
    its search tables) and composed with the ``SControl`` automaton into a
@@ -53,7 +57,12 @@ from repro.foundations.errors import SpecificationError
 from repro.logic.literals import eq as lit_eq
 from repro.logic.terms import Var, X, Y
 from repro.logic.types import SigmaType
-from repro.ltl.ltlfo import LtlFoSentence, code_assignment, proposition_assignment
+from repro.ltl.ltlfo import (
+    LtlFoSentence,
+    check_registers,
+    code_assignment,
+    proposition_assignment,
+)
 from repro.ltl.syntax import Not_, satisfies
 from repro.ltl.translation import ltl_to_buchi
 from repro.foundations.memo import ValueCache
@@ -178,11 +187,19 @@ def verify(
     """
     augmented, mapping = add_global_registers(extended, sentence.global_vars)
     grounded = _rewrite_sentence(sentence, mapping)
-    without_eq, _k = eliminate_equality_constraints(augmented)
+    without_eq, kept = eliminate_equality_constraints(augmented)
     letter_of_code = code_assignment(grounded, without_eq.automaton.k)
+    # Proposition 6 appends its bookkeeping registers after the kept ones,
+    # and the normal form scopes them out where no guard mentions them: no
+    # property may read them.  A sentence the codes settle reads registers
+    # 1..k only, so with nothing appended there is nothing to check.
+    if letter_of_code is None or kept < without_eq.automaton.k:
+        check_registers(grounded, kept)
     # A sentence no partition code settles is evaluated on literal types.
     control = (
-        normal_control(without_eq) if letter_of_code is not None else LiteralControl(without_eq)
+        normal_control(without_eq, kept)
+        if letter_of_code is not None
+        else LiteralControl(without_eq, kept)
     )
     # A symbol's letter is the truth assignment its complete type settles.
     if isinstance(control, SymbolicKernel):

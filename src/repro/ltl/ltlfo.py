@@ -131,6 +131,38 @@ def proposition_assignment(
     )
 
 
+def _atoms(formula: Formula):
+    """The atoms of a quantifier-free formula, left to right."""
+    if isinstance(formula, AtomFormula):
+        yield formula.atom
+    elif isinstance(formula, Not):
+        yield from _atoms(formula.operand)
+    elif isinstance(formula, (And, Or)):
+        for operand in formula.operands:
+            yield from _atoms(operand)
+
+
+def check_registers(sentence: LtlFoSentence, k: int) -> None:
+    """Raise :class:`EvaluationError` when an atom reads a register beyond *k*.
+
+    No complete type over registers ``1..k`` settles such an atom (``t =
+    t`` aside, which every type entails).  ``verify`` checks against the
+    register count before Proposition 6: the registers it adds carry the
+    elimination's bookkeeping, not data a property may read.
+    """
+    for formula in sentence.propositions.values():
+        for atom in _atoms(formula):
+            if isinstance(atom, EqAtom) and atom.left == atom.right:
+                continue
+            for term in atom.terms:
+                index = register_index(term)
+                if index is not None and index[1] > k:
+                    raise EvaluationError(
+                        "atom %r is not settled by any complete type: register %d "
+                        "is beyond k=%d" % (atom, index[1], k)
+                    )
+
+
 def code_assignment(
     sentence: LtlFoSentence, k: int
 ) -> Optional[Callable[[int], FrozenSet[str]]]:

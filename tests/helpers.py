@@ -51,6 +51,45 @@ def projection_prefix_sets(automaton, view, m, length, limit=None):
     return original, image
 
 
+def witness_on_original(extended, witness, length):
+    """``witness.finite_witness(length)`` replayed on *extended* itself.
+
+    The witness run lives on the normalised automaton: its states are
+    ``(state, guard)`` pairs over Proposition 6's control states, and its
+    registers include the ones Proposition 6 added.  Peel each state back
+    to a state of *extended*, keep the first ``k`` registers, and fire at
+    each step some transition of *extended* whose guard the data satisfy.
+    Returns ``(database, run)``, or ``(database, None)`` when some step
+    has no such transition.  Callers check ``extended.is_run(run,
+    database)``, which also checks every global constraint.
+    """
+    from repro.core.runs import FiniteRun
+    from repro.db.evaluation import evaluate_type, transition_valuation
+
+    database, run = witness.finite_witness(length)
+    automaton = extended.automaton
+
+    def original(state):
+        while state not in automaton.states:
+            state = state[0]
+        return state
+
+    states = tuple(original(state) for state in run.states)
+    data = tuple(row[: automaton.k] for row in run.data)
+    guards = []
+    for position in range(len(states) - 1):
+        valuation = transition_valuation(data[position], data[position + 1])
+        fired = [
+            transition.guard
+            for transition in automaton.transitions_between(states[position], states[position + 1])
+            if evaluate_type(transition.guard, database, valuation)
+        ]
+        if not fired:
+            return database, None
+        guards.append(fired[0])
+    return database, FiniteRun(data, states, tuple(guards))
+
+
 def canonical_finite_runs(automaton, database, length, pool):
     """The runs of :func:`generate_finite_runs` whose values first occur in pool order.
 
@@ -239,7 +278,31 @@ def without_symkernel():
     """
     from repro.core import emptiness
 
-    with mock.patch.object(emptiness, "build_kernel", lambda without_eq: None):
+    with mock.patch.object(emptiness, "build_kernel", lambda without_eq, kept=None: None):
+        yield
+
+
+@contextmanager
+def without_register_scopes():
+    """Run ``check_emptiness`` and ``verify`` on the unscoped normal form.
+
+    Proposition 6 reports every register as kept, so both normal forms
+    complete each guard over all of ``x1..xk, y1..yk``
+    (``repro.core.extended.register_scopes`` answers ``None``): the
+    Bell(2k) completion the scoped one replaces, and the verdict oracle
+    of the scoping tests.  The kernel's lazy normal form binds the count
+    it was built with, so a witness realises against the same form
+    after the block.
+    """
+    from repro.core import emptiness, verification
+    from repro.core.extended import eliminate_equality_constraints
+
+    def eliminate(extended):
+        without_eq, _kept = eliminate_equality_constraints(extended)
+        return without_eq, without_eq.k
+
+    with mock.patch.object(emptiness, "eliminate_equality_constraints", eliminate), \
+            mock.patch.object(verification, "eliminate_equality_constraints", eliminate):
         yield
 
 

@@ -22,7 +22,7 @@ from repro import (
     rel,
     verify,
 )
-from repro.automata.regex import concat, literal, plus
+from repro.automata.regex import any_of, concat, literal, plus, star
 from repro.automata.words import Lasso
 from repro.core.emptiness import LiteralControl, clique_number
 from repro.core.extended import eliminate_equality_constraints
@@ -31,7 +31,7 @@ from repro.core.tracewindow import TraceWindow
 from repro.generators import random_extended_automaton
 from repro.logic.formulas import atom_eq
 from repro.ltl import Globally, Prop
-from tests.helpers import without_symkernel
+from tests.helpers import witness_on_original, without_register_scopes, without_symkernel
 
 EMPTY = SigmaType()
 
@@ -287,6 +287,45 @@ def test_walk_and_narrowing_agree_with_trace_windows(seed, k):
     kernel = build_kernel(without_eq)
     if kernel is not None:
         _check_against_windows(without_eq, kernel)
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    k=st.integers(min_value=1, max_value=2),
+    n_states=st.integers(min_value=2, max_value=3),
+    ending=st.booleans(),
+)
+def test_scoped_completion_against_original_and_unscoped(seed, k, n_states, ending):
+    """Ground truth for the scoped normal form on equality constraints.
+
+    Every nonempty witness, mapped back to the original states and
+    registers, is a run of the original extended automaton that keeps
+    every constraint, the equality ones included.  Wherever the unscoped
+    normal form (``without_register_scopes()``) decides within its
+    deadline, the verdicts are equal.  With *ending* the equality
+    constraint is one over the factors ending in one state: its DFA has
+    two states, so the unscoped form stays small enough to decide.
+    """
+    rng = random.Random(seed)
+    extended = random_extended_automaton(
+        rng, k=k, n_states=n_states, n_transitions=n_states + 1, n_constraints=2
+    )
+    if ending:
+        states = sorted(extended.automaton.states)
+        suffix = concat(star(any_of(states)), literal(rng.choice(states)))
+        equality = GlobalConstraint("eq", rng.randrange(1, k + 1), rng.randrange(1, k + 1), suffix)
+        extended = ExtendedAutomaton(
+            extended.automaton, (equality,) + extended.inequality_constraints()
+        )
+    scoped = check_emptiness(extended, deadline=300)
+    if scoped.witness is not None:
+        database, run = witness_on_original(extended, scoped.witness, 6)
+        assert run is not None and extended.is_run(run, database)
+    with without_register_scopes():
+        unscoped = check_emptiness(extended, deadline=100)
+    if "unknown" not in (scoped.verdict, unscoped.verdict):
+        assert scoped.verdict == unscoped.verdict
 
 
 def test_one_letter_factor_is_caught_where_it_starts():

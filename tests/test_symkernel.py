@@ -43,7 +43,7 @@ from repro.foundations.stats import cache_stats
 from repro.generators import random_extended_automaton, random_register_automaton
 from repro.logic.terms import x_vars, y_vars
 from repro.logic.types import decode_code, guard_completion_search, pair_bits
-from tests.helpers import without_symkernel
+from tests.helpers import witness_on_original, without_symkernel
 
 EMPTY = SigmaType()
 
@@ -177,12 +177,15 @@ def _assert_buchi_isomorphic(kernel, legacy):
     assert [mapping[node_id] for node_id in ids_sorted] == pairs_sorted
 
 
-def test_kernel_buchi_matches_scontrol(example1_automaton):
-    extended = ExtendedAutomaton(example1_automaton, [])
-    kernel = build_kernel(_without_eq(extended))
-    assert kernel is not None
-    legacy = scontrol_buchi(normalize_control(_without_eq(extended)).automaton)
-    _assert_buchi_isomorphic(kernel, legacy)
+def test_kernel_buchi_matches_scontrol(example1_automaton, example5_extended):
+    # Example 5 after Proposition 6: k = 5, each transition completed over
+    # its scoped vocabulary on both sides.
+    for extended in (ExtendedAutomaton(example1_automaton, []), example5_extended):
+        without_eq, kept = eliminate_equality_constraints(extended)
+        kernel = build_kernel(without_eq, kept)
+        assert kernel is not None
+        legacy = scontrol_buchi(normalize_control(without_eq, kept).automaton)
+        _assert_buchi_isomorphic(kernel, legacy)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -236,20 +239,28 @@ def test_ab_example7(example7_extended):
 def test_prop6_elimination_feeds_eligible_automaton(example5_extended):
     """Proposition 6 elimination yields a kernel-eligible b-state automaton.
 
-    The full emptiness search on example 5 is out of reach for a unit test in
-    *either* mode -- elimination raises k to 5, i.e. Bell(10) = 115975
-    completions per guard, which is exactly the wall the kernel attacks at
-    build level (see ``test_kernel_materialises_no_completions``).  Here we
-    only assert the
-    gate: the eliminated automaton is relation-free, constant-free and
-    incomplete, so ``build_kernel`` would accept it rather than fall back.
+    The eliminated automaton is relation-free, constant-free and
+    incomplete, so ``build_kernel`` accepts it rather than fall back.
+    Elimination raises k to 5, and each guard is completed over its
+    scoped vocabulary only: the registers a guard at its source or target
+    mentions, never the Bell(10) = 115975 partitions of all ten variables.
     """
-    without_eq = _without_eq(example5_extended)
+    without_eq, kept = eliminate_equality_constraints(example5_extended)
     automaton = without_eq.automaton
-    assert automaton.k > 1
+    assert (kept, automaton.k) == (1, 5)
     assert not automaton.signature.relations
     assert not automaton.signature.const_terms()
     assert not without_eq.equality_constraints()
+    assert build_kernel(without_eq, kept) is not None
+
+
+def test_ab_example5(example5_extended):
+    """Example 5 is decided "nonempty", and its witness replays on it."""
+    on, off = _run_both(example5_extended)
+    _assert_identical(on, off)
+    assert on.verdict == "nonempty"
+    database, run = witness_on_original(example5_extended, on.witness, 8)
+    assert run is not None and example5_extended.is_run(run, database)
 
 
 def test_ab_relational_fallback(example8_extended):
@@ -292,16 +303,22 @@ def test_ab_contradictory_constraints():
 @pytest.mark.parametrize("seed", range(10))
 def test_ab_random_extended(seed):
     rng = random.Random(1000 + seed)
-    # equality_fraction=0: equality constraints route through Proposition 6,
-    # which raises k beyond what a unit test can enumerate in either mode.
-    extended = random_extended_automaton(
+    k = rng.choice([1, 2])
+    drawn = random_extended_automaton(
         rng,
-        k=rng.choice([1, 2]),
+        k=k,
         n_states=3,
         n_transitions=4,
         n_constraints=2,
         equality_fraction=0.0,
     )
+    # Plus an equality constraint over the factors ending in one state: its
+    # DFA has two states, so Proposition 6 adds two registers and the
+    # literal leg stays small enough to run.
+    states = sorted(drawn.automaton.states)
+    ending = concat(star(any_of(states)), literal(rng.choice(states)))
+    equality = GlobalConstraint("eq", rng.randrange(1, k + 1), rng.randrange(1, k + 1), ending)
+    extended = ExtendedAutomaton(drawn.automaton, drawn.constraints + (equality,))
     on, off = _run_both(
         extended, max_prefix=1, max_cycle=3, max_candidates=200
     )
@@ -394,6 +411,53 @@ def test_kernel_materialises_no_completions():
     assert literal >= 52
     assert kernel < 52
     assert 5 * kernel <= literal
+
+
+# --------------------------------------------------------------------- #
+# scoped completion: the views Proposition 6 used to put out of reach
+# --------------------------------------------------------------------- #
+
+#: Transitions after completing each view's Proposition 6 automaton over
+#: its scoped vocabularies.  Completing over all 2k variables (k = 9, 11
+#: and 9 after Proposition 6) is the Bell(2k) search that used to expire
+#: before the first candidate, so a count that grows back is the wall.
+VIEW_COMPLETED_TRANSITIONS = {"author": 12, "reviewer": 54, "example1": 273}
+
+
+@pytest.fixture
+def paper_views(example1_automaton):
+    """``name -> (view, original automaton)`` for the three decided views."""
+    from repro.core.projection import project_register_automaton
+    from repro.workflows import manuscript_review_workflow, role_view
+
+    spec = manuscript_review_workflow(with_database=False)
+    workflow = spec.compile()
+    return {
+        "author": (role_view(spec, "author", ["reviewer"]).automaton, workflow),
+        "reviewer": (role_view(spec, "reviewer", ["author"]).automaton, workflow),
+        "example1": (project_register_automaton(example1_automaton, 1), example1_automaton),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(VIEW_COMPLETED_TRANSITIONS))
+def test_view_completion_is_scoped(paper_views, name):
+    view, _original = paper_views[name]
+    without_eq, kept = eliminate_equality_constraints(view)
+    assert kept < without_eq.k
+    kernel = build_kernel(without_eq, kept)
+    assert kernel.stats["completed_transitions"] == VIEW_COMPLETED_TRANSITIONS[name]
+
+
+@pytest.mark.parametrize("name", sorted(VIEW_COMPLETED_TRANSITIONS))
+def test_view_decided_like_its_original(paper_views, name):
+    """Each view is "nonempty" like its original, and its witness replays."""
+    view, original = paper_views[name]
+    on, off = _run_both(view)
+    _assert_identical(on, off)
+    assert on.verdict == "nonempty"
+    assert check_emptiness(ExtendedAutomaton(original, [])).verdict == on.verdict
+    database, run = witness_on_original(view, on.witness, 8)
+    assert run is not None and view.is_run(run, database)
 
 
 # --------------------------------------------------------------------- #

@@ -314,17 +314,36 @@ def test_verify_independent_of_hash_seed():
     assert fingerprints[0].count("\n") == 3 * len(TEMPLATES)
 
 
+def _unsettled_messages(extended, sentence):
+    """The ``EvaluationError`` messages of the kernel and the literal path."""
+    with pytest.raises(EvaluationError) as coded:
+        verify(extended, sentence)
+    with without_symkernel(), pytest.raises(EvaluationError) as literal:
+        verify(extended, sentence)
+    return str(coded.value), str(literal.value)
+
+
 def test_unsettled_atom_raises_on_both_paths(example1_automaton):
     # x3 is no register of a k = 2 automaton: no complete type settles it.
     sentence = LtlFoSentence(
         skeleton=Globally(Prop("p")), propositions={"p": atom_eq(X(1), X(3))}
     )
-    extended = ExtendedAutomaton(example1_automaton, [])
-    with pytest.raises(EvaluationError) as coded:
-        verify(extended, sentence)
-    with without_symkernel(), pytest.raises(EvaluationError) as literal:
-        verify(extended, sentence)
-    assert str(coded.value) == str(literal.value)
+    coded, literal_path = _unsettled_messages(ExtendedAutomaton(example1_automaton, []), sentence)
+    assert coded == literal_path
+    # Register 2 of a k = 1 automaton is unsettled too when Proposition 6
+    # adds a register 2 to track an equality constraint: it holds the
+    # elimination's bookkeeping, which no property reads.
+    automaton = RegisterAutomaton(
+        1, Signature.empty(), {"q"}, {"q"}, {"q"}, [("q", SigmaType([eq(X(1), Y(1))]), "q")]
+    )
+    sentence = LtlFoSentence(
+        skeleton=Globally(Prop("p")), propositions={"p": atom_eq(X(1), X(2))}
+    )
+    plain = _unsettled_messages(ExtendedAutomaton(automaton, []), sentence)
+    constrained = ExtendedAutomaton(automaton, [GlobalConstraint("eq", 1, 1, literal("q"))])
+    assert eliminate_equality_constraints(constrained)[0].k > 1
+    assert _unsettled_messages(constrained, sentence) == plain
+    assert plain[0] == plain[1]
 
 
 def test_already_normal_automaton_verifies():
