@@ -19,12 +19,12 @@ This module implements the decision on lasso witnesses:
 2. candidate lassos are drawn from the Buchi automaton for
    ``SControl(A)``;
 3. each candidate is checked for **consistency** -- no pair of positions
-   forced both equal and unequal -- exactly, by a product walk of the
-   constraint DFA with the corridor tracker over the lasso (cycle
-   detection makes the infinite check finite); the walk, and the prefix
-   filter that narrows the enumeration with it, are
-   :class:`~repro.core.symkernel.CodedCandidateCheck` and
-   :class:`~repro.core.symkernel.CodedNarrowing` on both normal forms;
+   forced both equal and unequal -- exactly, by one filter that follows
+   the constraint DFAs with the corridor trackers,
+   :class:`~repro.core.symkernel.CodedNarrowing` on both normal forms: it
+   narrows the enumeration, and run around a lasso until its state at a
+   period boundary repeats it is the candidate check
+   (:class:`~repro.core.symkernel.CodedCandidateCheck`);
 4. each consistent candidate is checked for **bounded cliques** of
    ``G_w``: the graph restricted to growing windows is materialised and
    the maximum clique compared across window sizes; on an eventually
@@ -34,7 +34,8 @@ This module implements the decision on lasso witnesses:
 5. the first realisable candidate yields an :class:`EmptinessWitness` that
    can produce a genuine :class:`LassoRun` (when a data-periodic
    realisation exists) and arbitrarily long concrete finite witnesses
-   (database + valid run prefix) otherwise.
+   (database + valid run prefix) otherwise; it builds only the part of
+   the normal form its trace visits.
 
 The search exists once, :func:`search_candidates`; Theorem 12's
 ``verify`` runs it on the product with the negated property.  For
@@ -47,6 +48,7 @@ no lasso at all, and otherwise certifies emptiness up to the bound, which
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.automata.words import Lasso
@@ -64,11 +66,14 @@ from repro.foundations.resilience import (
 )
 from repro.core.extended import (
     ExtendedAutomaton,
+    _normalisation_projection,
     eliminate_equality_constraints,
+    lift_constraints_to_states,
     normalize_control,
 )
 from repro.core.pruning import prune_extended
 from repro.core.reduction import trim_extended
+from repro.core.register_automaton import RegisterAutomaton
 from repro.core.runs import FiniteRun, LassoRun
 from repro.core.symbolic import scontrol_buchi
 from repro.core.symkernel import (
@@ -99,9 +104,9 @@ def trace_is_consistent(extended: ExtendedAutomaton, trace: Lasso) -> bool:
     *extended* must be normalised (no equality constraints, complete,
     state-driven) and *trace* a lasso of ``(state, guard)`` pairs.  The
     check is :class:`~repro.core.symkernel.CodedCandidateCheck`, exact:
-    every matched factor of every inequality constraint is covered
-    through cycle detection on (DFA state, corridor, stored position)
-    triples.  Only global inequality constraints can clash: guards are
+    it runs the consistency filter around the lasso until the filter
+    state at a period boundary repeats, after which no new violation can
+    come.  Only global inequality constraints can clash: guards are
     satisfiable, and a local disequality relates adjacent positions,
     whose corridors lie inside one complete guard's closure.
     """
@@ -236,10 +241,9 @@ def normal_control(without_eq: ExtendedAutomaton, kept: Optional[int] = None):
     The kernel declines relations, constants, non-equality guards, k=0
     and control that is already normal; those take the :class:`LiteralControl`.
 
-    Either answer offers ``buchi``, ``decode_lasso``, ``build_narrowing()``,
-    ``candidate_check()`` and ``normalised``, the normalised automaton a
-    witness realises against -- on the kernel a builder, so the witness
-    builds it only if someone asks for a concrete run.
+    Either answer offers ``buchi``, ``decode_lasso``, ``build_narrowing()``
+    and ``candidate_check()``.  Neither hands a normalised automaton to a
+    witness: :class:`EmptinessWitness` builds the part its trace visits.
     """
     kernel = build_kernel(without_eq, kept)
     if kernel is not None:
@@ -250,31 +254,56 @@ def normal_control(without_eq: ExtendedAutomaton, kept: Optional[int] = None):
 class EmptinessWitness:
     """A realisable symbolic control trace, with concrete realisations.
 
-    ``trace`` is the lasso of ``(state, guard)`` pairs over the
-    *normalised* automaton; ``normalised`` is that automaton (an
+    ``trace`` is the lasso of ``(state, guard)`` pairs over the normal
+    form of ``without_eq``, the automaton after Proposition 6 (an
     inequality-only extended automaton).  ``original`` is the user's
     automaton; its register traces are obtained by projecting the
     normalised ones onto the first ``original_k`` registers.
 
-    ``normalised`` may be passed as a zero-argument callable: the
-    code-based kernel path (:mod:`repro.core.symkernel`) decides emptiness
-    without ever materialising the normalised automaton, so the witness
-    builds it lazily -- on first access -- only when a realisation is
-    actually requested.  The verdict-bearing fields (``trace`` and the
-    counters on :class:`EmptinessResult`) never depend on it.
+    :attr:`normalised` is built from the trace, on first access, the same
+    way on both normal forms; the verdict-bearing fields (``trace`` and
+    the counters on :class:`EmptinessResult`) never depend on it.
     """
 
-    def __init__(self, trace: Lasso, normalised, original: ExtendedAutomaton, original_k: int):
+    def __init__(
+        self, trace: Lasso, without_eq: ExtendedAutomaton, original: ExtendedAutomaton, original_k: int
+    ):
         self.trace = trace
-        self._normalised = normalised
+        self.without_eq = without_eq
         self.original = original
         self.original_k = original_k
 
-    @property
+    @cached_property
     def normalised(self) -> ExtendedAutomaton:
-        if callable(self._normalised):
-            self._normalised = self._normalised()
-        return self._normalised
+        """The normal form of ``without_eq``, restricted to the trace.
+
+        Its states are the trace's and its transitions the trace's steps,
+        the last pair stepping to the first of the period.  A state is
+        initial or accepting when the state of ``without_eq`` it peels
+        back to is, and the inequality constraints are lifted onto these
+        states.  The realisations read the trace, ``k``, the signature and
+        the lifted constraints only, so they are those of the whole
+        normal form.
+        """
+        automaton = self.without_eq.automaton
+        pairs = self.trace.prefix + self.trace.period
+        following = pairs[1:] + self.trace.period[:1]
+        states = dict.fromkeys(state for state, _guard in pairs)
+        back = _normalisation_projection(automaton)
+        restricted = RegisterAutomaton(
+            automaton.k,
+            automaton.signature,
+            states,
+            [state for state in states if back(state) in automaton.initial],
+            [state for state in states if back(state) in automaton.accepting],
+            dict.fromkeys(
+                (state, guard, target) for (state, guard), (target, _) in zip(pairs, following)
+            ),
+        )
+        constraints = lift_constraints_to_states(
+            self.without_eq.constraints, automaton.states, restricted.states, back
+        )
+        return ExtendedAutomaton(restricted, constraints)
 
     def __repr__(self) -> str:
         return "EmptinessWitness(trace=%r, original_k=%d)" % (self.trace, self.original_k)
@@ -566,9 +595,7 @@ def _check_emptiness_bounded(
     )
     witness = None
     if lasso is not None:
-        witness = EmptinessWitness(
-            control.decode_lasso(lasso), control.normalised, extended, extended.k
-        )
+        witness = EmptinessWitness(control.decode_lasso(lasso), without_eq, extended, extended.k)
     # Plain Buchi emptiness decides the unconstrained case: no bound applies.
     return EmptinessResult(
         empty=lasso is None,

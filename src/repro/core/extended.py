@@ -294,7 +294,7 @@ def restrict_extended(
     return ExtendedAutomaton(restricted, constraints)
 
 
-def _normalisation_projection(original: RegisterAutomaton, normalised: RegisterAutomaton):
+def _normalisation_projection(original: RegisterAutomaton):
     """Map normalised states back to original states.
 
     Completion keeps states; the state-driven construction produces
@@ -410,7 +410,7 @@ def normalize_control(
         extended.constraints,
         automaton.states,
         normalised.states,
-        _normalisation_projection(automaton, normalised),
+        _normalisation_projection(automaton),
     )
     return ExtendedAutomaton(normalised, constraints)
 

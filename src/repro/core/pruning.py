@@ -15,8 +15,8 @@ Consumers of the reachable-equality-types fixpoint
   DFAs are remapped onto the surviving state alphabet (runs only visit
   surviving states, so the constraint semantics is unchanged).
 
-The search-side pruning needs no fixpoint and lives with the corridor walk
-it runs: :class:`repro.core.symkernel.CodedNarrowing`.
+The search-side pruning needs no fixpoint and is the consistency filter
+itself: :class:`repro.core.symkernel.CodedNarrowing`.
 
 Layering note: this module lives in ``core`` but the analysis lives above
 it, so the dataflow import happens lazily inside :func:`prune_infeasible`.

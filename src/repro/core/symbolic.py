@@ -17,9 +17,11 @@ Realisation strategy (in place of the paper's guarded-logic chase).  The
 paper proves existence of a finite witness database via the finite model
 property of the guarded sentence ``Psi_A``; for lasso traces we can build
 the witness directly.  Unfold the lasso's loop ``m`` times and close it
-into a ring; take the equality closure of the guards' equality literals
-over (position, register) nodes; give each class a distinct value; emit a
-fact for every positive relational literal.  The construction fails only
+into a ring: a :class:`~repro.core.tracewindow.TraceWindow` whose last
+position's ``y`` terms name the loop start.  The window takes the
+equality closure of the guards' equality literals over (position,
+register) nodes, gives each class a distinct value and emits a fact for
+every positive relational literal.  The construction fails only
 through *spurious identifications* -- distinct classes of the infinite
 unfolding that collide modulo ``m`` periods -- and enlarging ``m`` separates
 them: a class spanning more than one period is carried through registers,
@@ -36,13 +38,10 @@ from repro.automata.buchi import BuchiAutomaton
 from repro.automata.words import Lasso
 from repro.db.database import Database
 from repro.foundations.errors import ReproError, SpecificationError
-from repro.foundations.domain import FreshSupply
-from repro.logic.closure import UnionFind
-from repro.logic.literals import EqAtom, RelAtom
-from repro.logic.terms import Const, register_index
 from repro.core.caching import AutomatonIndex, agreement
 from repro.core.register_automaton import RegisterAutomaton
-from repro.core.runs import LassoRun
+from repro.core.runs import LassoRun, validity_error
+from repro.core.tracewindow import TraceWindow
 
 
 def control_pairs(automaton: RegisterAutomaton) -> List[Tuple]:
@@ -137,9 +136,6 @@ def realize_control_trace(
         witness = _try_realize(automaton, trace, unfoldings)
         if witness is not None:
             database, run = witness
-            error = None
-            from repro.core.runs import validity_error
-
             error = validity_error(run, automaton, database)
             if error is not None:
                 raise AssertionError("internal realisation bug: %s" % error)
@@ -152,86 +148,23 @@ def realize_control_trace(
 def _try_realize(
     automaton: RegisterAutomaton, trace: Lasso, unfoldings: int
 ) -> Optional[Tuple[Database, LassoRun]]:
-    k = automaton.k
-    prefix = trace.prefix
-    period = trace.period * unfoldings
-    positions = list(prefix) + list(period)
-    n = len(positions)
-    loop_start = len(prefix)
+    """The ring of *trace* with its loop unfolded *unfoldings* times, realised.
 
-    def successor(i: int) -> int:
-        return loop_start if i + 1 == n else i + 1
-
-    def node(position: int, term) -> object:
-        if isinstance(term, Const):
-            return ("const", term.name)
-        decomposed = register_index(term)
-        kind, index = decomposed
-        pos = position if kind == "x" else successor(position)
-        return (pos, index)
-
-    uf: UnionFind = UnionFind()
-    for constant in automaton.signature.constants:
-        uf.find(("const", constant))
-    for position in range(n):
-        for register in range(1, k + 1):
-            uf.find((position, register))
-
-    inequalities: List[Tuple[object, object]] = []
-    positive_facts: List[Tuple[str, Tuple]] = []
-    negative_facts: List[Tuple[str, Tuple]] = []
-    for position in range(n):
-        _state, guard = positions[position]
-        for literal in guard.literals:
-            atom = literal.atom
-            if isinstance(atom, EqAtom):
-                left, right = node(position, atom.left), node(position, atom.right)
-                if literal.positive:
-                    uf.union(left, right)
-                else:
-                    inequalities.append((left, right))
-            elif isinstance(atom, RelAtom):
-                row = tuple(node(position, t) for t in atom.args)
-                target = positive_facts if literal.positive else negative_facts
-                target.append((atom.relation, row))
-
-    for left, right in inequalities:
-        if uf.same(left, right):
-            return None  # spurious identification; retry with more unfoldings
-
-    # Assign one fresh value per class.
-    supply = FreshSupply(prefix="v")
-    values: Dict[object, object] = {}
-
-    def value_of(any_node) -> object:
-        root = uf.find(any_node)
-        if root not in values:
-            values[root] = supply.take()
-        return values[root]
-
-    fact_rows = {}
-    for relation, row in positive_facts:
-        fact_rows.setdefault(relation, set()).add(tuple(value_of(cell) for cell in row))
-    for relation, row in negative_facts:
-        concrete = tuple(value_of(cell) for cell in row)
-        if concrete in fact_rows.get(relation, set()):
-            return None  # positive/negative clash; retry with more unfoldings
-
-    constant_map = {
-        name: value_of(("const", name)) for name in automaton.signature.constants
-    }
-    database = Database(automaton.signature, relations=fact_rows, constants=constant_map)
-    data = tuple(
-        tuple(value_of((position, register)) for register in range(1, k + 1))
-        for position in range(n)
-    )
-    run = LassoRun(
-        data=data,
-        states=tuple(pair[0] for pair in positions),
-        guards=tuple(pair[1] for pair in positions),
+    ``None`` when the ring identifies a disequal pair or clashes a
+    positive and a negative relational literal.
+    """
+    loop_start = len(trace.prefix)
+    window = TraceWindow(
+        trace,
+        automaton.k,
+        loop_start + unfoldings * len(trace.period),
         loop_start=loop_start,
     )
-    return database, run
+    realisation = window.realize(automaton.signature)
+    if realisation is None:
+        return None
+    database, run = realisation
+    return database, LassoRun(run.data, run.states, tuple(window.guards), loop_start)
 
 
 def control_equals_scontrol_on_samples(

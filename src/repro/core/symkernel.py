@@ -27,9 +27,9 @@ of the fully completed control stays a run when each out-of-scope value
 is replaced by a fresh one, because no guard, relational literal or
 inequality constraint (those name registers ``<= kept``) reads it.  The
 scoped code is widened to ``2k`` bits with every out-of-scope variable a
-singleton class, so the masks, the agreement test, the corridor walks
-and :func:`repro.ltl.ltlfo.code_assignment` read it unchanged.  Without
-equality constraints ``kept == k`` and nothing is out of scope.
+singleton class, so the masks, the agreement test, the consistency
+filter and :func:`repro.ltl.ltlfo.code_assignment` read it unchanged.
+Without equality constraints ``kept == k`` and nothing is out of scope.
 
 This module builds the normalised symbolic control graph directly over
 those codes:
@@ -44,12 +44,13 @@ those codes:
   comparison ``y_code(n) == x_code(n')`` (for complete constant-free
   equality types, agreement *is* equality of the boundary partitions);
 * Theorem 9's consistency condition is followed by Lemma 21-style
-  corridor trackers over register bitmasks: one walk per candidate
-  (:class:`CodedCandidateCheck`) and one prefix filter for the enumeration
-  (:class:`CodedNarrowing`), both over precomputed DFA transition tables.
-  They are the only implementation: the literal normal form
-  (:class:`~repro.core.emptiness.LiteralControl`) feeds them rows read off
-  :func:`repro.logic.types.corridor_masks`.  The masks are the finite
+  corridor trackers over register bitmasks, in one filter over
+  precomputed DFA transition tables (:class:`CodedNarrowing`): it
+  narrows the lasso enumeration, and run around a lasso it is the
+  per-candidate check (:class:`CodedCandidateCheck`).  It is the only
+  implementation: the literal normal form
+  (:class:`~repro.core.emptiness.LiteralControl`) feeds it rows read off
+  :func:`repro.logic.types.corridor_masks`.  Its states are the finite
   exact configuration encoding of Chen, Wang and Yen (arXiv:1402.6783).
 
 **Byte-identity.**  The kernel result must be indistinguishable from the
@@ -75,9 +76,9 @@ literal path.  The anchors:
   symbol-equality, hence commutes with the id-to-pair bijection:
   deduplication, ``candidates_checked`` and the winning trace all match,
   and only the winner is decoded.
-* On the kernel the corridor walks read the *base* constraint DFAs with
-  original states as letters (the literal path lifts them onto normalised
-  states, which only renames the alphabet:
+* On the kernel the consistency filter reads the *base* constraint DFAs
+  with original states as letters (the literal path lifts them onto
+  normalised states, which only renames the alphabet:
   ``lifted.delta(s, (p, comp)) == base.delta(s, p)``).  The lifted DFA's
   dead-state set can be larger -- states only live through alphabet
   symbols that are not normalised-state peels -- but a thread parked on a
@@ -97,13 +98,14 @@ by ``normalize_control(without_eq, kept)``, so the normalised control
 pairs are uniformly the nested ``((state, completion), completion)``
 shape.
 
-``verify`` additionally needs every proposition settled by the codes:
-a node's letter is read off its partition code
-(:func:`repro.ltl.ltlfo.code_assignment`, one bit test per atom), so a
-sentence with a relation or a constant takes the literal path too.  An
-atom over a register beyond ``kept`` -- absent, or added by
-Proposition 6 and maybe out of scope -- raises ``EvaluationError``
-before either path runs (:func:`repro.ltl.ltlfo.check_registers`).
+``verify`` reads a node's letter off its partition code
+(:func:`repro.ltl.ltlfo.code_assignment`, one bit test per atom).  An
+atom naming a relation or a constant outside the signature, or a
+register beyond ``kept`` -- absent, or added by Proposition 6 and maybe
+out of scope -- raises ``EvaluationError`` before either path runs
+(:func:`repro.ltl.ltlfo.check_signature`,
+:func:`repro.ltl.ltlfo.check_registers`), so on an eligible automaton the
+codes settle every sentence that remains.
 
 **Consumers.**  ``check_emptiness`` and ``verify`` ask for the kernel through
 the one selection :func:`repro.core.emptiness.normal_control`; its
@@ -117,18 +119,12 @@ test helper ``tests.helpers.without_register_scopes()``, the verdict
 oracle of the scoping tests.
 """
 
-from functools import partial
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.automata.buchi import BuchiAutomaton
 from repro.automata.words import Lasso
 from repro.core.caching import dead_states
-from repro.core.extended import (
-    ExtendedAutomaton,
-    normalize_control,
-    register_scopes,
-    scoped_vocabulary,
-)
+from repro.core.extended import ExtendedAutomaton, register_scopes, scoped_vocabulary
 from repro.foundations.memo import ValueCache
 from repro.foundations.resilience import current_deadline
 from repro.logic.terms import Var, register_index, x_vars, y_vars
@@ -301,7 +297,7 @@ class _Node:
 
 
 # ---------------------------------------------------------------------- #
-# the corridor walk and the narrowing filter (both normal forms)
+# the consistency filter and the candidate check (both normal forms)
 # ---------------------------------------------------------------------- #
 
 
@@ -334,16 +330,29 @@ def constraint_tables(extended: ExtendedAutomaton, letters) -> Tuple[Tuple, ...]
     return tuple(tables)
 
 
-class CodedCandidateCheck:
-    """Theorem 9 condition (a), consistency, on one lasso candidate.
+class CodedNarrowing:
+    """Theorem 9 condition (a), consistency, as a filter over words.
 
-    A product walk of each constraint DFA with the corridor of its left
-    register, from every spine position: a violation is an accepting DFA
-    state whose corridor holds the right register.  Cycle detection on
-    (DFA state, corridor, stored position) makes the infinite check
-    finite, so the answer is exact.  Bounded cliques (condition (b)) is
-    the caller's: it holds vacuously without relations, exactly the
-    early-out of :func:`repro.core.emptiness.trace_has_bounded_cliques`.
+    A filter state is ``(previous y_image row, per-constraint thread
+    sets)``; a thread ``(dfa state, corridor)`` follows one constraint DFA
+    and the corridor of its left register from one start position to the
+    end of the word read so far.  :meth:`step` advances every thread
+    (step, drop it on a dead DFA state, advance the corridor, test for a
+    violation), spawns the thread of the new start position, and returns
+    ``None`` on a violation: an accepting DFA state whose corridor holds
+    the right register.
+
+    The filter state ranges over a finite set -- these are the
+    configurations of Chen, Wang and Yen -- so the filter is a
+    deterministic safety automaton.  It narrows the lasso enumeration
+    (threaded through
+    :meth:`repro.automata.buchi.BuchiAutomaton.iter_accepted_lassos`):
+    a violation inside a word dooms every lasso extending it, so the
+    surviving candidates keep their order, verdict and winning witness
+    are those of the unnarrowed search, and only ``candidates_checked``
+    shrinks.  Run around a lasso it is the per-candidate check,
+    :class:`CodedCandidateCheck`.  ``paths_pruned`` is kept for
+    diagnostics.
 
     ``row_of(symbol)`` is ``(letter, x_class, y_image)``: the letter the
     constraint DFAs read at that position and the corridor masks of its
@@ -353,65 +362,6 @@ class CodedCandidateCheck:
     :class:`~repro.core.emptiness.LiteralControl` reads them off
     :func:`repro.logic.types.corridor_masks`, with normalised states as
     letters and the lifted DFAs.
-    """
-
-    __slots__ = ("row_of", "tables")
-
-    def __init__(self, row_of, tables):
-        self.row_of = row_of
-        self.tables = tables
-
-    def __call__(self, lasso: Lasso) -> bool:
-        spine = lasso.spine_length()
-        period = len(lasso.period)
-        row_of = self.row_of
-        rows = [row_of(symbol) for symbol in lasso.prefix + lasso.period]
-
-        def stored(position: int) -> int:
-            if position < spine:
-                return position
-            return spine - period + (position - (spine - period)) % period
-
-        for i_index, j_bit, delta, initial, accepting, dead in self.tables:
-            for start in range(spine):
-                letter, x_class, _y_image = rows[start]
-                members = x_class[i_index]
-                dfa_state = delta[(initial, letter)]
-                position = start
-                seen: Set[Tuple] = set()
-                while True:
-                    if dfa_state in dead:
-                        break  # acceptance unreachable: no violation ahead
-                    if dfa_state in accepting and members >> j_bit & 1:
-                        return False
-                    key = (dfa_state, members, stored(position))
-                    if key in seen:
-                        break
-                    seen.add(key)
-                    members = advance_mask(rows[stored(position)][2], members)
-                    position += 1
-                    dfa_state = delta[(dfa_state, rows[stored(position)][0])]
-        return True
-
-
-class CodedNarrowing:
-    """The consistency walk as a prefix filter of the lasso enumeration.
-
-    Threaded through
-    :meth:`repro.automata.buchi.BuchiAutomaton.iter_accepted_lassos`, over
-    the inputs of :class:`CodedCandidateCheck`.  A filter state is
-    ``(previous y_image row, per-constraint thread sets)``; a thread
-    ``(dfa state, corridor)`` is the configuration the walk would hold
-    after walking one constraint from one start position to the end of
-    the explored word.
-    :meth:`step` advances every thread in the walk's order (step,
-    dead-continue, advance, violation), spawns the thread of the new start
-    position, and returns ``None`` -- pruning the enumeration subtree --
-    on a violation.  A violation inside the word dooms every lasso
-    extending it, so the surviving candidates keep their order: verdict
-    and winning witness are those of the unnarrowed search, and only
-    ``candidates_checked`` shrinks.  ``paths_pruned`` is kept for
-    diagnostics.
     """
 
     __slots__ = ("_row_of", "_tables", "paths_pruned")
@@ -453,6 +403,42 @@ class CodedNarrowing:
         return (y_image, tuple(new_threads))
 
 
+class CodedCandidateCheck:
+    """Theorem 9 condition (a), consistency, on one lasso candidate.
+
+    Runs :class:`CodedNarrowing` over the prefix, then over the period
+    again and again until the filter state at a period boundary repeats;
+    the lasso is consistent when no step on the way is a violation.  The
+    answer is exact: the filter states are finitely many, so a boundary
+    state repeats, and from then on every thread repeats, so no violation
+    comes later.  A thread spawned in a later period is a copy of the one
+    spawned at the same offset of the first.  Bounded cliques (condition
+    (b)) is the caller's: it holds vacuously without relations, exactly
+    the early-out of :func:`repro.core.emptiness.trace_has_bounded_cliques`.
+    """
+
+    __slots__ = ("_narrowing",)
+
+    def __init__(self, row_of, tables):
+        self._narrowing = CodedNarrowing(row_of, tables)
+
+    def __call__(self, lasso: Lasso) -> bool:
+        step = self._narrowing.step
+        fstate = self._narrowing.empty()
+        for symbol in lasso.prefix:
+            fstate = step(fstate, symbol)
+            if fstate is None:
+                return False
+        boundaries: Set[Tuple] = set()
+        while fstate not in boundaries:
+            boundaries.add(fstate)
+            for symbol in lasso.period:
+                fstate = step(fstate, symbol)
+                if fstate is None:
+                    return False
+        return True
+
+
 # ---------------------------------------------------------------------- #
 # the kernel
 # ---------------------------------------------------------------------- #
@@ -470,7 +456,7 @@ class SymbolicKernel:
     materialising only the completions the winning witness touches.
     """
 
-    def __init__(self, without_eq, kept, nodes, buchi, rows, stats):
+    def __init__(self, without_eq, nodes, buchi, rows, stats):
         self._without_eq = without_eq
         self._nodes = nodes  # rank -> _Node
         self.buchi = buchi
@@ -478,12 +464,6 @@ class SymbolicKernel:
         self._rows = rows
         self._tables: Optional[Tuple[Tuple, ...]] = None
         self.stats = stats
-        #: Builds the literal normal form on demand.  Only a witness asked
-        #: for a concrete run needs it, so the searches hand the builder,
-        #: not its value, to :class:`~repro.core.emptiness.EmptinessWitness`;
-        #: it holds the automaton only, so a kept witness does not keep
-        #: the kernel alive.
-        self.normalised = partial(normalize_control, without_eq, kept)
 
     # -- decoding ------------------------------------------------------ #
 
@@ -657,11 +637,4 @@ def build_kernel(
         "distinct_guards": len(guards),
         "completed_transitions": completed_transitions,
     }
-    return SymbolicKernel(
-        without_eq,
-        kept,
-        tuple(control),
-        buchi,
-        rows,
-        stats,
-    )
+    return SymbolicKernel(without_eq, tuple(control), buchi, rows, stats)

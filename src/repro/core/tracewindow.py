@@ -5,8 +5,8 @@ the Section 6 constructions) analyse the equivalence ``~_w`` and the
 inequality relation ``!=_w`` of a symbolic control trace ``w`` (Section 3).
 For lasso-shaped ``w`` everything is eventually periodic; a
 :class:`TraceWindow` materialises a finite unfolding -- the prefix plus a
-chosen number of loop iterations, *not* closed into a ring, so no spurious
-identifications occur -- and computes:
+chosen number of loop iterations, *not* closed into a ring unless asked
+to, so no spurious identifications occur -- and computes:
 
 * the equivalence classes of ``~_w`` restricted to the window (generated by
   the guards' equality literals; global equality constraints are assumed to
@@ -20,6 +20,11 @@ identifications occur -- and computes:
   inequality edges at a cut ``h``) at every cut, filed in one sweep,
 * concrete realisations: per-class distinct values, a window database and a
   valid :class:`FiniteRun`.
+
+Given ``loop_start``, the window is closed into the ring of stage 1 of
+Theorem 9: a ``y`` term at its last position names position
+``loop_start``, so the realisation is the data of a lasso run
+(:func:`repro.core.symbolic.realize_control_trace`).
 """
 
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
@@ -31,7 +36,6 @@ from repro.foundations.domain import FreshSupply
 from repro.logic.closure import UnionFind
 from repro.logic.literals import EqAtom, RelAtom
 from repro.logic.terms import Const, register_index
-from repro.core.register_automaton import RegisterAutomaton
 from repro.core.runs import FiniteRun
 
 Node = Tuple[int, int]  # (position, register)
@@ -60,6 +64,9 @@ class TraceWindow:
         or compilable expressions over the automaton's states).
     states:
         The automaton's state set (alphabet for constraint compilation).
+    loop_start:
+        When given, a ``y`` term at the last position names this position
+        instead of one past the window, closing the window into a ring.
     """
 
     def __init__(
@@ -70,12 +77,14 @@ class TraceWindow:
         inequality_constraints: Sequence = (),
         states: Optional[FrozenSet] = None,
         equality_constraints: Sequence = (),
+        loop_start: Optional[int] = None,
     ):
         if length is None:
             length = len(trace.prefix) + 3 * len(trace.period)
         self._trace = trace
         self._k = k
         self._length = length
+        self._loop_start = loop_start
         self._pairs = [trace[i] for i in range(length)]
         self._states = [pair[0] for pair in self._pairs]
         self._guards = [pair[1] for pair in self._pairs]
@@ -96,7 +105,11 @@ class TraceWindow:
         if isinstance(term, Const):
             return ("const", term.name)
         kind, index = register_index(term)
-        return (position + (1 if kind == "y" else 0), index)
+        if kind == "x":
+            return (position, index)
+        if position + 1 == self._length and self._loop_start is not None:
+            return (self._loop_start, index)
+        return (position + 1, index)
 
     def _build(self) -> None:
         for position in range(self._length):
@@ -283,14 +296,13 @@ class TraceWindow:
     # realisation
     # ------------------------------------------------------------------ #
 
-    def realize(
-        self, signature, automaton: Optional[RegisterAutomaton] = None
-    ) -> Optional[Tuple[Database, FiniteRun]]:
+    def realize(self, signature) -> Optional[Tuple[Database, FiniteRun]]:
         """A concrete database and valid run prefix realising the window.
 
         Assigns one fresh value per class; returns ``None`` when the window
         itself is contradictory (a conflict, or a positive/negative
-        relational clash).
+        relational clash).  On a ring the data are those of a lasso run
+        whose last guard steps back to ``loop_start``.
         """
         if self.conflict() is not None:
             return None

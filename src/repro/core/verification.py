@@ -16,11 +16,12 @@ satisfies the LTL-FO sentence under every valuation of the global variables
    (:func:`repro.ltl.ltlfo.code_assignment`); the literal
    ``completed()`` / ``state_driven()`` control, with
    :func:`repro.ltl.ltlfo.evaluate_formula_under_type`, serves the inputs
-   the kernel declines and the sentences whose atoms no code settles.
-   Both complete each transition over its scoped vocabulary, so an atom
-   may read only the registers before Proposition 6
-   (:func:`repro.ltl.ltlfo.check_registers` raises ``EvaluationError``
-   on any other, before either runs);
+   the kernel declines.  Both complete each transition over its scoped
+   vocabulary, so an atom may read only the registers before
+   Proposition 6 and the relations and constants of the signature
+   (:func:`repro.ltl.ltlfo.check_registers` and
+   :func:`repro.ltl.ltlfo.check_signature` raise ``EvaluationError`` on
+   any other, before either runs);
 3. the negated property is translated to a Buchi automaton
    (:func:`repro.ltl.translation.ltl_to_buchi`, once per skeleton, with
    its search tables) and composed with the ``SControl`` automaton into a
@@ -60,18 +61,14 @@ from repro.logic.types import SigmaType
 from repro.ltl.ltlfo import (
     LtlFoSentence,
     check_registers,
+    check_signature,
     code_assignment,
     proposition_assignment,
 )
 from repro.ltl.syntax import Not_, satisfies
 from repro.ltl.translation import ltl_to_buchi
 from repro.foundations.memo import ValueCache
-from repro.core.emptiness import (
-    EmptinessWitness,
-    LiteralControl,
-    normal_control,
-    search_candidates,
-)
+from repro.core.emptiness import EmptinessWitness, normal_control, search_candidates
 from repro.core.extended import ExtendedAutomaton, eliminate_equality_constraints
 from repro.core.register_automaton import RegisterAutomaton, Transition
 from repro.core.runs import LassoRun
@@ -191,16 +188,16 @@ def verify(
     letter_of_code = code_assignment(grounded, without_eq.automaton.k)
     # Proposition 6 appends its bookkeeping registers after the kept ones,
     # and the normal form scopes them out where no guard mentions them: no
-    # property may read them.  A sentence the codes settle reads registers
-    # 1..k only, so with nothing appended there is nothing to check.
+    # property may read them.  A sentence the codes settle names no
+    # relation or constant and reads registers 1..k only, so with nothing
+    # appended there is nothing to check.
     if letter_of_code is None or kept < without_eq.automaton.k:
         check_registers(grounded, kept)
-    # A sentence no partition code settles is evaluated on literal types.
-    control = (
-        normal_control(without_eq, kept)
-        if letter_of_code is not None
-        else LiteralControl(without_eq, kept)
-    )
+    if letter_of_code is None:
+        check_signature(grounded, without_eq.automaton.signature)
+    # After both checks the codes settle every sentence on a signature
+    # without relations and constants, which is all the kernel accepts.
+    control = normal_control(without_eq, kept)
     # A symbol's letter is the truth assignment its complete type settles.
     if isinstance(control, SymbolicKernel):
         def letter_of(symbol) -> FrozenSet[str]:
@@ -220,9 +217,7 @@ def verify(
         return VerificationResult(
             holds=True, exact=exact, product_size=size, candidates_checked=checked
         )
-    witness = EmptinessWitness(
-        control.decode_lasso(lasso), control.normalised, extended, extended.k
-    )
+    witness = EmptinessWitness(control.decode_lasso(lasso), without_eq, extended, extended.k)
     return VerificationResult(
         holds=False,
         exact=True,

@@ -22,10 +22,11 @@ Two evaluation modes are provided:
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
+from repro.db.schema import Signature
 from repro.foundations.errors import EvaluationError, SpecificationError
 from repro.logic.formulas import And, AtomFormula, FalseFormula, Formula, Not, Or, TrueFormula
-from repro.logic.literals import EqAtom, Literal
-from repro.logic.terms import Term, Var, register_index
+from repro.logic.literals import EqAtom, Literal, RelAtom
+from repro.logic.terms import Const, Term, Var, register_index
 from repro.logic.types import SigmaType, pair_bit
 from repro.ltl.syntax import LtlFormula
 
@@ -160,6 +161,28 @@ def check_registers(sentence: LtlFoSentence, k: int) -> None:
                     raise EvaluationError(
                         "atom %r is not settled by any complete type: register %d "
                         "is beyond k=%d" % (atom, index[1], k)
+                    )
+
+
+def check_signature(sentence: LtlFoSentence, signature: Signature) -> None:
+    """Raise :class:`EvaluationError` when an atom names a relation or a
+    constant outside *signature*.
+
+    No complete type over *signature* settles such an atom, so ``verify``
+    refuses the sentence before building a normal form.
+    """
+    for formula in sentence.propositions.values():
+        for atom in _atoms(formula):
+            if isinstance(atom, RelAtom) and atom.relation not in signature.relations:
+                raise EvaluationError(
+                    "atom %r names relation %r, which is not in the signature"
+                    % (atom, atom.relation)
+                )
+            for term in atom.terms:
+                if isinstance(term, Const) and term.name not in signature.constants:
+                    raise EvaluationError(
+                        "atom %r names constant %r, which is not in the signature"
+                        % (atom, term.name)
                     )
 
 

@@ -290,9 +290,8 @@ def without_register_scopes():
     complete each guard over all of ``x1..xk, y1..yk``
     (``repro.core.extended.register_scopes`` answers ``None``): the
     Bell(2k) completion the scoped one replaces, and the verdict oracle
-    of the scoping tests.  The kernel's lazy normal form binds the count
-    it was built with, so a witness realises against the same form
-    after the block.
+    of the scoping tests.  A witness builds its normal form from its own
+    trace, so it realises the same way after the block.
     """
     from repro.core import emptiness, verification
     from repro.core.extended import eliminate_equality_constraints

@@ -25,8 +25,8 @@ from repro import (
 from repro.automata.regex import any_of, concat, literal, plus, star
 from repro.automata.words import Lasso
 from repro.core.emptiness import LiteralControl, clique_number
-from repro.core.extended import eliminate_equality_constraints
-from repro.core.symkernel import SymbolicKernel, build_kernel
+from repro.core.extended import eliminate_equality_constraints, normalize_control
+from repro.core.symkernel import build_kernel
 from repro.core.tracewindow import TraceWindow
 from repro.generators import random_extended_automaton
 from repro.logic.formulas import atom_eq
@@ -230,11 +230,9 @@ def _window_conflict(normalised, trace, length):
 
 
 def _check_against_windows(without_eq, control, cap=10):
-    """The control's walk and narrowing agree with union-find trace windows."""
-    if isinstance(control, SymbolicKernel):
-        normalised = control.normalised()
-    else:
-        normalised = control.normalised
+    """The control's candidate check and narrowing agree with union-find
+    trace windows."""
+    normalised = normalize_control(without_eq)
     k = normalised.automaton.k
     dfa_size = max(
         len(automaton.constraint_dfa(constraint).states)
@@ -247,7 +245,8 @@ def _check_against_windows(without_eq, control, cap=10):
             break
         trace = control.decode_lasso(lasso)
         # A violation lies within |Q_dfa| * 2^k * spine positions of its
-        # start: the walk's cycle detection sees no more distinct keys.
+        # start: a thread's (DFA state, corridor, offset in the spine)
+        # repeats by then.
         spine = trace.spine_length()
         length = spine + dfa_size * 2 ** k * spine
         assert check(lasso) == (_window_conflict(normalised, trace, length) is None)
@@ -271,8 +270,8 @@ def test_walk_and_narrowing_agree_with_trace_windows(seed, k):
     union-find window long enough to be exact, and the narrowing prunes a
     word exactly when that word's own window has a conflict.  The windows
     (:class:`repro.core.tracewindow.TraceWindow`) share only
-    :func:`repro.core.caching.dead_states` with the corridor walk: both stop
-    scanning from a start position once its DFA run is dead.
+    :func:`repro.core.caching.dead_states` with the consistency filter:
+    both stop following a start position once its DFA run is dead.
     """
     extended = random_extended_automaton(
         random.Random(seed),
@@ -331,9 +330,9 @@ def test_scoped_completion_against_original_and_unscoped(seed, k, n_states, endi
 def test_one_letter_factor_is_caught_where_it_starts():
     """A constraint matched by a single position: ``x1 != x1`` at every ``q``.
 
-    The violation lies at its start position, so the walk must check
-    before it advances and the narrowing must check the thread it spawns.
-    Random constraints almost never match one letter; this pins the case.
+    The violation lies at its start position, so the filter must check
+    the thread it spawns before it advances it.  Random constraints almost
+    never match one letter; this pins the case.
     """
     automaton = RegisterAutomaton(
         1,
@@ -344,6 +343,21 @@ def test_one_letter_factor_is_caught_where_it_starts():
         [("p", EMPTY, "p"), ("p", EMPTY, "q"), ("q", EMPTY, "p")],
     )
     extended = ExtendedAutomaton(automaton, [GlobalConstraint("neq", 1, 1, literal("q"))])
+    without_eq, _k = eliminate_equality_constraints(extended)
+    for control in (LiteralControl(without_eq), build_kernel(without_eq)):
+        _check_against_windows(without_eq, control)
+
+
+def test_factor_longer_than_the_period_is_caught_around_the_loop():
+    """A constraint matched by four consecutive ``q`` only.
+
+    On the one-letter loops of ``q`` the violating factor spans four
+    periods, so the candidate check must go round the period until its
+    filter state at the boundary repeats, not stop after one round.
+    """
+    automaton = RegisterAutomaton(1, Signature.empty(), {"q"}, {"q"}, {"q"}, [("q", EMPTY, "q")])
+    four = concat(literal("q"), literal("q"), literal("q"), literal("q"))
+    extended = ExtendedAutomaton(automaton, [GlobalConstraint("neq", 1, 1, four)])
     without_eq, _k = eliminate_equality_constraints(extended)
     for control in (LiteralControl(without_eq), build_kernel(without_eq)):
         _check_against_windows(without_eq, control)

@@ -35,6 +35,7 @@ from repro import (
 )
 from repro.automata.regex import any_of, concat, literal, plus, star
 from repro.core.extended import eliminate_equality_constraints, normalize_control
+from repro.core.register_automaton import Transition
 from repro.core.symbolic import scontrol_buchi
 from repro.core.symkernel import build_kernel
 from repro.foundations.interning import clear_intern_tables
@@ -461,24 +462,77 @@ def test_view_decided_like_its_original(paper_views, name):
 
 
 # --------------------------------------------------------------------- #
-# the lazy witness
+# a witness's normal form is its trace's
 # --------------------------------------------------------------------- #
 
 
-def test_kernel_witness_materialises_lazily(example7_extended):
-    result = check_emptiness(example7_extended)
-    witness = result.witness
-    assert witness is not None
-    # The kernel path never built the normalised automaton for the verdict.
-    assert callable(witness._normalised)
-    database, run = witness.finite_witness(5)
-    assert len(run) == 5
-    assert run.is_valid(witness.normalised.automaton, database)
-    # Now it is materialised (and cached) on the witness.
-    assert not callable(witness._normalised)
-    assert witness.normalised.automaton.is_state_driven()
-    # The literal baseline builds it eagerly: the helper really bypasses
-    # the kernel.
+def _assert_trace_shaped(witness):
+    """``witness.normalised`` holds the trace's states and steps, and replays."""
+    trace = witness.trace
+    pairs = trace.prefix + trace.period
+    following = pairs[1:] + trace.period[:1]
+    normalised = witness.normalised
+    automaton = normalised.automaton
+    assert automaton.states == frozenset(state for state, _guard in pairs)
+    assert set(automaton.transitions) == {
+        Transition(state, guard, target)
+        for (state, guard), (target, _) in zip(pairs, following)
+    }
+    assert automaton.is_state_driven()
+    assert pairs[0][0] in automaton.initial
+    assert any(state in automaton.accepting for state, _guard in trace.period)
+    database, run = witness.finite_witness(6)
+    assert len(run) == 6
+    assert run.is_valid(automaton, database) and normalised.satisfies_constraints(run)
+    realised = witness.lasso_run()
+    if realised is not None:
+        database, run = realised
+        assert normalised.is_run(run, database)
+
+
+def _normal_form_fingerprint(witness):
+    automaton = witness.normalised.automaton
+    return (
+        automaton.states,
+        automaton.initial,
+        automaton.accepting,
+        frozenset(automaton.transitions),
+        [(c.kind, c.i, c.j) for c in witness.normalised.constraints],
+    )
+
+
+def test_witness_normal_form_is_its_trace(example7_extended):
+    kernel = check_emptiness(example7_extended).witness
     with without_symkernel():
-        literal = check_emptiness(example7_extended)
-    assert not callable(literal.witness._normalised)
+        literal = check_emptiness(example7_extended).witness
+    assert kernel.trace == literal.trace
+    for witness in (kernel, literal):
+        _assert_trace_shaped(witness)
+        # All values distinct: runs exist, periodic ones do not.
+        assert witness.lasso_run() is None
+    assert _normal_form_fingerprint(kernel) == _normal_form_fingerprint(literal)
+    for mine, theirs in zip(kernel.normalised.constraints, literal.normalised.constraints):
+        assert kernel.normalised.constraint_dfa(mine).equivalent(
+            literal.normalised.constraint_dfa(theirs)
+        )
+
+
+def test_witness_normal_form_is_its_trace_on_eq_draw():
+    """A draw whose whole scoped normal form has 4,854 states.
+
+    Its witness builds the two states its trace visits.  Under
+    ``without_symkernel()`` the search itself builds the whole literal
+    normal form, so only the kernel leg runs.
+    """
+    rng = random.Random(9)
+    k = rng.choice([1, 2])
+    n = rng.choice([2, 3])
+    extended = random_extended_automaton(
+        rng, k=k, n_states=n, n_transitions=n + 1, n_constraints=2, equality_fraction=0.5
+    )
+    witness = check_emptiness(extended).witness
+    assert len(witness.normalised.automaton.states) == 2
+    _assert_trace_shaped(witness)
+    assert witness.lasso_run() is not None
+    database, run = witness_on_original(extended, witness, 6)
+    assert run is not None and extended.is_run(run, database)

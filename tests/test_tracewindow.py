@@ -223,3 +223,23 @@ class TestRealization:
         trace = Lasso((), (("a", asserts), ("b", denies)))
         window = TraceWindow(trace, 1, length=4)
         assert window.realize(signature) is None
+
+    def test_ring_wraps_the_last_y_side_to_the_loop_start(self):
+        # Two registers swap their values on every loop step.
+        change = SigmaType([neq(X(1), Y(1)), neq(X(2), Y(2))])
+        swap = SigmaType([eq(X(1), Y(2)), eq(X(2), Y(1))])
+        trace = Lasso((("p", change),), (("q", swap),))
+        # Unfolded once, the last step's y side names the loop start: the
+        # swap then equates the two registers there.
+        ring = TraceWindow(trace, 2, length=2, loop_start=1)
+        assert ring.same_class((1, 1), (1, 2))
+        _database, run = ring.realize(Signature.empty())
+        assert run.data == (("w0", "w1"), ("w2", "w2"))
+        # Unfolded twice, the swap closes up without identifying them.
+        ring = TraceWindow(trace, 2, length=3, loop_start=1)
+        assert ring.same_class((1, 1), (2, 2)) and not ring.same_class((1, 1), (1, 2))
+        # Without loop_start the window stays open.
+        assert not TraceWindow(trace, 2, length=2).same_class((1, 1), (1, 2))
+        # A loop step x1 != y1 contradicts the wrap of a one-position ring.
+        ring = TraceWindow(Lasso((), (("q", change),)), 2, length=1, loop_start=0)
+        assert ring.realize(Signature.empty()) is None

@@ -15,6 +15,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,13 +36,14 @@ from repro import (
     verify,
 )
 from repro.automata.regex import concat, literal, plus
+from repro.core import verification
 from repro.core.extended import eliminate_equality_constraints
 from repro.core.symkernel import build_kernel
 from repro.foundations.errors import EvaluationError
 from repro.generators import random_register_automaton
 from repro.generators.automata import random_constraint_regex
 from repro.logic.formulas import Or, atom_eq, atom_rel
-from repro.logic.terms import Var
+from repro.logic.terms import Const, Var
 from repro.ltl import Eventually, Globally, Not_, Prop
 from repro.ltl.syntax import Or_
 from tests.helpers import without_product_search, without_symkernel
@@ -344,6 +347,27 @@ def test_unsettled_atom_raises_on_both_paths(example1_automaton):
     assert eliminate_equality_constraints(constrained)[0].k > 1
     assert _unsettled_messages(constrained, sentence) == plain
     assert plain[0] == plain[1]
+
+
+@pytest.mark.parametrize(
+    "formula, missing",
+    [(atom_rel("P", X(1)), "relation 'P'"), (atom_eq(X(1), Const("c")), "constant 'c'")],
+    ids=["relation", "constant"],
+)
+def test_foreign_symbol_raises_before_normalising(example1_automaton, formula, missing):
+    # Example 1's signature is empty: no complete type settles P(x1) or
+    # x1 = c, and the kernel would take the automaton.
+    sentence = LtlFoSentence(skeleton=Globally(Prop("p")), propositions={"p": formula})
+    extended = ExtendedAutomaton(example1_automaton, [])
+    coded, literal_path = _unsettled_messages(extended, sentence)
+    assert coded == literal_path
+    assert missing in coded and "not in the signature" in coded
+
+    def refuse(*_args):
+        raise AssertionError("verify built a normal form")
+
+    with mock.patch.object(verification, "normal_control", refuse):
+        assert _unsettled_messages(extended, sentence) == (coded, coded)
 
 
 def test_already_normal_automaton_verifies():
