@@ -58,6 +58,7 @@ information" and behave as if the analysis never ran.
 
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.automata.graphs import cyclic_components
 from repro.foundations.diagnostics import Severity
 from repro.foundations.resilience import Budget, Outcome, record_event
 from repro.core.register_automaton import RegisterAutomaton, State, Transition
@@ -360,13 +361,6 @@ class CoReachability:
     def is_co_reachable(self, state: State) -> bool:
         return bool(self.anchors_from(state))
 
-    def co_reachable_states(self) -> Tuple[State, ...]:
-        return tuple(
-            state
-            for state in sorted(self.automaton.states, key=repr)
-            if self.is_co_reachable(state)
-        )
-
     def non_co_reachable_states(self) -> Tuple[State, ...]:
         return tuple(
             state
@@ -438,28 +432,29 @@ def _feasible_cycle_anchors(
 ) -> Optional[FrozenSet[State]]:
     """Accepting states on a cycle of feasible transitions.
 
-    One bounded BFS per accepting state (sorted, so the charge sequence
-    is deterministic); ``None`` when the edge budget trips mid-search.
+    One Tarjan pass (:func:`~repro.automata.graphs.cyclic_components`)
+    from the accepting states, in ``repr`` order, over the feasible
+    transitions: every cycle through an accepting state is reachable
+    from it.  Each edge the pass follows charges *edges* once, so the
+    charge sequence is deterministic; ``None`` when the budget runs out.
     """
-    anchors: Set[State] = set()
-    for anchor in sorted(automaton.accepting, key=repr):
-        seen: Set[State] = set()
-        frontier: List[State] = [anchor]
-        found = False
-        while frontier and not found:
-            current = frontier.pop(0)
-            for target in feasible_targets.get(current, ()):
-                if not edges.charge():
-                    return None
-                if target == anchor:
-                    found = True
-                    break
-                if target not in seen:
-                    seen.add(target)
-                    frontier.append(target)
-        if found:
-            anchors.add(anchor)
-    return frozenset(anchors)
+
+    def successors(state: State) -> Tuple[State, ...]:
+        targets = feasible_targets.get(state, ())
+        if not edges.charge(len(targets)):
+            # Spent: from here on no state has successors, so the pass
+            # ends early; its answer is dropped below.
+            return ()
+        return targets
+
+    accepting = automaton.accepting
+    anchors = frozenset(
+        state
+        for component in cyclic_components(sorted(accepting, key=repr), successors)
+        for state in component
+        if state in accepting
+    )
+    return None if edges.exhausted else anchors
 
 
 def co_reachability_outcome(

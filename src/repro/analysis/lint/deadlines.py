@@ -35,8 +35,10 @@ __all__ = ["deadline_findings", "LONG_RUNNING_MODULES", "EXPENSIVE_NAMES"]
 #: with documented checkpoint sites (emptiness.lasso, types.completions,
 #: theorem24.literal_pair, buchi.*_round, buchi.anchor, buchi.extend,
 #: buchi.product, lr.lasso, streaming.feed_run, monitor.ingest) plus the
-#: dataflow solver.  projection.register_pair is documented too, but
-#: repro.core.projection is not listed yet.
+#: dataflow solver and the shared graph searches (repro.automata.graphs,
+#: whose callers poll a deadline or charge a budget inside ``successors``).
+#: projection.register_pair is documented too, but repro.core.projection
+#: is not listed yet.
 LONG_RUNNING_MODULES = frozenset(
     {
         "repro.core.emptiness",
@@ -46,6 +48,7 @@ LONG_RUNNING_MODULES = frozenset(
         "repro.core.streaming",
         "repro.core.monitor",
         "repro.automata.buchi",
+        "repro.automata.graphs",
         "repro.logic.types",
         "repro.analysis.dataflow.framework",
     }

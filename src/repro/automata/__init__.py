@@ -15,7 +15,11 @@ library works directly with automata:
 * :mod:`repro.automata.buchi` -- nondeterministic Buchi automata with lasso
   membership, emptiness (with lasso witness extraction), intersection
   (flagged, or searched on the fly by :class:`BuchiProduct`), union, and
-  degeneralisation of generalized Buchi acceptance.
+  degeneralisation of generalized Buchi acceptance,
+* :mod:`repro.automata.graphs` -- the accepting-cycle search every lasso
+  question ends in: the strongly connected components with a cycle (one
+  iterative Tarjan pass) and breadth-first paths, over a successor
+  function the caller supplies.
 """
 
 from repro.automata.buchi import BuchiAutomaton, BuchiProduct, GeneralizedBuchiAutomaton

@@ -9,9 +9,9 @@ images, and degeneralisation of generalized Buchi acceptance (needed by the
 LTL translation).
 """
 
-from bisect import bisect_left
 from typing import Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
+from repro.automata.graphs import cyclic_components, walk
 from repro.automata.words import Lasso
 from repro.foundations.errors import SpecificationError
 from repro.foundations.resilience import current_deadline
@@ -87,8 +87,8 @@ class BuchiAutomaton:
 
         Standard algorithm: after consuming the prefix we ask for an infinite
         accepting continuation over ``period^omega``; that exists iff, in the
-        graph of (state, period-offset) nodes, some node carrying an
-        accepting state is reachable from the start set and lies on a cycle.
+        graph of (state, period-offset) nodes, a cycle reachable from the
+        start set passes a node carrying an accepting state.
         """
         current: Set[State] = set(self._initial)
         for symbol in word.prefix:
@@ -100,36 +100,17 @@ class BuchiAutomaton:
                 return False
         period = word.period
 
-        def node_successors(node: Tuple[State, int]) -> Iterable[Tuple[State, int]]:
+        def node_successors(node: Tuple[State, int]) -> List[Tuple[State, int]]:
             state, offset = node
-            symbol = period[offset]
             nxt_offset = (offset + 1) % len(period)
-            for target in self.successors(state, symbol):
-                yield (target, nxt_offset)
+            return [(target, nxt_offset) for target in self.successors(state, period[offset])]
 
-        start_nodes = {(state, 0) for state in current}
-        reachable: Set[Tuple[State, int]] = set(start_nodes)
-        frontier = list(start_nodes)
-        while frontier:
-            node = frontier.pop()
-            for target in node_successors(node):
-                if target not in reachable:
-                    reachable.add(target)
-                    frontier.append(target)
-        accepting_nodes = [n for n in reachable if n[0] in self._accepting]
-        for anchor in accepting_nodes:
-            # is anchor on a cycle? BFS from its successors back to it
-            seen: Set[Tuple[State, int]] = set()
-            stack = list(node_successors(anchor))
-            while stack:
-                node = stack.pop()
-                if node == anchor:
-                    return True
-                if node in seen:
-                    continue
-                seen.add(node)
-                stack.extend(node_successors(node))
-        return False
+        accepting = self._accepting
+        return any(
+            state in accepting
+            for component in cyclic_components([(state, 0) for state in current], node_successors)
+            for state, _offset in component
+        )
 
     # ------------------------------------------------------------------ #
     # emptiness with witness
@@ -146,8 +127,8 @@ class BuchiAutomaton:
 
         The witness anchor is the first accepting state, in breadth-first
         order from the initial states, that lies on a cycle.  The prefix
-        is its breadth-first access path and the period the first cycle
-        :meth:`_cycle_through` finds through it.
+        is its breadth-first access path and the period the first cycle a
+        breadth-first walk from the anchor back to itself finds.
         """
         tables = self._tables()
         anchors = tables.anchors()
@@ -157,59 +138,11 @@ class BuchiAutomaton:
         # lasso is then independent of the hash order of any set (ORD001),
         # which the code-based emptiness kernel relies on to replay this
         # search over renamed states.
-        seeds = tables.seeds()
-        parent: List[Optional[Tuple[int, object]]] = [None] * len(tables.states)
-        for seed in seeds:
-            parent[seed] = (-1, None)
-
-        def discovery_order() -> Iterator[int]:
-            yield from seeds
-            queue = list(seeds)
-            head = 0
-            while head < len(queue):
-                number = queue[head]
-                head += 1
-                for symbol, targets in tables.edges(number):
-                    for target in targets:
-                        if parent[target] is None:
-                            parent[target] = (number, symbol)
-                            queue.append(target)
-                            yield target
-
-        # Every anchor is reachable, so the search meets one.
-        anchor = next(number for number in discovery_order() if number in anchors)
-        word: List = []
-        node, symbol = parent[anchor]
-        while node >= 0:
-            word.append(symbol)
-            node, symbol = parent[node]
-        return Lasso(tuple(reversed(word)), self._cycle_through(anchor))
-
-    def _cycle_through(self, anchor: int) -> Optional[Tuple]:
-        """A non-empty symbol word labelling a cycle anchor -> anchor.
-
-        *anchor* is a state number of :meth:`_tables`.
-        """
-        tables = self._tables()
-        local_parent: Dict[int, Tuple[int, object]] = {}
-        queue = [anchor]
-        head = 0
-        while head < len(queue):
-            state = queue[head]
-            head += 1
-            for symbol, targets in tables.edges(state):
-                for target in targets:
-                    if target == anchor:
-                        word: List = [symbol]
-                        node = state
-                        while node != anchor:
-                            node, back_symbol = local_parent[node]
-                            word.append(back_symbol)
-                        return tuple(reversed(word))
-                    if target not in local_parent:
-                        local_parent[target] = (state, symbol)
-                        queue.append(target)
-        return None
+        successors, label = tables.targets, tables.symbol_between
+        access, prefix = walk(tables.seeds(), anchors.__contains__, successors, label)
+        anchor = access[-1]
+        _cycle, period = walk((anchor,), anchor.__eq__, successors, label, nonempty=True)
+        return Lasso(prefix, period)
 
     def is_empty(self) -> bool:
         """Whether the accepted omega-language is empty."""
@@ -486,10 +419,6 @@ class BuchiProduct:
         pair expansions (checkpoint ``buchi.product``).
         """
         search = _PairSearch(self.left._tables(), self.right._tables(), self._letters)
-        component = search.accepting_component()
-        self._visited = len(search.number)
-        if component is None:
-            return None
         width = search.width
         left_accepting, right_accepting = search.left_accepting, search.right_accepting
 
@@ -499,11 +428,25 @@ class BuchiProduct:
         def right_goal(pair: int) -> bool:
             return right_accepting[pair % width]
 
-        entry, prefix = search.walk(search.seeds, component.__contains__, None)
-        left_stop, to_left = search.walk((entry,), left_goal, component)
-        right_stop, to_right = search.walk((left_stop,), right_goal, component)
-        _stop, back = search.walk(
-            (right_stop,), entry.__eq__, component, nonempty=not (to_left or to_right)
+        successors, label = search.successors, search.symbol_between
+        component = next(
+            (
+                frozenset(members)
+                for members in cyclic_components(search.seeds, successors)
+                if any(map(left_goal, members)) and any(map(right_goal, members))
+            ),
+            None,
+        )
+        # The pass expands each pair it visits once, and nothing else has yet.
+        self._visited = search.expanded
+        if component is None:
+            return None
+        path, prefix = walk(search.seeds, component.__contains__, successors, label)
+        entry = path[-1]
+        path, to_left = walk((entry,), left_goal, successors, label, component)
+        path, to_right = walk((path[-1],), right_goal, successors, label, component)
+        _path, back = walk(
+            (path[-1],), entry.__eq__, successors, label, component, nonempty=not (to_left or to_right)
         )
         return Lasso(prefix, to_left + to_right + back)
 
@@ -520,32 +463,29 @@ class _PairSearch:
     __slots__ = (
         "width",
         "seeds",
-        "number",
+        "expanded",
         "left_accepting",
         "right_accepting",
         "_left_edges",
         "_right_row",
         "_letters",
-        "_expansions",
     )
 
     def __init__(self, left: "_SearchTables", right: "_SearchTables", letters: _LetterMap):
         width = self.width = len(right.states)
         self.seeds = [c * width + p for c in left.seeds() for p in right.seeds()]
-        #: Each pair the Tarjan pass visited, with its visit number.
-        self.number: Dict[int, int] = {}
+        #: How many times :meth:`successors` has run.
+        self.expanded = 0
         self.left_accepting = left.accepting_flags()
         self.right_accepting = right.accepting_flags()
         self._left_edges = left.edges
         self._right_row = right.by_symbol
         self._letters = letters
-        self._expansions = 0
 
     def successors(self, pair: int) -> List[int]:
         """The successor pairs of *pair*, in search order."""
-        self._expansions += 1
-        if self._expansions == EXTEND_POLL_EVERY:
-            self._expansions = 0
+        self.expanded += 1
+        if not self.expanded % EXTEND_POLL_EVERY:
             active = current_deadline()
             if active is not None:
                 active.check("buchi.product")
@@ -568,108 +508,6 @@ class _PairSearch:
         for symbol, targets in self._left_edges(source):
             if left_target in targets and right_target in row.get(self._letters[symbol], ()):
                 return symbol
-
-    def accepting_component(self) -> Optional[FrozenSet[int]]:
-        """The first component the Tarjan pass completes that witnesses acceptance.
-
-        Iterative, so deep products cannot hit the recursion limit.  A
-        component witnesses acceptance when it has an edge (more than one
-        pair, or a self-loop) and meets both acceptance sets.  The pass
-        stops there; :attr:`number` holds the pairs it visited.
-        """
-        successors = self.successors
-        width = self.width
-        left_accepting, right_accepting = self.left_accepting, self.right_accepting
-        number = self.number
-        keys: List[int] = []  # visit number -> pair
-        low: List[int] = []
-        on_stack: List[bool] = []
-        stack: List[int] = []  # visit numbers, increasing
-        for seed in self.seeds:
-            if seed in number:
-                continue
-            visit = number[seed] = len(keys)
-            keys.append(seed)
-            low.append(visit)
-            on_stack.append(True)
-            stack.append(visit)
-            work = [(visit, iter(successors(seed)))]
-            while work:
-                visit, pending = work[-1]
-                for target in pending:
-                    found = number.get(target)
-                    if found is None:
-                        found = number[target] = len(keys)
-                        keys.append(target)
-                        low.append(found)
-                        on_stack.append(True)
-                        stack.append(found)
-                        work.append((found, iter(successors(target))))
-                        break
-                    if on_stack[found] and found < low[visit]:
-                        low[visit] = found
-                else:
-                    work.pop()
-                    lowest = low[visit]
-                    if work and lowest < low[work[-1][0]]:
-                        low[work[-1][0]] = lowest
-                    if lowest != visit:
-                        continue
-                    if stack[-1] == visit:
-                        # A component of one pair: it needs a self-loop.
-                        stack.pop()
-                        on_stack[visit] = False
-                        pair = keys[visit]
-                        if (
-                            left_accepting[pair // width]
-                            and right_accepting[pair % width]
-                            and pair in successors(pair)
-                        ):
-                            return frozenset((pair,))
-                        continue
-                    # The component rooted here is the stack from *visit* up.
-                    cut = bisect_left(stack, visit)
-                    members = [keys[member] for member in stack[cut:]]
-                    for member in stack[cut:]:
-                        on_stack[member] = False
-                    del stack[cut:]
-                    if any(left_accepting[pair // width] for pair in members) and any(
-                        right_accepting[pair % width] for pair in members
-                    ):
-                        return frozenset(members)
-        return None
-
-    def walk(self, sources, goal, within, nonempty: bool = False) -> Tuple[int, Tuple]:
-        """A breadth-first path from *sources* to the first pair meeting *goal*.
-
-        Returns ``(pair, word)``.  *within* confines the walk to a set of
-        pairs (``None``: no bound).  A source meeting *goal* ends the walk
-        at once unless *nonempty* asks for at least one edge.  The caller
-        guarantees a goal is reachable.
-        """
-        if not nonempty:
-            for source in sources:
-                if goal(source):
-                    return source, ()
-        parent: Dict[int, Optional[int]] = dict.fromkeys(sources)
-        queue = list(sources)
-        head = 0
-        while True:
-            pair = queue[head]
-            head += 1
-            for target in self.successors(pair):
-                if within is not None and target not in within:
-                    continue
-                if goal(target):
-                    word = [self.symbol_between(pair, target)]
-                    step = parent[pair]
-                    while step is not None:
-                        word.append(self.symbol_between(step, pair))
-                        pair, step = step, parent[step]
-                    return target, tuple(reversed(word))
-                if target not in parent:
-                    parent[target] = pair
-                    queue.append(target)
 
 
 def _order_key(state: State) -> Tuple:
@@ -786,62 +624,34 @@ class _SearchTables:
             self._accepting_flags = [state in accepting for state in self.states]
         return self._accepting_flags
 
+    def targets(self, state: int) -> Iterator[int]:
+        """The successors of *state* in search order: :meth:`edges`, flattened."""
+        for _symbol, targets in self.edges(state):
+            yield from targets
+
+    def symbol_between(self, state: int, target: int):
+        """The first symbol, in search order, on which *state* steps to *target*."""
+        for symbol, targets in self.edges(state):
+            if target in targets:
+                return symbol
+
     def anchors(self) -> FrozenSet[int]:
         """The accepting states that lie on a cycle.
 
-        One iterative Tarjan pass, so deep automata cannot hit the
-        recursion limit.  A state lies on a cycle when its strongly
-        connected component has another state or it has a self-loop; the
-        components do not depend on the order edges are walked in.
+        One :func:`~repro.automata.graphs.cyclic_components` pass over
+        the unsorted successor lists: which states lie on a cycle does
+        not depend on the order edges are walked in.
         """
-        if self._anchors is not None:
-            return self._anchors
-        successors = self._successors
-        count = len(successors)
-        index = [-1] * count
-        low = [0] * count
-        on_stack = [False] * count
-        stack: List[int] = []
-        on_cycle: List[int] = []
-        visited = 0
-        for root in range(count):
-            if index[root] >= 0:
-                continue
-            index[root] = low[root] = visited
-            visited += 1
-            stack.append(root)
-            on_stack[root] = True
-            work = [(root, iter(successors[root]))]
-            while work:
-                state, pending = work[-1]
-                for target in pending:
-                    if index[target] < 0:
-                        index[target] = low[target] = visited
-                        visited += 1
-                        stack.append(target)
-                        on_stack[target] = True
-                        work.append((target, iter(successors[target])))
-                        break
-                    if on_stack[target] and index[target] < low[state]:
-                        low[state] = index[target]
-                else:
-                    work.pop()
-                    if work and low[state] < low[work[-1][0]]:
-                        low[work[-1][0]] = low[state]
-                    if low[state] != index[state]:
-                        continue
-                    component = []
-                    while True:
-                        member = stack.pop()
-                        on_stack[member] = False
-                        component.append(member)
-                        if member == state:
-                            break
-                    if len(component) > 1 or state in successors[state]:
-                        on_cycle.extend(component)
-        accepting = self._accepting
-        states = self.states
-        self._anchors = frozenset(n for n in on_cycle if states[n] in accepting)
+        if self._anchors is None:
+            accepting = self.accepting_flags()
+            self._anchors = frozenset(
+                state
+                for component in cyclic_components(
+                    range(len(self.states)), self._successors.__getitem__
+                )
+                for state in component
+                if accepting[state]
+            )
         return self._anchors
 
     def distances_to(self, goals: Iterable[int], bound: int) -> Dict[int, int]:

@@ -75,10 +75,6 @@ class Lasso:
             return ()
         return tuple(self[i] for i in range(start, end + 1))
 
-    def prefix_word(self, length: int) -> Tuple:
-        """The first *length* letters."""
-        return tuple(self[i] for i in range(length))
-
     def letters(self) -> frozenset:
         """The set of letters occurring in the word."""
         return frozenset(self._prefix) | frozenset(self._period)

@@ -350,10 +350,6 @@ class MonitorMultiplexer:
         self._store[session] = (self._initial, self._seq)
         self._sessions[session] = _Session(self._initial, self._seq)
 
-    def open_sessions(self, sessions: Iterable[object]) -> None:
-        for session in sessions:
-            self.open_session(session)
-
     def close_session(self, session: object) -> Outcome:
         """Finish a session cleanly; its state freezes and its outcome is honest."""
         return self._terminate(session, "complete")

@@ -46,6 +46,7 @@ above it, so the dataflow import happens lazily inside the functions.
 
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.automata.graphs import cyclic_components
 from repro.foundations.diagnostics import Severity
 from repro.foundations.resilience import Budget, record_event
 from repro.core.extended import ExtendedAutomaton, restrict_extended
@@ -62,10 +63,11 @@ __all__ = [
     "project_dead_registers",
 ]
 
-#: Edge-traversal budget for the three trim sweeps (forward, cycle,
-#: backward).  Each sweep is linear in the transition count, so ordinary
-#: workloads stay far below this; hitting it means the automaton is too
-#: large to trim cheaply and the caller keeps the original.
+#: Edge-traversal budget for the two trim sweeps (a forward Tarjan pass
+#: and a backward sweep from its anchors).  Each charges an edge at most
+#: once, so ordinary workloads stay far below this; hitting it means the
+#: automaton is too large to trim cheaply and the caller keeps the
+#: original.
 DEFAULT_TRIM_BUDGET = 200_000
 
 
@@ -85,57 +87,49 @@ def _lasso_keep_set(
 ) -> Optional[FrozenSet[State]]:
     """States on some path ``initial -->* accepting cycle``, or ``None``.
 
-    Three budgeted sweeps: forward reachability, one bounded search per
-    accepting state for a cycle through it (anchors), and backward
-    reachability from the anchors.  All FIFO with declaration-ordered
-    edges, so the charge sequence -- and the budget's stopping point --
-    is a pure function of the automaton.
+    One Tarjan pass from the initial states
+    (:func:`~repro.automata.graphs.cyclic_components`) visits the
+    reachable states and finds the accepting ones on a cycle (anchors);
+    a backward sweep from the anchors over the edges the pass followed
+    keeps the states that reach one.  Every edge either traversal
+    follows charges *steps* once.  The pass walks ``repr``-sorted
+    initial states and declaration-ordered edges, and the sweep follows
+    the order the pass met them in, so the charge sequence -- and the
+    budget's stopping point -- is a pure function of the automaton.
+    ``None`` once *steps* is spent.
     """
-    reachable: Set[State] = set(automaton.initial)
-    frontier: List[State] = sorted(reachable, key=repr)
-    while frontier:
-        state = frontier.pop(0)
-        for transition in automaton.transitions_from(state):
-            if not steps.charge():
-                return None
-            if transition.target not in reachable:
-                reachable.add(transition.target)
-                frontier.append(transition.target)
-
     predecessors: Dict[State, List[State]] = {}
-    for transition in automaton.transitions:
-        predecessors.setdefault(transition.target, []).append(transition.source)
 
-    anchors: Set[State] = set()
-    for anchor in sorted(automaton.accepting, key=repr):
-        seen: Set[State] = set()
-        frontier = [anchor]
-        found = False
-        while frontier and not found:
-            state = frontier.pop(0)
-            for transition in automaton.transitions_from(state):
-                if not steps.charge():
-                    return None
-                if transition.target == anchor:
-                    found = True
-                    break
-                if transition.target not in seen:
-                    seen.add(transition.target)
-                    frontier.append(transition.target)
-        if found:
-            anchors.add(anchor)
+    def successors(state: State) -> List[State]:
+        targets = [transition.target for transition in automaton.transitions_from(state)]
+        if not steps.charge(len(targets)):
+            # Spent: from here on no state has successors, so the pass
+            # ends early; its answer is dropped below.
+            return []
+        for target in targets:
+            predecessors.setdefault(target, []).append(state)
+        return targets
 
+    accepting = automaton.accepting
+    anchors = [
+        state
+        for component in cyclic_components(sorted(automaton.initial, key=repr), successors)
+        for state in component
+        if state in accepting
+    ]
+    if steps.exhausted:
+        return None
     co_lasso: Set[State] = set(anchors)
-    frontier = sorted(anchors, key=repr)
+    frontier = anchors
     while frontier:
-        state = frontier.pop(0)
+        state = frontier.pop()
         for predecessor in predecessors.get(state, ()):
             if not steps.charge():
                 return None
             if predecessor not in co_lasso:
                 co_lasso.add(predecessor)
                 frontier.append(predecessor)
-    return frozenset(reachable & co_lasso)
+    return frozenset(co_lasso)
 
 
 def trim(

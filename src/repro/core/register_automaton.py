@@ -225,9 +225,6 @@ class RegisterAutomaton:
         seen = dict.fromkeys(t.guard for t in self.transitions_from(state))
         return tuple(seen)
 
-    def has_transition(self, source: State, guard: SigmaType, target: State) -> bool:
-        return Transition(source, guard, target) in set(self._transitions)
-
     @cached_method("automaton.guard_vocabulary")
     def guard_vocabulary(self) -> Tuple[Tuple[Var, ...], Tuple[Const, ...]]:
         """The (variables, constants) over which guards are complete.

@@ -23,6 +23,7 @@ fresh values always remain to realise "new distinct value" demands.
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.automata.graphs import cyclic_components, walk
 from repro.automata.words import Lasso
 from repro.db.database import Database
 from repro.db.evaluation import evaluate_type, transition_valuation
@@ -383,109 +384,68 @@ def find_lasso_run(
     Explores the configuration graph (state, register tuple) with values
     from *pool* (default: :func:`value_pool`).  Complete for that pool; by
     the pool-completeness argument in the module docstring, a run over the
-    database exists iff one over the pool does.
+    database exists iff one over the pool does.  Raises
+    :class:`~repro.foundations.errors.SpecificationError` when more than
+    *max_configurations* configurations are reachable.
+
+    The loop starts at the first configuration, in breadth-first order
+    from the initial ones, that is accepting and lies on a cycle; the
+    prefix is its breadth-first access path and the loop the first cycle
+    a breadth-first walk from it back to itself finds.  Transitions are
+    tried in declaration order.
 
     Returns a :class:`LassoRun` or ``None``.
     """
     if pool is None:
         pool = value_pool(automaton, database)
     Config = Tuple[State, Tuple[DataValue, ...]]
-    parents: Dict[Config, Optional[Tuple[Config, object]]] = {}
-    order: List[Config] = []
-    for state, first, _transition in initial_tuples(automaton, database, pool):
-        config = (state, first)
-        if config not in parents:
-            parents[config] = None
-            order.append(config)
+    initial: List[Config] = list(
+        dict.fromkeys((state, first) for state, first, _t in initial_tuples(automaton, database, pool))
+    )
+    targets: Dict[Config, List[Config]] = {}
+    guards: Dict[Config, List] = {}
 
-    successors_cache: Dict[Config, List[Tuple[Config, object]]] = {}
+    def successors(config: Config) -> List[Config]:
+        found = targets.get(config)
+        if found is None:
+            if len(targets) >= max_configurations:
+                raise SpecificationError(
+                    "configuration graph exceeds %d nodes; shrink the pool or database"
+                    % max_configurations
+                )
+            state, registers = config
+            found, fired = [], []
+            for transition in automaton.transitions_from(state):
+                for nxt in _register_choices(
+                    transition.guard, registers, pool, database, automaton.k
+                ):
+                    found.append((transition.target, nxt))
+                    fired.append(transition.guard)
+            targets[config], guards[config] = found, fired
+        return found
 
-    def successors(config: Config) -> List[Tuple[Config, object]]:
-        if config in successors_cache:
-            return successors_cache[config]
-        state, registers = config
-        result: List[Tuple[Config, object]] = []
-        for transition in automaton.transitions_from(state):
-            for nxt in _register_choices(
-                transition.guard, registers, pool, database, automaton.k
-            ):
-                result.append(((transition.target, nxt), transition.guard))
-        successors_cache[config] = result
-        return result
+    def guard_between(config: Config, target: Config):
+        return guards[config][targets[config].index(target)]
 
-    # Forward BFS to collect all reachable configurations.
-    queue = list(order)
-    while queue:
-        if len(parents) > max_configurations:
-            raise SpecificationError(
-                "configuration graph exceeds %d nodes; shrink the pool or database"
-                % max_configurations
-            )
-        config = queue.pop(0)
-        for target, guard in successors(config):
-            if target not in parents:
-                parents[target] = (config, guard)
-                order.append(target)
-                queue.append(target)
-
-    def path_to(config: Config) -> Tuple[List[Config], List]:
-        configs: List[Config] = [config]
-        guards: List = []
-        node = config
-        while parents[node] is not None:
-            node, guard = parents[node]
-            configs.append(node)
-            guards.append(guard)
-        return list(reversed(configs)), list(reversed(guards))
-
-    for anchor in order:
-        if anchor[0] not in automaton.accepting:
-            continue
-        cycle = _find_cycle(anchor, successors)
-        if cycle is None:
-            continue
-        cycle_configs, cycle_guards = cycle
-        access_configs, access_guards = path_to(anchor)
-        # assemble: prefix = access path without the anchor; loop = anchor + cycle interior
-        all_configs = access_configs[:-1] + cycle_configs[:-1]
-        all_guards = access_guards + cycle_guards
-        loop_start = len(access_configs) - 1
-        return LassoRun(
-            data=tuple(c[1] for c in all_configs),
-            states=tuple(c[0] for c in all_configs),
-            guards=tuple(all_guards),
-            loop_start=loop_start,
-        )
-    return None
-
-
-def _find_cycle(anchor, successors) -> Optional[Tuple[List, List]]:
-    """A shortest non-empty cycle anchor -> anchor; (configs, guards)."""
-    local_parent: Dict = {}
-    queue: List = []
-    for target, guard in successors(anchor):
-        if target == anchor:
-            return [anchor, anchor], [guard]
-        if target not in local_parent:
-            local_parent[target] = (anchor, guard)
-            queue.append(target)
-    while queue:
-        config = queue.pop(0)
-        for target, guard in successors(config):
-            if target == anchor:
-                configs = [anchor]
-                guards = [guard]
-                node = config
-                while node != anchor:
-                    configs.append(node)
-                    node, back_guard = local_parent[node]
-                    guards.append(back_guard)
-                configs.append(anchor)
-                return list(reversed(configs)), list(reversed(guards))
-            if target not in local_parent:
-                local_parent[target] = (config, guard)
-                queue.append(target)
-    return None
+    accepting = automaton.accepting
+    anchors = {
+        config
+        for component in cyclic_components(initial, successors)
+        for config in component
+        if config[0] in accepting
+    }
+    if not anchors:
+        return None
+    access, access_guards = walk(initial, anchors.__contains__, successors, guard_between)
+    anchor = access[-1]
+    cycle, cycle_guards = walk((anchor,), anchor.__eq__, successors, guard_between, nonempty=True)
+    configs = access[:-1] + cycle[:-1]
+    return LassoRun(
+        data=tuple(c[1] for c in configs),
+        states=tuple(c[0] for c in configs),
+        guards=tuple(access_guards + cycle_guards),
+        loop_start=len(access) - 1,
+    )
 
 
 def generate_finite_runs(

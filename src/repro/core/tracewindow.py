@@ -180,10 +180,6 @@ class TraceWindow:
     def guards(self) -> List:
         return list(self._guards)
 
-    @property
-    def state_sequence(self) -> List:
-        return list(self._states)
-
     def class_of(self, position: int, register: int):
         """The canonical representative of ``(position, register)``."""
         return self._uf.find((position, register))

@@ -106,10 +106,6 @@ class EqualityClosure:
                 else:
                     self._neg_rel.append(atom)
 
-    @property
-    def union_find(self) -> UnionFind:
-        return self._uf
-
     def same(self, a, b) -> bool:
         """Whether terms *a* and *b* are forced equal by the closure."""
         return self._uf.same(a, b)
@@ -162,7 +158,3 @@ class EqualityClosure:
             return self.entails_neq(atom.left, atom.right)
         pool = self._pos_rel if literal.positive else self._neg_rel
         return any(self._tuples_equal(atom, candidate) for candidate in pool)
-
-    def representative_classes(self) -> Dict:
-        """Map each touched term to its canonical representative."""
-        return {node: self._uf.find(node) for node in self._uf.nodes()}

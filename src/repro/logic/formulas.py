@@ -121,16 +121,6 @@ def literal_formula(literal: Literal) -> Formula:
     return base if literal.positive else Not(base)
 
 
-def type_formula(literals) -> Formula:
-    """The conjunction of a literal collection, as a formula."""
-    operands = tuple(literal_formula(l) for l in literals)
-    if not operands:
-        return TrueFormula()
-    if len(operands) == 1:
-        return operands[0]
-    return And(operands)
-
-
 def atom_eq(left: Term, right: Term) -> Formula:
     """Shorthand for the atomic formula ``left = right``."""
     return AtomFormula(EqAtom(left, right))

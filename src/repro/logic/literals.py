@@ -13,7 +13,7 @@ spelling in hot paths -- the repo linter (rule ``HC001``) flags raw
 ``Literal``/atom construction inside ``repro.core``.
 """
 
-from typing import FrozenSet, Iterable, Tuple, Union
+from typing import Tuple, Union
 
 from repro.foundations.interning import Interned
 from repro.logic.terms import Term
@@ -228,11 +228,3 @@ def rel(relation: str, *args: Term) -> Literal:
 def nrel(relation: str, *args: Term) -> Literal:
     """The negative relational literal ``not relation(args)``."""
     return Literal(RelAtom(relation, tuple(args)), False)
-
-
-def terms_of(literals: Iterable[Literal]) -> FrozenSet[Term]:
-    """All terms occurring in *literals*."""
-    found = set()
-    for literal in literals:
-        found.update(literal.terms)
-    return frozenset(found)

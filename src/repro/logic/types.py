@@ -187,10 +187,6 @@ class SigmaType:
             return literal.positive
         return self.closure.entails_literal(literal)
 
-    def consistent_with(self, literal: Literal) -> bool:
-        """Whether the type plus *literal* is still satisfiable."""
-        return EqualityClosure(list(self._literals) + [literal]).is_consistent()
-
     # ------------------------------------------------------------------ #
     # algebra
     # ------------------------------------------------------------------ #

@@ -78,9 +78,6 @@ class LtlFoSentence:
                         "register variable nor a declared global" % (name, term)
                     )
 
-    def proposition_names(self) -> FrozenSet[str]:
-        return frozenset(self.propositions)
-
     def has_globals(self) -> bool:
         return bool(self.global_vars)
 

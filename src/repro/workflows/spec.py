@@ -70,11 +70,6 @@ class TransitionRule:
         self.conditions.append(("rel", relation, attributes))
         return self
 
-    def no_lookup(self, relation: str, *attributes: str) -> "TransitionRule":
-        """The tuple of attribute references is NOT in the relation."""
-        self.conditions.append(("nrel", relation, attributes))
-        return self
-
     def changed(self, attribute: str) -> "TransitionRule":
         """The attribute takes a different value at the next step."""
         self.conditions.append(("neq", attribute, attribute + "'"))

@@ -686,10 +686,11 @@ def literal_bridge_dfa(base, constraint_dfa, i0, j0, i, j):
 # ---------------------------------------------------------------------- #
 #
 # The searches before cycle detection and distance pruning: one
-# ``_cycle_through`` BFS per accepting state in BFS order, edges re-sorted
-# at every visit, and every walk of every round kept as a list.
+# ``literal_cycle_through`` BFS per accepting state in BFS order, edges
+# re-sorted at every visit, and every walk of every round kept as a list.
 # ``BuchiAutomaton.find_accepted_lasso`` and ``iter_accepted_lassos`` must
-# return exactly what these return.
+# return exactly what these return, and ``accepts`` and the search tables'
+# ``anchors()`` what the per-accepting-state cycle searches below return.
 
 
 def literal_find_accepted_lasso(automaton):
@@ -760,6 +761,65 @@ def literal_cycle_through(automaton, anchor):
     return None
 
 
+def literal_anchors(automaton):
+    """The reachable accepting states of *automaton* that lie on a cycle.
+
+    One ``literal_cycle_through`` search per reachable accepting state.
+    """
+    reachable = set(automaton._initial)
+    frontier = list(reachable)
+    while frontier:
+        state = frontier.pop()
+        for targets in automaton._transitions.get(state, {}).values():
+            for target in targets:
+                if target not in reachable:
+                    reachable.add(target)
+                    frontier.append(target)
+    return frozenset(
+        state
+        for state in reachable & automaton._accepting
+        if literal_cycle_through(automaton, state) is not None
+    )
+
+
+def literal_accepts(automaton, word):
+    """Whether *automaton* accepts the lasso *word*: one cycle search per accepting node."""
+    current = set(automaton._initial)
+    for symbol in word.prefix:
+        current = {
+            target for state in current for target in automaton.successors(state, symbol)
+        }
+        if not current:
+            return False
+    period = word.period
+
+    def node_successors(node):
+        state, offset = node
+        for target in automaton.successors(state, period[offset]):
+            yield (target, (offset + 1) % len(period))
+
+    reachable = {(state, 0) for state in current}
+    frontier = list(reachable)
+    while frontier:
+        for target in node_successors(frontier.pop()):
+            if target not in reachable:
+                reachable.add(target)
+                frontier.append(target)
+    for anchor in reachable:
+        if anchor[0] not in automaton._accepting:
+            continue
+        seen = set()
+        stack = list(node_successors(anchor))
+        while stack:
+            node = stack.pop()
+            if node == anchor:
+                return True
+            if node not in seen:
+                seen.add(node)
+                stack.extend(node_successors(node))
+    return False
+
+
 def literal_iter_accepted_lassos(automaton, max_cycle_length, max_prefix_length, narrow=None):
     """Every accepted lasso within the bounds, in enumeration order.
 
@@ -816,6 +876,187 @@ def literal_iter_accepted_lassos(automaton, max_cycle_length, max_prefix_length,
             for cycle_states, cycle_symbols, _cycle_filter in cycles:
                 if cycle_states[-1] == anchor and cycle_symbols:
                     yield Lasso(symbols_path, cycle_symbols)
+
+
+# ---------------------------------------------------------------------- #
+# one cycle search per accepting node: the oracles for the Tarjan pass
+# ---------------------------------------------------------------------- #
+#
+# ``runs.find_lasso_run``, ``reduction.trim`` and the co-reachability
+# analysis as they searched before ``repro.automata.graphs``: a breadth-first
+# sweep, then one breadth-first cycle search per accepting node.  They
+# must return exactly what these return.
+
+
+def random_control_automaton(rng, k):
+    """A relation-free register automaton with 1-5 states and up to 2n + 2 random transitions.
+
+    Its initial and accepting sets are random, so states may be
+    unreachable, dead ends or accepting off every cycle.
+    """
+    from repro.core.register_automaton import RegisterAutomaton, Transition
+    from repro.db.schema import Signature
+    from repro.generators.automata import random_guard
+
+    states = ["q%d" % index for index in range(rng.randint(1, 5))]
+    transitions = [
+        Transition(rng.choice(states), random_guard(rng, k, Signature.empty()), rng.choice(states))
+        for _ in range(rng.randint(0, 2 * len(states) + 2))
+    ]
+    return RegisterAutomaton(
+        k=k,
+        signature=Signature.empty(),
+        states=states,
+        initial=rng.sample(states, rng.randint(1, min(2, len(states)))),
+        accepting=rng.sample(states, rng.randint(0, len(states))),
+        transitions=transitions,
+    )
+
+
+def literal_configurations(automaton, database, pool):
+    """The configurations of ``find_lasso_run``'s search, breadth-first from the initial ones.
+
+    Returns ``(order, parents, successors)``: the reachable configurations
+    in discovery order, each one's ``(parent, guard)`` (``None`` for an
+    initial one), and the ``[(target, guard), ...]`` successor function.
+    """
+    from repro.core.runs import _register_choices, initial_tuples
+
+    parents = {}
+    order = []
+    for state, first, _transition in initial_tuples(automaton, database, pool):
+        if (state, first) not in parents:
+            parents[(state, first)] = None
+            order.append((state, first))
+
+    def successors(config):
+        state, registers = config
+        return [
+            ((transition.target, nxt), transition.guard)
+            for transition in automaton.transitions_from(state)
+            for nxt in _register_choices(transition.guard, registers, pool, database, automaton.k)
+        ]
+
+    for config in order:  # grows while it is walked
+        for target, guard in successors(config):
+            if target not in parents:
+                parents[target] = (config, guard)
+                order.append(target)
+    return order, parents, successors
+
+
+def literal_find_lasso_run(automaton, database, pool=None, max_configurations=200000):
+    """``find_lasso_run``: a breadth-first sweep, then one cycle search per accepting configuration."""
+    from repro.core.runs import LassoRun, value_pool
+    from repro.foundations.errors import SpecificationError
+
+    if pool is None:
+        pool = value_pool(automaton, database)
+    order, parents, successors = literal_configurations(automaton, database, pool)
+    if len(order) > max_configurations:
+        raise SpecificationError(
+            "configuration graph exceeds %d nodes; shrink the pool or database"
+            % max_configurations
+        )
+
+    def cycle_through(anchor):
+        local_parent = {}
+        queue = [anchor]
+        while queue:
+            config = queue.pop(0)
+            for target, guard in successors(config):
+                if target == anchor:
+                    configs, guards = [anchor], [guard]
+                    while config != anchor:
+                        configs.append(config)
+                        config, back_guard = local_parent[config]
+                        guards.append(back_guard)
+                    configs.append(anchor)
+                    return configs[::-1], guards[::-1]
+                if target not in local_parent:
+                    local_parent[target] = (config, guard)
+                    queue.append(target)
+        return None
+
+    for anchor in order:
+        if anchor[0] not in automaton.accepting:
+            continue
+        cycle = cycle_through(anchor)
+        if cycle is None:
+            continue
+        access, guards = [anchor], []
+        node = anchor
+        while parents[node] is not None:
+            node, guard = parents[node]
+            access.append(node)
+            guards.append(guard)
+        access.reverse()
+        guards.reverse()
+        configs = access[:-1] + cycle[0][:-1]
+        return LassoRun(
+            data=tuple(c[1] for c in configs),
+            states=tuple(c[0] for c in configs),
+            guards=tuple(guards + cycle[1]),
+            loop_start=len(access) - 1,
+        )
+    return None
+
+
+def _per_node_cycle_anchors(nodes, accepting, successors):
+    """The nodes of *accepting* on a cycle: one breadth-first search back to each."""
+    anchors = set()
+    for anchor in nodes:
+        if anchor not in accepting:
+            continue
+        seen = set()
+        queue = list(successors(anchor))
+        while queue:
+            node = queue.pop(0)
+            if node == anchor:
+                anchors.add(anchor)
+                break
+            if node not in seen:
+                seen.add(node)
+                queue.extend(successors(node))
+    return frozenset(anchors)
+
+
+def literal_lasso_keep_set(automaton):
+    """The states ``trim`` keeps: reachable, and co-reaching an accepting state on a cycle."""
+
+    def successors(state):
+        return [transition.target for transition in automaton.transitions_from(state)]
+
+    reachable = set(automaton.initial)
+    frontier = list(reachable)
+    while frontier:
+        for target in successors(frontier.pop()):
+            if target not in reachable:
+                reachable.add(target)
+                frontier.append(target)
+    anchors = _per_node_cycle_anchors(automaton.states, automaton.accepting, successors)
+    co_lasso = set(anchors)
+    frontier = list(anchors)
+    while frontier:
+        state = frontier.pop()
+        for transition in automaton.transitions:
+            if transition.target == state and transition.source not in co_lasso:
+                co_lasso.add(transition.source)
+                frontier.append(transition.source)
+    return frozenset(reachable & co_lasso)
+
+
+def literal_feasible_cycle_anchors(automaton):
+    """The co-reachability analysis's anchors: accepting states on a cycle of feasible transitions."""
+    from repro.analysis.dataflow import analyze_reachable_types
+
+    types = analyze_reachable_types(automaton)
+    feasible = [t for t in automaton.transitions if types.feasible(t)]
+
+    def successors(state):
+        return [t.target for t in feasible if t.source == state]
+
+    return _per_node_cycle_anchors(automaton.states, automaton.accepting, successors)
 
 
 # ---------------------------------------------------------------------- #

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.automata import BuchiAutomaton, BuchiProduct, Dfa, Lasso, Nfa, parse_regex
+from repro.automata.graphs import cyclic_components, walk
 from repro.automata.regex import (
     Epsilon,
     any_of,
@@ -27,6 +28,8 @@ from repro.foundations.errors import SpecificationError
 from tests.helpers import (
     LiftedProduct,
     lift_onto,
+    literal_accepts,
+    literal_anchors,
     literal_find_accepted_lasso,
     literal_iter_accepted_lassos,
     literal_minimize,
@@ -297,6 +300,40 @@ class TestBuchi:
         assert not relabeled.accepts(Lasso((), ("q",)))
 
 
+class TestGraphs:
+    #: 0 -> 1 <-> 2 -> 3, a self-loop at 3, and 3 -> 4, a sink.
+    GRAPH = {0: [1], 1: [2], 2: [1, 3], 3: [3, 4], 4: []}
+
+    def test_components_with_a_cycle_in_completion_order(self):
+        expanded = []
+
+        def successors(node):
+            expanded.append(node)
+            return self.GRAPH[node]
+
+        components = cyclic_components([0], successors)
+        assert next(components) == [3]
+        assert expanded == [0, 1, 2, 3, 4]
+        assert list(components) == [[1, 2]]
+        assert expanded == [0, 1, 2, 3, 4]
+
+    def test_walk_is_breadth_first_and_labels_only_its_path(self):
+        labelled = []
+
+        def label(source, target):
+            labelled.append((source, target))
+            return "%d%d" % (source, target)
+
+        successors = self.GRAPH.__getitem__
+        assert walk([0], (3).__eq__, successors, label) == ([0, 1, 2, 3], ["01", "12", "23"])
+        assert labelled == [(0, 1), (1, 2), (2, 3)]
+        assert walk([4, 2], (2).__eq__, successors, label) == ([2], [])
+        assert walk([2], (2).__eq__, successors, label, nonempty=True) == ([2, 1, 2], ["21", "12"])
+        assert walk([3], (3).__eq__, successors, label, nonempty=True) == ([3, 3], ["33"])
+        assert walk([0], (3).__eq__, successors, label, within={0, 1}) is None
+        assert walk([4], (0).__eq__, successors, label) is None
+
+
 class _BanSymbol:
     """Narrowing stub: prune a walk once it has read *banned* more than *allowed* times.
 
@@ -364,6 +401,28 @@ def test_lasso_search_matches_unpruned_search(
         assert list(
             automaton.iter_accepted_lassos(max_cycle, max_prefix, narrow=narrow)
         ) == list(literal_iter_accepted_lassos(automaton, max_cycle, max_prefix, narrow))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    random_buchi(),
+    st.lists(st.sampled_from("abc"), max_size=2),
+    st.lists(st.sampled_from("abc"), min_size=1, max_size=3),
+)
+def test_membership_and_anchors_match_per_state_cycle_searches(automaton, prefix, period):
+    """One Tarjan pass answers what one cycle search per accepting node answered.
+
+    ``tests.helpers.literal_anchors`` and ``literal_accepts`` are the
+    oracle, on a drawn lasso and on the automaton's own witness.
+    """
+    tables = automaton._tables()
+    assert {tables.states[n] for n in tables.anchors()} == literal_anchors(automaton)
+    words = [Lasso(tuple(prefix), tuple(period))]
+    witness = automaton.find_accepted_lasso()
+    if witness is not None:
+        words.append(witness)
+    for word in words:
+        assert automaton.accepts(word) == literal_accepts(automaton, word)
 
 
 def _built(edges, initial, accepting):

@@ -51,14 +51,20 @@ from repro.analysis.dataflow import (
 from repro.automata.regex import concat, literal, plus, star
 from repro.core.reduction import (
     DEFAULT_TRIM_BUDGET,
+    _lasso_keep_set,
     project_dead_registers,
     trim,
     trim_extended,
 )
 from repro.core.symbolic import scontrol_buchi
-from repro.foundations.resilience import OutcomeStatus
+from repro.foundations.resilience import Budget, OutcomeStatus
 from repro.generators import random_extended_automaton
-from tests.helpers import without_trim
+from tests.helpers import (
+    literal_feasible_cycle_anchors,
+    literal_lasso_keep_set,
+    random_control_automaton,
+    without_trim,
+)
 
 EMPTY = Signature.empty()
 
@@ -340,6 +346,15 @@ class TestCoReachability:
         assert outcome.stats["reason"] in ("forward-analysis", "edge-budget")
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from((1, 2)))
+def test_co_reachability_anchors_match_per_anchor_cycle_searches(seed, k):
+    """One Tarjan pass finds the anchors one feasible-cycle search per accepting state found."""
+    automaton = random_control_automaton(random.Random(seed), k)
+    analysis = analyze_co_reachability(automaton)
+    assert analysis.anchors == literal_feasible_cycle_anchors(automaton)
+
+
 # --------------------------------------------------------------------- #
 # trim
 # --------------------------------------------------------------------- #
@@ -430,6 +445,21 @@ class TestTrim:
     def test_trim_extended_identity_passthrough(self):
         extended = ExtendedAutomaton(trim(junky()), [])
         assert trim_extended(extended) is extended
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from((1, 2)))
+def test_trim_keeps_the_per_anchor_searches_states(seed, k):
+    """The Tarjan pass keeps the states the per-anchor cycle searches kept.
+
+    ``tests.helpers.literal_lasso_keep_set`` is the oracle; ``trim``
+    returns the automaton restricted to it, or the automaton itself.
+    """
+    automaton = random_control_automaton(random.Random(seed), k)
+    keep = literal_lasso_keep_set(automaton)
+    assert _lasso_keep_set(automaton, Budget("trim")) == keep
+    trimmed = trim(automaton)
+    assert trimmed is automaton or trimmed.states == keep
 
 
 # --------------------------------------------------------------------- #

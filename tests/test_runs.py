@@ -1,6 +1,10 @@
 """Tests for run objects, validity checking and bounded run search."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     Database,
@@ -18,6 +22,8 @@ from repro import (
 )
 from repro.core.runs import validity_error, value_pool
 from repro.foundations.errors import SpecificationError
+
+from tests.helpers import literal_configurations, literal_find_lasso_run, random_control_automaton
 
 
 @pytest.fixture
@@ -172,3 +178,38 @@ class TestSearch:
         # register 1 must alternate between E-targets and non-targets of c
         values = [row[0] for row in run.data]
         assert "d0" in values
+
+    def test_configuration_cap_is_the_reachable_count(self, example1_automaton, empty_database):
+        """The search raises exactly when more configurations are reachable than the cap."""
+        pool = value_pool(example1_automaton, empty_database)
+        reachable = len(literal_configurations(example1_automaton, empty_database, pool)[0])
+        run = find_lasso_run(example1_automaton, empty_database, max_configurations=reachable)
+        assert run is not None
+        with pytest.raises(SpecificationError, match="exceeds %d nodes" % (reachable - 1)):
+            find_lasso_run(example1_automaton, empty_database, max_configurations=reachable - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from((1, 1, 2)),
+    st.integers(min_value=0, max_value=40),
+)
+def test_run_search_matches_per_anchor_cycle_searches(seed, k, cap):
+    """One Tarjan pass finds the run one cycle search per accepting configuration found.
+
+    ``tests.helpers.literal_find_lasso_run`` is the oracle: the same
+    ``LassoRun`` field for field, or ``None``, and under a configuration
+    cap the same run or the same ``SpecificationError``.
+    """
+    automaton = random_control_automaton(random.Random(seed), k)
+    database = Database(Signature.empty())
+    assert find_lasso_run(automaton, database) == literal_find_lasso_run(automaton, database)
+
+    def capped(search):
+        try:
+            return search(automaton, database, max_configurations=cap)
+        except SpecificationError:
+            return "raised"
+
+    assert capped(find_lasso_run) == capped(literal_find_lasso_run)
