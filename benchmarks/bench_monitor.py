@@ -1,7 +1,7 @@
 """E20 -- monitor multiplexer throughput and crash-recovery cost.
 
 Two questions.  First, what does the crash-surviving machinery (write-
-ahead journal, periodic durable snapshots) cost per event: the table
+ahead journal, one durable checkpoint per ingest) cost per event: the table
 reports sessions advanced per second and the p99 single-``ingest``
 latency at two population sizes (1k and 10k live sessions; quick mode
 shrinks both).  Second, what a recovery costs relative to the clean run
@@ -86,6 +86,8 @@ def _drive(mux, n_sessions, batches):
         latencies.append(time.perf_counter() - start)
         assert report.applied == n_sessions
         assert not report.violations
+        # the ingest's checkpoint covers the whole journal
+        assert report.outcome.stats["journal_len"] == 0
     return latencies
 
 
@@ -100,20 +102,13 @@ def test_throughput(benchmark, monkeypatch):
 
     def sweep():
         for n_sessions in _scales():
-            mux = MonitorMultiplexer(
-                extended,
-                database,
-                snapshot_every=8,
-                journal_cap=4 * n_sessions,
-            )
+            mux = MonitorMultiplexer(extended, database)
             latencies = _drive(mux, n_sessions, batches)
             total = sum(latencies)
             events = n_sessions * batches
             stats = mux.stats()
             assert stats["events_applied"] == events
             assert stats["quarantined"] == 0
-            # journal stays bounded by the cap (plus one in-flight batch)
-            assert stats["journal_len"] <= 4 * n_sessions + n_sessions
             THROUGHPUT_ROWS.append(
                 (
                     "%d sessions" % n_sessions,
@@ -135,7 +130,7 @@ def test_crash_recovery_identity(benchmark, monkeypatch):
     database = Database(Signature.empty())
 
     def run():
-        mux = MonitorMultiplexer(extended, database, snapshot_every=4)
+        mux = MonitorMultiplexer(extended, database)
         _drive(mux, n_sessions, batches)
         return mux
 

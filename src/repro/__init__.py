@@ -41,8 +41,8 @@ from repro.core.projection import (
 from repro.core.pruning import prune_extended, prune_infeasible
 from repro.core.register_automaton import RegisterAutomaton, Transition
 from repro.core.runs import FiniteRun, LassoRun, find_lasso_run, generate_finite_runs
-from repro.core.monitor import IngestReport, MonitorMultiplexer, SessionSnapshot
-from repro.core.streaming import StreamingChecker, StreamingViolation
+from repro.core.monitor import IngestReport, MonitorMultiplexer
+from repro.core.streaming import SessionSnapshot, StreamingChecker, StreamingViolation
 from repro.core.symbolic import (
     is_symbolic_control_trace,
     realize_control_trace,

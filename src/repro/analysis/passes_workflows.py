@@ -32,7 +32,7 @@ def _rule_references(rule: TransitionRule) -> List[str]:
             references.append(condition[1])
         elif kind in ("eq", "neq"):
             references.extend(condition[1:3])
-        elif kind in ("rel", "nrel"):
+        elif kind == "rel":
             references.extend(condition[2])
     return references
 

@@ -10,22 +10,22 @@ crashes without losing (or double-applying) a single event.
 
 Three ideas carry the design:
 
-* **Compact snapshots.**  :class:`SessionSnapshot` captures exactly the
-  run state :meth:`StreamingChecker.feed` depends on -- position, last
-  (state, registers) pair, failed status, strictness and the live
-  constraint threads -- in a canonical (sorted), picklable, version-tagged
-  form.  Theorem 19's register discipline bounds the live-thread count,
-  which is what makes per-session snapshots small enough to journal at
-  scale ("A Finite Exact Representation of Register Automata
-  Configurations", arXiv:1402.6783, is the conceptual anchor).
+* **Compact snapshots.**  :class:`~repro.core.streaming.SessionSnapshot`
+  captures exactly the run state :meth:`StreamingChecker.feed` depends
+  on -- position, last (state, registers) pair, failed status,
+  strictness and the live constraint threads -- in a canonical (sorted),
+  picklable, version-tagged form.  Theorem 19's register discipline
+  bounds the live-thread count, which is what makes per-session
+  snapshots small enough to store at scale.
 
-* **Write-ahead journal + periodic snapshots.**  Every ingested batch is
-  journaled *before* any state changes; durable per-session snapshots are
-  refreshed every ``snapshot_every`` events (and whenever the journal
-  exceeds ``journal_cap`` entries).  Recovery restores each session from
-  its last durable snapshot and replays the journal suffix --
-  deterministic, so the rebuilt fingerprints are byte-identical to an
-  uninterrupted run: zero lost, zero double-applied events.
+* **Write-ahead journal + one checkpoint per ingest.**  Every ingested
+  batch is journaled *before* any state changes, and every ingest ends
+  in one checkpoint: the current snapshot of every live session the
+  journal names is stored, and the journal entries the store then
+  covers are dropped.  Recovery restores each session from its last
+  durable snapshot and replays the journal suffix -- deterministic, so
+  the rebuilt fingerprints are byte-identical to an uninterrupted run:
+  zero lost, zero double-applied events.
 
 * **One application path.**  Ingest and replay both restore a
   session's snapshot into the multiplexer's one reused checker and feed
@@ -42,18 +42,27 @@ the RS event log; every other session in the batch proceeds untouched.
 Fault sites (``docs/ROBUSTNESS.md``): ``monitor.ingest`` (per ingest
 call, driver side; ``crash`` simulates loss of all volatile session
 state after the batch is journaled, ``raise`` rejects the batch
-atomically before journaling), ``monitor.snapshot`` (per durable
-snapshot write; ``raise`` skips the write and keeps the journal tail,
-``crash`` as above), ``monitor.restore`` (per session during recovery;
-``raise`` quarantines just that session, ``crash`` restarts the --
-idempotent -- recovery pass).
+atomically before journaling), ``monitor.snapshot`` (per checkpoint;
+``raise`` skips the checkpoint and the journal keeps its tail for the
+next one, ``crash`` as above), ``monitor.restore`` (per session during
+recovery; ``raise`` quarantines just that session, ``crash`` restarts
+the -- idempotent -- recovery pass).
 """
 
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.extended import ExtendedAutomaton
-from repro.core.streaming import StreamingChecker
+
+# The snapshot format lives next to the checker fields it reads and
+# writes; its names stay importable here, where pickles of snapshots made
+# before the move look them up.
+from repro.core.streaming import (
+    SNAPSHOT_VERSION,
+    SessionSnapshot,
+    StreamingChecker,
+    _canonical_threads,
+)
 from repro.db.database import Database
 from repro.foundations.errors import SpecificationError
 from repro.foundations.faults import FaultInjected, fault
@@ -75,100 +84,6 @@ __all__ = [
     "IngestReport",
     "MonitorMultiplexer",
 ]
-
-#: Version tag carried by every snapshot; :meth:`SessionSnapshot.apply`
-#: refuses to restore a snapshot from a different layout generation.
-SNAPSHOT_VERSION = 1
-
-
-def _canonical_threads(
-    threads: List[Dict[object, set]],
-) -> Tuple[Tuple[Tuple[object, Tuple[Any, ...]], ...], ...]:
-    """The live-thread table in canonical (repr-sorted) tuple form.
-
-    Sorting both the DFA states and the stored values makes equal
-    checker states produce equal snapshots (and equal pickles), so
-    fingerprint comparisons across uninterrupted and recovered runs are
-    byte-level, never modulo set iteration order.
-    """
-    return tuple(
-        tuple(
-            sorted(
-                ((state, tuple(sorted(values, key=repr))) for state, values in per.items()),
-                key=lambda pair: repr(pair[0]),
-            )
-        )
-        for per in threads
-    )
-
-
-@dataclass(frozen=True)
-class SessionSnapshot:
-    """A compact, picklable, version-tagged capture of a streaming session.
-
-    Records only *run* state -- the specification and database stay with
-    the checker, so snapshots are cheap to pickle and to retain in the
-    multiplexer's durable store.  ``threads`` is stored canonically
-    sorted; :meth:`apply` rebuilds the mutable dict-of-sets form.
-    """
-
-    version: int
-    k: int
-    constraint_count: int
-    position: int
-    previous: Optional[Tuple[object, Tuple[Any, ...]]]
-    failed: Optional[str]
-    strict: bool
-    threads: Tuple[Tuple[Tuple[object, Tuple[Any, ...]], ...], ...]
-    peak_threads: int
-
-    @classmethod
-    def capture(cls, checker: StreamingChecker) -> "SessionSnapshot":
-        """Snapshot *checker* (the engine behind ``StreamingChecker.snapshot``)."""
-        return cls(
-            version=SNAPSHOT_VERSION,
-            k=checker._automaton.k,
-            constraint_count=len(checker._threads),
-            position=checker._position,
-            previous=checker._previous,
-            failed=checker._failed,
-            strict=checker._strict,
-            threads=_canonical_threads(checker._threads),
-            peak_threads=checker.peak_threads,
-        )
-
-    def apply(self, checker: StreamingChecker) -> None:
-        """Restore this snapshot into *checker* (``StreamingChecker.restore``)."""
-        if self.version != SNAPSHOT_VERSION:
-            raise SpecificationError(
-                "session snapshot version %r is not supported (expected %d)"
-                % (self.version, SNAPSHOT_VERSION)
-            )
-        if self.k != checker._automaton.k:
-            raise SpecificationError(
-                "session snapshot arity %d does not match the checker's "
-                "automaton (k=%d)" % (self.k, checker._automaton.k)
-            )
-        if self.constraint_count != len(checker._threads):
-            raise SpecificationError(
-                "session snapshot carries %d constraint thread tables, the "
-                "checker's specification has %d constraints"
-                % (self.constraint_count, len(checker._threads))
-            )
-        checker._strict = self.strict
-        checker._position = self.position
-        checker._previous = self.previous
-        checker._failed = self.failed
-        checker._threads = [
-            {state: set(values) for state, values in per} for per in self.threads
-        ]
-        checker.peak_threads = self.peak_threads
-
-    def fingerprint(self) -> Tuple[object, int, Optional[str], int]:
-        """``(state, position, failed, peak_threads)`` -- the identity tests compare."""
-        state = self.previous[0] if self.previous is not None else None
-        return (state, self.position, self.failed, self.peak_threads)
-
 
 # ---------------------------------------------------------------------- #
 # journal entries and the application path
@@ -254,10 +169,6 @@ def _apply_session(
 # ---------------------------------------------------------------------- #
 
 
-class _VolatileCrash(Exception):
-    """Internal signal: the ``crash`` fault kind zapped volatile state."""
-
-
 @dataclass(frozen=True)
 class IngestReport:
     """What one :meth:`MonitorMultiplexer.ingest` call did.
@@ -280,16 +191,13 @@ class IngestReport:
 
 
 class _Session:
-    """Volatile record of a live session: current snapshot plus bookkeeping."""
+    """Volatile record of a live session: current snapshot and last applied seq."""
 
-    __slots__ = ("snapshot", "applied_seq", "since_durable")
+    __slots__ = ("snapshot", "applied_seq")
 
-    def __init__(
-        self, snapshot: SessionSnapshot, applied_seq: int, since_durable: int = 0
-    ):
+    def __init__(self, snapshot: SessionSnapshot, applied_seq: int):
         self.snapshot = snapshot
         self.applied_seq = applied_seq
-        self.since_durable = since_durable
 
 
 class MonitorMultiplexer:
@@ -300,30 +208,20 @@ class MonitorMultiplexer:
     applied session by session, and ingest and replay restore each
     session into one reused checker through :func:`_apply_session`.
 
-    Durability model: the **durable** half (write-ahead journal, periodic
-    per-session snapshots, terminal-outcome ledger) survives a crash; the
-    **volatile** half (the snapshots of *live* sessions) is rebuilt from
-    it by :meth:`recover`, which the ``monitor.ingest:crash`` fault kind
-    exercises end to end; a terminal session keeps only its final
-    durable snapshot.  One :meth:`ingest` costs O(batch + journal), never
-    O(sessions seen).  ``snapshot_every`` (events a session absorbs
-    between durable snapshots) and ``journal_cap`` (journal length that
-    forces a snapshot of every lagging session) trade replay length
-    against snapshot work; both are clamped to at least 1, and results
-    are identical for any value.
+    Durability model: the **durable** half (write-ahead journal,
+    per-session snapshot store, terminal-outcome ledger) survives a
+    crash; the **volatile** half (the snapshots of *live* sessions) is
+    rebuilt from it by :meth:`recover`, which the ``monitor.ingest:crash``
+    fault kind exercises end to end; a terminal session keeps only its
+    final durable snapshot.  Every :meth:`ingest` ends in one checkpoint
+    that refreshes the store from the volatile half and truncates the
+    journal, so after a fault-free ingest the journal is empty.  One
+    :meth:`ingest` costs O(batch + journal), never O(sessions seen).
     """
 
-    def __init__(
-        self,
-        extended: ExtendedAutomaton,
-        database: Database,
-        snapshot_every: int = 32,
-        journal_cap: int = 1024,
-    ):
+    def __init__(self, extended: ExtendedAutomaton, database: Database):
         self._extended = extended
         self._database = database
-        self._snapshot_every = max(int(snapshot_every), 1)
-        self._journal_cap = max(int(journal_cap), 1)
         self._checker = StreamingChecker(extended, database, strict=False)
         self._initial = self._checker.snapshot()
         # durable state: survives a (simulated) crash
@@ -476,7 +374,9 @@ class MonitorMultiplexer:
         session ids open implicitly.  A ``raise`` fault at
         ``monitor.ingest`` rejects the whole batch atomically *before*
         journaling; a ``crash`` fault fires after journaling and is
-        recovered from in-line.
+        recovered from in-line.  The call ends in one checkpoint
+        (:meth:`_checkpoint`), which leaves the journal empty unless a
+        fault or an interruption kept part of it.
         """
         batch = [
             (session, state, tuple(registers)) for session, state, registers in events
@@ -505,24 +405,20 @@ class MonitorMultiplexer:
 
         skipped = 0
         status = "complete"
-        try:
-            if kind == "crash":
-                raise _VolatileCrash("injected crash at monitor.ingest")
-            with deadline_scope(resolved):
-                applied, skipped, status = self._apply_entries(
-                    entries, cancel, violations, newly_quarantined
-                )
-        except _VolatileCrash:
+        if kind == "crash":
             # All volatile session state is gone; the journal and the
             # durable snapshots are not.  Recover in-line and account the
             # just-journaled batch through the replay results.
             self._mark_pending(entries)
             applied = self._crash_recover(violations, newly_quarantined)
+        else:
+            with deadline_scope(resolved):
+                applied, skipped, status = self._apply_entries(
+                    entries, cancel, violations, newly_quarantined
+                )
         if status in ("timeout", "cancelled"):
             self._mark_pending(entries)
-        applied += drained + self._refresh_durable(
-            entries, violations, newly_quarantined
-        )
+        applied += drained + self._checkpoint(violations, newly_quarantined)
         stats = self.stats()
         stats["batch"] = len(entries)
         if status == "timeout":
@@ -594,7 +490,6 @@ class MonitorMultiplexer:
             record.snapshot = result.snapshot
             if result.results:
                 record.applied_seq = result.results[-1][0]
-                record.since_durable += len(result.results)
                 applied += len(result.results)
                 self._events_applied += len(result.results)
             if result.snapshot.failed is not None:
@@ -605,79 +500,47 @@ class MonitorMultiplexer:
                 newly_quarantined.append(session)
         return applied
 
-    # -- durability: snapshots, truncation, recovery -------------------- #
+    # -- durability: the checkpoint and recovery ------------------------ #
 
-    def _snapshot_session(self, session: object) -> bool:
-        """Refresh one session's durable snapshot; honest about failure."""
-        record = self._sessions[session]
+    def _checkpoint(
+        self, violations: Dict[object, str], newly_quarantined: List[object]
+    ) -> int:
+        """Store every live session the journal names, then truncate.
+
+        The one durability rule, run at the end of every ingest: each
+        live session the journal names gets its current snapshot stored,
+        in journal order, and every entry the store then covers is
+        dropped -- a terminal session's, and a live session's up to its
+        last applied event.  Only events an interrupted ingest left
+        pending stay.  The ``monitor.snapshot`` site fires once per
+        checkpoint: ``raise`` skips it honestly (the journal keeps its
+        tail for the next one), ``crash`` recovers in line.  Returns the
+        events that recovery drained (else 0).
+        """
         kind = fault("monitor.snapshot")
         if kind == "raise":
             record_event(
                 "RS009",
-                "durable snapshot of monitor session %r skipped (injected "
-                "failure); the journal retains its tail" % (session,),
+                "monitor checkpoint skipped (injected failure); the journal "
+                "retains its %d entries" % len(self._journal),
                 location="monitor.snapshot",
-                data={"session": repr(session), "applied_seq": record.applied_seq},
+                data={"journal_len": len(self._journal)},
             )
-            return False
+            return 0
         if kind == "crash":
-            raise _VolatileCrash("injected crash at monitor.snapshot")
-        self._store[session] = (record.snapshot, record.applied_seq)
-        record.since_durable = 0
-        self._snapshots_taken += 1
-        return True
-
-    def _refresh_durable(
-        self,
-        entries: List[JournalEntry],
-        violations: Dict[object, str],
-        newly_quarantined: List[object],
-    ) -> int:
-        """Periodic snapshots, then journal truncation and cap enforcement.
-
-        Returns the events a crash recovery in here drained (else 0).
-        """
-        touched = dict.fromkeys(entry.session for entry in entries)
-        try:
-            for session in touched:
-                record = self._sessions.get(session)
-                if record is not None and record.since_durable >= self._snapshot_every:
-                    self._snapshot_session(session)
-            self._truncate_journal()
-            if len(self._journal) > self._journal_cap:
-                # Cap pressure: snapshot every lagging live session so the
-                # prefix floor advances, then truncate again.  Truncation
-                # keeps every entry past a live session's durable snapshot,
-                # so the journal names every lagging session.  Best-effort
-                # under injected snapshot faults -- the journal simply
-                # stays longer, correctness is unaffected.
-                lagging = {entry.session for entry in self._journal}
-                for session in sorted(lagging, key=repr):
-                    record = self._sessions.get(session)
-                    if record is not None and record.since_durable > 0:
-                        self._snapshot_session(session)
-                self._truncate_journal()
-        except _VolatileCrash:
             return self._crash_recover(violations, newly_quarantined)
+        for session in dict.fromkeys(entry.session for entry in self._journal):
+            record = self._sessions.get(session)
+            if record is not None:
+                self._store[session] = (record.snapshot, record.applied_seq)
+                self._snapshots_taken += 1
+        self._journal = [
+            entry
+            for entry in self._journal
+            if entry.session not in self._ledger
+            and entry.seq > self._store[entry.session][1]
+        ]
         return 0
-
-    def _truncate_journal(self) -> None:
-        """Drop every entry already covered by its session's durable state.
-
-        An entry is replayable only while its session is live and its
-        sequence number is beyond the session's durable snapshot; both
-        terminal sessions (ledger) and snapshotted prefixes are covered,
-        so their entries can never be needed again.
-        """
-
-        def needed(entry: JournalEntry) -> bool:
-            if entry.session in self._ledger:
-                return False
-            stored = self._store.get(entry.session)
-            return stored is None or entry.seq > stored[1]
-
-        if not all(needed(entry) for entry in self._journal):
-            self._journal = [entry for entry in self._journal if needed(entry)]
 
     def _mark_pending(self, entries: List[JournalEntry]) -> None:
         """Record which of *entries* no live session has applied yet."""
@@ -753,7 +616,7 @@ class MonitorMultiplexer:
                 result = _apply_session(self._checker, snapshot, tail)
                 replayed += len(result.results)
                 last = result.results[-1][0] if result.results else stored_seq
-                rebuilt[session] = _Session(result.snapshot, last, len(result.results))
+                rebuilt[session] = _Session(result.snapshot, last)
                 results.append(result)
             if restarted:
                 continue

@@ -20,9 +20,16 @@ O(constraints x DFA states x distinct live values); for LR-bounded
 automata the live-value count is bounded (that is Theorem 19's point), and
 :attr:`StreamingChecker.peak_threads` reports the high-water mark so the
 bound can be observed experimentally (benchmark E11).
+
+A :class:`SessionSnapshot` is the checker's run state in a canonical,
+picklable, version-tagged form -- the compact configuration
+:mod:`repro.core.monitor` stores and restores for thousands of sessions
+("A Finite Exact Representation of Register Automata Configurations",
+arXiv:1402.6783, is the conceptual anchor).
 """
 
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.db.database import Database
 from repro.db.evaluation import evaluate_type, transition_valuation
@@ -119,8 +126,6 @@ class StreamingChecker:
         a checker built over the same specification resumes the run
         byte-identically to an uninterrupted feed.
         """
-        from repro.core.monitor import SessionSnapshot
-
         return SessionSnapshot.capture(self)
 
     def restore(self, snapshot: "SessionSnapshot") -> "StreamingChecker":
@@ -233,3 +238,101 @@ class StreamingChecker:
             if message is not None:
                 return message
         return None
+
+
+# ---------------------------------------------------------------------- #
+# session snapshots
+# ---------------------------------------------------------------------- #
+
+#: Version tag carried by every snapshot; :meth:`SessionSnapshot.apply`
+#: refuses to restore a snapshot from a different layout generation.
+SNAPSHOT_VERSION = 1
+
+
+def _canonical_threads(
+    threads: List[Dict[object, set]],
+) -> Tuple[Tuple[Tuple[object, Tuple[Any, ...]], ...], ...]:
+    """The live-thread table in canonical (repr-sorted) tuple form.
+
+    Sorting both the DFA states and the stored values makes equal
+    checker states produce equal snapshots (and equal pickles), so
+    fingerprint comparisons across uninterrupted and recovered runs are
+    byte-level, never modulo set iteration order.
+    """
+    return tuple(
+        tuple(
+            sorted(
+                ((state, tuple(sorted(values, key=repr))) for state, values in per.items()),
+                key=lambda pair: repr(pair[0]),
+            )
+        )
+        for per in threads
+    )
+
+
+@dataclass(frozen=True)
+class SessionSnapshot:
+    """A compact, picklable, version-tagged capture of a streaming session.
+
+    Records only *run* state -- the specification and database stay with
+    the checker, so snapshots are cheap to pickle and to retain in the
+    multiplexer's durable store.  ``threads`` is stored canonically
+    sorted; :meth:`apply` rebuilds the mutable dict-of-sets form.
+    """
+
+    version: int
+    k: int
+    constraint_count: int
+    position: int
+    previous: Optional[Tuple[object, Tuple[Any, ...]]]
+    failed: Optional[str]
+    strict: bool
+    threads: Tuple[Tuple[Tuple[object, Tuple[Any, ...]], ...], ...]
+    peak_threads: int
+
+    @classmethod
+    def capture(cls, checker: StreamingChecker) -> "SessionSnapshot":
+        """Snapshot *checker* (the engine behind ``StreamingChecker.snapshot``)."""
+        return cls(
+            version=SNAPSHOT_VERSION,
+            k=checker._automaton.k,
+            constraint_count=len(checker._threads),
+            position=checker._position,
+            previous=checker._previous,
+            failed=checker._failed,
+            strict=checker._strict,
+            threads=_canonical_threads(checker._threads),
+            peak_threads=checker.peak_threads,
+        )
+
+    def apply(self, checker: StreamingChecker) -> None:
+        """Restore this snapshot into *checker* (``StreamingChecker.restore``)."""
+        if self.version != SNAPSHOT_VERSION:
+            raise SpecificationError(
+                "session snapshot version %r is not supported (expected %d)"
+                % (self.version, SNAPSHOT_VERSION)
+            )
+        if self.k != checker._automaton.k:
+            raise SpecificationError(
+                "session snapshot arity %d does not match the checker's "
+                "automaton (k=%d)" % (self.k, checker._automaton.k)
+            )
+        if self.constraint_count != len(checker._threads):
+            raise SpecificationError(
+                "session snapshot carries %d constraint thread tables, the "
+                "checker's specification has %d constraints"
+                % (self.constraint_count, len(checker._threads))
+            )
+        checker._strict = self.strict
+        checker._position = self.position
+        checker._previous = self.previous
+        checker._failed = self.failed
+        checker._threads = [
+            {state: set(values) for state, values in per} for per in self.threads
+        ]
+        checker.peak_threads = self.peak_threads
+
+    def fingerprint(self) -> Tuple[object, int, Optional[str], int]:
+        """``(state, position, failed, peak_threads)`` -- the identity tests compare."""
+        state = self.previous[0] if self.previous is not None else None
+        return (state, self.position, self.failed, self.peak_threads)

@@ -19,10 +19,12 @@ Syntax
   of ``check_emptiness``) and the monitor-multiplexer sites
   ``monitor.ingest`` (per ingest call: ``crash`` zaps volatile session
   state after the batch is journaled, ``raise`` rejects the batch
-  atomically), ``monitor.snapshot`` (per durable snapshot write:
-  ``raise`` skips it, ``crash`` as above) and ``monitor.restore`` (per
-  session during recovery: ``raise`` quarantines that one session,
-  ``crash`` restarts the idempotent recovery pass).
+  atomically), ``monitor.snapshot`` (once per checkpoint, the durable
+  write that ends every ingest: ``raise`` skips that checkpoint and the
+  journal keeps its tail for the next one, ``crash`` as above) and
+  ``monitor.restore`` (per session during recovery: ``raise``
+  quarantines that one session, ``crash`` restarts the idempotent
+  recovery pass).
 * ``kind`` is what happens: ``raise`` (raises :class:`FaultInjected`),
   ``crash`` (a monitor site drops its volatile session state),
   ``deadline`` (raises

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.db.schema import Signature
 from repro.foundations.errors import InconsistentTypeError, SpecificationError
-from repro.logic.literals import Literal, eq, neq, nrel, rel
+from repro.logic.literals import Literal, eq, neq, rel
 from repro.logic.terms import Term, X, Y
 from repro.logic.types import SigmaType
 from repro.core.register_automaton import RegisterAutomaton, Transition
@@ -206,10 +206,9 @@ class WorkflowSpec:
                 literals.append(eq(self._reference(condition[1]), self._reference(condition[2])))
             elif kind == "neq":
                 literals.append(neq(self._reference(condition[1]), self._reference(condition[2])))
-            elif kind in ("rel", "nrel"):
+            elif kind == "rel":
                 relation, attributes = condition[1], condition[2]
-                terms = tuple(self._reference(a) for a in attributes)
-                literal = rel(relation, *terms) if kind == "rel" else nrel(relation, *terms)
+                literal = rel(relation, *(self._reference(a) for a in attributes))
                 self._signature.validate_atom(literal.atom)
                 literals.append(literal)
             else:

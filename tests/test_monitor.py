@@ -6,9 +6,9 @@ poison events), the per-session final
 ``(state, position, failed, peak_threads)`` fingerprints are
 byte-identical to the fault-free serial run -- zero lost and zero
 double-applied events.  Several tests deliberately tolerate an *ambient*
-``REPRO_FAULTS`` plan (the CI fault-smoke leg runs this file under an
-injected driver crash); tests that assert exact counters pin the plan
-themselves.
+``REPRO_FAULTS`` plan (the CI fault-smoke legs run this file under an
+injected driver crash and under a crashed checkpoint); tests that assert
+exact counters pin the plan themselves.
 """
 
 import pickle
@@ -65,21 +65,10 @@ def db(empty_database):
     return empty_database
 
 
-#: The corner of the multiplexer's two durability settings: a durable
-#: snapshot after every event and a journal truncated constantly.
-CORNER = {"snapshot_every": 1, "journal_cap": 8}
-
-
 @pytest.fixture
-def make_mux(request, extended, db):
-    """Build a multiplexer at the requesting class's ``settings``.
-
-    The multiplexer suites below run at the defaults; each runs again,
-    unchanged, as a subclass at :data:`CORNER` (end of file), where every
-    fingerprint, verdict and counter must come out the same.
-    """
-    settings = getattr(request.cls, "settings", {})
-    return lambda: MonitorMultiplexer(extended, db, **settings)
+def make_mux(extended, db):
+    """A factory of fresh multiplexers over the all-distinct spec."""
+    return lambda: MonitorMultiplexer(extended, db)
 
 
 @pytest.fixture
@@ -320,12 +309,15 @@ class TestMultiplexerBasics:
         assert mux.session_fingerprint("a")[1] == 0
         assert mux.live_sessions() == 0
 
-    def test_journal_stays_bounded(self, extended, db, no_faults):
-        mux = MonitorMultiplexer(extended, db, journal_cap=8, snapshot_every=1000)
+    def test_journal_stays_bounded(self, extended, db, make_mux, no_faults):
+        # Every fault-free ingest ends in a checkpoint that covers the
+        # whole journal.
+        mux = make_mux()
         batches = random_batches(sessions=6, batches=10, batch_size=12)
         for batch in batches:
-            mux.ingest(batch)
-            assert mux.stats()["journal_len"] <= 8 + len(batch)
+            report = mux.ingest(batch)
+            assert report.outcome.stats["journal_len"] == 0
+            assert mux.stats()["journal_len"] == 0
         assert mux.fingerprints() == oracle_fingerprints(extended, db, batches)
 
 
@@ -364,26 +356,45 @@ class TestCrashRecovery:
         assert mux.recover() == mux.stats()["sessions"]
         assert mux.fingerprints() == before
 
-    def test_snapshot_faults_leave_recovery_exact(
-        self, extended, db, make_mux, monkeypatch
-    ):
+    def test_snapshot_faults_leave_recovery_exact(self, make_mux, monkeypatch):
         batches = random_batches()
         monkeypatch.setenv("REPRO_FAULTS", "")
         reset_faults()
         baseline = drive(make_mux(), batches).fingerprints()
         drain_events()
-        # Every early durable-snapshot write fails; the journal keeps the
-        # tail, so a later crash still recovers byte-identically.
+        # The first four checkpoints fail; the journal keeps every batch
+        # since the sessions opened, so a crash in the fifth ingest still
+        # recovers byte-identically.
         monkeypatch.setenv(
             "REPRO_FAULTS", "monitor.snapshot:raise:1-4,monitor.ingest:crash:5"
         )
         reset_faults()
-        crashed = drive(
-            MonitorMultiplexer(extended, db, snapshot_every=4), batches
-        ).fingerprints()
+        crashed = drive(make_mux(), batches).fingerprints()
         reset_faults()
         assert crashed == baseline
         assert len(recent_events("RS009")) == 4
+        drain_events()
+
+    def test_skipped_checkpoint_leaves_its_tail_to_the_next(
+        self, extended, db, make_mux, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_FAULTS", "monitor.snapshot:raise:1")
+        reset_faults()
+        drain_events()
+        try:
+            mux = make_mux()
+            mux.ingest([("a", "q", ("v1",)), ("b", "q", ("v1",))])
+            assert mux.stats()["journal_len"] == 2
+            assert mux.stats()["snapshots_taken"] == 0
+            assert len(recent_events("RS009")) == 1
+            # "b" is not in this batch, yet the checkpoint stores it too
+            mux.ingest([("a", "q", ("v2",))])
+        finally:
+            reset_faults()
+        assert mux.stats()["journal_len"] == 0
+        assert mux.stats()["snapshots_taken"] == 2
+        batches = [[("a", "q", ("v1",)), ("b", "q", ("v1",))], [("a", "q", ("v2",))]]
+        assert mux.fingerprints() == oracle_fingerprints(extended, db, batches)
         drain_events()
 
     def test_restore_crash_restarts_recovery(self, make_mux, monkeypatch):
@@ -554,15 +565,13 @@ class TestDeadlinesAndCancellation:
         assert report.applied == 3
         assert mux.stats()["events_applied"] == 3
 
-    def test_crash_recovery_counts_the_events_it_drains(
-        self, extended, db, monkeypatch
-    ):
-        # Cap pressure snapshots "a" while the timed-out batch is pending;
-        # the crash there recovers in-line and drains that batch.
-        monkeypatch.setenv("REPRO_FAULTS", "monitor.snapshot:crash:1")
+    def test_crash_recovery_counts_the_events_it_drains(self, make_mux, monkeypatch):
+        # The second ingest times out before applying anything; its
+        # checkpoint crashes, and the in-line recovery drains the batch.
+        monkeypatch.setenv("REPRO_FAULTS", "monitor.snapshot:crash:2")
         reset_faults()
         try:
-            mux = MonitorMultiplexer(extended, db, snapshot_every=1000, journal_cap=1)
+            mux = make_mux()
             mux.ingest([("a", "q", ("v1",))])
             report = mux.ingest(
                 [("a", "q", ("v2",)), ("a", "q", ("v1",)), ("b", "q", ("v1",))],
@@ -621,7 +630,7 @@ def assert_counters(mux):
 
 def run_program(extended, db, program, deadlines):
     """Run *program* (deadlines kept or dropped); return what must agree."""
-    mux = MonitorMultiplexer(extended, db, snapshot_every=2, journal_cap=4)
+    mux = MonitorMultiplexer(extended, db)
     for step in program:
         if step[0] == "ingest":
             mux.ingest(step[1], deadline=0 if deadlines and step[2] else None)
@@ -656,12 +665,17 @@ class TestInterruptedIngestProperty:
         # Timed-out ingests leave their events pending; whoever drains them
         # (the next ingest, a close or cancel, recover) applies and counts
         # each once, so the run ends exactly where the same program without
-        # deadlines does -- also under driver crashes and skipped snapshots.
+        # deadlines does -- also under driver crashes and skipped or
+        # crashed checkpoints.
         monkeypatch.setenv("REPRO_FAULTS", "")
         reset_faults()
         expected = run_program(extended, db, program, deadlines=False)
         assert run_program(extended, db, program, deadlines=True) == expected
-        for plan in ("monitor.ingest:crash:%d" % at, "monitor.snapshot:raise:%d" % at):
+        for plan in (
+            "monitor.ingest:crash:%d" % at,
+            "monitor.snapshot:raise:%d" % at,
+            "monitor.snapshot:crash:%d" % at,
+        ):
             monkeypatch.setenv("REPRO_FAULTS", plan)
             reset_faults()
             try:
@@ -669,25 +683,3 @@ class TestInterruptedIngestProperty:
             finally:
                 reset_faults()
 
-
-# ---------------------------------------------------------------------- #
-# the same suites at the corner of the durability settings
-# ---------------------------------------------------------------------- #
-
-
-class TestMultiplexerBasicsAtCorner(TestMultiplexerBasics):
-    settings = CORNER
-    test_journal_stays_bounded = None  # sets both arguments itself
-
-
-class TestCrashRecoveryAtCorner(TestCrashRecovery):
-    settings = CORNER
-
-
-class TestQuarantineAtCorner(TestQuarantine):
-    settings = CORNER
-
-
-class TestDeadlinesAndCancellationAtCorner(TestDeadlinesAndCancellation):
-    settings = CORNER
-    test_crash_recovery_counts_the_events_it_drains = None  # sets both itself
