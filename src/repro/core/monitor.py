@@ -22,15 +22,19 @@ Three ideas carry the design:
   batch is journaled *before* any state changes, and every ingest ends
   in one checkpoint: the current snapshot of every live session the
   journal names is stored, and the journal entries the store then
-  covers are dropped.  Recovery restores each session from its last
-  durable snapshot and replays the journal suffix -- deterministic, so
+  covers are dropped.  Recovery resets each live session to its last
+  durable snapshot and replays its journal tail -- deterministic, so
   the rebuilt fingerprints are byte-identical to an uninterrupted run:
   zero lost, zero double-applied events.
 
-* **One application path.**  Ingest and replay both restore a
-  session's snapshot into the multiplexer's one reused checker and feed
-  it (:func:`_apply_session`); snapshots, never live checkers, are the
-  volatile state.
+* **One application path.**  Ingest, the drain of what an interrupted
+  ingest left, close and cancel, and recovery all advance sessions
+  through :meth:`MonitorMultiplexer._advance`: it applies every
+  journaled event a live session has not applied yet, in journal order,
+  by restoring the session's snapshot into the multiplexer's one reused
+  checker and feeding it (:func:`_apply_session`), and counts each event
+  once, the first time it is applied.  Snapshots, never live checkers,
+  are the volatile state.
 
 Per-session quarantine keeps one poison event from taking down its
 neighbours: the offending session is rolled back to its last good
@@ -44,9 +48,9 @@ call, driver side; ``crash`` simulates loss of all volatile session
 state after the batch is journaled, ``raise`` rejects the batch
 atomically before journaling), ``monitor.snapshot`` (per checkpoint;
 ``raise`` skips the checkpoint and the journal keeps its tail for the
-next one, ``crash`` as above), ``monitor.restore`` (per session during
-recovery; ``raise`` quarantines just that session, ``crash`` restarts
-the -- idempotent -- recovery pass).
+next one, ``crash`` as above), ``monitor.restore`` (per live session
+during recovery; ``raise`` quarantines just that session, ``crash``
+restarts the -- idempotent -- recovery pass).
 """
 
 from dataclasses import dataclass
@@ -57,12 +61,7 @@ from repro.core.extended import ExtendedAutomaton
 # The snapshot format lives next to the checker fields it reads and
 # writes; its names stay importable here, where pickles of snapshots made
 # before the move look them up.
-from repro.core.streaming import (
-    SNAPSHOT_VERSION,
-    SessionSnapshot,
-    StreamingChecker,
-    _canonical_threads,
-)
+from repro.core.streaming import SNAPSHOT_VERSION, SessionSnapshot, StreamingChecker
 from repro.db.database import Database
 from repro.foundations.errors import SpecificationError
 from repro.foundations.faults import FaultInjected, fault
@@ -106,10 +105,9 @@ class _SessionResult(NamedTuple):
     ``poison`` is ``(seq, error)`` when an event raised, in which case
     ``snapshot`` is the session rolled back to its last good position;
     ``interrupted`` marks a deadline/cancellation stop mid-task, with
-    the unapplied suffix left for journal replay.
+    the unapplied suffix left in the journal.
     """
 
-    session: object
     snapshot: SessionSnapshot
     results: Tuple[Tuple[int, Optional[str]], ...]
     poison: Optional[Tuple[int, str]]
@@ -123,10 +121,10 @@ def _apply_session(
 ) -> _SessionResult:
     """Apply *events* to the session *snapshot*; pure and deterministic.
 
-    This is the single application path -- ingest and journal replay both
-    come through here, which is what makes their answers byte-identical
-    by construction.  The caller supplies and reuses *checker*:
-    restoring *snapshot* overwrites all its run state.
+    Every event reaches a session through here, whether an ingest, a
+    drain or a recovery applies it, which is what makes their answers
+    byte-identical by construction.  The caller supplies and reuses
+    *checker*: restoring *snapshot* overwrites all its run state.
     A poison event (any unexpected exception from ``feed``) rolls the
     session back to the state just before it, so quarantine freezes a
     meaningful position.
@@ -135,7 +133,6 @@ def _apply_session(
     applied: List[Tuple[int, Optional[str]]] = []
     poison: Optional[Tuple[int, str]] = None
     interrupted = False
-    session = events[0].session if events else None
     for offset, entry in enumerate(events):
         active = current_deadline()
         if active is not None and active.expired():
@@ -156,7 +153,6 @@ def _apply_session(
             break
         applied.append((entry.seq, verdict))
     return _SessionResult(
-        session=session,
         snapshot=checker.snapshot(),
         results=tuple(applied),
         poison=poison,
@@ -175,12 +171,15 @@ class IngestReport:
 
     ``outcome`` is the batch-level verdict (``COMPLETE``, ``TIMEOUT`` or
     ``CANCELLED`` -- per-session failures never degrade the batch);
-    ``applied`` counts the events this call applied, including events an
-    earlier interrupted ingest left pending and this call drained;
-    ``violations`` maps each touched session that is in a failed state to
-    its (original) violation message; ``quarantined`` lists sessions
-    newly quarantined by this call; ``skipped`` counts events addressed
-    to already-terminal sessions, which are acked but not applied.
+    ``applied`` is what this call added to ``stats()["events_applied"]``:
+    the events it applied for the first time, including events an
+    earlier interrupted ingest left pending and this call drained, less
+    any that a failed restore in this call lost; ``violations`` maps
+    each session this call applied events to that is in a failed state
+    to its (original) violation message; ``quarantined`` lists sessions
+    newly quarantined by this call; ``skipped`` counts the batch's
+    events addressed to sessions that were already terminal when it was
+    journaled, which are acked but not applied.
     """
 
     outcome: Outcome
@@ -190,33 +189,25 @@ class IngestReport:
     skipped: int
 
 
-class _Session:
-    """Volatile record of a live session: current snapshot and last applied seq."""
-
-    __slots__ = ("snapshot", "applied_seq")
-
-    def __init__(self, snapshot: SessionSnapshot, applied_seq: int):
-        self.snapshot = snapshot
-        self.applied_seq = applied_seq
-
-
 class MonitorMultiplexer:
     """Drive many concurrent streaming sessions, crash-safely.
 
     Events arrive in batches tagged by session id
     (``ingest([(session, state, registers), ...])``); each batch is
-    applied session by session, and ingest and replay restore each
-    session into one reused checker through :func:`_apply_session`.
+    journaled, then applied session by session through :meth:`_advance`,
+    the one path by which an event reaches a session.
 
     Durability model: the **durable** half (write-ahead journal,
     per-session snapshot store, terminal-outcome ledger) survives a
-    crash; the **volatile** half (the snapshots of *live* sessions) is
-    rebuilt from it by :meth:`recover`, which the ``monitor.ingest:crash``
-    fault kind exercises end to end; a terminal session keeps only its
-    final durable snapshot.  Every :meth:`ingest` ends in one checkpoint
-    that refreshes the store from the volatile half and truncates the
-    journal, so after a fault-free ingest the journal is empty.  One
-    :meth:`ingest` costs O(batch + journal), never O(sessions seen).
+    crash; the **volatile** half (each live session's current snapshot
+    and last applied seq) is reset to it by :meth:`recover`, which then
+    replays the journal tails; the ``monitor.ingest:crash`` fault kind
+    exercises this end to end.  A terminal session keeps only its final
+    durable snapshot.  Every :meth:`ingest` ends in one checkpoint that
+    refreshes the store from the volatile half and truncates the
+    journal, so after a fault-free ingest the journal is empty.  An
+    :meth:`ingest`, a drain or a close costs O(batch + journal), never
+    O(sessions seen); only a recovery visits every live session.
     """
 
     def __init__(self, extended: ExtendedAutomaton, database: Database):
@@ -229,11 +220,12 @@ class MonitorMultiplexer:
         self._journal: List[JournalEntry] = []
         self._ledger: Dict[object, Outcome] = {}
         self._seq = 0
-        # volatile state: lost on crash, rebuilt by recover()
-        self._sessions: Dict[object, _Session] = {}
-        # session -> first journaled seq an interrupted ingest left unapplied
-        self._pending: Dict[object, int] = {}
-        # counters (diagnostic, not part of the identity contract)
+        # volatile state, lost on crash: live session -> (current
+        # snapshot, last applied seq), reset to the store by recovery
+        self._sessions: Dict[object, Tuple[SessionSnapshot, int]] = {}
+        # counters, and each live session's last counted seq: diagnostic
+        # (not part of the identity contract), they outlive a crash
+        self._counted: Dict[object, int] = {}
         self._events_applied = 0
         self._quarantined = 0
         self._recoveries = 0
@@ -245,8 +237,7 @@ class MonitorMultiplexer:
         """Register a fresh session (it also opens implicitly on first event)."""
         if session in self._store or session in self._ledger:
             raise SpecificationError("session %r is already open" % (session,))
-        self._store[session] = (self._initial, self._seq)
-        self._sessions[session] = _Session(self._initial, self._seq)
+        self._store[session] = self._sessions[session] = (self._initial, self._seq)
 
     def close_session(self, session: object) -> Outcome:
         """Finish a session cleanly; its state freezes and its outcome is honest."""
@@ -257,15 +248,14 @@ class MonitorMultiplexer:
         return self._terminate(session, "cancelled", reason=reason)
 
     def _terminate(self, session: object, how: str, reason: str = "") -> Outcome:
-        if self._pending:  # the acked events belong to the frozen run
-            self._replay({}, [])
+        self._advance(None, {}, [])  # the acked events belong to the frozen run
         existing = self._ledger.get(session)
         if existing is not None:
             return existing
-        record = self._sessions.pop(session, None)
-        if record is None:
+        current = self._sessions.pop(session, None)
+        if current is None:
             raise SpecificationError("session %r is not open" % (session,))
-        snapshot = record.snapshot
+        snapshot = current[0]
         stats = {
             "session": repr(session),
             "position": snapshot.position,
@@ -279,32 +269,50 @@ class MonitorMultiplexer:
         else:
             outcome = Outcome.complete(**stats)
         self._ledger[session] = outcome
-        self._store[session] = (snapshot, record.applied_seq)
+        self._store[session] = current
+        self._counted.pop(session, None)
         return outcome
 
     def _quarantine(
-        self, session: object, snapshot: SessionSnapshot, seq: int, error: str
-    ) -> Outcome:
-        """Terminally fail one session (everyone else is unaffected)."""
-        outcome = Outcome.degraded(
+        self,
+        session: object,
+        snapshot: SessionSnapshot,
+        seq: int,
+        reason: str,
+        error: str,
+        quarantined: List[object],
+    ) -> None:
+        """Terminally fail one session at *snapshot* (everyone else is unaffected).
+
+        The store covers the session's journal up to *seq*.  Events it
+        counted past *seq* are lost with it, so they are uncounted.
+        """
+        counted = self._counted.pop(session, seq)
+        if counted > seq:
+            self._events_applied -= sum(
+                1
+                for entry in self._journal
+                if entry.session == session and seq < entry.seq <= counted
+            )
+        self._ledger[session] = Outcome.degraded(
             session=repr(session),
-            reason="poison-event",
+            reason=reason,
             seq=seq,
             error=error,
             position=snapshot.position,
             peak_threads=snapshot.peak_threads,
         )
-        self._ledger[session] = outcome
-        self._quarantined += 1
         self._store[session] = (snapshot, seq)
         self._sessions.pop(session, None)
+        self._quarantined += 1
+        quarantined.append(session)
         record_event(
             "RS008",
-            "monitor session %r quarantined at seq %d: %s" % (session, seq, error),
-            location="monitor.ingest",
+            "monitor session %r quarantined at seq %d (%s): %s"
+            % (session, seq, reason, error),
+            location="monitor.restore" if reason == "restore-failed" else "monitor.ingest",
             data={"session": repr(session), "seq": seq, "error": error},
         )
-        return outcome
 
     # -- introspection -------------------------------------------------- #
 
@@ -333,13 +341,10 @@ class MonitorMultiplexer:
         self, session: object
     ) -> Tuple[object, int, Optional[str], int]:
         """``(state, position, failed, peak_threads)`` for one session."""
-        record = self._sessions.get(session)
-        if record is not None:
-            return record.snapshot.fingerprint()
-        stored = self._store.get(session)
-        if stored is None:
+        current = self._sessions.get(session) or self._store.get(session)
+        if current is None:
             raise SpecificationError("session %r is not known" % (session,))
-        return stored[0].fingerprint()
+        return current[0].fingerprint()
 
     def fingerprints(self) -> Dict[object, Tuple[object, int, Optional[str], int]]:
         """All session fingerprints -- the crash-recovery identity witness."""
@@ -371,12 +376,15 @@ class MonitorMultiplexer:
 
         The batch is journaled before anything else changes (write-ahead),
         so a crash at any later point replays it exactly once.  Unknown
-        session ids open implicitly.  A ``raise`` fault at
-        ``monitor.ingest`` rejects the whole batch atomically *before*
-        journaling; a ``crash`` fault fires after journaling and is
-        recovered from in-line.  The call ends in one checkpoint
-        (:meth:`_checkpoint`), which leaves the journal empty unless a
-        fault or an interruption kept part of it.
+        session ids open implicitly.  Events an earlier interrupted
+        ingest left unapplied are drained first, outside the deadline;
+        then the batch is applied under *deadline* and *cancel*, and
+        what they stop stays journaled for whatever comes next.  A
+        ``raise`` fault at ``monitor.ingest`` rejects the whole batch
+        atomically *before* journaling; a ``crash`` fault fires after
+        journaling and is recovered from in-line.  The call ends in one
+        checkpoint (:meth:`_checkpoint`), which leaves the journal empty
+        unless a fault or an interruption kept part of it.
         """
         batch = [
             (session, state, tuple(registers)) for session, state, registers in events
@@ -388,37 +396,28 @@ class MonitorMultiplexer:
                 "injected failure at monitor.ingest: batch of %d rejected "
                 "atomically (nothing journaled, nothing applied)" % len(batch)
             )
+        applied_before = self._events_applied
         violations: Dict[object, str] = {}
-        newly_quarantined: List[object] = []
-        # A previous ingest stopped early (deadline or cancellation) with
-        # journaled events unapplied; drain them first so every session
-        # sees its events in journal order, exactly once.
-        drained = self._replay(violations, newly_quarantined) if self._pending else 0
+        quarantined: List[object] = []
+        self._advance(None, violations, quarantined)  # the drain, deadline-free
         for session, _state, _registers in batch:
-            if session not in self._store and session not in self._ledger:
+            if session not in self._store:
                 self.open_session(session)
         entries: List[JournalEntry] = []
+        skipped = 0
         for session, state, registers in batch:
             self._seq += 1
             entries.append(JournalEntry(self._seq, session, state, registers))
+            if session in self._ledger:
+                skipped += 1  # terminal session: acked, never applied
         self._journal.extend(entries)
-
-        skipped = 0
-        status = "complete"
         if kind == "crash":
             # All volatile session state is gone; the journal and the
-            # durable snapshots are not.  Recover in-line and account the
-            # just-journaled batch through the replay results.
-            self._mark_pending(entries)
-            applied = self._crash_recover(violations, newly_quarantined)
-        else:
-            with deadline_scope(resolved):
-                applied, skipped, status = self._apply_entries(
-                    entries, cancel, violations, newly_quarantined
-                )
-        if status in ("timeout", "cancelled"):
-            self._mark_pending(entries)
-        applied += drained + self._checkpoint(violations, newly_quarantined)
+            # durable snapshots are not.
+            self._recover(violations, quarantined)
+        with deadline_scope(resolved):
+            status = self._advance(cancel, violations, quarantined)
+        self._checkpoint(violations, quarantined)
         stats = self.stats()
         stats["batch"] = len(entries)
         if status == "timeout":
@@ -429,30 +428,35 @@ class MonitorMultiplexer:
             outcome = Outcome.complete(**stats)
         return IngestReport(
             outcome=outcome,
-            applied=applied,
+            applied=self._events_applied - applied_before,
             violations=violations,
-            quarantined=tuple(newly_quarantined),
+            quarantined=tuple(quarantined),
             skipped=skipped,
         )
 
-    def _apply_entries(
+    def _advance(
         self,
-        entries: List[JournalEntry],
         cancel: Optional[CancellationToken],
         violations: Dict[object, str],
-        newly_quarantined: List[object],
-    ) -> Tuple[int, int, str]:
-        """Apply journaled *entries* to the live sessions; the normal path."""
-        per_session: Dict[object, List[JournalEntry]] = {}
-        skipped = 0
-        for entry in entries:
-            if entry.session in self._ledger:
-                skipped += 1  # terminal session: acked, never applied
-                continue
-            per_session.setdefault(entry.session, []).append(entry)
-        results: List[_SessionResult] = []
-        status = "complete"
-        for session, events in per_session.items():
+        quarantined: List[object],
+    ) -> str:
+        """Apply every journaled event a live session has not applied yet.
+
+        Sessions go in journal order, each through :func:`_apply_session`
+        from its current snapshot.  An event counts in
+        ``events_applied`` once, the first time it is applied (past the
+        session's last counted seq), and a session reports its violation
+        only when this pass counted one of its events.  Returns
+        ``"complete"``, or ``"timeout"`` / ``"cancelled"`` when the
+        ambient deadline or *cancel* stopped the pass; what it did not
+        apply stays in the journal for the next one.
+        """
+        tails: Dict[object, List[JournalEntry]] = {}
+        for entry in self._journal:
+            current = self._sessions.get(entry.session)
+            if current is not None and entry.seq > current[1]:
+                tails.setdefault(entry.session, []).append(entry)
+        for session, events in tails.items():
             try:
                 if cancel is not None:
                     cancel.check("monitor.ingest")
@@ -460,51 +464,36 @@ class MonitorMultiplexer:
                 if active is not None:
                     active.check("monitor.ingest")
             except DeadlineExceeded:
-                status = "timeout"
-                break
+                return "timeout"
             except OperationCancelled:
-                status = "cancelled"
-                break
-            snapshot = self._sessions[session].snapshot
+                return "cancelled"
+            snapshot, last = self._sessions[session]
             result = _apply_session(self._checker, snapshot, events)
-            results.append(result)
-            if result.interrupted:
-                status = "timeout"
-                break
-        applied = self._merge_results(results, violations, newly_quarantined)
-        return applied, skipped, status
-
-    def _merge_results(
-        self,
-        results: List[_SessionResult],
-        violations: Dict[object, str],
-        newly_quarantined: List[object],
-    ) -> int:
-        """Advance volatile session state from application *results*."""
-        applied = 0
-        for result in results:
-            session = result.session
-            if session is None:
-                continue
-            record = self._sessions[session]
-            record.snapshot = result.snapshot
             if result.results:
-                record.applied_seq = result.results[-1][0]
-                applied += len(result.results)
-                self._events_applied += len(result.results)
-            if result.snapshot.failed is not None:
-                violations[session] = result.snapshot.failed
+                last = result.results[-1][0]
+            self._sessions[session] = (result.snapshot, last)
+            counted = self._counted.get(session, 0)
+            if last > counted:
+                self._events_applied += sum(
+                    1 for seq, _verdict in result.results if seq > counted
+                )
+                self._counted[session] = last
+                if result.snapshot.failed is not None:
+                    violations[session] = result.snapshot.failed
             if result.poison is not None:
                 seq, error = result.poison
-                self._quarantine(session, result.snapshot, seq, error)
-                newly_quarantined.append(session)
-        return applied
+                self._quarantine(
+                    session, result.snapshot, seq, "poison-event", error, quarantined
+                )
+            if result.interrupted:
+                return "timeout"
+        return "complete"
 
     # -- durability: the checkpoint and recovery ------------------------ #
 
     def _checkpoint(
-        self, violations: Dict[object, str], newly_quarantined: List[object]
-    ) -> int:
+        self, violations: Dict[object, str], quarantined: List[object]
+    ) -> None:
         """Store every live session the journal names, then truncate.
 
         The one durability rule, run at the end of every ingest: each
@@ -514,8 +503,7 @@ class MonitorMultiplexer:
         last applied event.  Only events an interrupted ingest left
         pending stay.  The ``monitor.snapshot`` site fires once per
         checkpoint: ``raise`` skips it honestly (the journal keeps its
-        tail for the next one), ``crash`` recovers in line.  Returns the
-        events that recovery drained (else 0).
+        tail for the next one), ``crash`` recovers in line.
         """
         kind = fault("monitor.snapshot")
         if kind == "raise":
@@ -526,13 +514,14 @@ class MonitorMultiplexer:
                 location="monitor.snapshot",
                 data={"journal_len": len(self._journal)},
             )
-            return 0
+            return
         if kind == "crash":
-            return self._crash_recover(violations, newly_quarantined)
+            self._recover(violations, quarantined)
+            return
         for session in dict.fromkeys(entry.session for entry in self._journal):
-            record = self._sessions.get(session)
-            if record is not None:
-                self._store[session] = (record.snapshot, record.applied_seq)
+            current = self._sessions.get(session)
+            if current is not None:
+                self._store[session] = current
                 self._snapshots_taken += 1
         self._journal = [
             entry
@@ -540,110 +529,57 @@ class MonitorMultiplexer:
             if entry.session not in self._ledger
             and entry.seq > self._store[entry.session][1]
         ]
-        return 0
-
-    def _mark_pending(self, entries: List[JournalEntry]) -> None:
-        """Record which of *entries* no live session has applied yet."""
-        for entry in entries:
-            record = self._sessions.get(entry.session)
-            if record is not None and entry.seq > record.applied_seq:
-                self._pending.setdefault(entry.session, entry.seq)
-
-    def _crash_recover(
-        self, violations: Dict[object, str], newly_quarantined: List[object]
-    ) -> int:
-        """Drop all volatile state, then rebuild it from the durable half."""
-        self._sessions = {}
-        return self._replay(violations, newly_quarantined)
 
     def recover(self) -> int:
-        """Rebuild volatile session state from snapshots + journal replay.
+        """Rebuild the volatile half from the durable one; deterministic.
 
-        Safe at any time, never a no-op: even with nothing pending it
-        rebuilds every live session from its durable snapshot plus the
-        journal suffix, counts a recovery and records ``RS007``.  It also
-        drains (and counts) journaled events a timed-out or cancelled
-        ingest left unapplied.  Returns ``stats()["sessions"]``.
+        Resets every live session to its last durable snapshot (the
+        ``monitor.restore`` site fires once per live session), then
+        replays the journal tails: only sessions with journaled events
+        past their snapshot go through the checker, and events a
+        timed-out or cancelled ingest left unapplied are applied and
+        counted like any others.  Counts a recovery and records
+        ``RS007``.  Returns ``stats()["sessions"]``.
         """
-        self._replay({}, [])
+        self._recover({}, [])
         return len(self._store)
 
-    def _replay(
-        self, violations: Dict[object, str], newly_quarantined: List[object]
-    ) -> int:
-        """Restore every live session from durable state; deterministic replay.
+    def _recover(
+        self, violations: Dict[object, str], quarantined: List[object]
+    ) -> None:
+        """Reset the volatile half to the durable store, then :meth:`_advance`.
 
-        Returns and counts the drained events, the ones ``_pending`` marks
-        as never applied; the rest were counted when first applied.
+        One pass visits the live sessions in ``repr`` order and fires
+        ``monitor.restore`` for each: ``crash`` restarts the idempotent
+        pass (at most three times), ``raise`` quarantines the session at
+        its last durable snapshot, uncounting the events it loses.
         """
-        tails: Dict[object, List[JournalEntry]] = {}
-        for entry in self._journal:
-            tails.setdefault(entry.session, []).append(entry)
         restarts = 0
         while True:
-            rebuilt: Dict[object, _Session] = {}
-            results: List[_SessionResult] = []
-            replayed = 0
-            restarted = False
+            self._sessions = {}
             live = (session for session in self._store if session not in self._ledger)
             for session in sorted(live, key=repr):
-                snapshot, stored_seq = self._store[session]
                 kind = fault("monitor.restore")
                 if kind == "crash" and restarts < 3:
-                    restarted = True
                     restarts += 1
                     break
+                snapshot, seq = self._store[session]
                 if kind == "raise":
-                    self._ledger[session] = Outcome.degraded(
-                        session=repr(session),
-                        reason="restore-failed",
-                        seq=stored_seq,
-                        error="injected failure at monitor.restore",
-                        position=snapshot.position,
-                        peak_threads=snapshot.peak_threads,
+                    error = "injected failure at monitor.restore"
+                    self._quarantine(
+                        session, snapshot, seq, "restore-failed", error, quarantined
                     )
-                    self._quarantined += 1
-                    newly_quarantined.append(session)
-                    record_event(
-                        "RS008",
-                        "monitor session %r quarantined: restore failed"
-                        % (session,),
-                        location="monitor.restore",
-                        data={"session": repr(session), "seq": stored_seq},
-                    )
-                    continue
-                tail = tuple(e for e in tails.get(session, ()) if e.seq > stored_seq)
-                result = _apply_session(self._checker, snapshot, tail)
-                replayed += len(result.results)
-                last = result.results[-1][0] if result.results else stored_seq
-                rebuilt[session] = _Session(result.snapshot, last)
-                results.append(result)
-            if restarted:
-                continue
-            self._sessions = rebuilt
-            applied = 0
-            for result in results:
-                session = result.session
-                if session is None:
-                    continue
-                since = self._pending.get(session)
-                fresh = sum(1 for seq, _ in result.results if since and seq >= since)
-                applied += fresh
-                if result.snapshot.failed is not None and fresh:
-                    violations[session] = result.snapshot.failed
-                if result.poison is not None:
-                    seq, error = result.poison
-                    self._quarantine(session, result.snapshot, seq, error)
-                    newly_quarantined.append(session)
-            self._pending = {}
-            self._events_applied += applied
-            self._recoveries += 1
-            record_event(
-                "RS007",
-                "monitor recovered %d sessions from durable snapshots + "
-                "journal replay (%d events replayed)"
-                % (len(rebuilt), replayed),
-                location="monitor.recover",
-                data={"sessions": len(rebuilt), "replayed": replayed},
-            )
-            return applied
+                else:
+                    self._sessions[session] = (snapshot, seq)
+            else:
+                break
+        restored, journal_len = len(self._sessions), len(self._journal)
+        self._advance(None, violations, quarantined)
+        self._recoveries += 1
+        record_event(
+            "RS007",
+            "monitor recovered %d sessions from durable snapshots + a "
+            "journal of %d entries" % (restored, journal_len),
+            location="monitor.recover",
+            data={"sessions": restored, "journal_len": journal_len},
+        )

@@ -22,9 +22,9 @@ Syntax
   atomically), ``monitor.snapshot`` (once per checkpoint, the durable
   write that ends every ingest: ``raise`` skips that checkpoint and the
   journal keeps its tail for the next one, ``crash`` as above) and
-  ``monitor.restore`` (per session during recovery: ``raise``
-  quarantines that one session, ``crash`` restarts the idempotent
-  recovery pass).
+  ``monitor.restore`` (per live session during a recovery, never a
+  drain: ``raise`` quarantines that one session, ``crash`` restarts the
+  idempotent recovery pass).
 * ``kind`` is what happens: ``raise`` (raises :class:`FaultInjected`),
   ``crash`` (a monitor site drops its volatile session state),
   ``deadline`` (raises

@@ -9,7 +9,7 @@ database and a valuation lives in :mod:`repro.db.evaluation`.
 from dataclasses import dataclass
 from typing import FrozenSet, Set, Tuple
 
-from repro.logic.literals import Atom, EqAtom, Literal, RelAtom
+from repro.logic.literals import Atom, EqAtom, RelAtom
 from repro.logic.terms import Term
 
 
@@ -113,12 +113,6 @@ class Or(Formula):
 
     def __repr__(self) -> str:
         return "(" + " or ".join(repr(op) for op in self.operands) + ")"
-
-
-def literal_formula(literal: Literal) -> Formula:
-    """Turn a literal into a formula."""
-    base = AtomFormula(literal.atom)
-    return base if literal.positive else Not(base)
 
 
 def atom_eq(left: Term, right: Term) -> Formula:

@@ -426,6 +426,23 @@ class TestCrashRecovery:
         assert (mux.fingerprints(), mux.stats()["journal_len"]) == before
         assert mux.stats()["sessions"] == 1
 
+    def test_skipped_counts_terminal_events_on_every_path(self, make_mux, monkeypatch):
+        # One event of the second batch is for a closed session; a crash
+        # in that ingest recovers through the same step, so it is skipped
+        # there too.
+        for plan in ("", "monitor.ingest:crash:2"):
+            monkeypatch.setenv("REPRO_FAULTS", plan)
+            reset_faults()
+            try:
+                mux = make_mux()
+                mux.ingest([("a", "q", ("v1",)), ("b", "q", ("v1",))])
+                mux.close_session("a")
+                report = mux.ingest([("a", "q", ("v2",)), ("b", "q", ("v2",))])
+            finally:
+                reset_faults()
+            assert (report.skipped, report.applied) == (1, 1), plan
+        drain_events()
+
 
 # ---------------------------------------------------------------------- #
 # per-session quarantine
@@ -517,6 +534,28 @@ class TestQuarantine:
             if session != victim:
                 assert mux.session_fingerprint(session)[1] == 1
 
+    def test_restore_failure_uncounts_the_events_it_loses(
+        self, make_mux, monkeypatch
+    ):
+        # Both sessions apply their second event, then the checkpoint
+        # crashes and "a" fails to restore: it freezes at its first
+        # durable snapshot, and its second event no longer counts.
+        monkeypatch.setenv(
+            "REPRO_FAULTS", "monitor.snapshot:crash:2,monitor.restore:raise:1"
+        )
+        reset_faults()
+        try:
+            mux = make_mux()
+            mux.ingest([("a", "q", ("v1",)), ("b", "q", ("v1",))])
+            report = mux.ingest([("a", "q", ("v2",)), ("b", "q", ("v2",))])
+        finally:
+            reset_faults()
+        assert report.quarantined == ("a",)
+        assert mux.session_fingerprint("a")[1] == 0
+        assert mux.session_fingerprint("b")[1] == 1
+        assert report.applied == 1
+        assert mux.stats()["events_applied"] == 3
+
 
 # ---------------------------------------------------------------------- #
 # deadlines and cancellation
@@ -564,6 +603,27 @@ class TestDeadlinesAndCancellation:
         assert mux.fingerprints() == {"a": ("q", 1, None, 2), "b": ("q", 0, None, 1)}
         assert report.applied == 3
         assert mux.stats()["events_applied"] == 3
+
+    def test_a_drain_is_no_recovery(self, make_mux, no_faults, monkeypatch):
+        # Draining what a timed-out ingest left restores only the
+        # sessions that have events to apply, not all 50 live ones.
+        mux = make_mux()
+        mux.ingest([("s%02d" % index, "q", ("v1",)) for index in range(50)])
+        mux.ingest([("s00", "q", ("v2",))], deadline=0)
+        drain_events()
+        restored = []
+        restore = StreamingChecker.restore
+
+        def counting_restore(checker, snapshot):
+            restored.append(snapshot.position)
+            return restore(checker, snapshot)
+
+        monkeypatch.setattr(StreamingChecker, "restore", counting_restore)
+        report = mux.ingest([("s01", "q", ("v2",))])
+        assert restored == [0, 0]
+        assert report.applied == 2
+        assert mux.stats()["recoveries"] == 0
+        assert not recent_events("RS007")
 
     def test_crash_recovery_counts_the_events_it_drains(self, make_mux, monkeypatch):
         # The second ingest times out before applying anything; its
@@ -665,8 +725,8 @@ class TestInterruptedIngestProperty:
         # Timed-out ingests leave their events pending; whoever drains them
         # (the next ingest, a close or cancel, recover) applies and counts
         # each once, so the run ends exactly where the same program without
-        # deadlines does -- also under driver crashes and skipped or
-        # crashed checkpoints.
+        # deadlines does -- also under driver crashes, skipped or crashed
+        # checkpoints and crashed restores.
         monkeypatch.setenv("REPRO_FAULTS", "")
         reset_faults()
         expected = run_program(extended, db, program, deadlines=False)
@@ -675,6 +735,7 @@ class TestInterruptedIngestProperty:
             "monitor.ingest:crash:%d" % at,
             "monitor.snapshot:raise:%d" % at,
             "monitor.snapshot:crash:%d" % at,
+            "monitor.restore:crash:%d" % at,
         ):
             monkeypatch.setenv("REPRO_FAULTS", plan)
             reset_faults()
