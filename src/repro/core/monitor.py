@@ -13,10 +13,13 @@ Three ideas carry the design:
 * **Compact snapshots.**  :class:`~repro.core.streaming.SessionSnapshot`
   captures exactly the run state :meth:`StreamingChecker.feed` depends
   on -- position, last (state, registers) pair, failed status,
-  strictness and the live constraint threads -- in a canonical (sorted),
-  picklable, version-tagged form.  Theorem 19's register discipline
-  bounds the live-thread count, which is what makes per-session
-  snapshots small enough to store at scale.
+  strictness and the live constraint threads -- in a picklable,
+  version-tagged form.  It shares the checker's immutable thread
+  tables, so a capture or a restore costs O(constraints); the canonical
+  (``repr``-sorted) form is made only when a snapshot is pickled or
+  compared.  Theorem 19's register discipline bounds the live-thread
+  count, which is what makes per-session snapshots small enough to
+  store at scale.
 
 * **Write-ahead journal + one checkpoint per ingest.**  Every ingested
   batch is journaled *before* any state changes, and every ingest ends
@@ -124,7 +127,8 @@ def _apply_session(
     Every event reaches a session through here, whether an ingest, a
     drain or a recovery applies it, which is what makes their answers
     byte-identical by construction.  The caller supplies and reuses
-    *checker*: restoring *snapshot* overwrites all its run state.
+    *checker*: restoring *snapshot* overwrites all its run state, and
+    neither the restore nor the closing capture copies a thread table.
     A poison event (any unexpected exception from ``feed``) rolls the
     session back to the state just before it, so quarantine freezes a
     meaningful position.

@@ -26,7 +26,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence
 from repro.automata.graphs import cyclic_components, walk
 from repro.automata.words import Lasso
 from repro.db.database import Database
-from repro.db.evaluation import evaluate_type, transition_valuation
+from repro.db.evaluation import some_guard_holds
 from repro.foundations.domain import DataValue, FreshSupply
 from repro.foundations.errors import SpecificationError
 from repro.foundations.interning import register_clear_listener
@@ -227,8 +227,7 @@ def validity_error(run, automaton: RegisterAutomaton, database: Database) -> Opt
                 run.states[j],
                 i,
             )
-        valuation = transition_valuation(run.data[i], run.data[j])
-        if not evaluate_type(guard, database, valuation):
+        if not some_guard_holds((guard,), database, run.data[i], run.data[j]):
             return "guard %s fails at position %d on %r -> %r" % (
                 guard.pretty(),
                 i,

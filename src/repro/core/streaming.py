@@ -15,24 +15,29 @@ time and reports violations as soon as they are observable:
 
 The checker keeps, per constraint, the set of live (DFA state, stored
 value) threads -- exactly the register discipline of Propositions 6 and 22,
-executed directly instead of being compiled into an automaton.  Memory is
+executed directly instead of being compiled into an automaton.  Each
+constraint's thread table is immutable: a tuple of (DFA state, frozenset of
+stored values) pairs that :meth:`StreamingChecker.feed` replaces on every
+event and never changes in place.  Memory is
 O(constraints x DFA states x distinct live values); for LR-bounded
 automata the live-value count is bounded (that is Theorem 19's point), and
 :attr:`StreamingChecker.peak_threads` reports the high-water mark so the
 bound can be observed experimentally (benchmark E11).
 
-A :class:`SessionSnapshot` is the checker's run state in a canonical,
-picklable, version-tagged form -- the compact configuration
-:mod:`repro.core.monitor` stores and restores for thousands of sessions
-("A Finite Exact Representation of Register Automata Configurations",
-arXiv:1402.6783, is the conceptual anchor).
+A :class:`SessionSnapshot` is the checker's run state in a picklable,
+version-tagged form -- the compact configuration :mod:`repro.core.monitor`
+stores and restores for thousands of sessions ("A Finite Exact
+Representation of Register Automata Configurations", arXiv:1402.6783, is
+the conceptual anchor).  It shares the checker's immutable thread tables,
+so capturing and restoring one costs O(constraints); its canonical
+(``repr``-sorted) form is made only when it is pickled or compared.
 """
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.db.database import Database
-from repro.db.evaluation import evaluate_type, transition_valuation
+from repro.db.evaluation import some_guard_holds
 from repro.foundations.domain import DataValue
 from repro.foundations.errors import SpecificationError
 from repro.foundations.resilience import current_deadline
@@ -77,9 +82,10 @@ class StreamingChecker:
         self._position = -1
         self._previous: Optional[Tuple[State, Tuple[DataValue, ...]]] = None
         self._failed: Optional[str] = None
-        # per constraint: dict (dfa_state -> set of stored source values)
-        self._threads: List[Dict[object, Set[DataValue]]] = [
-            {} for _ in extended.constraints
+        # per constraint: a tuple of (dfa_state, frozenset of stored source
+        # values) pairs, replaced by every feed and never changed in place
+        self._threads: List[Tuple[Tuple[object, FrozenSet[DataValue]], ...]] = [
+            () for _ in extended.constraints
         ]
         self._dfas = [extended.constraint_dfa(c) for c in extended.constraints]
         # Dead-state sets are computed per DFA (one backward BFS each) and
@@ -103,9 +109,7 @@ class StreamingChecker:
 
     def live_threads(self) -> int:
         """Total live (DFA state, value) threads across constraints."""
-        return sum(
-            len(values) for threads in self._threads for values in threads.values()
-        )
+        return sum(len(values) for table in self._threads for _state, values in table)
 
     # ------------------------------------------------------------------ #
 
@@ -122,8 +126,9 @@ class StreamingChecker:
         position, last (state, registers) pair, failed status, strictness
         and the live constraint threads -- but *not* the specification or
         database, so it stays small (Theorem 19's register discipline
-        bounds the thread count) and cheap to journal.  Restoring it into
-        a checker built over the same specification resumes the run
+        bounds the thread count) and cheap to journal.  It shares the
+        immutable thread tables instead of copying them.  Restoring it
+        into a checker built over the same specification resumes the run
         byte-identically to an uninterrupted feed.
         """
         return SessionSnapshot.capture(self)
@@ -172,11 +177,11 @@ class StreamingChecker:
                 return self._fail("position 0: state %r is not initial" % (state,))
         else:
             previous_state, previous_registers = self._previous
-            valuation = transition_valuation(previous_registers, registers)
-            for transition in self._automaton.transitions_between(previous_state, state):
-                if evaluate_type(transition.guard, self._database, valuation):
-                    break
-            else:
+            guards = (
+                transition.guard
+                for transition in self._automaton.transitions_between(previous_state, state)
+            )
+            if not some_guard_holds(guards, self._database, previous_registers, registers):
                 return self._fail(
                     "position %d: no transition %r -> %r consistent with the data"
                     % (position, previous_state, state)
@@ -184,42 +189,61 @@ class StreamingChecker:
         self._previous = (state, registers)
 
         # -- constraints -------------------------------------------------- #
+        # Each table is replaced, never changed in place: snapshots share
+        # the tables they capture.  A table whose constraint fails keeps
+        # its old value, as do the tables after it.
+        tables = self._threads
+        live = 0
         for index, constraint in enumerate(self._extended.constraints):
             dfa = self._dfas[index]
-            threads = self._threads[index]
-            advanced: Dict[object, Set[DataValue]] = {}
-            for dfa_state, values in threads.items():
+            advanced: Dict[object, FrozenSet[DataValue]] = {}
+            for dfa_state, values in tables[index]:
                 target = dfa.delta(dfa_state, state)
-                advanced.setdefault(target, set()).update(values)
+                merged = advanced.get(target)
+                advanced[target] = values if merged is None else merged | values
             # spawn a thread for this position as a factor start
             start = dfa.delta(dfa.initial, state)
-            advanced.setdefault(start, set()).add(registers[constraint.i - 1])
+            spawned = frozenset((registers[constraint.i - 1],))
+            merged = advanced.get(start)
+            advanced[start] = spawned if merged is None else merged | spawned
             # check acceptance: completed factors relate stored sources to
-            # the current value of register j
+            # the current value of register j, over every accepting state
+            # at once, so the message does not depend on the table's order
             current = registers[constraint.j - 1]
-            for dfa_state in advanced:
-                if dfa_state not in dfa.accepting:
-                    continue
-                sources = advanced[dfa_state]
-                if constraint.kind == "eq":
-                    bad = [v for v in sources if v != current]
-                    if bad:
-                        return self._fail(
-                            "position %d: equality constraint %r expects %r, saw %r"
-                            % (position, constraint, sorted(map(repr, bad))[0], current)
-                        )
-                else:
-                    if current in sources:
-                        return self._fail(
-                            "position %d: inequality constraint %r violated by %r"
-                            % (position, constraint, current)
-                        )
-            # drop threads parked in dead states (no accepting reachable)
+            accepting = dfa.accepting
+            if constraint.kind == "eq":
+                bad = [
+                    repr(value)
+                    for dfa_state, values in advanced.items()
+                    if dfa_state in accepting
+                    for value in values
+                    if value != current
+                ]
+                if bad:
+                    return self._fail(
+                        "position %d: equality constraint %r expects %r, saw %r"
+                        % (position, constraint, min(bad), current)
+                    )
+            elif any(
+                current in values
+                for dfa_state, values in advanced.items()
+                if dfa_state in accepting
+            ):
+                return self._fail(
+                    "position %d: inequality constraint %r violated by %r"
+                    % (position, constraint, current)
+                )
+            # drop threads parked in dead states (no accepting reachable),
+            # counting the live ones on the way
             dead = self._dead[index]
-            self._threads[index] = {
-                s: vs for s, vs in advanced.items() if s not in dead
-            }
-        self.peak_threads = max(self.peak_threads, self.live_threads())
+            kept = []
+            for dfa_state, values in advanced.items():
+                if dfa_state not in dead:
+                    kept.append((dfa_state, values))
+                    live += len(values)
+            tables[index] = tuple(kept)
+        if live > self.peak_threads:
+            self.peak_threads = live
         return None
 
     def feed_run(self, run) -> Optional[str]:
@@ -250,34 +274,41 @@ SNAPSHOT_VERSION = 1
 
 
 def _canonical_threads(
-    threads: List[Dict[object, set]],
+    threads: Tuple[Tuple[Tuple[object, FrozenSet[Any]], ...], ...],
 ) -> Tuple[Tuple[Tuple[object, Tuple[Any, ...]], ...], ...]:
-    """The live-thread table in canonical (repr-sorted) tuple form.
+    """The live-thread tables in canonical (repr-sorted) tuple form.
 
     Sorting both the DFA states and the stored values makes equal
-    checker states produce equal snapshots (and equal pickles), so
-    fingerprint comparisons across uninterrupted and recovered runs are
-    byte-level, never modulo set iteration order.
+    checker states produce equal snapshots and the same pickle layout,
+    whatever order :meth:`StreamingChecker.feed` built the tables in and
+    whatever order the hash seed gives a frozenset.
     """
     return tuple(
         tuple(
             sorted(
-                ((state, tuple(sorted(values, key=repr))) for state, values in per.items()),
+                ((state, tuple(sorted(values, key=repr))) for state, values in table),
                 key=lambda pair: repr(pair[0]),
             )
         )
-        for per in threads
+        for table in threads
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SessionSnapshot:
     """A compact, picklable, version-tagged capture of a streaming session.
 
     Records only *run* state -- the specification and database stay with
     the checker, so snapshots are cheap to pickle and to retain in the
-    multiplexer's durable store.  ``threads`` is stored canonically
-    sorted; :meth:`apply` rebuilds the mutable dict-of-sets form.
+    multiplexer's durable store.  ``threads`` holds the checker's own
+    immutable tables, per constraint a tuple of (DFA state, frozenset of
+    stored values) pairs in the order :meth:`StreamingChecker.feed` built
+    them: capture and :meth:`apply` share them, so both cost
+    O(constraints).  The canonical form, with states and values sorted by
+    ``repr``, is made only when it is needed: pickling writes it
+    (``__getstate__``; ``__setstate__`` reads it back), and ``==``,
+    ``hash`` and ``repr`` follow it, so equal run states give equal
+    snapshots.
     """
 
     version: int
@@ -287,23 +318,27 @@ class SessionSnapshot:
     previous: Optional[Tuple[object, Tuple[Any, ...]]]
     failed: Optional[str]
     strict: bool
-    threads: Tuple[Tuple[Tuple[object, Tuple[Any, ...]], ...], ...]
+    threads: Tuple[Tuple[Tuple[object, FrozenSet[Any]], ...], ...]
     peak_threads: int
 
     @classmethod
     def capture(cls, checker: StreamingChecker) -> "SessionSnapshot":
         """Snapshot *checker* (the engine behind ``StreamingChecker.snapshot``)."""
-        return cls(
-            version=SNAPSHOT_VERSION,
-            k=checker._automaton.k,
-            constraint_count=len(checker._threads),
-            position=checker._position,
-            previous=checker._previous,
-            failed=checker._failed,
-            strict=checker._strict,
-            threads=_canonical_threads(checker._threads),
-            peak_threads=checker.peak_threads,
-        )
+        # Fill the instance dict directly: the frozen dataclass's generated
+        # __init__ sets each field through object.__setattr__, a cost paid
+        # on every monitored event.
+        snapshot = object.__new__(cls)
+        attributes = snapshot.__dict__
+        attributes["version"] = SNAPSHOT_VERSION
+        attributes["k"] = checker._automaton.k
+        attributes["constraint_count"] = len(checker._threads)
+        attributes["position"] = checker._position
+        attributes["previous"] = checker._previous
+        attributes["failed"] = checker._failed
+        attributes["strict"] = checker._strict
+        attributes["threads"] = tuple(checker._threads)
+        attributes["peak_threads"] = checker.peak_threads
+        return snapshot
 
     def apply(self, checker: StreamingChecker) -> None:
         """Restore this snapshot into *checker* (``StreamingChecker.restore``)."""
@@ -327,12 +362,36 @@ class SessionSnapshot:
         checker._position = self.position
         checker._previous = self.previous
         checker._failed = self.failed
-        checker._threads = [
-            {state: set(values) for state, values in per} for per in self.threads
-        ]
+        checker._threads = list(self.threads)
         checker.peak_threads = self.peak_threads
 
     def fingerprint(self) -> Tuple[object, int, Optional[str], int]:
         """``(state, position, failed, peak_threads)`` -- the identity tests compare."""
         state = self.previous[0] if self.previous is not None else None
         return (state, self.position, self.failed, self.peak_threads)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """Every field in declaration order, ``threads`` in canonical form."""
+        state = {name: self.__dict__[name] for name in self.__dataclass_fields__}
+        state["threads"] = _canonical_threads(self.threads)
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        state = dict(state)
+        state["threads"] = tuple(
+            tuple((dfa_state, frozenset(values)) for dfa_state, values in table)
+            for table in state["threads"]
+        )
+        self.__dict__.update(state)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__getstate__() == other.__getstate__()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__getstate__().values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join("%s=%r" % item for item in self.__getstate__().items())
+        return "%s(%s)" % (self.__class__.__qualname__, fields)

@@ -6,7 +6,7 @@ Given a database ``D``, a quantifier-free formula ``phi(x)`` and a valuation
 resolved through the database's constant map.
 """
 
-from typing import Dict, Mapping
+from typing import Dict, Iterable, Mapping
 
 from repro.foundations.domain import DataValue
 from repro.foundations.errors import EvaluationError
@@ -173,3 +173,24 @@ def transition_valuation(
     if extra:
         valuation.update(extra)
     return valuation
+
+
+def some_guard_holds(
+    guards: Iterable[SigmaType], database: Database, before: tuple, after: tuple
+) -> bool:
+    """Whether one of *guards*, tried in order, holds on the step *before* -> *after*.
+
+    The one guard check of run validation and streaming: a guard without
+    literals is the empty conjunction and holds without a valuation; the
+    others share one :func:`transition_valuation`, built when the first
+    of them needs it.
+    """
+    valuation = None
+    for guard in guards:
+        if not guard.literals:
+            return True
+        if valuation is None:
+            valuation = transition_valuation(before, after)
+        if evaluate_type(guard, database, valuation):
+            return True
+    return False

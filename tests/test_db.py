@@ -1,10 +1,15 @@
 """Unit tests for repro.db: schemas, databases, evaluation."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import repro.db.evaluation as evaluation
+from repro.core.register_automaton import RegisterAutomaton
+from repro.core.runs import FiniteRun, validity_error
 from repro.db import Database, Signature, evaluate_formula, evaluate_type
-from repro.db.evaluation import evaluate_literal, transition_valuation
-from repro.foundations.errors import EvaluationError, SpecificationError
+from repro.db.evaluation import evaluate_literal, some_guard_holds, transition_valuation
+from repro.foundations.errors import EvaluationError, InconsistentTypeError, SpecificationError
 from repro.logic import SigmaType, X, Y, eq, neq, nrel, rel
 from repro.logic.formulas import And, Not, Or, atom_eq, atom_rel
 from repro.logic.terms import Const
@@ -122,3 +127,77 @@ class TestEvaluation:
         assert valuation[X(1)] == "u"
         assert valuation[X(2)] == "v"
         assert valuation[Y(1)] == "w"
+
+
+# ---------------------------------------------------------------------- #
+# the one guard check of run validation and streaming
+# ---------------------------------------------------------------------- #
+
+GUARD_TERMS = [X(1), X(2), Y(1), Y(2), Const("root")]
+
+
+@st.composite
+def guards(draw):
+    """Satisfiable types over x1, x2, y1, y2 and ``root``: (in)equalities, E and U."""
+    term = st.sampled_from(GUARD_TERMS)
+    atom = st.one_of(
+        st.tuples(st.just("eq"), term, term),
+        st.tuples(st.just("E"), term, term),
+        st.tuples(st.just("U"), term),
+    )
+    literals = []
+    for (kind, *args), positive in draw(
+        st.lists(st.tuples(atom, st.booleans()), max_size=4)
+    ):
+        if kind == "eq":
+            literal = (eq if positive else neq)(*args)
+        else:
+            literal = (rel if positive else nrel)(kind, *args)
+        try:
+            SigmaType(literals + [literal])
+        except InconsistentTypeError:
+            continue
+        literals.append(literal)
+    return SigmaType(literals)
+
+
+class TestSomeGuardHolds:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        guard_list=st.lists(guards(), max_size=3),
+        before=st.tuples(*[st.sampled_from("abcd")] * 2),
+        after=st.tuples(*[st.sampled_from("abcd")] * 2),
+    )
+    def test_agrees_with_evaluate_type(self, graph_db, guard_list, before, after):
+        valuation = transition_valuation(before, after)
+        expected = any(evaluate_type(g, graph_db, valuation) for g in guard_list)
+        assert some_guard_holds(guard_list, graph_db, before, after) == expected
+
+    def test_builds_at_most_one_valuation(self, graph_db, monkeypatch):
+        built = []
+        real = evaluation.transition_valuation
+
+        def counting(before, after, extra=None):
+            built.append((before, after))
+            return real(before, after, extra)
+
+        monkeypatch.setattr(evaluation, "transition_valuation", counting)
+        # a literal-free guard holds without one, also after a failing guard
+        assert some_guard_holds([SigmaType()], graph_db, ("b",), ("a",))
+        assert built == []
+        fails = SigmaType([rel("E", X(1), Y(1))])
+        assert some_guard_holds([fails, fails, SigmaType()], graph_db, ("b",), ("a",))
+        assert not some_guard_holds([fails, fails], graph_db, ("b",), ("a",))
+        assert built == [(("b",), ("a",))] * 2
+        # run validation takes the same path
+        del built[:]
+        run = FiniteRun((("a",), ("b",), ("c",)), ("q",) * 3, (SigmaType(),) * 2)
+        automaton = RegisterAutomaton(
+            1, graph_db.signature, {"q"}, {"q"}, {"q"}, [("q", SigmaType(), "q")]
+        )
+        assert validity_error(run, automaton, graph_db) is None
+        assert built == []

@@ -11,8 +11,13 @@ injected driver crash and under a crashed checkpoint); tests that assert
 exact counters pin the plan themselves.
 """
 
+import json
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,7 +31,7 @@ from repro import (
     SigmaType,
     Signature,
 )
-from repro.automata.regex import concat, literal, plus
+from repro.automata.regex import concat, literal, plus, union
 from repro.core.monitor import (
     SNAPSHOT_VERSION,
     MonitorMultiplexer,
@@ -53,6 +58,36 @@ def distinct_extended() -> ExtendedAutomaton:
     )
     all_distinct = concat(literal("q"), plus(literal("q")))
     return ExtendedAutomaton(base, [GlobalConstraint("neq", 1, 1, all_distinct)])
+
+
+def pair_extended() -> ExtendedAutomaton:
+    """``e=[1,2](pp|ppp)`` over one state ``p``, k = 2.
+
+    Register 1 at a factor's start must equal register 2 two and three
+    positions later, so two accepting DFA states hold stored values at
+    once and an equality violation can name a value from either.
+    """
+    base = RegisterAutomaton(
+        2, Signature.empty(), {"p"}, {"p"}, {"p"}, [("p", EMPTY, "p")]
+    )
+    p = literal("p")
+    pairs = union(concat(p, p), concat(p, p, p))
+    return ExtendedAutomaton(base, [GlobalConstraint("eq", 1, 2, pairs)])
+
+
+def eq_neq_extended() -> ExtendedAutomaton:
+    """Register 1 never changes, register 2 never repeats (k = 2)."""
+    base = RegisterAutomaton(
+        2, Signature.empty(), {"p"}, {"p"}, {"p"}, [("p", EMPTY, "p")]
+    )
+    p = literal("p")
+    return ExtendedAutomaton(
+        base,
+        [
+            GlobalConstraint("eq", 1, 1, concat(p, p)),
+            GlobalConstraint("neq", 2, 2, concat(p, plus(p))),
+        ],
+    )
 
 
 @pytest.fixture
@@ -263,6 +298,215 @@ class TestSnapshotRoundTripProperty:
         assert checker.failed == reference.failed
         assert checker.peak_threads == reference.peak_threads
         assert checker.position == reference.position
+
+
+class TestMessageIndependentOfTableOrder:
+    """A violation message names the same value however the run was cut.
+
+    A thread table restored from a pickle is in ``repr`` order, an
+    uninterrupted one in the order ``feed`` built it; the least-``repr``
+    bad value over *all* accepting states does not depend on either.
+    """
+
+    EVENTS = [("a", "a"), ("b", "a"), ("a", "c")]
+    MESSAGE = (
+        "position 2: equality constraint e=[1,2](pp|ppp) expects \"'a'\", saw 'c'"
+    )
+
+    def test_every_path_reports_the_same_failure(self, db):
+        spec = pair_extended()
+        uninterrupted = StreamingChecker(spec, db, strict=False)
+        for registers in self.EVENTS:
+            uninterrupted.feed("p", registers)
+        pickled = StreamingChecker(spec, db, strict=False)
+        for registers in self.EVENTS:
+            blob = pickle.dumps(pickled.snapshot())
+            pickled = StreamingChecker(spec, db, strict=False).restore(
+                pickle.loads(blob)
+            )
+            pickled.feed("p", registers)
+        one_ingest = MonitorMultiplexer(spec, db)
+        one_ingest.ingest([("s", "p", registers) for registers in self.EVENTS])
+        three_ingests = MonitorMultiplexer(spec, db)
+        for registers in self.EVENTS:
+            three_ingests.ingest([("s", "p", registers)])
+        assert uninterrupted.failed == self.MESSAGE
+        assert pickled.failed == self.MESSAGE
+        assert one_ingest.session_fingerprint("s")[2] == self.MESSAGE
+        assert three_ingests.session_fingerprint("s")[2] == self.MESSAGE
+
+
+#: Spec factories with their one state and register arity, for the
+#: properties below.
+PROPERTY_SPECS = {
+    "example7": (distinct_extended, "q", 1),
+    "pp|ppp": (pair_extended, "p", 2),
+    "eq/neq": (eq_neq_extended, "p", 2),
+}
+
+
+@st.composite
+def spec_runs(draw, specs=tuple(PROPERTY_SPECS)):
+    """A spec, its state and 1-10 register tuples over three values."""
+    build, state, k = PROPERTY_SPECS[draw(st.sampled_from(specs))]
+    registers = st.tuples(*[st.sampled_from(["a", "b", "c"])] * k)
+    return build(), state, draw(st.lists(registers, min_size=1, max_size=10))
+
+
+def fed(spec, db, state, runs):
+    """A non-strict checker over *spec* fed every register tuple of *runs*."""
+    checker = StreamingChecker(spec, db, strict=False)
+    for registers in runs:
+        checker.feed(state, registers)
+    return checker
+
+
+class TestSnapshotProperties:
+    @pytest.mark.parametrize("name", ["example7", "pp|ppp"])
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        data=st.data(),
+        sessions=st.lists(st.sampled_from(["s0", "s1"]), min_size=10, max_size=10),
+        cuts=st.sets(st.integers(1, 9), min_size=1, max_size=6),
+    )
+    def test_batching_leaves_fingerprints_alone(self, name, data, sessions, cuts):
+        # Any cut of the stream into ingests ends where independent,
+        # uninterrupted checkers do (under an ambient fault plan too).
+        spec, state, registers = data.draw(spec_runs(specs=(name,)))
+        db = Database(Signature.empty())
+        events = [(s, state, r) for s, r in zip(sessions, registers)]
+        bounds = [0] + sorted(cut for cut in cuts if cut < len(events)) + [len(events)]
+        batches = [events[start:end] for start, end in zip(bounds, bounds[1:])]
+        mux = drive(MonitorMultiplexer(spec, db), batches)
+        assert mux.fingerprints() == oracle_fingerprints(spec, db, batches)
+
+    @settings(max_examples=80, deadline=None)
+    @given(run=spec_runs(), data=st.data())
+    def test_captured_snapshot_never_changes(self, run, data):
+        # The snapshot shares the checker's tables: whatever the checker
+        # does next -- feed on, fail, restore another snapshot -- the
+        # capture stays equal to itself and pickles to the same bytes.
+        spec, state, registers = run
+        db = Database(Signature.empty())
+        cut = data.draw(st.integers(0, len(registers)))
+        checker = fed(spec, db, state, registers[:cut])
+        snapshot = checker.snapshot()
+        blob = pickle.dumps(snapshot, protocol=4)
+        for values in registers[cut:]:
+            checker.feed(state, values)
+        # u, u, w fails every spec here, whatever came before
+        for value in ("u", "u", "w"):
+            checker.feed(state, (value,) * len(registers[0]))
+        assert checker.failed is not None
+        checker.restore(fed(spec, db, state, registers[::-1]).snapshot())
+        for values in registers:
+            checker.feed(state, values)
+        assert snapshot == pickle.loads(blob)
+        assert pickle.dumps(snapshot, protocol=4) == blob
+
+    @settings(max_examples=80, deadline=None)
+    @given(run=spec_runs(), data=st.data())
+    def test_resumed_checker_snapshots_equal_uninterrupted(self, run, data):
+        # A checker resumed from a pickle holds its tables in repr order,
+        # an uninterrupted one in feed order; their snapshots are equal
+        # and hash alike at every later cut.  (Their pickles may differ:
+        # pickle writes a value once only where it is one object, and
+        # unpickling makes new objects of the values it stored.)
+        spec, state, registers = run
+        db = Database(Signature.empty())
+        cut = data.draw(st.integers(0, len(registers)))
+        reference = StreamingChecker(spec, db, strict=False)
+        expected = []
+        for values in registers:
+            reference.feed(state, values)
+            expected.append(reference.snapshot())
+        blob = pickle.dumps(fed(spec, db, state, registers[:cut]).snapshot())
+        resumed = StreamingChecker(spec, db, strict=False).restore(pickle.loads(blob))
+        for position in range(cut, len(registers)):
+            resumed.feed(state, registers[position])
+            snapshot = resumed.snapshot()
+            assert snapshot == expected[position]
+            assert hash(snapshot) == hash(expected[position])
+
+
+GOLDEN_PICKLES = json.loads(
+    (Path(__file__).resolve().parent / "goldens" / "session_snapshots.json").read_text()
+)
+
+#: The runs behind the golden pickles: spec, state, the run pickled and a
+#: tail fed after it.
+GOLDEN_RUNS = {
+    "example7_healthy": (
+        distinct_extended,
+        "q",
+        [("a",), ("b",), ("c",), ("d",)],
+        [("e",), ("b",), ("f",)],
+    ),
+    "eq_neq_failed": (
+        eq_neq_extended,
+        "p",
+        [("k", "a"), ("k", "b"), ("k", "a")],
+        [("k", "c")],
+    ),
+}
+
+
+class TestPickleLayout:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_golden_bytes_are_emitted_loaded_and_resumed(self, name, db):
+        build, state, run, tail = GOLDEN_RUNS[name]
+        golden = bytes.fromhex(GOLDEN_PICKLES[name])
+        spec = build()
+        checker = fed(spec, db, state, run)
+        assert pickle.dumps(checker.snapshot(), protocol=4) == golden
+        loaded = pickle.loads(golden)
+        assert loaded == checker.snapshot()
+        resumed = StreamingChecker(spec, db, strict=False).restore(loaded)
+        assert [resumed.feed(state, r) for r in tail] == [
+            checker.feed(state, r) for r in tail
+        ]
+        assert resumed.snapshot() == checker.snapshot()
+
+    def test_pickles_do_not_depend_on_the_hash_seed(self):
+        # Frozenset iteration order follows the string hash, which
+        # PYTHONHASHSEED changes; only the canonical pickled form keeps
+        # the bytes equal.
+        script = (
+            "import pickle\n"
+            "from repro import Database, ExtendedAutomaton, GlobalConstraint\n"
+            "from repro import RegisterAutomaton, SigmaType, Signature\n"
+            "from repro.automata.regex import concat, literal, plus\n"
+            "from repro.core.streaming import StreamingChecker\n"
+            "base = RegisterAutomaton(1, Signature.empty(), {'q'}, {'q'}, {'q'},\n"
+            "                         [('q', SigmaType(), 'q')])\n"
+            "q = literal('q')\n"
+            "spec = ExtendedAutomaton(base, [GlobalConstraint('neq', 1, 1, concat(q, plus(q)))])\n"
+            "db = Database(Signature.empty())\n"
+            "checker = StreamingChecker(spec, db, strict=False)\n"
+            "for index in range(30):\n"
+            "    checker.feed('q', ('value-%d' % index,))\n"
+            "print(pickle.dumps(checker.snapshot(), protocol=4).hex())\n"
+            "resumed = StreamingChecker(spec, db, strict=False).restore(checker.snapshot())\n"
+            "resumed.feed('q', ('value-7',))\n"
+            "print(pickle.dumps(resumed.snapshot(), protocol=4).hex())\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        dumps = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert dumps[0] == dumps[1]
+        assert len(dumps[0].split()) == 2
 
 
 # ---------------------------------------------------------------------- #

@@ -14,6 +14,7 @@ from repro import (
     eq,
     neq,
 )
+import repro.db.evaluation as evaluation
 from repro.automata.regex import concat, literal, plus, star
 from repro.core.streaming import StreamingChecker, StreamingViolation
 
@@ -54,6 +55,35 @@ class TestValidity:
         checker = StreamingChecker(ExtendedAutomaton(example1_automaton, []), db)
         with pytest.raises(StreamingViolation):
             checker.feed("q1", ("v",))
+
+    def test_at_most_one_valuation_per_event(self, example7_extended, db, monkeypatch):
+        built = []
+        real = evaluation.transition_valuation
+
+        def counting(before, after, extra=None):
+            built.append(position)
+            return real(before, after, extra)
+
+        monkeypatch.setattr(evaluation, "transition_valuation", counting)
+        # two guards between the same states share one valuation
+        base = RegisterAutomaton(
+            1,
+            Signature.empty(),
+            {"p"},
+            {"p"},
+            {"p"},
+            [("p", SigmaType([eq(X(1), Y(1))]), "p"), ("p", SigmaType([neq(X(1), Y(1))]), "p")],
+        )
+        checker = StreamingChecker(ExtendedAutomaton(base, []), db)
+        for position, value in enumerate("abbc"):
+            assert checker.feed("p", (value,)) is None
+        assert built == [1, 2, 3]
+        # a literal-free guard (Example 7) needs none
+        del built[:]
+        checker = StreamingChecker(example7_extended, db)
+        for position in range(5):
+            assert checker.feed("q", ("v%d" % position,)) is None
+        assert built == []
 
     def test_non_strict_mode_reports(self, example1_automaton, db):
         checker = StreamingChecker(
