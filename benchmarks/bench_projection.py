@@ -1,9 +1,10 @@
 """E7 -- projection of register automata (Theorem 13 / Lemma 21).
 
 Sweeps the register count of random automata, projects onto one register
-and reports the sizes of the Lemma 21 tracker DFAs plus construction time;
-also validates the projection against brute-force prefix enumeration on the
-smaller instances.  Quick mode (``REPRO_BENCH_QUICK=1``) sweeps k <= 3.
+and reports the sizes of the Lemma 21 tracker DFAs plus the seconds one
+``project_register_automaton`` call takes; also validates the projection
+against brute-force prefix enumeration on the smaller instances.  Quick
+mode (``REPRO_BENCH_QUICK=1``) sweeps k <= 3.
 
 Expected shape: tracker sizes grow with ``2^k`` (the register bitmasks of
 the corridors) times the control size; exactness holds on every validated
@@ -11,6 +12,7 @@ instance.
 """
 
 import random
+from time import perf_counter
 
 import pytest
 
@@ -29,9 +31,13 @@ def test_projection_sizes(benchmark, k):
         pytest.skip("quick mode sweeps k <= 3")
     rng = random.Random(300 + k)
     automaton = random_register_automaton(rng, k=k, n_states=2, n_transitions=3)
-    projected = benchmark.pedantic(
-        project_register_automaton, args=(automaton, 1), rounds=1, iterations=1
-    )
+
+    def project():
+        started = perf_counter()
+        view = project_register_automaton(automaton, 1)
+        return view, perf_counter() - started
+
+    projected, seconds = benchmark.pedantic(project, rounds=1, iterations=1)
     dfa_sizes = [
         projected.constraint_dfa(c).size() for c in projected.constraints
     ]
@@ -41,6 +47,7 @@ def test_projection_sizes(benchmark, k):
             len(projected.automaton.states),
             len(projected.constraints),
             max(dfa_sizes) if dfa_sizes else 0,
+            "%.2f" % seconds,
         )
     )
 
@@ -63,11 +70,11 @@ def test_projection_exactness(benchmark):
 
     exact, count = benchmark.pedantic(check, rounds=1, iterations=1)
     assert exact
-    ROWS.append(("exactness", count, "traces", "exact"))
+    ROWS.append(("exactness", count, "traces", "exact", ""))
 
 
 register_table(
     "E7: projection construction (Lemma 21)",
-    ["k", "view states", "constraints", "largest tracker DFA"],
+    ["k", "view states", "constraints", "largest tracker DFA", "seconds"],
     ROWS,
 )

@@ -1,9 +1,9 @@
 """Lifetime-safe caching and indexing for the automata hot paths.
 
 The streaming checker, the run searches and the projection pipeline all
-memoize intermediate results (dead-state sets, transition lookups, guard
-agreement, compiled constraint DFAs).  Before this module existed, each
-site rolled its own dict -- two of them keyed by the object's ``id``,
+memoize intermediate results (dead-state sets, transition lookups,
+compiled constraint DFAs).  Before this module existed, each site rolled
+its own dict -- two of them keyed by the object's ``id``,
 which is unsound: CPython recycles the ids of garbage-collected objects,
 so a cache entry for a dead DFA could be served for a brand-new one (the
 flaky ``test_inequality_constraint_streamed`` failure).  This module
@@ -38,16 +38,14 @@ them from there.
 
 import weakref
 from functools import wraps
-from typing import Callable, Dict, FrozenSet, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.foundations.memo import ValueCache
 from repro.foundations.stats import cache_stats
 
 __all__ = [
     "cached_method",
     "AutomatonIndex",
     "dead_states",
-    "agreement",
 ]
 
 
@@ -101,16 +99,20 @@ def _group(transitions: Tuple, key: Callable) -> Dict:
 class AutomatonIndex:
     """Transition tables for one :class:`RegisterAutomaton`.
 
-    Three groupings, each built lazily on first use (normalisation
+    Four groupings, each built lazily on first use (normalisation
     pipelines create many short-lived intermediate automata that only ever
     ask one kind of question):
 
     * ``transitions_from(source)`` -- the classic by-source grouping,
     * ``transitions_between(source, target)`` -- the (source, target) table
       the streaming validity check needs (it previously re-scanned the
-      by-source list filtering on ``target`` at every fed position), and
+      by-source list filtering on ``target`` at every fed position),
     * ``transitions_with_guard(source, guard)`` -- the grouping the
-      ``SControl`` compilation filters by.
+      ``SControl`` compilation filters by, and
+    * ``guards_from(source)`` -- each source's distinct guards in
+      first-occurrence order, which makes the state-driven questions
+      (``guard_of_state``, ``is_state_driven``) lookups; the projections
+      ask them once per state and transition.
 
     Indexes are cached per automaton *object* in a ``WeakKeyDictionary``
     (:meth:`of`), so they die with the automaton and can never be served
@@ -123,6 +125,7 @@ class AutomatonIndex:
         "_by_source",
         "_by_source_target",
         "_by_source_guard",
+        "_guards_by_source",
         "__weakref__",
     )
 
@@ -133,6 +136,7 @@ class AutomatonIndex:
         self._by_source: Optional[Dict] = None
         self._by_source_target: Optional[Dict] = None
         self._by_source_guard: Optional[Dict] = None
+        self._guards_by_source: Optional[Dict] = None
 
     @classmethod
     def of(cls, automaton) -> "AutomatonIndex":
@@ -172,6 +176,25 @@ class AutomatonIndex:
                 self._transitions, lambda t: (t.source, t.guard)
             )
         return table.get((source, guard), ())
+
+    def _guard_table(self) -> Dict:
+        table = self._guards_by_source
+        if table is None:
+            grouped: Dict[object, Dict] = {}
+            for transition in self._transitions:
+                grouped.setdefault(transition.source, {})[transition.guard] = None
+            table = self._guards_by_source = {
+                source: tuple(guards) for source, guards in grouped.items()
+            }
+        return table
+
+    def guards_from(self, source) -> Tuple:
+        """The distinct guards fired from *source*, in first-occurrence order."""
+        return self._guard_table().get(source, ())
+
+    def is_state_driven(self) -> bool:
+        """Whether every source fires at most one distinct guard."""
+        return all(len(guards) <= 1 for guards in self._guard_table().values())
 
 
 # ---------------------------------------------------------------------- #
@@ -213,31 +236,3 @@ def dead_states(dfa) -> FrozenSet:
     _DEAD_STATES[dfa] = dead
     stats.note_entries(len(_DEAD_STATES))
     return dead
-
-
-# ---------------------------------------------------------------------- #
-# guard agreement
-# ---------------------------------------------------------------------- #
-
-
-_AGREEMENT = ValueCache("core.agreement")
-
-
-def agreement(delta_now, delta_next, k: int) -> bool:
-    """Memoized :func:`repro.logic.types.agree` on guard *values*.
-
-    Guards compare structurally (``SigmaType`` implements value equality),
-    so one shared table serves every construction that checks condition
-    (iii) of symbolic control traces -- ``scontrol_buchi``, the projected-
-    transition filters of Theorem 13 and Theorem 24.  With the interning
-    kernel the probe is effectively identity-keyed: both guards carry a
-    cached hash and equal guards are normally the same object, so the key
-    tuple hashes in O(1) and compares by pointer; guards built before an
-    intern-table clear fall back to structural comparison and still hit
-    the same entries.
-    """
-    from repro.logic.types import agree
-
-    return _AGREEMENT.lookup(
-        (delta_now, delta_next, k), lambda: agree(delta_now, delta_next, k)
-    )

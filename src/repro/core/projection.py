@@ -60,7 +60,7 @@ from repro.db.schema import Signature
 from repro.foundations.errors import SpecificationError
 from repro.foundations.resilience import current_deadline
 from repro.logic.terms import Y
-from repro.logic.types import advance_mask, corridor_masks, project_type_dataless
+from repro.logic.types import advance_mask, agree, corridor_masks, project_type_dataless
 from repro.core.extended import (
     EQ,
     NEQ,
@@ -84,8 +84,9 @@ from repro.core.register_automaton import RegisterAutomaton, State, Transition
 # (:func:`repro.logic.types.advance_mask` over the guard's
 # :func:`~repro.logic.types.corridor_masks`).  Every tracker is built by
 # :func:`_explore` directly as a DFA: states are small tuples of masks
-# and flags holding what the next step needs of the last symbol read (its
-# index, or its ``y_image`` table).  Theorem 24's anchored
+# and flags holding what the next step reads of the last symbol -- rows of
+# its guard's corridor masks, never the symbol's index, so symbols whose
+# guards share those rows share tracker states.  Theorem 24's anchored
 # corridors and active-domain selectors (:mod:`repro.core.theorem24`)
 # come out of the same explorer.
 
@@ -128,6 +129,13 @@ def _explore(
     every row is reachable.  Symbols are visited in ``repr`` order and
     rows numbered in discovery order, so the result does not depend on
     the hash seed.
+
+    A state holds the mask rows its next step reads of the last symbol,
+    not the symbol: two states that differ only in which symbol of one
+    mask row was read last have the same successors and acceptance, so
+    one row stands for them.  The walk meets that row where a walk over
+    symbol-keyed states meets the first of them, so Moore refinement
+    numbers every block of the minimal DFA the same way.
     """
     width = len(symbols)
     guarded = [q for q, found in enumerate(masks) if found is not None]
@@ -176,8 +184,10 @@ def equality_tracker_dfa(automaton: RegisterAutomaton, i: int, j: int) -> Dfa:
     Accepts exactly the factors ``q_a .. q_b`` (over the normalised
     automaton's states) along which the value of register *i* at the start
     is carried into register *j* at the end.  *automaton* must be complete
-    and state-driven.  The tracker state is ``(S, q)``: the corridor ``S``
-    of the start value at the last symbol read, ``q``.
+    and state-driven.  The tracker state is ``(S, y_image)``: the corridor
+    ``S`` of the start value at the last symbol read, ``q``, and the
+    ``y_image`` row of ``q``'s guard, all that the next corridor step
+    reads of ``q``.
     """
     _check_register(automaton, i)
     _check_register(automaton, j)
@@ -185,14 +195,14 @@ def equality_tracker_dfa(automaton: RegisterAutomaton, i: int, j: int) -> Dfa:
     j_bit = 1 << (j - 1)
 
     def step(state: Tuple) -> Callable[[int], Tuple]:
-        members, previous = state
-        advanced = advance_mask(masks[previous][1], members)
-        return lambda q: (advanced, q)
+        members, y_image = state
+        advanced = advance_mask(y_image, members)
+        return lambda q: (advanced, masks[q][1])
 
     return _explore(
         symbols,
         masks,
-        lambda q: (masks[q][0][i - 1], q),
+        lambda q: (masks[q][0][i - 1], masks[q][1]),
         step,
         lambda state: state[0] & j_bit,
     )
@@ -310,7 +320,10 @@ def inequality_tracker_dfa(automaton: RegisterAutomaton, i: int, j: int) -> Dfa:
     DFA over ``(S, U, q)`` recognises the determinised language.  The
     switches enter ``U`` through the guard's
     :func:`~repro.logic.types.corridor_masks`: ``x_switch`` at the
-    position itself, ``y_switch`` at the next one.
+    position itself, ``y_switch`` at the next one.  The next step reads
+    only ``q``'s ``y_image`` and ``y_switch`` rows, so the tracker is
+    built over ``(S, U, y_image, y_switch)``: the collapse of the subset
+    is taken over ``q``'s mask rows, not ``q``.
     """
     _check_register(automaton, i)
     _check_register(automaton, j)
@@ -318,18 +331,19 @@ def inequality_tracker_dfa(automaton: RegisterAutomaton, i: int, j: int) -> Dfa:
     j_bit = 1 << (j - 1)
 
     def first(q: int) -> Tuple:
-        left = masks[q][0][i - 1]
-        return (left, advance_mask(masks[q][2], left), q)
+        x_class, y_image, x_switch, y_switch = masks[q]
+        left = x_class[i - 1]
+        return (left, advance_mask(x_switch, left), y_image, y_switch)
 
     def step(state: Tuple) -> Callable[[int], Tuple]:
-        left, right, previous = state
-        _x_class, y_image, _x_switch, y_switch = masks[previous]
+        left, right, y_image, y_switch = state
         advanced = advance_mask(y_image, left)
         carried = advance_mask(y_image, right) | advance_mask(y_switch, left)
         return lambda q: (
             advanced,
             carried | advance_mask(masks[q][2], advanced),
-            q,
+            masks[q][1],
+            masks[q][3],
         )
 
     return _explore(symbols, masks, first, step, lambda state: state[1] & j_bit)
@@ -463,24 +477,23 @@ def _agreeing_projected_transitions(normalised: RegisterAutomaton, m: int):
     step at the local level: every remaining control path is a symbolic
     control trace of the original automaton, hence realisable and
     consistent (Theorem 9).
-    """
-    from repro.core.caching import agreement
 
+    In the state-driven normal form a transition's guard is its source's
+    one guard, so each distinct guard is projected once, and each
+    agreement check reads two cached boundary signatures.
+    """
     k = normalised.k
+    projected: Dict = {}
     transitions = []
     for transition in normalised.transitions:
-        source_guard = normalised.guard_of_state(transition.source)
+        guard = transition.guard
         target_guard = normalised.guard_of_state(transition.target)
-        if target_guard is not None:
-            if not agreement(source_guard, target_guard, k):
-                continue
-        transitions.append(
-            Transition(
-                transition.source,
-                project_type_dataless(transition.guard, m),
-                transition.target,
-            )
-        )
+        if target_guard is not None and not agree(guard, target_guard, k):
+            continue
+        restricted = projected.get(guard)
+        if restricted is None:
+            restricted = projected[guard] = project_type_dataless(guard, m)
+        transitions.append(Transition(transition.source, restricted, transition.target))
     return transitions
 
 
@@ -533,33 +546,35 @@ def _bridge_dfa(
     corridor steps distribute over union, so the subset after a factor
     collapses exactly to ``(S, M, U, q)``: the left corridor, the set of
     live constraint-DFA states, the union of the right corridors and the
-    last symbol.
+    last symbol.  The constraint DFA reads ``q`` at the switches, so the
+    state keeps only ``q``'s ``y_image`` row, ``(S, M, U, y_image)``, and
+    each thread set is stepped under every symbol once.
     """
     delta = constraint_dfa.delta
-    dfa_initial = constraint_dfa.initial
     dfa_accepting = constraint_dfa.accepting
+    starts = [frozenset({delta(constraint_dfa.initial, symbol)}) for symbol in symbols]
     i0_bit = 1 << (i0 - 1)
     j_bit = 1 << (j - 1)
+    stepped: Dict[FrozenSet, List[FrozenSet]] = {}
 
     def close(left: int, threads: FrozenSet, right: int, q: int) -> Tuple:
         """The switches at position ``q``: start a thread, complete a match."""
         if left & i0_bit:
-            threads = threads | {delta(dfa_initial, symbols[q])}
+            threads = threads | starts[q]
         if not dfa_accepting.isdisjoint(threads):
             right |= masks[q][0][j0 - 1]
-        return (left, threads, right, q)
+        return (left, threads, right, masks[q][1])
 
     def step(state: Tuple) -> Callable[[int], Tuple]:
-        left, threads, right, previous = state
-        y_image = masks[previous][1]
+        left, threads, right, y_image = state
         advanced = advance_mask(y_image, left)
         carried = advance_mask(y_image, right)
-        return lambda q: close(
-            advanced,
-            frozenset(delta(thread, symbols[q]) for thread in threads),
-            carried,
-            q,
-        )
+        following = stepped.get(threads)
+        if following is None:
+            following = stepped[threads] = [
+                frozenset(delta(thread, symbol) for thread in threads) for symbol in symbols
+            ]
+        return lambda q: close(advanced, following[q], carried, q)
 
     return _explore(
         symbols,

@@ -221,9 +221,12 @@ class RegisterAutomaton:
         return self.index.transitions_with_guard(source, guard)
 
     def guards_from(self, state: State) -> Tuple[SigmaType, ...]:
-        """The distinct guards fired from *state* (ordered deterministically)."""
-        seen = dict.fromkeys(t.guard for t in self.transitions_from(state))
-        return tuple(seen)
+        """The distinct guards fired from *state*, in first-occurrence order.
+
+        A lookup in the automaton's index, which groups every source's
+        guards once.
+        """
+        return self.index.guards_from(state)
 
     @cached_method("automaton.guard_vocabulary")
     def guard_vocabulary(self) -> Tuple[Tuple[Var, ...], Tuple[Const, ...]]:
@@ -318,7 +321,7 @@ class RegisterAutomaton:
 
     def is_state_driven(self) -> bool:
         """Whether each state fires at most one guard."""
-        return all(len(self.guards_from(state)) <= 1 for state in self._states)
+        return self.index.is_state_driven()
 
     def state_driven(self) -> "RegisterAutomaton":
         """The state-driven variant: states become ``(state, guard)`` pairs.

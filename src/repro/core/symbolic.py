@@ -38,7 +38,8 @@ from repro.automata.buchi import BuchiAutomaton
 from repro.automata.words import Lasso
 from repro.db.database import Database
 from repro.foundations.errors import ReproError, SpecificationError
-from repro.core.caching import AutomatonIndex, agreement
+from repro.logic.types import agree
+from repro.core.caching import AutomatonIndex
 from repro.core.register_automaton import RegisterAutomaton
 from repro.core.runs import LassoRun, validity_error
 from repro.core.tracewindow import TraceWindow
@@ -69,7 +70,7 @@ def scontrol_buchi(automaton: RegisterAutomaton) -> BuchiAutomaton:
     for source_state, guard in pairs:
         for transition in index.transitions_with_guard(source_state, guard):
             for next_pair in pairs_by_state.get(transition.target, ()):
-                if not agreement(guard, next_pair[1], k):
+                if not agree(guard, next_pair[1], k):
                     continue
                 transitions.setdefault((source_state, guard), {}).setdefault(
                     (source_state, guard), set()

@@ -107,8 +107,10 @@ def adom_position_dfa(automaton: RegisterAutomaton, register: int) -> Dfa:
     touched a positive relational literal at some position ``<= h``,
     possibly through an equality corridor.  (The backward half of the
     paper's ``adom_w``; see the module docstring.)  The tracker state is
-    ``(S, q)``: the registers whose value has touched one, as a mask, at
-    the last symbol read, ``q``.
+    ``(S, y_image, touched_y)``: the registers whose value has touched
+    one, as a mask, at the last symbol read, ``q``, and what the next step
+    reads of ``q``'s guard -- its ``y_image`` row and the y registers its
+    positive literals touch.
     """
     k = automaton.k
     symbols, masks = _symbol_masks(automaton)
@@ -118,14 +120,15 @@ def adom_position_dfa(automaton: RegisterAutomaton, register: int) -> Dfa:
     ]
     bit = 1 << (register - 1)
 
-    def step(state: Tuple):
-        members, previous = state
-        carried = advance_mask(masks[previous][1], members) | touched[previous][1]
-        return lambda q: (carried | touched[q][0], q)
+    def start(q: int) -> Tuple:
+        return (touched[q][0], masks[q][1], touched[q][1])
 
-    return _explore(
-        symbols, masks, lambda q: (touched[q][0], q), step, lambda state: state[0] & bit
-    )
+    def step(state: Tuple):
+        members, y_image, touched_y = state
+        carried = advance_mask(y_image, members) | touched_y
+        return lambda q: (carried | touched[q][0], masks[q][1], touched[q][1])
+
+    return _explore(symbols, masks, start, step, lambda state: state[0] & bit)
 
 
 def _literal_occurrences(automaton: RegisterAutomaton):

@@ -1069,6 +1069,64 @@ def equality_type(*literals: Literal) -> SigmaType:
     return built
 
 
+def boundary_signature(
+    delta: SigmaType, k: int, side: str
+) -> Tuple[FrozenSet[Tuple], FrozenSet[Tuple]]:
+    """``(positive, negative)``: the boundary atoms *delta* entails, and those it denies.
+
+    The boundary is one side of the guard's registers -- ``x1..xk`` when
+    *side* is ``"x"``, ``y1..yk`` when it is ``"y"`` -- together with the
+    guard's own constants.  An atom is named by register number or
+    constant, not by variable, so a ``y`` signature and an ``x`` signature
+    compare under the renaming ``y_i -> x_i`` of :func:`agree`:
+    ``("eq", a, b)`` for two boundary terms in enumeration order (registers
+    ascending, then constants sorted) and ``("rel", R, names)`` for a fact
+    over the guard's own relation ``R``.  A type entails no atom over a
+    constant or relation it does not mention, so its own vocabulary is the
+    whole of what it can say.  Cached on the type instance per *k* and
+    *side*, like :func:`corridor_masks`.
+    """
+    cache = delta.__dict__.get("_boundary_signatures")
+    if cache is None:
+        cache = delta.__dict__["_boundary_signatures"] = {}
+    found = cache.get((k, side))
+    if found is None:
+        found = cache[(k, side)] = _boundary_atoms(delta, k, X if side == "x" else Y)
+    return found
+
+
+def _boundary_atoms(
+    delta: SigmaType, k: int, variable
+) -> Tuple[FrozenSet[Tuple], FrozenSet[Tuple]]:
+    closure = delta.closure
+    constants = sorted(delta.constants)
+    terms: List[Term] = [variable(i) for i in range(1, k + 1)] + constants
+    names: List[object] = list(range(1, k + 1)) + constants
+    positive: Set[Tuple] = set()
+    negative: Set[Tuple] = set()
+    for a_index in range(len(terms)):
+        for b_index in range(a_index + 1, len(terms)):
+            atom = ("eq", names[a_index], names[b_index])
+            if closure.entails_eq(terms[a_index], terms[b_index]):
+                positive.add(atom)
+            if closure.entails_neq(terms[a_index], terms[b_index]):
+                negative.add(atom)
+    # A relational atom is entailed exactly when some literal of the same
+    # polarity has, argument by argument, a term in the same class.
+    for literal in delta.literals:
+        atom = literal.atom
+        if not isinstance(atom, RelAtom):
+            continue
+        choices = [
+            [name for term, name in zip(terms, names) if closure.same(term, argument)]
+            for argument in atom.args
+        ]
+        found = positive if literal.positive else negative
+        for combo in cartesian_product(*choices):
+            found.add(("rel", atom.relation, combo))
+    return frozenset(positive), frozenset(negative)
+
+
 def agree(delta_now: SigmaType, delta_next: SigmaType, k: int) -> bool:
     """Condition (iii) of symbolic control traces (Section 2).
 
@@ -1080,44 +1138,19 @@ def agree(delta_now: SigmaType, delta_next: SigmaType, k: int) -> bool:
     restriction would be wrong for types that settle a boundary atom only
     through entailment, e.g. ``y1 = y2`` via ``x1 = x2, x1 = y1, x2 = y2``.)
     For complete types this decides agreement exactly.
+
+    Disagreement means *conflict*: one side entails a boundary atom, the
+    other its negation.  (For complete types every boundary atom is settled
+    on both sides, so this coincides with the paper's isomorphism of
+    restrictions; for partially settled types -- e.g. equality-complete
+    guards with open relational atoms -- the run merely has to satisfy the
+    union of both constraints, which is possible exactly when no atom is
+    settled oppositely.)  Each guard's :func:`boundary_signature` is
+    computed once, so one check is two set-disjointness tests.
     """
-    boundary_now: List[Term] = [Y(i) for i in range(1, k + 1)]
-    boundary_next: List[Term] = [X(i) for i in range(1, k + 1)]
-    constants = sorted(delta_now.constants | delta_next.constants)
-
-    def atoms(boundary: Sequence[Term], relations: Dict[str, int]):
-        terms = list(boundary) + list(constants)
-        for a_index in range(len(terms)):
-            for b_index in range(a_index + 1, len(terms)):
-                yield EqAtom(terms[a_index], terms[b_index])
-        for relation in sorted(relations):
-            for combo in cartesian_product(terms, repeat=relations[relation]):
-                yield RelAtom(relation, combo)
-
-    relations: Dict[str, int] = {}
-    for delta in (delta_now, delta_next):
-        for literal in delta.literals:
-            atom = literal.atom
-            if isinstance(atom, RelAtom):
-                relations[atom.relation] = len(atom.args)
-
-    for atom_now, atom_next in zip(
-        atoms(boundary_now, relations), atoms(boundary_next, relations)
-    ):
-        # Disagreement means *conflict*: one side entails the atom, the
-        # other its negation.  (For complete types every boundary atom is
-        # settled on both sides, so this coincides with the paper's
-        # isomorphism of restrictions; for partially settled types --
-        # e.g. equality-complete guards with open relational atoms -- the
-        # run merely has to satisfy the union of both constraints, which
-        # is possible exactly when no atom is settled oppositely.)
-        pos_now = delta_now.entails(Literal(atom_now, True))
-        neg_now = delta_now.entails(Literal(atom_now, False))
-        pos_next = delta_next.entails(Literal(atom_next, True))
-        neg_next = delta_next.entails(Literal(atom_next, False))
-        if (pos_now and neg_next) or (neg_now and pos_next):
-            return False
-    return True
+    now_positive, now_negative = boundary_signature(delta_now, k, "y")
+    next_positive, next_negative = boundary_signature(delta_next, k, "x")
+    return now_positive.isdisjoint(next_negative) and now_negative.isdisjoint(next_positive)
 
 
 def project_type_dataless(delta: SigmaType, m: int) -> SigmaType:

@@ -682,6 +682,155 @@ def literal_bridge_dfa(base, constraint_dfa, i0, j0, i, j):
 
 
 # ---------------------------------------------------------------------- #
+# symbol-keyed trackers and pairwise agreement: the per-guard oracles
+# ---------------------------------------------------------------------- #
+#
+# The Lemma 21 trackers as ``_explore`` built them while a tracker state
+# held the index of the last symbol read, and type agreement as the
+# pairwise entailment loop over every boundary atom.  The mask-row
+# trackers of ``repro.core.projection`` and ``repro.core.theorem24`` must
+# build the same minimal DFA, state numbering included, and ``agree``
+# must return the same verdict.
+
+
+def symbol_keyed_equality_tracker_dfa(automaton, i, j):
+    """``e=_{ij}`` over ``(S, q)``: the corridor and the last symbol's index."""
+    from repro.core.projection import _explore, _symbol_masks
+    from repro.logic.types import advance_mask
+
+    symbols, masks = _symbol_masks(automaton)
+    j_bit = 1 << (j - 1)
+
+    def step(state):
+        members, previous = state
+        advanced = advance_mask(masks[previous][1], members)
+        return lambda q: (advanced, q)
+
+    return _explore(
+        symbols, masks, lambda q: (masks[q][0][i - 1], q), step, lambda state: state[0] & j_bit
+    )
+
+
+def symbol_keyed_inequality_tracker_dfa(automaton, i, j):
+    """``e!=_{ij}`` over ``(S, U, q)``."""
+    from repro.core.projection import _explore, _symbol_masks
+    from repro.logic.types import advance_mask
+
+    symbols, masks = _symbol_masks(automaton)
+    j_bit = 1 << (j - 1)
+
+    def first(q):
+        left = masks[q][0][i - 1]
+        return (left, advance_mask(masks[q][2], left), q)
+
+    def step(state):
+        left, right, previous = state
+        _x_class, y_image, _x_switch, y_switch = masks[previous]
+        advanced = advance_mask(y_image, left)
+        carried = advance_mask(y_image, right) | advance_mask(y_switch, left)
+        return lambda q: (advanced, carried | advance_mask(masks[q][2], advanced), q)
+
+    return _explore(symbols, masks, first, step, lambda state: state[1] & j_bit)
+
+
+def symbol_keyed_bridge_dfa(symbols, masks, constraint_dfa, i0, j0, i, j):
+    """One ``project_extended`` bridge over ``(S, M, U, q)``."""
+    from repro.core.projection import _explore
+    from repro.logic.types import advance_mask
+
+    delta = constraint_dfa.delta
+    i0_bit = 1 << (i0 - 1)
+    j_bit = 1 << (j - 1)
+
+    def close(left, threads, right, q):
+        if left & i0_bit:
+            threads = threads | {delta(constraint_dfa.initial, symbols[q])}
+        if not constraint_dfa.accepting.isdisjoint(threads):
+            right |= masks[q][0][j0 - 1]
+        return (left, threads, right, q)
+
+    def step(state):
+        left, threads, right, previous = state
+        y_image = masks[previous][1]
+        advanced = advance_mask(y_image, left)
+        carried = advance_mask(y_image, right)
+        return lambda q: close(
+            advanced, frozenset(delta(thread, symbols[q]) for thread in threads), carried, q
+        )
+
+    return _explore(
+        symbols,
+        masks,
+        lambda q: close(masks[q][0][i - 1], frozenset(), 0, q),
+        step,
+        lambda state: state[2] & j_bit,
+    )
+
+
+def symbol_keyed_adom_position_dfa(automaton, register):
+    """Theorem 24's active-domain selector over ``(S, q)``."""
+    from repro.core.projection import _explore, _symbol_masks
+    from repro.core.theorem24 import _positive_masks
+    from repro.logic.types import advance_mask
+
+    k = automaton.k
+    symbols, masks = _symbol_masks(automaton)
+    touched = [
+        None if found is None else _positive_masks(automaton.guard_of_state(symbol), k)
+        for symbol, found in zip(symbols, masks)
+    ]
+    bit = 1 << (register - 1)
+
+    def step(state):
+        members, previous = state
+        carried = advance_mask(masks[previous][1], members) | touched[previous][1]
+        return lambda q: (carried | touched[q][0], q)
+
+    return _explore(
+        symbols, masks, lambda q: (touched[q][0], q), step, lambda state: state[0] & bit
+    )
+
+
+def literal_agree(delta_now, delta_next, k):
+    """Condition (iii) as one entailment query per boundary atom and side.
+
+    The atoms range over ``y1..yk`` (for *delta_now*) and ``x1..xk`` (for
+    *delta_next*), paired position by position, plus the constants and
+    relations either type mentions; the types disagree when one side
+    entails an atom and the other its negation.
+    """
+    from itertools import product
+
+    from repro.logic.literals import EqAtom, Literal, RelAtom
+    from repro.logic.terms import X, Y
+
+    constants = sorted(delta_now.constants | delta_next.constants)
+    relations = {}
+    for delta in (delta_now, delta_next):
+        for literal in delta.literals:
+            if isinstance(literal.atom, RelAtom):
+                relations[literal.atom.relation] = len(literal.atom.args)
+
+    def atoms(variable):
+        terms = [variable(i) for i in range(1, k + 1)] + constants
+        for a_index in range(len(terms)):
+            for b_index in range(a_index + 1, len(terms)):
+                yield EqAtom(terms[a_index], terms[b_index])
+        for relation in sorted(relations):
+            for combo in product(terms, repeat=relations[relation]):
+                yield RelAtom(relation, combo)
+
+    for atom_now, atom_next in zip(atoms(Y), atoms(X)):
+        pos_now = delta_now.entails(Literal(atom_now, True))
+        neg_now = delta_now.entails(Literal(atom_now, False))
+        pos_next = delta_next.entails(Literal(atom_next, True))
+        neg_next = delta_next.entails(Literal(atom_next, False))
+        if (pos_now and neg_next) or (neg_now and pos_next):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------- #
 # unpruned Buchi lasso search: the oracle for the pruned one
 # ---------------------------------------------------------------------- #
 #

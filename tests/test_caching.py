@@ -28,13 +28,12 @@ from repro.automata.dfa import Dfa
 from repro.automata.regex import concat, literal, plus
 from repro.core.caching import (
     AutomatonIndex,
-    agreement,
     cached_method,
     dead_states,
 )
 from repro.core.streaming import StreamingChecker, StreamingViolation
 from repro.db.evaluation import evaluate_type, transition_valuation
-from repro.foundations.errors import EvaluationError
+from repro.foundations.errors import EvaluationError, SpecificationError
 from repro.foundations.memo import ValueCache, clear_value_caches
 from repro.foundations.stats import CacheStats, all_cache_stats, cache_stats
 
@@ -154,6 +153,7 @@ class TestAutomatonIndex:
         for state in example1_automaton.states:
             expected = tuple(t for t in transitions if t.source == state)
             assert index.transitions_from(state) == expected
+            assert index.guards_from(state) == tuple(dict.fromkeys(t.guard for t in expected))
             for target in example1_automaton.states:
                 expected_pair = tuple(
                     t for t in transitions if t.source == state and t.target == target
@@ -164,9 +164,20 @@ class TestAutomatonIndex:
                 transition.source, transition.guard
             )
 
+    def test_state_driven_questions_are_lookups(self, example1_automaton):
+        """q2 fires two guards; the state-driven form one per state."""
+        assert not AutomatonIndex.of(example1_automaton).is_state_driven()
+        with pytest.raises(SpecificationError):
+            example1_automaton.guard_of_state("q2")
+        normalised = example1_automaton.completed().state_driven()
+        assert AutomatonIndex.of(normalised).is_state_driven()
+        for transition in normalised.transitions:
+            assert normalised.guard_of_state(transition.source) == transition.guard
+
     def test_unknown_keys_return_empty(self, example1_automaton):
         index = AutomatonIndex.of(example1_automaton)
         assert index.transitions_from("nowhere") == ()
+        assert index.guards_from("nowhere") == ()
         assert index.transitions_between("q1", "nowhere") == ()
         assert index.transitions_with_guard("nowhere", EMPTY) == ()
 
@@ -225,17 +236,6 @@ class TestStreamingRegression:
                 checker.feed("q", ("v1",))
             del spec, checker
             gc.collect()
-
-
-class TestGuardAgreement:
-    def test_memoized_agreement_matches_direct(self, example1_guards):
-        from repro.logic.types import agree
-
-        d1, d2, d3 = example1_guards
-        for now, nxt in [(d1, d2), (d2, d3), (d3, d1), (d2, d2)]:
-            assert agreement(now, nxt, 2) == agree(now, nxt, 2)
-            # second call takes the hit path and must return the same verdict
-            assert agreement(now, nxt, 2) == agree(now, nxt, 2)
 
 
 class TestEvaluateTypeMemo:

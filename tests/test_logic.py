@@ -1,6 +1,10 @@
 """Unit tests for repro.logic: terms, literals, closure, types."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.foundations.errors import InconsistentTypeError
 from repro.logic import (
@@ -22,7 +26,9 @@ from repro.logic import (
     y_vars,
 )
 from repro.logic.literals import EqAtom, Literal, RelAtom
-from repro.logic.types import project_type_dataless
+from repro.logic.types import boundary_signature, project_type_dataless
+
+from tests.helpers import literal_agree
 
 
 class TestTerms:
@@ -237,6 +243,60 @@ class TestAgree:
         delta_next_neg = SigmaType([nrel("P", X(1))])
         assert agree(delta_now, delta_next_pos, 1)
         assert not agree(delta_now, delta_next_neg, 1)
+
+    def test_signature_names_atoms_by_register_and_constant(self):
+        """The y side of one guard and the x side of the next share atom names."""
+        c = Const("c")
+        delta = SigmaType([eq(Y(1), c), neq(Y(1), Y(2)), rel("E", Y(2), c), nrel("P", X(1))])
+        positive, negative = boundary_signature(delta, 2, "y")
+        # y1 = c, so E(y2, c) is E(y2, y1) too, and y1 != y2 is y2 != c.
+        assert positive == {("eq", 1, c), ("rel", "E", (2, 1)), ("rel", "E", (2, c))}
+        assert negative == {("eq", 1, 2), ("eq", 2, c)}
+        assert boundary_signature(delta, 2, "x") == (frozenset(), {("rel", "P", (1,))})
+
+
+#: The vocabulary of the random types: relations of arity 1 and 2, two constants.
+RELATIONS = {"P": 1, "E": 2}
+CONSTANTS = (Const("c"), Const("d"))
+
+
+def _random_type(rng, k):
+    """A random satisfiable type over the registers, constants and relations.
+
+    Mostly partial; now and then one of its equality completions, so
+    boundary atoms settled only through the closure come up too.
+    """
+    terms = list(x_vars(k)) + list(y_vars(k)) + list(CONSTANTS[: rng.randint(0, 2)])
+    while True:
+        literals = []
+        for _ in range(rng.randint(0, 5)):
+            if rng.random() < 0.55:
+                left, right = rng.sample(terms, 2)
+                literals.append(eq(left, right) if rng.random() < 0.5 else neq(left, right))
+            else:
+                relation = rng.choice(sorted(RELATIONS))
+                args = [rng.choice(terms) for _ in range(RELATIONS[relation])]
+                build = rel if rng.random() < 0.5 else nrel
+                literals.append(build(relation, *args))
+        try:
+            delta = SigmaType(literals)
+        except InconsistentTypeError:
+            continue
+        if rng.random() < 0.25:
+            variables = list(x_vars(k)) + list(y_vars(k))
+            delta = next(delta.completions({}, variables, sorted(delta.constants)))
+        return delta
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=3))
+def test_agree_matches_pairwise_entailment(seed, k):
+    """Boundary signatures decide agreement as the atom-by-atom loop does."""
+    rng = random.Random(seed)
+    types = [_random_type(rng, k) for _ in range(4)]
+    for delta_now in types:
+        for delta_next in types:
+            assert agree(delta_now, delta_next, k) == literal_agree(delta_now, delta_next, k)
 
 
 class TestProjection:

@@ -32,7 +32,7 @@ from repro.core.extended import eliminate_equality_constraints, normalize_contro
 from repro.core.projection import _bridge_dfa, _symbol_masks, corridor_dfa
 from repro.core.pruning import prune_extended, prune_infeasible
 from repro.core.register_automaton import Transition
-from repro.core.theorem24 import _literal_occurrences, _normalize_db
+from repro.core.theorem24 import _literal_occurrences, _normalize_db, adom_position_dfa
 from repro.foundations.errors import SpecificationError
 from repro.logic.terms import register_index
 from repro.generators import random_extended_automaton, random_register_automaton
@@ -46,6 +46,10 @@ from tests.helpers import (
     literal_equality_tracker_dfa,
     literal_inequality_tracker_dfa,
     no_terminal_before_last,
+    symbol_keyed_adom_position_dfa,
+    symbol_keyed_bridge_dfa,
+    symbol_keyed_equality_tracker_dfa,
+    symbol_keyed_inequality_tracker_dfa,
 )
 
 EMPTY = SigmaType()
@@ -157,13 +161,39 @@ def _assert_same_language(coded, literal_dfa):
     assert coded.size() == literal_dfa.size()
 
 
+def _assert_identical(built, oracle):
+    """Same states, transition table, initial state and accepting set."""
+    assert built.states == oracle.states
+    assert built.structural_key() == oracle.structural_key()
+
+
+def _assert_trackers_match_symbol_keyed(automaton):
+    """Every mask-row tracker of *automaton* against its symbol-keyed build."""
+    registers = range(1, automaton.k + 1)
+    for i in registers:
+        for j in registers:
+            _assert_identical(
+                equality_tracker_dfa(automaton, i, j),
+                symbol_keyed_equality_tracker_dfa(automaton, i, j),
+            )
+            _assert_identical(
+                inequality_tracker_dfa(automaton, i, j),
+                symbol_keyed_inequality_tracker_dfa(automaton, i, j),
+            )
+        _assert_identical(
+            adom_position_dfa(automaton, i), symbol_keyed_adom_position_dfa(automaton, i)
+        )
+
+
 def _assert_trackers_match_literal(automaton, corridors=False):
     """Every coded tracker of *automaton* against the NFA-based oracle.
 
     With *corridors*, every x/y endpoint pair is also checked as a
     one-pair anchored corridor at a sample of anchors, against the literal
-    corridor intersected with the anchor shape.
+    corridor intersected with the anchor shape.  The trackers must also
+    equal their symbol-keyed builds, state numbering included.
     """
+    _assert_trackers_match_symbol_keyed(automaton)
     registers = range(1, automaton.k + 1)
     anchors = _sampled_anchors(automaton) if corridors else ()
     for i in registers:
@@ -189,7 +219,11 @@ def _assert_trackers_match_literal(automaton, corridors=False):
 
 
 class TestCodedTrackersMatchLiteral:
-    """The bitmask trackers recognise the determinised NFA languages."""
+    """The bitmask trackers recognise the determinised NFA languages.
+
+    Each check also asserts that the trackers, whose states hold mask
+    rows, build the minimal DFAs of their symbol-keyed forms exactly.
+    """
 
     def test_example1(self, example1_automaton):
         _assert_trackers_match_literal(
@@ -307,10 +341,63 @@ class TestCodedTrackersMatchLiteral:
         symbols, masks = _symbol_masks(base)
         for i in range(1, k + 1):
             for j in range(1, k + 1):
+                arguments = (symbols, masks, dfa, constraint.i, constraint.j, i, j)
+                built = _bridge_dfa(*arguments)
                 _assert_same_language(
-                    _bridge_dfa(symbols, masks, dfa, constraint.i, constraint.j, i, j),
-                    literal_bridge_dfa(base, dfa, constraint.i, constraint.j, i, j),
+                    built, literal_bridge_dfa(base, dfa, constraint.i, constraint.j, i, j)
                 )
+                _assert_identical(built, symbol_keyed_bridge_dfa(*arguments))
+
+
+#: Relations of the random automata whose active-domain selectors are checked.
+RELATIONAL = Signature(relations={"E": 2, "U": 1})
+
+
+class TestMaskRowTrackersMatchSymbolKeyed:
+    """Trackers over mask rows build the symbol-keyed minimal DFAs, numbering included.
+
+    The paper fixtures and the random draws of
+    :class:`TestCodedTrackersMatchLiteral` check this too; these inputs
+    (the outsider view, k = 3, random relational draws) are beyond what
+    that class runs its literal oracle on.
+    """
+
+    def test_manuscript_outsider_view(self):
+        """The database-hidden view's normal form: positive literals touch registers."""
+        spec = manuscript_review_workflow(with_database=True)
+        _visible, order = _split_attributes(spec, ["reviewer"])
+        _assert_trackers_match_symbol_keyed(
+            _normalize_db(prune_infeasible(spec.reordered(order).compile()))
+        )
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=1, max_value=3),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_random_complete_state_driven(self, seed, k, live, relational):
+        """Random automata, with terminal states when not *live*.
+
+        Relational draws (k <= 2) are equality-completed, as Theorem 24
+        normalises; the others are completed.
+        """
+        rng = random.Random(seed)
+        relational = relational and k <= 2
+        automaton = random_register_automaton(
+            rng,
+            k=k,
+            n_states=rng.randint(1, 2),
+            n_transitions=rng.randint(1, 2 if k == 3 else 3),
+            signature=RELATIONAL if relational else None,
+            ensure_live=live,
+        )
+        if relational:
+            normalised = _normalize_db(automaton)
+        else:
+            normalised = normalize_control(ExtendedAutomaton(automaton, [])).automaton
+        _assert_trackers_match_symbol_keyed(normalised)
 
 
 class TestExample4And5:
