@@ -17,7 +17,10 @@ Three ideas carry the design:
   version-tagged form.  It shares the checker's immutable thread
   tables, so a capture or a restore costs O(constraints); the canonical
   (``repr``-sorted) form is made only when a snapshot is pickled or
-  compared.  Theorem 19's register discipline bounds the live-thread
+  compared.  A snapshot is one slotted object, and the checker it is
+  restored into has its specification compiled into tables once, so a
+  session task costs a restore, a few table lookups per event and a
+  capture.  Theorem 19's register discipline bounds the live-thread
   count, which is what makes per-session snapshots small enough to
   store at scale.
 
@@ -37,7 +40,10 @@ Three ideas carry the design:
   by restoring the session's snapshot into the multiplexer's one reused
   checker and feeding it (:func:`_apply_session`), and counts each event
   once, the first time it is applied.  Snapshots, never live checkers,
-  are the volatile state.
+  are the volatile state.  A pass reads the ambient deadline once and
+  polls it, with the ingest's cancellation token, before every event,
+  so either can stop a session's task between two of its events: what
+  was applied stays applied, and the rest stays journaled.
 
 Per-session quarantine keeps one poison event from taking down its
 neighbours: the offending session is rolled back to its last good
@@ -104,23 +110,26 @@ class JournalEntry(NamedTuple):
 class _SessionResult(NamedTuple):
     """What applying a session's events produced (pure function of the inputs).
 
-    ``results`` holds ``(seq, verdict)`` for every applied event;
+    ``applied`` counts the events applied, a prefix of the task's;
     ``poison`` is ``(seq, error)`` when an event raised, in which case
     ``snapshot`` is the session rolled back to its last good position;
-    ``interrupted`` marks a deadline/cancellation stop mid-task, with
-    the unapplied suffix left in the journal.
+    ``interrupted`` is ``"timeout"`` or ``"cancelled"`` when the deadline
+    or the token stopped the task mid-way, with the unapplied suffix
+    left in the journal, and ``None`` otherwise.
     """
 
     snapshot: SessionSnapshot
-    results: Tuple[Tuple[int, Optional[str]], ...]
+    applied: int
     poison: Optional[Tuple[int, str]]
-    interrupted: bool
+    interrupted: Optional[str]
 
 
 def _apply_session(
     checker: StreamingChecker,
     snapshot: SessionSnapshot,
     events: Sequence[JournalEntry],
+    active: Optional[Deadline],
+    cancel: Optional[CancellationToken],
 ) -> _SessionResult:
     """Apply *events* to the session *snapshot*; pure and deterministic.
 
@@ -129,39 +138,36 @@ def _apply_session(
     byte-identical by construction.  The caller supplies and reuses
     *checker*: restoring *snapshot* overwrites all its run state, and
     neither the restore nor the closing capture copies a thread table.
-    A poison event (any unexpected exception from ``feed``) rolls the
-    session back to the state just before it, so quarantine freezes a
-    meaningful position.
+    *cancel* and the deadline *active* (the caller reads the ambient one
+    once per pass) are polled before each event.  A poison event (any
+    unexpected exception from ``feed``) rolls the session back to the
+    state just before it, so quarantine freezes a meaningful position.
     """
     checker.restore(snapshot)
-    applied: List[Tuple[int, Optional[str]]] = []
+    feed = checker.feed
+    applied = 0
     poison: Optional[Tuple[int, str]] = None
-    interrupted = False
-    for offset, entry in enumerate(events):
-        active = current_deadline()
-        if active is not None and active.expired():
-            interrupted = True
-            break
-        try:
-            verdict = checker.feed(entry.state, entry.registers)
-        except (DeadlineExceeded, OperationCancelled):
-            interrupted = True
-            break
-        except Exception as exc:  # a poison event: quarantine material
-            poison = (entry.seq, "%s: %s" % (type(exc).__name__, exc))
-            # Roll back to the last good position: restore the input
-            # snapshot and replay the already-validated prefix.
-            checker.restore(snapshot)
-            for good in events[:offset]:  # deadline-ok: bounded replay of an already-validated prefix
-                checker.feed(good.state, good.registers)
-            break
-        applied.append((entry.seq, verdict))
-    return _SessionResult(
-        snapshot=checker.snapshot(),
-        results=tuple(applied),
-        poison=poison,
-        interrupted=interrupted,
-    )
+    interrupted: Optional[str] = None
+    try:
+        for entry in events:
+            if cancel is not None:
+                cancel.check("monitor.ingest")
+            if active is not None:
+                active.check("monitor.ingest")
+            feed(entry.state, entry.registers)
+            applied += 1
+    except DeadlineExceeded:
+        interrupted = "timeout"
+    except OperationCancelled:
+        interrupted = "cancelled"
+    except Exception as exc:  # a poison event: quarantine material
+        poison = (events[applied].seq, "%s: %s" % (type(exc).__name__, exc))
+        # Roll back to the last good position: restore the input
+        # snapshot and replay the already-validated prefix.
+        checker.restore(snapshot)
+        for good in events[:applied]:  # deadline-ok: bounded replay of an already-validated prefix
+            feed(good.state, good.registers)
+    return _SessionResult(checker.snapshot(), applied, poison, interrupted)
 
 
 # ---------------------------------------------------------------------- #
@@ -455,42 +461,41 @@ class MonitorMultiplexer:
         ambient deadline or *cancel* stopped the pass; what it did not
         apply stays in the journal for the next one.
         """
+        sessions = self._sessions
+        counted_seqs = self._counted
         tails: Dict[object, List[JournalEntry]] = {}
         for entry in self._journal:
-            current = self._sessions.get(entry.session)
+            current = sessions.get(entry.session)
             if current is not None and entry.seq > current[1]:
                 tails.setdefault(entry.session, []).append(entry)
+        checker = self._checker
+        active = current_deadline()  # nothing in the pass changes it
         for session, events in tails.items():
-            try:
-                if cancel is not None:
-                    cancel.check("monitor.ingest")
-                active = current_deadline()
-                if active is not None:
-                    active.check("monitor.ingest")
-            except DeadlineExceeded:
-                return "timeout"
-            except OperationCancelled:
-                return "cancelled"
-            snapshot, last = self._sessions[session]
-            result = _apply_session(self._checker, snapshot, events)
-            if result.results:
-                last = result.results[-1][0]
-            self._sessions[session] = (result.snapshot, last)
-            counted = self._counted.get(session, 0)
+            snapshot, last = sessions[session]
+            result = _apply_session(checker, snapshot, events, active, cancel)
+            applied = result.applied
+            if applied:
+                last = events[applied - 1].seq
+            snapshot = result.snapshot
+            sessions[session] = (snapshot, last)
+            counted = counted_seqs.get(session, 0)
             if last > counted:
-                self._events_applied += sum(
-                    1 for seq, _verdict in result.results if seq > counted
-                )
-                self._counted[session] = last
-                if result.snapshot.failed is not None:
-                    violations[session] = result.snapshot.failed
+                # seqs ascend: the first `recounted` applied events were
+                # counted by an earlier pass (a recovery replays them)
+                recounted = 0
+                while events[recounted].seq <= counted:
+                    recounted += 1
+                self._events_applied += applied - recounted
+                counted_seqs[session] = last
+                if snapshot.failed is not None:
+                    violations[session] = snapshot.failed
             if result.poison is not None:
                 seq, error = result.poison
                 self._quarantine(
-                    session, result.snapshot, seq, "poison-event", error, quarantined
+                    session, snapshot, seq, "poison-event", error, quarantined
                 )
-            if result.interrupted:
-                return "timeout"
+            if result.interrupted is not None:
+                return result.interrupted
         return "complete"
 
     # -- durability: the checkpoint and recovery ------------------------ #

@@ -24,13 +24,26 @@ automata the live-value count is bounded (that is Theorem 19's point), and
 :attr:`StreamingChecker.peak_threads` reports the high-water mark so the
 bound can be observed experimentally (benchmark E11).
 
+Everything that is fixed for a specification is compiled once, when the
+checker is built, in the manner of precomputed transition tables (VATA,
+arXiv:1204.3240): per automaton state, one row per constraint with its
+DFA's successor of every DFA state and of the initial one (the spawn),
+its accepting and dead sets, its 0-based registers and its kind; and per
+(source, target) pair of the automaton, the guards the validity check
+tries, or ``None`` when the first of them has no literals and the step is
+always valid.  An event then costs a few table lookups: no DFA method
+call, no transition-index lookup and no guard generator.  The tables
+take O(automaton states x DFA states) entries per constraint.
+
 A :class:`SessionSnapshot` is the checker's run state in a picklable,
 version-tagged form -- the compact configuration :mod:`repro.core.monitor`
 stores and restores for thousands of sessions ("A Finite Exact
 Representation of Register Automata Configurations", arXiv:1402.6783, is
 the conceptual anchor).  It shares the checker's immutable thread tables,
 so capturing and restoring one costs O(constraints); its canonical
-(``repr``-sorted) form is made only when it is pickled or compared.
+(``repr``-sorted) form is made only when it is pickled or compared.  Its
+fields live in ``__slots__``, so a snapshot is one object for the garbage
+collector to track, not an instance plus its ``__dict__``.
 """
 
 from dataclasses import dataclass
@@ -48,6 +61,57 @@ from repro.core.register_automaton import State
 
 class StreamingViolation(SpecificationError):
     """Raised (or reported) when the streamed run breaks a rule."""
+
+
+def _compile_guards(automaton) -> Dict[Tuple[State, State], Optional[Tuple[Any, ...]]]:
+    """Per (source, target) pair of *automaton*: the guards a step tries.
+
+    The guards are those of ``transitions_between(source, target)`` in its
+    order, for :func:`some_guard_holds`; ``None`` marks a pair whose first
+    guard has no literals, so the step holds without a valuation.  A pair
+    without transitions is absent.
+    """
+    table: Dict[Tuple[State, State], Optional[Tuple[Any, ...]]] = {}
+    for transition in automaton.transitions:
+        pair = (transition.source, transition.target)
+        if pair not in table:
+            guards = tuple(t.guard for t in automaton.transitions_between(*pair))
+            table[pair] = None if not guards[0].literals else guards
+    return table
+
+
+def _compile_rows(extended: ExtendedAutomaton) -> Dict[State, Tuple[Tuple[Any, ...], ...]]:
+    """Per automaton state: one row per constraint, for :meth:`StreamingChecker.feed`.
+
+    A row is ``(index, targets, start, first, last, is_eq, accepting,
+    dead, constraint)``: the constraint's DFA successor of every DFA
+    state (``targets``) and of its initial state (``start``, the spawn)
+    on that automaton state, the 0-based registers ``i`` and ``j``,
+    whether it is an equality constraint, and the DFA's accepting and
+    dead sets.  Dead-state sets are cached per DFA *object*
+    (:func:`dead_states`), never keyed by an id that garbage collection
+    can recycle.
+    """
+    constraints = extended.constraints
+    dfas = [extended.constraint_dfa(constraint) for constraint in constraints]
+    dead = [dead_states(dfa) for dfa in dfas]
+    return {
+        symbol: tuple(
+            (
+                index,
+                {dfa_state: dfa.delta(dfa_state, symbol) for dfa_state in dfa.states},
+                dfa.delta(dfa.initial, symbol),
+                constraint.i - 1,
+                constraint.j - 1,
+                constraint.kind == "eq",
+                dfa.accepting,
+                dead[index],
+                constraint,
+            )
+            for index, (constraint, dfa) in enumerate(zip(constraints, dfas))
+        )
+        for symbol in extended.automaton.states
+    }
 
 
 class StreamingChecker:
@@ -75,8 +139,7 @@ class StreamingChecker:
     def __init__(
         self, extended: ExtendedAutomaton, database: Database, strict: bool = True
     ):
-        self._extended = extended
-        self._automaton = extended.automaton
+        automaton = extended.automaton
         self._database = database
         self._strict = strict
         self._position = -1
@@ -87,13 +150,12 @@ class StreamingChecker:
         self._threads: List[Tuple[Tuple[object, FrozenSet[DataValue]], ...]] = [
             () for _ in extended.constraints
         ]
-        self._dfas = [extended.constraint_dfa(c) for c in extended.constraints]
-        # Dead-state sets are computed per DFA (one backward BFS each) and
-        # cached per DFA *object* -- never in a module-level dict keyed by
-        # the DFA's id, which served stale verdicts when object ids were
-        # recycled across garbage-collected DFAs.
-        self._dead = [dead_states(dfa) for dfa in self._dfas]
         self.peak_threads = 0
+        # the compiled step (module docstring)
+        self._k = automaton.k
+        self._initial = automaton.initial
+        self._guards = _compile_guards(automaton)
+        self._rows = _compile_rows(extended)
 
     # ------------------------------------------------------------------ #
 
@@ -163,25 +225,23 @@ class StreamingChecker:
                 raise StreamingViolation(self._failed)
             return self._failed
         registers = tuple(registers)
-        if len(registers) != self._automaton.k:
+        if len(registers) != self._k:
             return self._fail(
                 "position %d: register tuple arity %d, expected %d"
-                % (self._position + 1, len(registers), self._automaton.k)
+                % (self._position + 1, len(registers), self._k)
             )
-        self._position += 1
-        position = self._position
+        position = self._position = self._position + 1
 
         # -- validity ---------------------------------------------------- #
         if position == 0:
-            if state not in self._automaton.initial:
+            if state not in self._initial:
                 return self._fail("position 0: state %r is not initial" % (state,))
         else:
             previous_state, previous_registers = self._previous
-            guards = (
-                transition.guard
-                for transition in self._automaton.transitions_between(previous_state, state)
-            )
-            if not some_guard_holds(guards, self._database, previous_registers, registers):
+            guards = self._guards.get((previous_state, state), ())
+            if guards is not None and not some_guard_holds(
+                guards, self._database, previous_registers, registers
+            ):
                 return self._fail(
                     "position %d: no transition %r -> %r consistent with the data"
                     % (position, previous_state, state)
@@ -194,24 +254,23 @@ class StreamingChecker:
         # its old value, as do the tables after it.
         tables = self._threads
         live = 0
-        for index, constraint in enumerate(self._extended.constraints):
-            dfa = self._dfas[index]
+        for index, targets, start, first, last, is_eq, accepting, dead, constraint in (
+            self._rows[state]
+        ):
             advanced: Dict[object, FrozenSet[DataValue]] = {}
             for dfa_state, values in tables[index]:
-                target = dfa.delta(dfa_state, state)
+                target = targets[dfa_state]
                 merged = advanced.get(target)
                 advanced[target] = values if merged is None else merged | values
             # spawn a thread for this position as a factor start
-            start = dfa.delta(dfa.initial, state)
-            spawned = frozenset((registers[constraint.i - 1],))
+            spawned = frozenset((registers[first],))
             merged = advanced.get(start)
             advanced[start] = spawned if merged is None else merged | spawned
             # check acceptance: completed factors relate stored sources to
             # the current value of register j, over every accepting state
             # at once, so the message does not depend on the table's order
-            current = registers[constraint.j - 1]
-            accepting = dfa.accepting
-            if constraint.kind == "eq":
+            current = registers[last]
+            if is_eq:
                 bad = [
                     repr(value)
                     for dfa_state, values in advanced.items()
@@ -224,18 +283,15 @@ class StreamingChecker:
                         "position %d: equality constraint %r expects %r, saw %r"
                         % (position, constraint, min(bad), current)
                     )
-            elif any(
-                current in values
-                for dfa_state, values in advanced.items()
-                if dfa_state in accepting
-            ):
-                return self._fail(
-                    "position %d: inequality constraint %r violated by %r"
-                    % (position, constraint, current)
-                )
+            else:
+                for dfa_state, values in advanced.items():
+                    if dfa_state in accepting and current in values:
+                        return self._fail(
+                            "position %d: inequality constraint %r violated by %r"
+                            % (position, constraint, current)
+                        )
             # drop threads parked in dead states (no accepting reachable),
             # counting the live ones on the way
-            dead = self._dead[index]
             kept = []
             for dfa_state, values in advanced.items():
                 if dfa_state not in dead:
@@ -308,8 +364,22 @@ class SessionSnapshot:
     ``repr``, is made only when it is needed: pickling writes it
     (``__getstate__``; ``__setstate__`` reads it back), and ``==``,
     ``hash`` and ``repr`` follow it, so equal run states give equal
-    snapshots.
+    snapshots.  The fields are ``__slots__``, declared by hand because
+    ``@dataclass(slots=True)`` needs Python 3.10: a snapshot has no
+    ``__dict__``, and its pickle is the same field dict as before.
     """
+
+    __slots__ = (
+        "version",
+        "k",
+        "constraint_count",
+        "position",
+        "previous",
+        "failed",
+        "strict",
+        "threads",
+        "peak_threads",
+    )
 
     version: int
     k: int
@@ -324,20 +394,30 @@ class SessionSnapshot:
     @classmethod
     def capture(cls, checker: StreamingChecker) -> "SessionSnapshot":
         """Snapshot *checker* (the engine behind ``StreamingChecker.snapshot``)."""
-        # Fill the instance dict directly: the frozen dataclass's generated
-        # __init__ sets each field through object.__setattr__, a cost paid
-        # on every monitored event.
+        # Fill the slots through their descriptors: the frozen dataclass's
+        # generated __init__ sets each field through object.__setattr__, a
+        # cost paid on every monitored event.
+        (
+            set_version,
+            set_k,
+            set_constraint_count,
+            set_position,
+            set_previous,
+            set_failed,
+            set_strict,
+            set_threads,
+            set_peak_threads,
+        ) = _SLOT_SETTERS
         snapshot = object.__new__(cls)
-        attributes = snapshot.__dict__
-        attributes["version"] = SNAPSHOT_VERSION
-        attributes["k"] = checker._automaton.k
-        attributes["constraint_count"] = len(checker._threads)
-        attributes["position"] = checker._position
-        attributes["previous"] = checker._previous
-        attributes["failed"] = checker._failed
-        attributes["strict"] = checker._strict
-        attributes["threads"] = tuple(checker._threads)
-        attributes["peak_threads"] = checker.peak_threads
+        set_version(snapshot, SNAPSHOT_VERSION)
+        set_k(snapshot, checker._k)
+        set_constraint_count(snapshot, len(checker._threads))
+        set_position(snapshot, checker._position)
+        set_previous(snapshot, checker._previous)
+        set_failed(snapshot, checker._failed)
+        set_strict(snapshot, checker._strict)
+        set_threads(snapshot, tuple(checker._threads))
+        set_peak_threads(snapshot, checker.peak_threads)
         return snapshot
 
     def apply(self, checker: StreamingChecker) -> None:
@@ -347,10 +427,10 @@ class SessionSnapshot:
                 "session snapshot version %r is not supported (expected %d)"
                 % (self.version, SNAPSHOT_VERSION)
             )
-        if self.k != checker._automaton.k:
+        if self.k != checker._k:
             raise SpecificationError(
                 "session snapshot arity %d does not match the checker's "
-                "automaton (k=%d)" % (self.k, checker._automaton.k)
+                "automaton (k=%d)" % (self.k, checker._k)
             )
         if self.constraint_count != len(checker._threads):
             raise SpecificationError(
@@ -372,7 +452,7 @@ class SessionSnapshot:
 
     def __getstate__(self) -> Dict[str, Any]:
         """Every field in declaration order, ``threads`` in canonical form."""
-        state = {name: self.__dict__[name] for name in self.__dataclass_fields__}
+        state = {name: getattr(self, name) for name in self.__slots__}
         state["threads"] = _canonical_threads(self.threads)
         return state
 
@@ -382,7 +462,8 @@ class SessionSnapshot:
             tuple((dfa_state, frozenset(values)) for dfa_state, values in table)
             for table in state["threads"]
         )
-        self.__dict__.update(state)
+        for name in self.__slots__:
+            object.__setattr__(self, name, state[name])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -395,3 +476,10 @@ class SessionSnapshot:
     def __repr__(self) -> str:
         fields = ", ".join("%s=%r" % item for item in self.__getstate__().items())
         return "%s(%s)" % (self.__class__.__qualname__, fields)
+
+
+#: Each field's slot setter, in declaration order, for
+#: :meth:`SessionSnapshot.capture`.
+_SLOT_SETTERS = tuple(
+    getattr(SessionSnapshot, name).__set__ for name in SessionSnapshot.__slots__
+)

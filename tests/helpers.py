@@ -1351,3 +1351,108 @@ def present(automaton, rng):
         transitions,
     )
     return copy, registers, [renamed[state] for state in originals]
+
+
+def literal_streaming_checker(extended, database, strict=True):
+    """A :class:`StreamingChecker` whose ``feed`` is the uncompiled one.
+
+    Per event it steps every thread through ``dfa.delta``, looks the
+    guards up with ``transitions_between`` and hands a generator of them
+    to ``some_guard_holds``, as ``feed`` did before it read tables
+    compiled per specification.  Everything else -- snapshots, restore,
+    ``live_threads`` -- is the production checker's, so the two can be
+    compared after every event.
+    """
+    from repro.core.caching import dead_states
+    from repro.core.streaming import StreamingChecker, StreamingViolation
+    from repro.db.evaluation import some_guard_holds
+
+    class LiteralStreamingChecker(StreamingChecker):
+        def __init__(self, extended, database, strict=True):
+            super().__init__(extended, database, strict)
+            self._extended = extended
+            self._automaton = extended.automaton
+            self._dfas = [extended.constraint_dfa(c) for c in extended.constraints]
+            self._dead = [dead_states(dfa) for dfa in self._dfas]
+
+        def feed(self, state, registers):
+            if self._failed is not None:
+                if self._strict:
+                    raise StreamingViolation(self._failed)
+                return self._failed
+            registers = tuple(registers)
+            if len(registers) != self._automaton.k:
+                return self._fail(
+                    "position %d: register tuple arity %d, expected %d"
+                    % (self._position + 1, len(registers), self._automaton.k)
+                )
+            self._position += 1
+            position = self._position
+            if position == 0:
+                if state not in self._automaton.initial:
+                    return self._fail("position 0: state %r is not initial" % (state,))
+            else:
+                previous_state, previous_registers = self._previous
+                guards = (
+                    transition.guard
+                    for transition in self._automaton.transitions_between(
+                        previous_state, state
+                    )
+                )
+                if not some_guard_holds(
+                    guards, self._database, previous_registers, registers
+                ):
+                    return self._fail(
+                        "position %d: no transition %r -> %r consistent with the data"
+                        % (position, previous_state, state)
+                    )
+            self._previous = (state, registers)
+            tables = self._threads
+            live = 0
+            for index, constraint in enumerate(self._extended.constraints):
+                dfa = self._dfas[index]
+                advanced = {}
+                for dfa_state, values in tables[index]:
+                    target = dfa.delta(dfa_state, state)
+                    merged = advanced.get(target)
+                    advanced[target] = values if merged is None else merged | values
+                start = dfa.delta(dfa.initial, state)
+                spawned = frozenset((registers[constraint.i - 1],))
+                merged = advanced.get(start)
+                advanced[start] = spawned if merged is None else merged | spawned
+                current = registers[constraint.j - 1]
+                accepting = dfa.accepting
+                if constraint.kind == "eq":
+                    bad = [
+                        repr(value)
+                        for dfa_state, values in advanced.items()
+                        if dfa_state in accepting
+                        for value in values
+                        if value != current
+                    ]
+                    if bad:
+                        return self._fail(
+                            "position %d: equality constraint %r expects %r, saw %r"
+                            % (position, constraint, min(bad), current)
+                        )
+                elif any(
+                    current in values
+                    for dfa_state, values in advanced.items()
+                    if dfa_state in accepting
+                ):
+                    return self._fail(
+                        "position %d: inequality constraint %r violated by %r"
+                        % (position, constraint, current)
+                    )
+                dead = self._dead[index]
+                kept = []
+                for dfa_state, values in advanced.items():
+                    if dfa_state not in dead:
+                        kept.append((dfa_state, values))
+                        live += len(values)
+                tables[index] = tuple(kept)
+            if live > self.peak_threads:
+                self.peak_threads = live
+            return None
+
+    return LiteralStreamingChecker(extended, database, strict)

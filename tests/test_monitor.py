@@ -11,6 +11,8 @@ injected driver crash and under a crashed checkpoint); tests that assert
 exact counters pin the plan themselves.
 """
 
+import copy
+import dataclasses
 import json
 import os
 import pickle
@@ -43,6 +45,8 @@ from repro.foundations.errors import SpecificationError
 from repro.foundations.faults import FaultInjected, reset_faults
 from repro.foundations.resilience import (
     CancellationToken,
+    Deadline,
+    DeadlineExceeded,
     OutcomeStatus,
     drain_events,
     recent_events,
@@ -509,6 +513,47 @@ class TestPickleLayout:
         assert len(dumps[0].split()) == 2
 
 
+class TestSlottedSnapshot:
+    """A snapshot is one slotted object; copies and pickles stay equal."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_snapshot_has_slots_and_no_instance_dict(self, name, db):
+        build, state, run, _tail = GOLDEN_RUNS[name]
+        snapshot = fed(build(), db, state, run).snapshot()
+        assert not hasattr(snapshot, "__dict__")
+        assert SessionSnapshot.__slots__ == tuple(
+            field.name for field in dataclasses.fields(SessionSnapshot)
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            snapshot.position = 0
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_capture_and_restore_share_the_thread_tables(self, name, db):
+        build, state, run, _tail = GOLDEN_RUNS[name]
+        spec = build()
+        checker = fed(spec, db, state, run)
+        snapshot = checker.snapshot()
+        assert len(snapshot.threads) == len(checker._threads)
+        assert all(a is b for a, b in zip(snapshot.threads, checker._threads))
+        restored = StreamingChecker(spec, db).restore(snapshot)
+        assert all(a is b for a, b in zip(restored._threads, snapshot.threads))
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_copies_and_round_trips_are_equal(self, name, db):
+        build, state, run, _tail = GOLDEN_RUNS[name]
+        snapshot = fed(build(), db, state, run).snapshot()
+        for twin in (
+            copy.copy(snapshot),
+            copy.deepcopy(snapshot),
+            dataclasses.replace(snapshot),
+            pickle.loads(pickle.dumps(snapshot)),
+        ):
+            assert twin is not snapshot
+            assert twin == snapshot
+            assert hash(twin) == hash(snapshot)
+            assert repr(twin) == repr(snapshot)
+
+
 # ---------------------------------------------------------------------- #
 # MonitorMultiplexer: basics
 # ---------------------------------------------------------------------- #
@@ -613,10 +658,14 @@ class TestCrashRecovery:
             "REPRO_FAULTS", "monitor.snapshot:raise:1-4,monitor.ingest:crash:5"
         )
         reset_faults()
-        crashed = drive(make_mux(), batches).fingerprints()
+        crashed = drive(make_mux(), batches)
         reset_faults()
-        assert crashed == baseline
+        assert crashed.fingerprints() == baseline
         assert len(recent_events("RS009")) == 4
+        # the recovery replays four counted batches with the fifth, new
+        # one, and counts only the fifth
+        total = sum(len(batch) for batch in batches)
+        assert crashed.stats()["events_applied"] == total
         drain_events()
 
     def test_skipped_checkpoint_leaves_its_tail_to_the_next(
@@ -932,12 +981,19 @@ def assert_counters(mux):
     assert stats["quarantined"] == len(mux.quarantined_sessions())
 
 
-def run_program(extended, db, program, deadlines):
-    """Run *program* (deadlines kept or dropped); return what must agree."""
+def run_program(extended, db, program, interrupt=None):
+    """Run *program*; return what must agree across runs of it.
+
+    The ingests a program flags go through *interrupt* (``interrupt(mux,
+    events)`` ingests them with a deadline or a token) when it is given.
+    """
     mux = MonitorMultiplexer(extended, db)
     for step in program:
         if step[0] == "ingest":
-            mux.ingest(step[1], deadline=0 if deadlines and step[2] else None)
+            if interrupt is not None and step[2]:
+                interrupt(mux, step[1])
+            else:
+                mux.ingest(step[1])
         elif step[0] == "recover":
             mux.recover()
         else:
@@ -954,6 +1010,10 @@ def run_program(extended, db, program, deadlines):
         if outcome is not None:
             outcomes[session] = (outcome.status, outcome.stats)
     return mux.fingerprints(), outcomes, mux.stats()["events_applied"]
+
+
+def expired_ingest(mux, events):
+    mux.ingest(events, deadline=0)
 
 
 class TestInterruptedIngestProperty:
@@ -973,8 +1033,8 @@ class TestInterruptedIngestProperty:
         # checkpoints and crashed restores.
         monkeypatch.setenv("REPRO_FAULTS", "")
         reset_faults()
-        expected = run_program(extended, db, program, deadlines=False)
-        assert run_program(extended, db, program, deadlines=True) == expected
+        expected = run_program(extended, db, program)
+        assert run_program(extended, db, program, expired_ingest) == expected
         for plan in (
             "monitor.ingest:crash:%d" % at,
             "monitor.snapshot:raise:%d" % at,
@@ -984,7 +1044,106 @@ class TestInterruptedIngestProperty:
             monkeypatch.setenv("REPRO_FAULTS", plan)
             reset_faults()
             try:
-                assert run_program(extended, db, program, deadlines=True) == expected
+                assert run_program(extended, db, program, expired_ingest) == expected
             finally:
                 reset_faults()
 
+
+
+class PollDeadline(Deadline):
+    """A deadline that expires at its *n*-th poll, whatever the clock says."""
+
+    def __init__(self, n):
+        super().__init__(3600)
+        self.polls_left = n
+        self.fired = False
+
+    def expired(self):
+        return self.polls_left <= 0
+
+    def check(self, site=""):
+        self.polls_left -= 1
+        if self.polls_left <= 0:
+            self.fired = True
+            raise DeadlineExceeded("deadline expired at its poll at %s" % site)
+
+
+class EventToken(CancellationToken):
+    """A token that is cancelled at its *n*-th poll, one poll per event."""
+
+    def __init__(self, n):
+        super().__init__()
+        self.polls_left = n
+
+    def check(self, site=""):
+        self.polls_left -= 1
+        if self.polls_left == 0:
+            self.cancel("stopped at an event")
+        super().check(site)
+
+
+def ingest_stopped_at(n, how):
+    """An *interrupt* for :func:`run_program`: stop the ingest at poll *n*.
+
+    Each flagged ingest gets a fresh deadline or token, and its batch
+    outcome must be ``TIMEOUT`` or ``CANCELLED`` exactly when that fired.
+    """
+
+    def interrupt(mux, events):
+        if how == "deadline":
+            stopper = PollDeadline(n)
+            report = mux.ingest(events, deadline=stopper)
+            fired, status = stopper.fired, OutcomeStatus.TIMEOUT
+        else:
+            stopper = EventToken(n)
+            report = mux.ingest(events, cancel=stopper)
+            fired, status = stopper.cancelled, OutcomeStatus.CANCELLED
+        assert report.outcome.status is (status if fired else OutcomeStatus.COMPLETE)
+
+    return interrupt
+
+
+class TestMidTaskInterruption:
+    """A deadline or token that fires between two events of one task."""
+
+    @pytest.mark.parametrize("how", ["deadline", "token"])
+    def test_the_applied_prefix_stays_and_the_rest_drains(self, make_mux, no_faults, how):
+        mux = make_mux()
+        mux.ingest([("a", "q", ("v1",))])
+        batch = [("a", "q", ("v2",)), ("a", "q", ("v3",)), ("a", "q", ("v1",))]
+        if how == "deadline":
+            report = mux.ingest(batch, deadline=PollDeadline(2))
+            assert report.outcome.status is OutcomeStatus.TIMEOUT
+        else:
+            report = mux.ingest(batch, cancel=EventToken(2))
+            assert report.outcome.status is OutcomeStatus.CANCELLED
+        # the first event of the task applied, the other two wait
+        assert report.applied == 1
+        assert mux.session_fingerprint("a")[:3] == ("q", 1, None)
+        assert mux.stats()["journal_len"] == 2
+        report = mux.ingest([])
+        assert report.applied == 2
+        assert "inequality" in report.violations["a"]
+        assert mux.session_fingerprint("a")[1] == 3
+        assert mux.stats()["events_applied"] == 4
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        program=monitor_programs(),
+        n=st.integers(1, 6),
+        how=st.sampled_from(["deadline", "token"]),
+    )
+    def test_stops_at_any_event_lose_and_double_count_nothing(
+        self, extended, db, monkeypatch, program, n, how
+    ):
+        # Stopped at the n-th event of a batch -- between two sessions or
+        # between two events of one -- every flagged ingest reports the
+        # right outcome, and the program ends where it does unstopped.
+        monkeypatch.setenv("REPRO_FAULTS", "")
+        reset_faults()
+        expected = run_program(extended, db, program)
+        assert run_program(extended, db, program, ingest_stopped_at(n, how)) == expected

@@ -1,6 +1,11 @@
 """Tests for the streaming run checker."""
 
+import pickle
+import random
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import (
     Database,
@@ -16,7 +21,9 @@ from repro import (
 )
 import repro.db.evaluation as evaluation
 from repro.automata.regex import concat, literal, plus, star
-from repro.core.streaming import StreamingChecker, StreamingViolation
+from repro.core.streaming import StreamingChecker, StreamingViolation, _canonical_threads
+from repro.generators.automata import random_constraint_regex, random_equality_type
+from tests.helpers import literal_streaming_checker
 
 EMPTY = SigmaType()
 
@@ -224,3 +231,80 @@ class TestFailedStateAndSnapshots:
         outputs = expected[:2] + [resumed.feed(s, r) for s, r in events[2:]]
         assert outputs == expected
         assert resumed.peak_threads == reference.peak_threads
+
+
+@st.composite
+def compiled_step_cases(draw):
+    """A random spec, a strictness, a run over it and a restore cut.
+
+    k <= 2 and 1-3 states; every ordered state pair draws 0-3 guards,
+    each literal-free or a random equality type, so a pair's first guard
+    has literals or not and more guards may follow it.  0-2 ``eq``/``neq``
+    constraints over ``random_constraint_regex``.  The run may start
+    outside the initial states, name an unknown state, break a guard,
+    have a wrong arity or violate a constraint.
+    """
+    k = draw(st.integers(1, 2))
+    states = ["s%d" % index for index in range(draw(st.integers(1, 3)))]
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    transitions = [
+        (source, SigmaType() if literal_free else random_equality_type(rng, k), target)
+        for source in states
+        for target in states
+        for literal_free in draw(st.lists(st.booleans(), max_size=3))
+    ]
+    initial = draw(st.sets(st.sampled_from(states), min_size=1))
+    base = RegisterAutomaton(k, Signature.empty(), states, initial, {states[0]}, transitions)
+    constraints = [
+        GlobalConstraint(
+            draw(st.sampled_from(["eq", "neq"])),
+            draw(st.integers(1, k)),
+            draw(st.integers(1, k)),
+            random_constraint_regex(rng, states),
+        )
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    value = st.sampled_from(["a", "b", "c"])
+    arity = st.sampled_from([k] * 8 + [k - 1, k + 1])
+    registers = arity.flatmap(lambda n: st.lists(value, min_size=n, max_size=n)).map(tuple)
+    state = st.sampled_from(states * 4 + ["elsewhere"])
+    events = draw(st.lists(st.tuples(state, registers), min_size=1, max_size=12))
+    cut = draw(st.integers(0, len(events)))
+    return ExtendedAutomaton(base, constraints), draw(st.booleans()), events, cut
+
+
+def step(checker, state, registers):
+    """``feed``'s answer: ``("returned", verdict)`` or ``("raised", message)``."""
+    try:
+        return ("returned", checker.feed(state, registers))
+    except StreamingViolation as violation:
+        return ("raised", str(violation))
+
+
+def observed(checker):
+    return (
+        checker.position,
+        checker.failed,
+        checker.peak_threads,
+        checker.live_threads(),
+        _canonical_threads(tuple(checker._threads)),
+    )
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=compiled_step_cases())
+def test_compiled_feed_agrees_with_the_uncompiled_oracle(case):
+    # The tables feed compiles per specification answer every event as
+    # the per-event dfa.delta / transitions_between / some_guard_holds
+    # walk does, verdicts and messages included, also across a pickled
+    # snapshot restored into a fresh checker.
+    spec, strict, events, cut = case
+    db = Database(Signature.empty())
+    oracle = literal_streaming_checker(spec, db, strict=strict)
+    checker = StreamingChecker(spec, db, strict=strict)
+    for position, (state, registers) in enumerate(events):
+        if position == cut:
+            blob = pickle.dumps(checker.snapshot())
+            checker = StreamingChecker(spec, db).restore(pickle.loads(blob))
+        assert step(checker, state, registers) == step(oracle, state, registers)
+        assert observed(checker) == observed(oracle)
